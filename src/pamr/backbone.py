@@ -40,7 +40,6 @@ __all__ = [
     "MaskedAutoencoder",
     "CloudClassifier",
     "pretrain_loss",
-    "zero_scale_loss",
 ]
 
 
@@ -54,33 +53,27 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
+    def _heads_first(self, t: Tensor) -> Tensor:
+        n, c = t.shape
+        return T.transpose(T.reshape(t, (n, self.heads, c // self.heads)), (1, 0, 2))
+
+    def _weights(self, x: Tensor) -> Tensor:
+        """(heads, N, N) softmax of the scaled query-key scores."""
+        q = self._heads_first(self.wq(x))
+        k = self._heads_first(self.wk(x))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
+        return T.softmax(scores, axis=-1)
+
     def forward(self, x: Tensor) -> Tensor:
         n, c = x.shape
-        h = self.heads
-        dh = c // h
-
-        def heads_first(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (n, h, dh)), (1, 0, 2))
-
-        q = heads_first(self.wq(x))
-        k = heads_first(self.wk(x))
-        v = heads_first(self.wv(x))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        att = T.softmax(scores, axis=-1)
-        out = T.matmul(att, v)  # (h, n, dh)
+        out = T.matmul(self._weights(x), self._heads_first(self.wv(x)))  # (h, n, dh)
         out = T.reshape(T.transpose(out, (1, 0, 2)), (n, c))
         return self.wo(out)
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
         """(heads, N, N) softmax weights, for inspection only."""
-        n, c = x.shape
-        h = self.heads
-        dh = c // h
         with T.no_grad():
-            q = T.transpose(T.reshape(self.wq(x), (n, h, dh)), (1, 0, 2))
-            k = T.transpose(T.reshape(self.wk(x), (n, h, dh)), (1, 0, 2))
-            scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-            return T.softmax(scores, axis=-1).numpy()
+            return self._weights(x).numpy()
 
 
 class TransformerBlock(Module):
@@ -177,13 +170,7 @@ class TokenPropagator(Module):
             raise ShapeError(f"{tokens.shape[0]} tokens for {n_coarse} coarse positions")
         if n_coarse < 1:
             raise ShapeError("cannot propagate from an empty coarse set")
-        k_eff = min(k, n_coarse)
-        idx = knn(fine_coords, coarse_coords, k_eff)
-        diff = fine_coords[:, None, :] - coarse_coords[idx]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        dist = np.maximum(dist, 1e-8)
-        inv = 1.0 / dist
-        weights = inv / inv.sum(axis=1, keepdims=True)  # convex per fine point
+        idx, weights = self.interpolation_weights(coarse_coords, fine_coords, k)
         gathered = T.index_select(tokens, idx)  # (n_fine, k_eff, dim_in)
         mixed = T.tsum(T.mul(gathered, weights[:, :, None]), axis=1)
         return self.proj(mixed)
@@ -192,7 +179,8 @@ class TokenPropagator(Module):
     def interpolation_weights(
         coarse_coords: np.ndarray, fine_coords: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The (indices, weights) pair forward() uses, for direct inspection."""
+        """kNN indices into the coarse set and their inverse-distance weights,
+        convex per fine point; the pair forward() mixes tokens with."""
         k_eff = min(k, coarse_coords.shape[0])
         idx = knn(fine_coords, coarse_coords, k_eff)
         diff = fine_coords[:, None, :] - coarse_coords[idx]
@@ -265,33 +253,24 @@ class HierarchicalDecoder(Module):
         )
 
 
-def pretrain_loss(pred: Tensor, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
-    """Mean chamfer between predicted and true relative patches of the
-    masked scale-2 centers."""
+def pretrain_loss(
+    pred: Tensor, pyramid: ScalePyramid, plan: MaskPlan, zero_scale: bool = False
+) -> Tensor:
+    """Mean chamfer between predicted and true center-relative patches of the
+    masked scale-2 centers.
+
+    The target is each center's scale-2 patch, or with `zero_scale` its
+    raw-point neighborhood: the scale-1 patch of the same point, which fps
+    carried up from scale 1 unchanged.
+    """
     msk = plan.masked[2]
     if msk.size == 0:
         raise ConfigError("no masked scale-2 centers: mask ratio too small to pretrain")
-    k2 = pyramid.neighbors[1].shape[1]
-    if pred.shape != (msk.size, k2, 3):
-        raise ShapeError(f"predictions must have shape ({msk.size}, {k2}, 3), got {pred.shape}")
-    truth = gather_patches(pyramid, 2, msk)
-    return chamfer_l2_batched(pred, truth)
-
-
-def zero_scale_loss(pred: Tensor, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
-    """Optional finer-grained term: reconstruct each masked scale-2 center's
-    raw-point neighborhood (its scale-1 footprint), still center-relative."""
-    msk = plan.masked[2]
-    if msk.size == 0:
-        raise ConfigError("no masked scale-2 centers: mask ratio too small to pretrain")
-    scale1_rows = pyramid.sample_idx[1][msk]  # each scale-2 center as a scale-1 index
-    raw_idx = pyramid.neighbors[0][scale1_rows]  # (M, k1) raw-point indices
-    centers = pyramid.points[2][msk]
-    truth = pyramid.points[0][raw_idx] - centers[:, None, :]
-    k1 = pyramid.neighbors[0].shape[1]
-    if pred.shape != (msk.size, k1, 3):
-        raise ShapeError(f"predictions must have shape ({msk.size}, {k1}, 3), got {pred.shape}")
-    return chamfer_l2_batched(pred, truth)
+    scale, centers = (1, pyramid.sample_idx[1][msk]) if zero_scale else (2, msk)
+    k = pyramid.neighbors[scale - 1].shape[1]
+    if pred.shape != (msk.size, k, 3):
+        raise ShapeError(f"predictions must have shape ({msk.size}, {k}, 3), got {pred.shape}")
+    return chamfer_l2_batched(pred, gather_patches(pyramid, scale, centers))
 
 
 @dataclass
@@ -331,7 +310,7 @@ class MaskedAutoencoder(Module):
         rec = self.reconstruct(pyramid, plan)
         total = pretrain_loss(rec.pred, pyramid, plan)
         if rec.pred_zero is not None:
-            total = T.add(total, zero_scale_loss(rec.pred_zero, pyramid, plan))
+            total = T.add(total, pretrain_loss(rec.pred_zero, pyramid, plan, zero_scale=True))
         return total
 
 

@@ -124,14 +124,20 @@ class _Reader:
 
     def take_str(self) -> str:
         n = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{self.origin}: string field is not valid utf-8") from None
 
-    def take_array(self) -> np.ndarray:
+    def take_array(self, what: str) -> np.ndarray:
         ndim = self.unpack("<B")
         shape = tuple(self.unpack("<I") for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointFormatError(f"{self.origin}: {what} holds non-finite values")
+        return arr
 
 
 def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData:
@@ -150,7 +156,7 @@ def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData
         name = r.take_str()
         if name in params:
             raise CheckpointFormatError(f"{origin}: duplicate entry {name!r}")
-        params[name] = r.take_array()
+        params[name] = r.take_array(f"entry {name!r}")
         order.append(name)
     if order != sorted(order):
         raise CheckpointFormatError(f"{origin}: entries not in canonical order")
@@ -160,8 +166,8 @@ def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData
         data.opt_m = {}
         data.opt_v = {}
         for name in order:
-            data.opt_m[name] = r.take_array()
-            data.opt_v[name] = r.take_array()
+            data.opt_m[name] = r.take_array(f"optimizer m of {name!r}")
+            data.opt_v[name] = r.take_array(f"optimizer v of {name!r}")
     if r.pos != len(payload):
         raise CheckpointFormatError(f"{origin}: {len(payload) - r.pos} trailing bytes")
     return data

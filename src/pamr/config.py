@@ -113,10 +113,6 @@ class ModelConfig(_FromMapping):
         if not self.la_avg_branch and not self.la_max_branch:
             self.la_enabled = False
 
-    @property
-    def num_scales(self) -> int:
-        return len(self.sizes)
-
     def validate(self) -> None:
         s = len(self.sizes)
         if s < 2:

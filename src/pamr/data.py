@@ -63,12 +63,10 @@ def _cube(n: int, rng: np.random.Generator) -> np.ndarray:
     uv = rng.uniform(-1.0, 1.0, size=(n, 2))
     pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, 1.0, -1.0)
-    for i in range(n):
-        others = [a for a in range(3) if a != axis[i]]
-        pts[i, axis[i]] = sign[i]
-        pts[i, others[0]] = uv[i, 0]
-        pts[i, others[1]] = uv[i, 1]
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0)
+    pts[rows, np.where(axis == 0, 1, 0)] = uv[:, 0]  # first of the two other axes
+    pts[rows, np.where(axis == 2, 1, 2)] = uv[:, 1]  # second of the two other axes
     return pts
 
 

@@ -136,7 +136,7 @@ class PatchTokenizer(Module):
             )
 
     def forward(self, patches) -> Tensor:
-        x = patches if isinstance(patches, Tensor) else T.constant(np.asarray(patches, dtype=np.float64))
+        x = T.as_tensor(patches)
         if x.ndim != 3 or x.shape[2] != 3:
             raise ConfigError(f"patches must have shape (N, k, 3), got {x.shape}")
         h = self.conv_a(x)  # (N, k, half)
@@ -182,7 +182,7 @@ class PositionEmbedding(Module):
         self.mix = Linear(dim, dim, rng, std=0.6)
 
     def forward(self, coords) -> Tensor:
-        x = coords if isinstance(coords, Tensor) else T.constant(np.asarray(coords, dtype=np.float64))
+        x = T.as_tensor(coords)
         if x.ndim != 2 or x.shape[1] != 3:
             raise ConfigError(f"coords must have shape (N, 3), got {x.shape}")
         return self.mix(T.gelu(self.lift(x)))

@@ -28,7 +28,6 @@ __all__ = [
     "mask_and_backproject",
     "gather_patches",
     "visible_positions",
-    "chamfer_l2",
     "chamfer_l2_batched",
 ]
 
@@ -65,12 +64,6 @@ class PointCloud:
         self.points = _check_points(self.points, "PointCloud.points")
         if self.label is not None:
             self.label = int(self.label)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def normalized(self) -> "PointCloud":
-        return PointCloud(normalize_points(self.points), self.label)
 
 
 def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
@@ -189,9 +182,6 @@ class MaskPlan:
     visible: list = field(default_factory=list)
     masked: list = field(default_factory=list)
 
-    def n_masked_final(self) -> int:
-        return len(self.masked[-1])
-
 
 def mask_and_backproject(
     pyramid: ScalePyramid, mu: float, rng: np.random.Generator
@@ -276,28 +266,15 @@ def _pairwise_sq(a: Tensor, b: Tensor) -> Tensor:
     return T.tsum(T.mul(diff, diff), axis=-1)
 
 
-def chamfer_l2(a, b) -> Tensor:
-    """Symmetric squared-distance chamfer between two clouds.
-
-    mean over a of the squared distance to the nearest b, plus the same with
-    roles swapped. Gradients flow into whichever side is a live tensor.
-    """
-    at = a if isinstance(a, Tensor) else T.constant(np.asarray(a, dtype=np.float64))
-    bt = b if isinstance(b, Tensor) else T.constant(np.asarray(b, dtype=np.float64))
-    if at.ndim != 2 or at.shape[1] != 3 or bt.ndim != 2 or bt.shape[1] != 3:
-        raise ShapeError(f"chamfer needs (A, 3) and (B, 3), got {at.shape} and {bt.shape}")
-    if at.shape[0] < 1 or bt.shape[0] < 1:
-        raise ShapeError("chamfer is undefined for an empty cloud")
-    d2 = _pairwise_sq(at, bt)
-    fwd = T.tmean(T.amin(d2, axis=1))
-    bwd = T.tmean(T.amin(d2, axis=0))
-    return T.add(fwd, bwd)
-
-
 def chamfer_l2_batched(pred, truth) -> Tensor:
-    """Mean chamfer over a batch of patch pairs: (M, A, 3) vs (M, B, 3)."""
-    pt = pred if isinstance(pred, Tensor) else T.constant(np.asarray(pred, dtype=np.float64))
-    tt = truth if isinstance(truth, Tensor) else T.constant(np.asarray(truth, dtype=np.float64))
+    """Symmetric squared-distance chamfer, averaged over a batch of patch pairs.
+
+    For each pair of (A, 3) and (B, 3) rows of the (M, A, 3) and (M, B, 3)
+    inputs: the mean over the first of the squared distance to the nearest
+    point of the second, plus the same with roles swapped. Gradients flow
+    into whichever side is a live tensor; two single clouds are the M = 1 case.
+    """
+    pt, tt = T.as_tensor(pred), T.as_tensor(truth)
     if pt.ndim != 3 or pt.shape[2] != 3 or tt.ndim != 3 or tt.shape[2] != 3:
         raise ShapeError(f"batched chamfer needs (M, A, 3) and (M, B, 3), got {pt.shape} and {tt.shape}")
     if pt.shape[0] != tt.shape[0]:

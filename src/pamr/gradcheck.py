@@ -178,21 +178,16 @@ def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict
     run("transpose", {"x": x}, lambda: T.transpose(x, (2, 0, 1)))
     run("expand", {"row": row}, lambda: T.expand(row, (5, 4)))
 
-    run("sum_all", {"x": x}, lambda: T.tsum(x))
-    run("sum_axis", {"x": x}, lambda: T.tsum(x, axis=1))
-    run("mean_axis", {"x": x}, lambda: T.tmean(x, axis=(0, 2)))
+    run("tsum", {"x": x}, lambda: T.tsum(x))
+    run("tsum_axis", {"x": x}, lambda: T.tsum(x, axis=1))
+    run("tmean_axis", {"x": x}, lambda: T.tmean(x, axis=(0, 2)))
     run("amax", {"x": x}, lambda: T.amax(x, axis=1))
     run("amin", {"x": x}, lambda: T.amin(x, axis=2))
 
-    run("exp", {"x": x}, lambda: T.exp(x))
     p = pos((3, 4))
-    run("log", {"p": p}, lambda: T.log(p))
     run("sqrt", {"p": p}, lambda: T.sqrt(p))
-    run("tanh", {"x": x}, lambda: T.tanh(x))
     run("sigmoid", {"x": x}, lambda: T.sigmoid(x))
-    run("relu", {"x": x}, lambda: T.relu(x))
     run("gelu", {"x": x}, lambda: T.gelu(x))
-    run("pow", {"p": p}, lambda: p**3.0)
 
     run("softmax", {"x": x}, lambda: T.softmax(x, axis=-1))
     run("log_softmax", {"x": x}, lambda: T.log_softmax(x, axis=-1))

@@ -54,9 +54,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class Linear(Module):
     """y = x @ W + b with W of shape (fan_in, fan_out)."""

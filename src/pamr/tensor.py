@@ -12,7 +12,6 @@ participate in a loss read back as zeros.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -22,15 +21,14 @@ from .errors import NonFiniteError, ShapeError
 
 __all__ = [
     "Tensor",
-    "tensor",
     "constant",
     "param",
     "no_grad",
+    "as_tensor",
     "add",
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "reshape",
     "transpose",
@@ -38,17 +36,12 @@ __all__ = [
     "tmean",
     "amax",
     "amin",
-    "exp",
-    "log",
     "sqrt",
-    "tanh",
     "sigmoid",
-    "relu",
     "gelu",
     "softmax",
     "log_softmax",
     "conv1d_channel",
-    "pool_reduce",
     "index_select",
     "concat",
     "expand",
@@ -145,50 +138,6 @@ class Tensor:
                         parent._grad = np.zeros_like(parent.data)
                     parent._grad += g
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, k):
-        return _pow_scalar(self, k)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def _linearize(root: Tensor) -> list[Tensor]:
     """Topological order with parents before consumers; visits each node once."""
@@ -210,7 +159,8 @@ def _linearize(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _as_tensor(x) -> Tensor:
+def as_tensor(x) -> Tensor:
+    """`x` itself if it is a Tensor, else a constant holding it as float64."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -250,10 +200,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- leaf constructors -----------------------------------------------------
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
@@ -266,7 +212,7 @@ def param(data) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def bwd(g):
@@ -276,7 +222,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
 
     def bwd(g):
@@ -286,7 +232,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
 
     def bwd(g):
@@ -299,7 +245,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
 
     def bwd(g):
@@ -311,28 +257,8 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), bwd, "div output")
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        return [(a, -g)]
-
-    return _make(-a.data, (a,), bwd, "neg output")
-
-
-def _pow_scalar(a: Tensor, k) -> Tensor:
-    a = _as_tensor(a)
-    k = float(k)
-    out = a.data**k
-
-    def bwd(g):
-        return [(a, g * k * a.data ** (k - 1.0))]
-
-    return _make(out, (a,), bwd, "pow output")
-
-
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 on both sides, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -351,7 +277,7 @@ def matmul(a, b) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
 
@@ -362,7 +288,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
@@ -377,7 +303,7 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
 
 def expand(a, shape) -> Tensor:
     """Broadcast to `shape`; the backward pass sums the expansion back."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     shape = tuple(shape)
     out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
 
@@ -388,7 +314,7 @@ def expand(a, shape) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
+    parts = [as_tensor(t) for t in tensors]
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
@@ -412,7 +338,7 @@ def index_select(a, idx, axis: int = 0) -> Tensor:
     Output shape is idx.shape + a.shape[1:]. Repeated indices are fine:
     their gradients accumulate.
     """
-    a = _as_tensor(a)
+    a = as_tensor(a)
     if axis != 0:
         raise ShapeError("index_select only gathers along axis 0")
     idx = np.asarray(idx)
@@ -446,7 +372,7 @@ def _restore_axes(g: np.ndarray, axis, keepdims: bool, src_shape: tuple[int, ...
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
@@ -456,7 +382,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     if axis is None:
         count = a.data.size
@@ -473,7 +399,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def _extreme(a, axis: int, keepdims: bool, biggest: bool) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     if not isinstance(axis, int):
         raise ShapeError("max/min reduction needs a single integer axis")
     pick = np.argmax(a.data, axis=axis) if biggest else np.argmin(a.data, axis=axis)
@@ -498,40 +424,11 @@ def amin(a, axis: int, keepdims: bool = False) -> Tensor:
     return _extreme(a, axis, keepdims, biggest=False)
 
 
-def pool_reduce(a, axis: int, mode: str) -> Tensor:
-    if mode == "max":
-        return amax(a, axis=axis)
-    if mode == "avg":
-        return tmean(a, axis=axis)
-    raise ShapeError(f"unknown pool mode {mode!r}")
-
-
 # -- pointwise ---------------------------------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return [(a, g * out)]
-
-    return _make(out, (a,), bwd, "exp output")
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def bwd(g):
-        return [(a, g / a.data)]
-
-    return _make(out, (a,), bwd, "log output")
-
-
 def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = np.sqrt(a.data)
 
     def bwd(g):
@@ -540,18 +437,8 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), bwd, "sqrt output")
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return [(a, g * (1.0 - out * out))]
-
-    return _make(out, (a,), bwd, "tanh output")
-
-
 def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     x = a.data
     out = np.empty_like(x)
     pos = x >= 0
@@ -565,19 +452,9 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), bwd, "sigmoid output")
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        return [(a, g * (a.data > 0.0))]
-
-    return _make(out, (a,), bwd, "relu output")
-
-
 def gelu(a) -> Tensor:
     """tanh-form gelu: 0.5*x*(1 + tanh(k0*(x + k1*x^3)))."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     x = a.data
     inner = _GELU_K0 * (x + _GELU_K1 * x**3)
     t = np.tanh(inner)
@@ -594,7 +471,7 @@ def gelu(a) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -606,7 +483,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
@@ -623,7 +500,7 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
     zero-padded back to C channels, so shape is preserved. E.g. the window-3
     output at channel c is k0*x[c-1] + k1*x[c] + k2*x[c+1] + bias.
     """
-    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.ndim < 2:
         raise ShapeError(f"conv1d_channel needs (..., C, L) input, got {x.shape}")
     if kernel.ndim != 1 or kernel.shape[0] % 2 != 1:
@@ -657,40 +534,40 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
     return _make(out, (x, kernel, bias), bwd, "conv1d_channel output")
 
 
+def _standardize(x: Tensor, eps: float) -> Tensor:
+    """Shift to zero mean and scale to unit (biased) variance over the last axis."""
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
+    return div(centered, sqrt(add(var, eps)))
+
+
 def group_norm(x, groups: int, scale, shift, eps: float = 1e-5) -> Tensor:
     """Normalize (..., C, L) over channel groups, then apply per-channel affine.
 
     Statistics are taken jointly over each group's channels and all L
     positions, so a group with constant values normalizes to zeros.
     """
-    x = _as_tensor(x)
+    x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"group_norm needs (..., C, L) input, got {x.shape}")
     c = x.shape[-2]
     if groups < 1 or c % groups != 0:
         raise ShapeError(f"{groups} groups do not divide {c} channels")
-    scale, shift = _as_tensor(scale), _as_tensor(shift)
+    scale, shift = as_tensor(scale), as_tensor(shift)
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"affine params must have shape ({c},)")
     lead = x.shape[:-2]
     grouped = reshape(x, lead + (groups, (c // groups) * x.shape[-1]))
-    mu = tmean(grouped, axis=-1, keepdims=True)
-    centered = sub(grouped, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    normed = reshape(normed, x.shape)
+    normed = reshape(_standardize(grouped, eps), x.shape)
     return add(mul(normed, reshape(scale, (c, 1))), reshape(shift, (c, 1)))
 
 
 def layer_norm(x, scale, shift, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis with per-feature affine parameters."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     c = x.shape[-1]
-    scale, shift = _as_tensor(scale), _as_tensor(shift)
+    scale, shift = as_tensor(scale), as_tensor(shift)
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"affine params must have shape ({c},)")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, scale), shift)
+    return add(mul(_standardize(x, eps), scale), shift)

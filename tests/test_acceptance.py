@@ -19,7 +19,7 @@ from pamr.data import ShapeSpec, gen_shapes
 from pamr.embedding import LocalAttentionGate
 from pamr.geometry import (
     build_scale_pyramid,
-    chamfer_l2,
+    chamfer_l2_batched,
     fps,
     knn,
     mask_and_backproject,
@@ -120,20 +120,20 @@ def test_chamfer_distance_properties():
     with criterion("acceptance 04 chamfer properties"):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = rng.normal(size=(int(rng.integers(1, 40)), 3))
-            b = rng.normal(size=(int(rng.integers(1, 40)), 3))
-            ab = chamfer_l2(a, b).item()
-            ba = chamfer_l2(b, a).item()
+            a = rng.normal(size=(1, int(rng.integers(1, 40)), 3))
+            b = rng.normal(size=(1, int(rng.integers(1, 40)), 3))
+            ab = chamfer_l2_batched(a, b).item()
+            ba = chamfer_l2_batched(b, a).item()
             assert ab == ba
-            assert chamfer_l2(a, a.copy()).item() == 0.0
+            assert chamfer_l2_batched(a, a.copy()).item() == 0.0
             t = rng.normal(size=3)
-            shifted = chamfer_l2(a + t, b + t).item()
+            shifted = chamfer_l2_batched(a + t, b + t).item()
             assert abs(shifted - ab) <= 1e-9
-        one = chamfer_l2(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])).item()
+        one = chamfer_l2_batched(np.zeros((1, 1, 3)), np.array([[[1.0, 0.0, 0.0]]])).item()
         assert abs(one - 2.0) <= 1e-12
-        two = chamfer_l2(
-            np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-            np.array([[1.0, 0.0, 0.0]]),
+        two = chamfer_l2_batched(
+            np.array([[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]]),
+            np.array([[[1.0, 0.0, 0.0]]]),
         ).item()
         assert abs(two - 2.0) <= 1e-12
 

@@ -13,7 +13,6 @@ from pamr.backbone import (
     TokenPropagator,
     TransformerBlock,
     pretrain_loss,
-    zero_scale_loss,
 )
 from pamr.config import ModelConfig
 from pamr.errors import ConfigError, ShapeError
@@ -279,7 +278,7 @@ class TestMaskedAutoencoder:
         rec = model.reconstruct(pyr, plan)
         assert rec.pred_zero.shape == (plan.masked[2].size, cfg.ks[0], 3)
         base = pretrain_loss(rec.pred, pyr, plan).item()
-        extra = zero_scale_loss(rec.pred_zero, pyr, plan).item()
+        extra = pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True).item()
         np.testing.assert_allclose(model.loss(pyr, plan).item(), base + extra, rtol=1e-12)
 
     def test_end_to_end_gradients_sampled(self):

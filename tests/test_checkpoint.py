@@ -95,6 +95,27 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError, match="trailing"):
             decode_checkpoint(payload)
 
+    def test_invalid_utf8_strings_rejected(self):
+        payload = encode_checkpoint(tiny_params(), FP, step=1)
+        for offset in (5 + 4 + 2, 5 + 4 + 2 + len(FP) + 8 + 4 + 2):  # fingerprint, first name
+            bad = bytearray(payload)
+            bad[offset] = 0xFF
+            with pytest.raises(CheckpointFormatError, match="utf-8"):
+                decode_checkpoint(bytes(bad))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arrays_rejected_by_name(self, value):
+        params = tiny_params()
+        params["b.weight"][1, 2] = value
+        with pytest.raises(CheckpointFormatError, match="'b.weight' holds non-finite"):
+            decode_checkpoint(encode_checkpoint(params, FP, step=1))
+        params = tiny_params()
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(a) for k, a in params.items()}
+        v["a.bias"][0] = value
+        with pytest.raises(CheckpointFormatError, match="optimizer v of 'a.bias'"):
+            decode_checkpoint(encode_checkpoint(params, FP, step=1, opt_state=(1, m, v)))
+
     def test_wrong_version(self):
         payload = bytearray(encode_checkpoint(tiny_params(), FP, 0))
         payload[5] = 99

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pamr.checkpoint import decode_checkpoint, encode_checkpoint
 from pamr.cli import main
 from pamr.data import load_dataset_dir, read_xyz
 from pamr.metrics import format_metrics
@@ -110,7 +113,7 @@ class TestGenData:
         assert len(clouds) == 12
         labels = sorted({c.label for c in clouds})
         assert labels == [0, 1, 2, 3]
-        assert all(len(c) == 64 for c in clouds)
+        assert all(c.points.shape == (64, 3) for c in clouds)
 
     def test_deterministic_across_runs(self, tmp_path, cfg_file, capsys):
         args = ["gen-data", "--config", cfg_file, "--kinds", "torus",
@@ -218,8 +221,48 @@ class TestReconstructCommand:
         # masked file holds the visible subset: strictly fewer rows than scale 1
         masked = read_xyz(out / f"{clouds[0].stem}.masked.xyz")
         original = read_xyz(out / f"{clouds[0].stem}.original.xyz")
-        assert len(masked) < 16
-        assert len(original) == 64
+        assert masked.points.shape[0] < 16
+        assert original.points.shape[0] == 64
+
+
+class TestCorruptCheckpoint:
+    FS_CFG = TINY_CFG + "n_way = 2\nm_shot = 1\ntest_per_class = 2\ntrials = 1\n"
+
+    @pytest.fixture
+    def pretrained(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "fs.cfg"
+        cfg.write_text(self.FS_CFG)
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(cfg), "--data", dataset, "--out", str(pre)]) == 0
+        capsys.readouterr()
+        return cfg, pre / "model.ckpt"
+
+    def test_invalid_utf8_name_exits_1(self, dataset, pretrained, capsys):
+        cfg, ckpt = pretrained
+        payload = bytearray(ckpt.read_bytes())
+        fp = decode_checkpoint(bytes(payload)).fingerprint
+        payload[5 + 4 + 2 + len(fp) + 8 + 4 + 2] = 0xFF  # first byte of the first entry name
+        ckpt.write_bytes(bytes(payload))
+        rc = main(["fewshot", "--config", str(cfg), "--data", dataset, "--checkpoint", str(ckpt)])
+        assert rc == 1
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fewshot", "reconstruct"])
+    def test_non_finite_entry_exits_1(self, tmp_path, dataset, pretrained, capsys, command):
+        cfg, ckpt = pretrained
+        data = decode_checkpoint(ckpt.read_bytes())
+        name = sorted(data.params)[0]
+        data.params[name].flat[0] = np.nan
+        ckpt.write_bytes(encode_checkpoint(data.params, data.fingerprint, data.step))
+        args = [command, "--config", str(cfg), "--checkpoint", str(ckpt)]
+        if command == "fewshot":
+            args += ["--data", dataset]
+        else:
+            args += ["--out", str(tmp_path / "rec"), str(sorted(Path(dataset).glob("*.xyz"))[0])]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert name in err and "non-finite" in err
 
 
 class TestGradcheckCommand:

@@ -8,7 +8,6 @@ from pamr.gradcheck import finite_diff_check
 from pamr.geometry import (
     PointCloud,
     build_scale_pyramid,
-    chamfer_l2,
     chamfer_l2_batched,
     fps,
     gather_patches,
@@ -254,19 +253,19 @@ class TestVisiblePositions:
 
 class TestChamfer:
     def test_hand_values(self):
-        one = chamfer_l2(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
+        one = chamfer_l2_batched(np.zeros((1, 1, 3)), np.array([[[1.0, 0.0, 0.0]]]))
         assert abs(one.item() - 2.0) < 1e-12
-        two = chamfer_l2(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.array([[1.0, 0, 0]]))
+        two = chamfer_l2_batched(np.array([[[0.0, 0, 0], [2.0, 0, 0]]]), np.array([[[1.0, 0, 0]]]))
         assert abs(two.item() - 2.0) < 1e-12
 
     def test_identity_symmetry_translation(self):
         rng = np.random.default_rng(60)
-        a, b = rng.normal(size=(14, 3)), rng.normal(size=(9, 3))
-        assert chamfer_l2(a, a).item() == 0.0
-        ab, ba = chamfer_l2(a, b).item(), chamfer_l2(b, a).item()
+        a, b = rng.normal(size=(1, 14, 3)), rng.normal(size=(1, 9, 3))
+        assert chamfer_l2_batched(a, a).item() == 0.0
+        ab, ba = chamfer_l2_batched(a, b).item(), chamfer_l2_batched(b, a).item()
         assert abs(ab - ba) < 1e-12
         t = np.array([0.3, -1.2, 0.7])
-        shifted = chamfer_l2(a + t, b + t).item()
+        shifted = chamfer_l2_batched(a + t, b + t).item()
         assert abs(shifted - ab) < 1e-9
         assert ab > 0.0
 
@@ -274,28 +273,28 @@ class TestChamfer:
         rng = np.random.default_rng(61)
         for _ in range(10):
             a, b = rng.normal(size=(8, 3)), rng.normal(size=(13, 3))
-            got = chamfer_l2(a, b).item()
+            got = chamfer_l2_batched(a[None], b[None]).item()
             assert abs(got - chamfer_reference(a, b)) < 1e-12
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(62)
         a, b = rng.normal(size=(6, 3)), rng.normal(size=(7, 3))
-        base = chamfer_l2(a, b).item()
-        scaled = chamfer_l2(3.0 * a, 3.0 * b).item()
+        base = chamfer_l2_batched(a[None], b[None]).item()
+        scaled = chamfer_l2_batched(3.0 * a[None], 3.0 * b[None]).item()
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
     def test_gradient_wrt_pred(self):
         rng = np.random.default_rng(63)
-        pred = T.param(rng.normal(size=(5, 3)))
-        truth = rng.normal(size=(7, 3))
-        report = finite_diff_check(lambda: chamfer_l2(pred, truth), {"pred": pred})
+        pred = T.param(rng.normal(size=(1, 5, 3)))
+        truth = rng.normal(size=(1, 7, 3))
+        report = finite_diff_check(lambda: chamfer_l2_batched(pred, truth), {"pred": pred})
         assert report.ok, report.summary()
 
     def test_batched_matches_mean_of_singles(self):
         rng = np.random.default_rng(64)
         pred = rng.normal(size=(4, 5, 3))
         truth = rng.normal(size=(4, 6, 3))
-        singles = np.mean([chamfer_l2(pred[i], truth[i]).item() for i in range(4)])
+        singles = np.mean([chamfer_l2_batched(pred[i : i + 1], truth[i : i + 1]).item() for i in range(4)])
         batched = chamfer_l2_batched(pred, truth).item()
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
 
@@ -308,6 +307,6 @@ class TestChamfer:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            chamfer_l2(np.zeros((0, 3)), np.ones((2, 3)))
+            chamfer_l2_batched(np.zeros((1, 0, 3)), np.ones((1, 2, 3)))
         with pytest.raises(ShapeError):
-            chamfer_l2(np.zeros((2, 2)), np.ones((2, 3)))
+            chamfer_l2_batched(np.zeros((1, 2, 2)), np.ones((1, 2, 3)))

@@ -17,9 +17,8 @@ class TestConstruction:
             Tensor([1.0, np.nan])
 
     def test_rejects_inf_from_op(self):
-        x = Tensor([0.0])
-        with pytest.raises(NonFiniteError):
-            T.log(x)
+        with pytest.raises(NonFiniteError), np.errstate(divide="ignore"):
+            T.div(Tensor([1.0]), Tensor([0.0]))
 
     def test_scalar_item(self):
         assert Tensor(3.5).item() == 3.5
@@ -85,10 +84,6 @@ class TestPointwiseValues:
         out = T.sigmoid(Tensor([-30.0, 30.0])).data
         assert 0.0 < out[0] < 0.5 < out[1] < 1.0
 
-    def test_relu(self):
-        out = T.relu(Tensor([-2.0, 0.0, 3.0])).data
-        np.testing.assert_array_equal(out, [0.0, 0.0, 3.0])
-
     def test_gelu_anchors(self):
         out = T.gelu(Tensor([0.0])).data
         np.testing.assert_allclose(out, [0.0], atol=1e-15)
@@ -96,11 +91,6 @@ class TestPointwiseValues:
         big = T.gelu(Tensor([8.0, -8.0])).data
         np.testing.assert_allclose(big[0], 8.0, rtol=1e-12)
         np.testing.assert_allclose(big[1], 0.0, atol=1e-12)
-
-    def test_tanh_odd(self):
-        x = np.linspace(-2, 2, 9)
-        out = T.tanh(Tensor(x)).data
-        np.testing.assert_allclose(out, -T.tanh(Tensor(-x)).data, rtol=1e-15)
 
 
 class TestSoftmax:
@@ -217,14 +207,9 @@ class TestGradientSuite:
         assert not bad, f"ops failing finite differences: {bad}"
 
     def test_suite_covers_the_engine(self):
-        # guards against an op being added but never checked
-        reports = op_gradient_suite(seed=1)
-        names = set(reports)
-        for required in [
-            "add", "sub", "mul", "div", "matmul", "matmul_batched", "reshape",
-            "transpose", "expand", "sum_all", "sum_axis", "mean_axis", "amax",
-            "amin", "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "gelu",
-            "softmax", "log_softmax", "conv1d_channel", "group_norm",
-            "layer_norm", "index_select", "concat", "pow",
-        ]:
-            assert required in names, required
+        # every public op needs an entry named after it (or `op_variant`),
+        # so an op added without a finite-difference check fails here
+        names = set(op_gradient_suite(seed=1))
+        not_ops = {"Tensor", "constant", "param", "no_grad", "as_tensor"}
+        for op in sorted(set(T.__all__) - not_ops):
+            assert any(n == op or n.startswith(op + "_") for n in names), op
