@@ -24,6 +24,7 @@ from .geometry import (
     chamfer_l2_batched,
     gather_patches,
     knn,
+    mask_and_backproject,
     visible_positions,
 )
 from .nn import LayerNorm, Linear, Module
@@ -332,9 +333,11 @@ class CloudClassifier(Module):
         widths = (2 * cfg.dims[-1],) + tuple(head_hidden) + (n_classes,)
         self.head = [Linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
 
-    def features(self, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
-        """(1, 2*C_S) pooled final-stage features: max-pool next to mean-pool."""
-        stages = self.encoder(pyramid, plan)
+    def features(self, pyramid: ScalePyramid) -> Tensor:
+        """(1, 2*C_S) pooled final-stage features of the whole, unmasked cloud:
+        max-pool next to mean-pool."""
+        all_visible = mask_and_backproject(pyramid, 0.0, np.random.default_rng(0))
+        stages = self.encoder(pyramid, all_visible)
         top = stages[-1].tokens
         pooled = T.concat([T.amax(top, axis=0), T.tmean(top, axis=0)], axis=0)
         return T.reshape(pooled, (1, pooled.shape[0]))
@@ -345,5 +348,5 @@ class CloudClassifier(Module):
             h = T.gelu(layer(h))
         return self.head[-1](h)
 
-    def logits(self, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
-        return self.logits_from_features(self.features(pyramid, plan))
+    def logits(self, pyramid: ScalePyramid) -> Tensor:
+        return self.logits_from_features(self.features(pyramid))

@@ -53,8 +53,10 @@ def _pack_str(out: io.BytesIO, s: str) -> None:
     out.write(raw)
 
 
-def _pack_array(out: io.BytesIO, a: np.ndarray) -> None:
+def _pack_array(out: io.BytesIO, a: np.ndarray, what: str) -> None:
     a = np.ascontiguousarray(a, dtype="<f8")
+    if not np.all(np.isfinite(a)):
+        raise CheckpointFormatError(f"{what} holds non-finite values")
     out.write(struct.pack("<B", a.ndim))
     for d in a.shape:
         out.write(struct.pack("<I", d))
@@ -80,7 +82,7 @@ def encode_checkpoint(
     out.write(struct.pack("<I", len(names)))
     for name in names:
         _pack_str(out, name)
-        _pack_array(out, arrays[name])
+        _pack_array(out, arrays[name], f"entry {name!r}")
     if opt_state is None:
         out.write(struct.pack("<B", 0))
     else:
@@ -90,8 +92,8 @@ def encode_checkpoint(
         out.write(struct.pack("<B", 1))
         out.write(struct.pack("<Q", t))
         for name in names:
-            _pack_array(out, m[name])
-            _pack_array(out, v[name])
+            _pack_array(out, m[name], f"optimizer m of {name!r}")
+            _pack_array(out, v[name], f"optimizer v of {name!r}")
     return out.getvalue()
 
 
@@ -178,8 +180,11 @@ def load_checkpoint(
     expect_fingerprint: str | None = None,
     allow_mismatch: bool = False,
 ) -> CheckpointData:
-    path = Path(path)
-    data = decode_checkpoint(path.read_bytes(), origin=str(path))
+    try:
+        payload = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from None
+    data = decode_checkpoint(payload, origin=str(path))
     if (
         expect_fingerprint is not None
         and data.fingerprint != expect_fingerprint

@@ -34,20 +34,10 @@ from .data import (
     write_xyz,
 )
 from .errors import PamrError
-from .geometry import (
-    PointCloud,
-    build_scale_pyramid,
-    gather_patches,
-    mask_and_backproject,
-    normalize_points,
-)
+from .geometry import PointCloud, gather_patches, mask_and_backproject
 from .gradcheck import op_gradient_suite, pipeline_gradient_check
 from .metrics import write_metrics
-from .training import (
-    few_shot_eval,
-    finetune_classify,
-    pretrain_run,
-)
+from .training import cloud_pyramid, few_shot_eval, finetune_classify, pretrain_run
 
 __all__ = ["main"]
 
@@ -225,8 +215,7 @@ def _cmd_reconstruct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for source in args.inputs:
         cloud = read_xyz(source)
-        pts = normalize_points(cloud.points)
-        pyramid = build_scale_pyramid(pts, model_cfg.sizes, model_cfg.ks)
+        pyramid = cloud_pyramid(cloud.points, model_cfg)
         plan = mask_and_backproject(pyramid, train_cfg.mask_ratio, rng)
         with T.no_grad():
             rec = model.reconstruct(pyramid, plan)
@@ -238,7 +227,7 @@ def _cmd_reconstruct(args) -> int:
             [truth_vis.reshape(-1, 3), pred_msk.reshape(-1, 3)], axis=0
         )
         stem = Path(source).stem
-        write_xyz(out / f"{stem}.original.xyz", PointCloud(pts, cloud.label))
+        write_xyz(out / f"{stem}.original.xyz", PointCloud(pyramid.points[0], cloud.label))
         write_xyz(out / f"{stem}.masked.xyz", PointCloud(visible_fine, cloud.label))
         write_xyz(out / f"{stem}.reconstructed.xyz", PointCloud(rebuilt, cloud.label))
     print(f"wrote 3 files per input for {len(args.inputs)} cloud(s) under {out}")
@@ -324,7 +313,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code is None else int(e.code)
     try:
-        return _COMMANDS[args.command](args)
+        # the Tensor finiteness check turns an overflow or 0/0 into a NonFiniteError
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except PamrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

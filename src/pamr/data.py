@@ -214,8 +214,11 @@ def parse_xyz(text: str, origin: str = "<string>") -> PointCloud:
 
 
 def read_xyz(path: str | Path) -> PointCloud:
-    path = Path(path)
-    return parse_xyz(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise PointCloudParseError(f"cannot read {path}: {e}") from None
+    return parse_xyz(text, origin=str(path))
 
 
 def save_dataset_dir(directory: str | Path, clouds: list[PointCloud], stem: str = "cloud") -> list[Path]:

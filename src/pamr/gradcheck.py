@@ -228,12 +228,12 @@ def pipeline_gradient_check(
     # imported here so the op battery stays usable without the model stack
     from .backbone import MaskedAutoencoder
     from .config import ModelConfig
-    from .geometry import build_scale_pyramid, mask_and_backproject, normalize_points
+    from .geometry import mask_and_backproject
+    from .training import cloud_pyramid
 
     rng = np.random.default_rng(seed)
     cfg = ModelConfig.tiny()
-    pts = normalize_points(rng.normal(size=(cfg.n_points, 3)))
-    pyramid = build_scale_pyramid(pts, cfg.sizes, cfg.ks)
+    pyramid = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
     plan = mask_and_backproject(pyramid, mask_ratio, rng)
     model = MaskedAutoencoder(cfg, rng)
     params = dict(model.named_parameters())

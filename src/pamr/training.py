@@ -22,6 +22,7 @@ __all__ = [
     "AdamW",
     "lr_at",
     "augment",
+    "cloud_pyramid",
     "cross_entropy",
     "MetricsRow",
     "PretrainResult",
@@ -113,6 +114,17 @@ def augment(points: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> n
     return points * s + t
 
 
+def cloud_pyramid(points: np.ndarray, model_cfg: ModelConfig):
+    """The model input for one raw cloud: the ScalePyramid of its normalized points."""
+    return build_scale_pyramid(normalize_points(points), model_cfg.sizes, model_cfg.ks)
+
+
+def _prepare(points: np.ndarray, rng, model_cfg: ModelConfig, train_cfg: TrainConfig):
+    if train_cfg.augment:
+        points = augment(points, rng, train_cfg)
+    return cloud_pyramid(points, model_cfg)
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over a (B, K) batch of logits."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -136,11 +148,23 @@ class MetricsRow:
     accuracy: float | None = None
 
 
-def _prepare(points: np.ndarray, rng, model_cfg: ModelConfig, train_cfg: TrainConfig, do_augment: bool):
-    if do_augment:
-        points = augment(points, rng, train_cfg)
-    points = normalize_points(points)
-    return build_scale_pyramid(points, model_cfg.sizes, model_cfg.ks)
+def _fit(
+    opt: AdamW, n: int, cfg: TrainConfig, rng, batch_loss, rows: list, on_epoch_end=None
+) -> None:
+    """The training schedule over items 0..n-1: per epoch the scheduled lr and
+    a shuffle, per batch one optimizer step. `batch_loss(batch)` runs forward
+    and backward over the item indices and returns (loss, accuracy or None);
+    each step appends a MetricsRow, so the step number is `len(rows)`."""
+    for epoch in range(cfg.epochs):
+        opt.lr = lr_at(epoch, cfg)
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            opt.zero_grad()
+            loss, acc = batch_loss(order[lo : lo + cfg.batch_size])
+            opt.step()
+            rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, loss, acc))
+        if on_epoch_end is not None:
+            on_epoch_end(epoch)
 
 
 @dataclass
@@ -174,39 +198,31 @@ def pretrain_run(
     model = MaskedAutoencoder(model_cfg, rng)
     opt = AdamW(model.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
     result = PretrainResult(model, opt)
-    step = 0
+
+    def batch_loss(batch: np.ndarray):
+        total = 0.0
+        for ci in batch:
+            pyr = _prepare(clouds[ci].points, rng, model_cfg, train_cfg)
+            plan = mask_and_backproject(pyr, train_cfg.mask_ratio, rng)
+            loss = model.loss(pyr, plan)
+            T.mul(loss, 1.0 / batch.size).backward()
+            total += loss.item()
+        return total / batch.size, None
+
+    def on_epoch_end(epoch: int) -> None:
+        every, done = train_cfg.checkpoint_every, epoch + 1
+        if on_checkpoint is not None and every and done % every == 0 and done < train_cfg.epochs:
+            on_checkpoint(model, opt, len(result.rows), f"epoch{done:04d}")
+
     try:
-        for epoch in range(train_cfg.epochs):
-            lr = lr_at(epoch, train_cfg)
-            opt.lr = lr
-            order = rng.permutation(len(clouds))
-            for lo in range(0, len(order), train_cfg.batch_size):
-                batch = order[lo : lo + train_cfg.batch_size]
-                opt.zero_grad()
-                total = 0.0
-                for ci in batch:
-                    pyr = _prepare(clouds[ci].points, rng, model_cfg, train_cfg, train_cfg.augment)
-                    plan = mask_and_backproject(pyr, train_cfg.mask_ratio, rng)
-                    loss = model.loss(pyr, plan)
-                    T.mul(loss, 1.0 / batch.size).backward()
-                    total += loss.item()
-                opt.step()
-                step += 1
-                result.rows.append(MetricsRow(step, epoch, lr, total / batch.size))
-            if (
-                on_checkpoint is not None
-                and train_cfg.checkpoint_every
-                and (epoch + 1) % train_cfg.checkpoint_every == 0
-                and epoch + 1 < train_cfg.epochs
-            ):
-                on_checkpoint(model, opt, step, f"epoch{epoch + 1:04d}")
+        _fit(opt, len(clouds), train_cfg, rng, batch_loss, result.rows, on_epoch_end)
     except NonFiniteError:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
-            on_checkpoint(model, opt, step, "aborted")
+            on_checkpoint(model, opt, len(result.rows), "aborted")
         raise
     if on_checkpoint is not None:
-        on_checkpoint(model, opt, step, "final")
+        on_checkpoint(model, opt, len(result.rows), "final")
     return result
 
 
@@ -225,21 +241,10 @@ def _stratified_split(
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(hold), dtype=np.int64)
 
 
-def _batch_logits(clf: CloudClassifier, pyramids: list) -> Tensor:
-    full_plans = [
-        mask_and_backproject(p, 0.0, np.random.default_rng(0)) for p in pyramids
-    ]
-    return T.concat([clf.logits(p, plan) for p, plan in zip(pyramids, full_plans)], axis=0)
-
-
 def pooled_features(clf: CloudClassifier, clouds: list[PointCloud], model_cfg: ModelConfig) -> np.ndarray:
     """Frozen-backbone feature matrix (n, 2*C_S); no augmentation, no grads."""
-    rows = []
     with T.no_grad():
-        for c in clouds:
-            pyr = build_scale_pyramid(normalize_points(c.points), model_cfg.sizes, model_cfg.ks)
-            plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
-            rows.append(clf.features(pyr, plan).data[0])
+        rows = [clf.features(cloud_pyramid(c.points, model_cfg)).data[0] for c in clouds]
     return np.stack(rows, axis=0)
 
 
@@ -253,38 +258,39 @@ class FinetuneResult:
     holdout_idx: np.ndarray | None = None
 
 
-def _head_train_on_features(
-    clf: CloudClassifier,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    train_cfg: TrainConfig,
-    rng: np.random.Generator,
-    rows: list[MetricsRow] | None = None,
+def _fit_classifier(
+    params: dict, logits_of, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
 ) -> None:
-    """Optimize only the head over a fixed feature matrix."""
-    head_params = {
-        name: p for name, p in clf.named_parameters() if name.startswith("head.")
-    }
-    opt = AdamW(head_params, train_cfg.base_lr, train_cfg.weight_decay)
-    step = 0
-    for epoch in range(train_cfg.epochs):
-        opt.lr = lr_at(epoch, train_cfg)
-        order = rng.permutation(labels.size)
-        for lo in range(0, labels.size, train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            opt.zero_grad()
-            logits = clf.logits_from_features(T.constant(feats[batch]))
-            loss = cross_entropy(logits, labels[batch])
-            loss.backward()
-            opt.step()
-            step += 1
-            if rows is not None:
-                acc = float(np.mean(np.argmax(logits.data, axis=1) == labels[batch]))
-                rows.append(MetricsRow(step, epoch, opt.lr, loss.item(), acc))
+    """Cross-entropy training of `params`; `logits_of(batch)` gives the (B, K)
+    logits of the items `batch` indexes, whose classes are `labels[batch]`."""
+    opt = AdamW(params, train_cfg.base_lr, train_cfg.weight_decay)
+
+    def batch_loss(batch: np.ndarray):
+        logits = logits_of(batch)
+        loss = cross_entropy(logits, labels[batch])
+        loss.backward()
+        return loss.item(), float(np.mean(np.argmax(logits.data, axis=1) == labels[batch]))
+
+    _fit(opt, labels.size, train_cfg, rng, batch_loss, rows)
 
 
-def _eval_accuracy(clf, clouds, labels, model_cfg) -> float:
+def _fit_frozen_head(
+    clf: CloudClassifier, clouds: list, labels: np.ndarray, model_cfg: ModelConfig,
+    train_cfg: TrainConfig, rng, rows: list,
+) -> np.ndarray:
+    """Train only the head, on the frozen encoder's features of `clouds`;
+    returns those features."""
     feats = pooled_features(clf, clouds, model_cfg)
+    head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
+
+    def logits_of(batch: np.ndarray) -> Tensor:
+        return clf.logits_from_features(T.constant(feats[batch]))
+
+    _fit_classifier(head, logits_of, labels, train_cfg, rng, rows)
+    return feats
+
+
+def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
     with T.no_grad():
         logits = clf.logits_from_features(T.constant(feats)).data
     return float(np.mean(np.argmax(logits, axis=1) == labels))
@@ -316,38 +322,27 @@ def finetune_classify(
     if pretrained is not None:
         load_encoder_weights(clf, pretrained)
     train_idx, hold_idx = _stratified_split(labels, train_cfg.holdout_fraction, rng)
+    train_clouds = [clouds[i] for i in train_idx]
     rows: list[MetricsRow] = []
 
     if train_cfg.freeze_backbone:
-        feats = pooled_features(clf, [clouds[i] for i in train_idx], model_cfg)
-        _head_train_on_features(clf, feats, labels[train_idx], train_cfg, rng, rows)
+        train_feats = _fit_frozen_head(
+            clf, train_clouds, labels[train_idx], model_cfg, train_cfg, rng, rows
+        )
     else:
-        opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        step = 0
-        for epoch in range(train_cfg.epochs):
-            opt.lr = lr_at(epoch, train_cfg)
-            order = rng.permutation(train_idx.size)
-            for lo in range(0, train_idx.size, train_cfg.batch_size):
-                batch = train_idx[order[lo : lo + train_cfg.batch_size]]
-                opt.zero_grad()
-                pyramids = [
-                    _prepare(clouds[i].points, rng, model_cfg, train_cfg, train_cfg.augment)
-                    for i in batch
-                ]
-                logits = _batch_logits(clf, pyramids)
-                loss = cross_entropy(logits, labels[batch])
-                loss.backward()
-                opt.step()
-                step += 1
-                acc = float(np.mean(np.argmax(logits.data, axis=1) == labels[batch]))
-                rows.append(MetricsRow(step, epoch, opt.lr, loss.item(), acc))
 
-    train_acc = _eval_accuracy(clf, [clouds[i] for i in train_idx], labels[train_idx], model_cfg)
-    hold_acc = (
-        _eval_accuracy(clf, [clouds[i] for i in hold_idx], labels[hold_idx], model_cfg)
-        if hold_idx.size
-        else float("nan")
-    )
+        def logits_of(batch: np.ndarray) -> Tensor:
+            pyramids = [_prepare(train_clouds[i].points, rng, model_cfg, train_cfg) for i in batch]
+            return T.concat([clf.logits(p) for p in pyramids], axis=0)
+
+        _fit_classifier(clf.param_dict(), logits_of, labels[train_idx], train_cfg, rng, rows)
+        train_feats = pooled_features(clf, train_clouds, model_cfg)
+
+    train_acc = _accuracy(clf, train_feats, labels[train_idx])
+    hold_acc = float("nan")
+    if hold_idx.size:
+        hold_feats = pooled_features(clf, [clouds[i] for i in hold_idx], model_cfg)
+        hold_acc = _accuracy(clf, hold_feats, labels[hold_idx])
     return FinetuneResult(clf, train_acc, hold_acc, rows, train_idx, hold_idx)
 
 
@@ -413,10 +408,9 @@ def few_shot_eval(
             load_encoder_weights(clf, pretrained)
         tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
         te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)
-        feats = pooled_features(clf, [clouds[i] for i in train_set], model_cfg)
-        _head_train_on_features(clf, feats, tr_labels, train_cfg, rng)
-        accs.append(
-            _eval_accuracy(clf, [clouds[i] for i in test_set], te_labels, model_cfg)
-        )
+        train_clouds = [clouds[i] for i in train_set]
+        _fit_frozen_head(clf, train_clouds, tr_labels, model_cfg, train_cfg, rng, [])
+        test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
+        accs.append(_accuracy(clf, test_feats, te_labels))
     arr = np.array(accs)
     return FewShotResult(float(arr.mean()), float(arr.std()), accs)

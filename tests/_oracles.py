@@ -5,8 +5,22 @@ matrices, pure-python sorts) so agreement with the production kernels is
 meaningful. Arithmetic is arranged to be bitwise comparable: squared
 distances are formed the same way ((a-b)^2 summed in coordinate order) and
 minima/argmaxima are exact operations, so no tolerance is needed.
+
+`with_sentinel_as` makes the checkpoint bytes the encoder refuses to write:
+it overwrites one float of a valid encoding in place.
 """
+import struct
+
 import numpy as np
+
+SENTINEL = 1234.5678
+
+
+def with_sentinel_as(payload: bytes, value: float) -> bytes:
+    """Overwrite the 8 payload bytes of the one SENTINEL value in `payload`."""
+    raw = struct.pack("<d", SENTINEL)
+    assert payload.count(raw) == 1
+    return payload.replace(raw, struct.pack("<d", value))
 
 
 def fps_reference(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:

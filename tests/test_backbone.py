@@ -299,10 +299,10 @@ class TestCloudClassifier:
     def test_feature_and_logit_shapes(self):
         cfg = ModelConfig.tiny()
         clf = CloudClassifier(cfg, 4, (16,), np.random.default_rng(60))
-        pyr, plan = tiny_pyramid(seed=18, mu=0.0)
-        feats = clf.features(pyr, plan)
+        pyr, _ = tiny_pyramid(seed=18, mu=0.0)
+        feats = clf.features(pyr)
         assert feats.shape == (1, 2 * cfg.dims[-1])
-        assert clf.logits(pyr, plan).shape == (1, 4)
+        assert clf.logits(pyr).shape == (1, 4)
 
     def test_class_count_validated(self):
         with pytest.raises(ConfigError):

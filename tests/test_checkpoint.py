@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import SENTINEL, with_sentinel_as
 from pamr import tensor as T
 from pamr.backbone import MaskedAutoencoder
 from pamr.checkpoint import (
@@ -106,15 +107,34 @@ class TestValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_arrays_rejected_by_name(self, value):
         params = tiny_params()
-        params["b.weight"][1, 2] = value
+        params["b.weight"][1, 2] = SENTINEL
+        payload = with_sentinel_as(encode_checkpoint(params, FP, step=1), value)
         with pytest.raises(CheckpointFormatError, match="'b.weight' holds non-finite"):
-            decode_checkpoint(encode_checkpoint(params, FP, step=1))
+            decode_checkpoint(payload)
         params = tiny_params()
         m = {k: np.zeros_like(v) for k, v in params.items()}
         v = {k: np.zeros_like(a) for k, a in params.items()}
-        v["a.bias"][0] = value
+        v["a.bias"][0] = SENTINEL
+        payload = encode_checkpoint(params, FP, step=1, opt_state=(1, m, v))
+        payload = with_sentinel_as(payload, value)
         with pytest.raises(CheckpointFormatError, match="optimizer v of 'a.bias'"):
-            decode_checkpoint(encode_checkpoint(params, FP, step=1, opt_state=(1, m, v)))
+            decode_checkpoint(payload)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["entry", "optimizer m of", "optimizer v of"])
+    def test_non_finite_arrays_never_written(self, tmp_path, where, value):
+        params = tiny_params()
+        m = {k: np.zeros_like(a) for k, a in params.items()}
+        v = {k: np.zeros_like(a) for k, a in params.items()}
+        arrays = {"entry": params, "optimizer m of": m, "optimizer v of": v}[where]
+        arrays["c.scalarish"][0] = value
+        with pytest.raises(CheckpointFormatError, match=f"{where} 'c.scalarish' holds non-finite"):
+            save_checkpoint(tmp_path / "x.ckpt", params, FP, step=1, opt_state=(1, m, v))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        with pytest.raises(CheckpointFormatError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / "absent.ckpt")
 
     def test_wrong_version(self):
         payload = bytearray(encode_checkpoint(tiny_params(), FP, 0))

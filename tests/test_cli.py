@@ -1,8 +1,10 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _oracles import SENTINEL, with_sentinel_as
 from pamr.checkpoint import decode_checkpoint, encode_checkpoint
 from pamr.cli import main
 from pamr.data import load_dataset_dir, read_xyz
@@ -98,6 +100,29 @@ class TestUsage:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("case", ["missing checkpoint", "xyz not utf-8", "config not utf-8"])
+    def test_exits_1_without_traceback(self, tmp_path, cfg_file, dataset, capsys, case):
+        out = str(tmp_path / "out")
+        if case == "missing checkpoint":
+            missing = str(tmp_path / "missing.ckpt")
+            cloud = str(sorted(Path(dataset).glob("*.xyz"))[0])
+            args = ["reconstruct", "--config", cfg_file, "--checkpoint", missing, "--out", out, cloud]
+        elif case == "xyz not utf-8":
+            (Path(dataset) / "bad.xyz").write_bytes(b"0 0 0\n\xff 1 1\n")
+            args = ["pretrain", "--config", cfg_file, "--data", dataset, "--out", out]
+        else:
+            bad = tmp_path / "bad.cfg"
+            bad.write_bytes(b"seed = 1\xff\n")
+            args = ["pretrain", "--config", str(bad), "--data", dataset, "--out", out]
+        capsys.readouterr()
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestGenData:
     def test_echoes_resolved_config(self, tmp_path, cfg_file, capsys):
         rc = main(["gen-data", "--config", cfg_file, "--out", str(tmp_path / "d"),
@@ -145,6 +170,18 @@ class TestPretrainCommand:
         capsys.readouterr()
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
+
+    def test_overflow_is_one_error_line(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(TINY_CFG.replace("base_lr = 0.001", "base_lr = 1e200\nmin_lr = 1e200"))
+        out = tmp_path / "pre"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["pretrain", "--config", str(cfg), "--data", dataset, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: non-finite")
+        assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
 
     def test_seed_flag_changes_run(self, tmp_path, cfg_file, dataset, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -252,8 +289,9 @@ class TestCorruptCheckpoint:
         cfg, ckpt = pretrained
         data = decode_checkpoint(ckpt.read_bytes())
         name = sorted(data.params)[0]
-        data.params[name].flat[0] = np.nan
-        ckpt.write_bytes(encode_checkpoint(data.params, data.fingerprint, data.step))
+        data.params[name].flat[0] = SENTINEL
+        payload = encode_checkpoint(data.params, data.fingerprint, data.step)
+        ckpt.write_bytes(with_sentinel_as(payload, np.nan))
         args = [command, "--config", str(cfg), "--checkpoint", str(ckpt)]
         if command == "fewshot":
             args += ["--data", dataset]

@@ -215,6 +215,19 @@ class TestPretrain:
         pretrain_run(clouds, TINY, cfg, on_checkpoint=lambda m, o, s, tag: tags.append((s, tag)))
         assert tags == [(2, "epoch0002"), (4, "final")]
 
+    def test_abort_checkpoints_last_finite_step_and_reraises(self):
+        cfg = TrainConfig(**{**self.CFG.__dict__, "base_lr": 1e200, "min_lr": 1e200})
+        seen = []
+
+        def hook(model, opt, step, tag):
+            seen.append((tag, step))
+            assert all(np.isfinite(p.data).all() for p in model.param_dict().values())
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                pretrain_run(small_dataset(per_class=1), TINY, cfg, on_checkpoint=hook)
+        assert seen == [("aborted", 1)]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             pretrain_run([], TINY, self.CFG)
@@ -259,16 +272,31 @@ class TestFinetune:
         with pytest.raises(ConfigError, match="label"):
             finetune_classify(clouds, TINY, TrainConfig())
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("freeze_backbone", [True, False])
+    def test_deterministic(self, freeze_backbone):
         clouds = small_dataset(per_class=2)
         cfg = TrainConfig(
             epochs=5, batch_size=8, base_lr=1e-3, warmup_epochs=1, seed=5,
-            augment=False, head_hidden=(16,), freeze_backbone=True,
+            augment=False, head_hidden=(16,), freeze_backbone=freeze_backbone,
         )
         a = finetune_classify(clouds, TINY, cfg)
         b = finetune_classify(clouds, TINY, cfg)
         assert [r.loss for r in a.rows] == [r.loss for r in b.rows]
         assert np.array_equal(a.train_idx, b.train_idx)
+
+    def test_frozen_train_accuracy_matches_re_encoding(self):
+        clouds = small_dataset(per_class=3)
+        cfg = TrainConfig(
+            epochs=4, batch_size=8, base_lr=1e-2, warmup_epochs=1, seed=6,
+            augment=False, head_hidden=(16,), freeze_backbone=True,
+        )
+        res = finetune_classify(clouds, TINY, cfg)
+        train = [clouds[i] for i in res.train_idx]
+        feats = pooled_features(res.classifier, train, TINY)
+        with T.no_grad():
+            logits = res.classifier.logits_from_features(T.constant(feats)).data
+        labels = np.array([c.label for c in train])
+        assert res.train_accuracy == float(np.mean(np.argmax(logits, axis=1) == labels))
 
     def test_pretrained_weights_are_loaded(self):
         clouds = small_dataset(per_class=2)
