@@ -275,19 +275,15 @@ def _fit_classifier(
 
 
 def _fit_frozen_head(
-    clf: CloudClassifier, clouds: list, labels: np.ndarray, model_cfg: ModelConfig,
-    train_cfg: TrainConfig, rng, rows: list,
-) -> np.ndarray:
-    """Train only the head, on the frozen encoder's features of `clouds`;
-    returns those features."""
-    feats = pooled_features(clf, clouds, model_cfg)
+    clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
+) -> None:
+    """Train only the head, on the frozen encoder's feature matrix `feats`."""
     head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
 
     def logits_of(batch: np.ndarray) -> Tensor:
         return clf.logits_from_features(T.constant(feats[batch]))
 
     _fit_classifier(head, logits_of, labels, train_cfg, rng, rows)
-    return feats
 
 
 def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -326,9 +322,8 @@ def finetune_classify(
     rows: list[MetricsRow] = []
 
     if train_cfg.freeze_backbone:
-        train_feats = _fit_frozen_head(
-            clf, train_clouds, labels[train_idx], model_cfg, train_cfg, rng, rows
-        )
+        train_feats = pooled_features(clf, train_clouds, model_cfg)
+        _fit_frozen_head(clf, train_feats, labels[train_idx], train_cfg, rng, rows)
     else:
 
         def logits_of(batch: np.ndarray) -> Tensor:
@@ -378,7 +373,12 @@ def few_shot_eval(
 ) -> FewShotResult:
     """n-way m-shot protocol: per trial, train a fresh head on m examples of
     each of n sampled classes (frozen backbone) and test on `test_per_class`
-    held-out examples per class."""
+    held-out examples per class.
+
+    When `pretrained` covers every encoder parameter, each trial's encoder
+    is the same, so each cloud is encoded at most once per call and its
+    features are reused by later trials. Otherwise the encoder keeps some
+    of its per-trial random init and every trial encodes its own clouds."""
     n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):
@@ -393,6 +393,7 @@ def few_shot_eval(
         )
     rng = np.random.default_rng(train_cfg.seed)
     accs: list[float] = []
+    feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
     for _ in range(train_cfg.trials):
         classes = rng.choice(np.array(sorted(eligible)), size=n, replace=False)
         train_set: list[int] = []
@@ -403,14 +404,17 @@ def few_shot_eval(
             pool = pool[rng.permutation(pool.size)]
             train_set.extend(pool[:m].tolist())
             test_set.extend(pool[m : m + train_cfg.test_per_class].tolist())
+        # built every trial: its init draws from rng, and the draws after it depend on that
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
-        if pretrained is not None:
-            load_encoder_weights(clf, pretrained)
+        n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
+        if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
+            feats = {}  # part of this trial's encoder is its own random init
+        todo = [i for i in train_set + test_set if i not in feats]
+        if todo:
+            feats.update(zip(todo, pooled_features(clf, [clouds[i] for i in todo], model_cfg)))
         tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
         te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)
-        train_clouds = [clouds[i] for i in train_set]
-        _fit_frozen_head(clf, train_clouds, tr_labels, model_cfg, train_cfg, rng, [])
-        test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
-        accs.append(_accuracy(clf, test_feats, te_labels))
+        _fit_frozen_head(clf, np.stack([feats[i] for i in train_set]), tr_labels, train_cfg, rng, [])
+        accs.append(_accuracy(clf, np.stack([feats[i] for i in test_set]), te_labels))
     arr = np.array(accs)
     return FewShotResult(float(arr.mean()), float(arr.std()), accs)

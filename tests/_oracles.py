@@ -8,10 +8,16 @@ minima/argmaxima are exact operations, so no tolerance is needed.
 
 `with_sentinel_as` makes the checkpoint bytes the encoder refuses to write:
 it overwrites one float of a valid encoding in place.
+
+`few_shot_reference` is the few-shot protocol without feature reuse: every
+trial encodes its own train and test clouds with its own classifier.
 """
 import struct
 
 import numpy as np
+
+from pamr.backbone import CloudClassifier
+from pamr.training import _accuracy, _fit_frozen_head, load_encoder_weights, pooled_features
 
 SENTINEL = 1234.5678
 
@@ -58,3 +64,33 @@ def chamfer_reference(a: np.ndarray, b: np.ndarray) -> float:
     fwd = sum(min(((p - q) ** 2).sum() for q in b) for p in a) / len(a)
     bwd = sum(min(((q - p) ** 2).sum() for p in a) for q in b) / len(b)
     return float(fwd + bwd)
+
+
+def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[float]:
+    """Per-trial accuracies of `few_shot_eval`, re-encoding every cloud in
+    every trial; the RNG draws come in the same order."""
+    n, m, k = train_cfg.n_way, train_cfg.m_shot, train_cfg.test_per_class
+    per_class: dict[int, list[int]] = {}
+    for i, c in enumerate(clouds):
+        per_class.setdefault(c.label, []).append(i)
+    eligible = sorted(cls for cls, idx in per_class.items() if len(idx) >= m + k)
+    rng = np.random.default_rng(train_cfg.seed)
+    accs = []
+    for _ in range(train_cfg.trials):
+        classes = rng.choice(np.array(eligible), size=n, replace=False)
+        train_set, test_set, tr_labels, te_labels = [], [], [], []
+        for j, cls in enumerate(classes):
+            pool = np.array(per_class[int(cls)])
+            pool = pool[rng.permutation(pool.size)]
+            train_set += pool[:m].tolist()
+            test_set += pool[m : m + k].tolist()
+            tr_labels += [j] * m
+            te_labels += [j] * k
+        clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
+        if pretrained is not None:
+            load_encoder_weights(clf, pretrained)
+        train_feats = pooled_features(clf, [clouds[i] for i in train_set], model_cfg)
+        _fit_frozen_head(clf, train_feats, np.array(tr_labels), train_cfg, rng, [])
+        test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
+        accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
+    return accs

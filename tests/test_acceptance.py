@@ -5,9 +5,12 @@ capture so the lines appear in the live run log. Stated runtime budgets are
 asserted, not advisory.
 """
 
+import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,33 +237,38 @@ def test_synthetic_classification_end_to_end():
         assert result.holdout_accuracy >= 0.90
 
 
+QUICK_CFG = (
+    "n_points = 32\nsizes = 16,8\nks = 4,4\ndims = 8,16\nheads = 2\n"
+    "encoder_blocks = 1\ndecoder_blocks = 1\nla_window = 3\nla_groups = 4\n"
+    "epochs = 2\nbatch_size = 4\nwarmup_epochs = 0\nseed = 5\n"
+    "mask_ratio = 0.6\naugment = false\nhead_hidden = 16\n"
+)
+
+
+def quick_gen_data_args(cfg, data) -> list[str]:
+    return [
+        "gen-data",
+        "--config",
+        str(cfg),
+        "--out",
+        str(data),
+        "--kinds",
+        "sphere,cube",
+        "--per-class",
+        "4",
+        "--n-points",
+        "64",
+    ]
+
+
 @pytest.fixture
 def quick_cli_setup(tmp_path):
     from pamr.cli import main
 
     cfg = tmp_path / "quick.cfg"
-    cfg.write_text(
-        "n_points = 32\nsizes = 16,8\nks = 4,4\ndims = 8,16\nheads = 2\n"
-        "encoder_blocks = 1\ndecoder_blocks = 1\nla_window = 3\nla_groups = 4\n"
-        "epochs = 2\nbatch_size = 4\nwarmup_epochs = 0\nseed = 5\n"
-        "mask_ratio = 0.6\naugment = false\nhead_hidden = 16\n"
-    )
+    cfg.write_text(QUICK_CFG)
     data = tmp_path / "data"
-    rc = main(
-        [
-            "gen-data",
-            "--config",
-            str(cfg),
-            "--out",
-            str(data),
-            "--kinds",
-            "sphere,cube",
-            "--per-class",
-            "4",
-            "--n-points",
-            "64",
-        ]
-    )
+    rc = main(quick_gen_data_args(cfg, data))
     assert rc == 0
     return main, cfg, data, tmp_path
 
@@ -316,6 +324,36 @@ def test_identical_reruns_are_byte_identical(quick_cli_setup):
         a, b = outs
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
+
+
+def test_blas_thread_count_leaves_outputs_byte_identical(tmp_path):
+    with criterion("acceptance 09 deterministic across BLAS thread counts"):
+        import pamr
+
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG + "n_way = 2\nm_shot = 2\ntest_per_class = 2\ntrials = 3\n")
+        src = str(Path(pamr.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = tmp_path / f"threads{threads}"
+            data, ckpt = run / "data", run / "pre" / "model.ckpt"
+            for args in (
+                quick_gen_data_args(cfg, data),
+                ["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(run / "pre")],
+                ["fewshot", "--config", str(cfg), "--data", str(data),
+                 "--checkpoint", str(ckpt), "--out", str(run / "fs")],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-c", "import sys; from pamr.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *args],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+            runs.append(run)
+        a, b = runs
+        for name in ("pre/model.ckpt", "pre/metrics.csv", "fs/fewshot.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_full_size_config_shape_contract():

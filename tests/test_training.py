@@ -9,6 +9,8 @@ from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import ConfigError, NonFiniteError
 from pamr.geometry import PointCloud
 from pamr.tensor import Tensor
+import _oracles
+import pamr.training
 from pamr.training import (
     AdamW,
     augment,
@@ -325,7 +327,85 @@ class TestFinetune:
             load_encoder_weights(clf, {"head.0.weight": np.zeros((2, 2))})
 
 
+FEW_SHOT_CFG = TrainConfig(
+    epochs=3, batch_size=4, base_lr=5e-3, warmup_epochs=1, seed=4, augment=False,
+    head_hidden=(16,), n_way=2, m_shot=2, trials=4, test_per_class=2, weight_decay=0.0,
+)
+
+
+@pytest.fixture(scope="module")
+def few_shot_clouds():
+    return small_dataset(per_class=5)
+
+
+@pytest.fixture(scope="module")
+def encoder_checkpoint(few_shot_clouds):
+    """Parameters of a short pretrain, as a checkpoint holds them."""
+    cfg = TrainConfig(epochs=1, batch_size=4, warmup_epochs=0, seed=2, augment=False)
+    model = pretrain_run(few_shot_clouds, TINY, cfg).model
+    return {name: p.data for name, p in model.named_parameters()}
+
+
+def record_head_features(monkeypatch, module) -> list:
+    """Spy on `module`'s head fit and accuracy: the bytes of every feature
+    matrix the heads train and are scored on, in call order."""
+    seen = []
+    fit, accuracy = module._fit_frozen_head, module._accuracy
+
+    def fit_spy(clf, feats, *args):
+        seen.append(feats.tobytes())
+        return fit(clf, feats, *args)
+
+    def accuracy_spy(clf, feats, labels):
+        seen.append(feats.tobytes())
+        return accuracy(clf, feats, labels)
+
+    monkeypatch.setattr(module, "_fit_frozen_head", fit_spy)
+    monkeypatch.setattr(module, "_accuracy", accuracy_spy)
+    return seen
+
+
 class TestFewShot:
+    @pytest.mark.parametrize("weights", ["full", "partial", "none"])
+    def test_per_trial_matches_re_encoding_reference(
+        self, weights, few_shot_clouds, encoder_checkpoint, monkeypatch
+    ):
+        pretrained = None
+        if weights != "none":
+            pretrained = dict(encoder_checkpoint)
+        if weights == "partial":
+            # a randomly initialised entry, so the trials' encoders differ
+            del pretrained["encoder.stages.0.0.fc1.weight"]
+        got_feats = record_head_features(monkeypatch, pamr.training)
+        ref_feats = record_head_features(monkeypatch, _oracles)
+        got = few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained=pretrained)
+        assert got.per_trial == _oracles.few_shot_reference(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained)
+        # accuracies over a few test clouds are coarse; the features are not
+        assert len(got_feats) == 2 * FEW_SHOT_CFG.trials
+        assert got_feats == ref_feats
+
+    @pytest.mark.parametrize("full_checkpoint", [True, False])
+    def test_encodes_each_cloud_once_per_call_with_full_checkpoint(
+        self, full_checkpoint, few_shot_clouds, encoder_checkpoint, monkeypatch
+    ):
+        encoded = []
+        build = pamr.training.cloud_pyramid
+
+        def counting(points, model_cfg):
+            encoded.append(next(i for i, c in enumerate(few_shot_clouds) if c.points is points))
+            return build(points, model_cfg)
+
+        monkeypatch.setattr(pamr.training, "cloud_pyramid", counting)
+        pretrained = encoder_checkpoint if full_checkpoint else None
+        few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained=pretrained)
+        c = FEW_SHOT_CFG
+        per_call = c.trials * c.n_way * (c.m_shot + c.test_per_class)
+        assert len(set(encoded)) < per_call  # the trials share clouds
+        if full_checkpoint:
+            assert len(encoded) == len(set(encoded))
+        else:
+            assert len(encoded) == per_call
+
     def test_protocol_shape_and_determinism(self):
         clouds = small_dataset(per_class=6)
         cfg = TrainConfig(
