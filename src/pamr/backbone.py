@@ -33,10 +33,8 @@ from .tensor import Tensor
 __all__ = [
     "MultiHeadAttention",
     "TransformerBlock",
-    "StageTokens",
     "HierarchicalEncoder",
     "TokenPropagator",
-    "DecoderOutput",
     "HierarchicalDecoder",
     "MaskedAutoencoder",
     "CloudClassifier",
@@ -92,15 +90,6 @@ class TransformerBlock(Module):
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
 
 
-@dataclass
-class StageTokens:
-    """One encoder stage's output: tokens with their centers and indices."""
-
-    tokens: Tensor
-    coords: np.ndarray
-    index: np.ndarray
-
-
 class HierarchicalEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         cfg.validate()
@@ -125,7 +114,8 @@ class HierarchicalEncoder(Module):
             TokenMerger(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
 
-    def forward(self, pyramid: ScalePyramid, plan: MaskPlan) -> list[StageTokens]:
+    def forward(self, pyramid: ScalePyramid, plan: MaskPlan) -> list[Tensor]:
+        """Each stage's tokens, in the order of `plan.visible` at its scale."""
         if pyramid.num_scales != self.num_scales:
             raise ShapeError(
                 f"pyramid has {pyramid.num_scales} scales, model expects {self.num_scales}"
@@ -133,7 +123,7 @@ class HierarchicalEncoder(Module):
         for scale in range(1, self.num_scales + 1):
             if plan.visible[scale].size == 0:
                 raise ConfigError(f"no visible centers at scale {scale}; lower the mask ratio")
-        outs: list[StageTokens] = []
+        outs: list[Tensor] = []
         x = self.tokenizer(gather_patches(pyramid, 1, plan.visible[1]))
         for i in range(self.num_scales):
             scale = i + 1
@@ -149,7 +139,7 @@ class HierarchicalEncoder(Module):
             for block in self.stages[i]:
                 x = block(x)
             x = self.norms[i](x)
-            outs.append(StageTokens(x, coords, vis.copy()))
+            outs.append(x)
         return outs
 
 
@@ -190,16 +180,6 @@ class TokenPropagator(Module):
         return idx, inv / inv.sum(axis=1, keepdims=True)
 
 
-@dataclass
-class DecoderOutput:
-    """Scale-2 decoder tokens for every position, plus the visibility split."""
-
-    tokens: Tensor
-    coords: np.ndarray
-    visible_idx: np.ndarray
-    masked_idx: np.ndarray
-
-
 class HierarchicalDecoder(Module):
     """Walks scales S down to 2; stages are light (one block by default)."""
 
@@ -221,8 +201,9 @@ class HierarchicalDecoder(Module):
         self.final_norm = LayerNorm(dims[1])
 
     def forward(
-        self, stage_outputs: list[StageTokens], pyramid: ScalePyramid, plan: MaskPlan
-    ) -> DecoderOutput:
+        self, stage_outputs: list[Tensor], pyramid: ScalePyramid, plan: MaskPlan
+    ) -> Tensor:
+        """Tokens for every scale-2 position, in index order."""
         s = pyramid.num_scales
         top = stage_outputs[-1]
         vis, msk = plan.visible[s], plan.masked[s]
@@ -231,9 +212,9 @@ class HierarchicalDecoder(Module):
         # the shared mask token everywhere else
         if msk.size:
             fill = T.expand(T.reshape(self.mask_token, (1, dim_top)), (msk.size, dim_top))
-            stacked = T.concat([top.tokens, fill], axis=0)
+            stacked = T.concat([top, fill])
         else:
-            stacked = top.tokens
+            stacked = top
         order = np.concatenate([vis, msk])
         x = T.index_select(stacked, np.argsort(order))
         prev_coords = pyramid.points[s]
@@ -245,13 +226,7 @@ class HierarchicalDecoder(Module):
             for block in self.stages[j]:
                 x = block(x)
             prev_coords = full_coords
-        x = self.final_norm(x)
-        return DecoderOutput(
-            tokens=x,
-            coords=pyramid.points[2],
-            visible_idx=plan.visible[2],
-            masked_idx=plan.masked[2],
-        )
+        return self.final_norm(x)
 
 
 def pretrain_loss(
@@ -278,9 +253,8 @@ def pretrain_loss(
 class ReconOutput:
     pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center
     pred_zero: Tensor | None
-    masked_idx: np.ndarray
-    stage_outputs: list[StageTokens]
-    decoder: DecoderOutput
+    stage_outputs: list[Tensor]
+    decoder: Tensor
 
 
 class MaskedAutoencoder(Module):
@@ -297,15 +271,15 @@ class MaskedAutoencoder(Module):
     def reconstruct(self, pyramid: ScalePyramid, plan: MaskPlan) -> ReconOutput:
         stages = self.encoder(pyramid, plan)
         dec = self.decoder(stages, pyramid, plan)
-        msk = dec.masked_idx
+        msk = plan.masked[2]
         if msk.size == 0:
             raise ConfigError("no masked scale-2 centers: nothing to reconstruct")
-        hidden = T.index_select(dec.tokens, msk)
+        hidden = T.index_select(dec, msk)
         pred = T.reshape(self.recon_head(hidden), (msk.size, self.cfg.ks[1], 3))
         pred_zero = None
         if self.zero_head is not None:
             pred_zero = T.reshape(self.zero_head(hidden), (msk.size, self.cfg.ks[0], 3))
-        return ReconOutput(pred, pred_zero, msk, stages, dec)
+        return ReconOutput(pred, pred_zero, stages, dec)
 
     def loss(self, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
         rec = self.reconstruct(pyramid, plan)
@@ -337,9 +311,8 @@ class CloudClassifier(Module):
         """(1, 2*C_S) pooled final-stage features of the whole, unmasked cloud:
         max-pool next to mean-pool."""
         all_visible = mask_and_backproject(pyramid, 0.0, np.random.default_rng(0))
-        stages = self.encoder(pyramid, all_visible)
-        top = stages[-1].tokens
-        pooled = T.concat([T.amax(top, axis=0), T.tmean(top, axis=0)], axis=0)
+        top = self.encoder(pyramid, all_visible)[-1]
+        pooled = T.concat([T.amax(top, axis=0), T.tmean(top, axis=0)])
         return T.reshape(pooled, (1, pooled.shape[0]))
 
     def logits_from_features(self, feats: Tensor) -> Tensor:

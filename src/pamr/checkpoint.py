@@ -18,6 +18,7 @@ Sorting plus fixed-width floats make save -> load -> save byte-identical.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,8 +135,7 @@ class _Reader:
     def take_array(self, what: str) -> np.ndarray:
         ndim = self.unpack("<B")
         shape = tuple(self.unpack("<I") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * count)
+        raw = self.take(8 * math.prod(shape))
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise CheckpointFormatError(f"{self.origin}: {what} holds non-finite values")

@@ -102,16 +102,12 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
     model, train = split_mapping(mapping)
     if args.seed is not None:
         train = replace(train, seed=args.seed)
+        train.validate()
     return model, train
 
 
-def _echo(model: ModelConfig, train: TrainConfig) -> None:
-    print("# resolved config")
-    for line in resolved_lines(model, train):
-        print(line)
-
-
 def _load_pretrained(args, model_cfg: ModelConfig):
+    """The parameter arrays of `--checkpoint`, or None without one."""
     if not args.checkpoint:
         return None
     data = load_checkpoint(
@@ -122,9 +118,7 @@ def _load_pretrained(args, model_cfg: ModelConfig):
     return data.params
 
 
-def _cmd_gen_data(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
+def _cmd_gen_data(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     n_points = args.n_points if args.n_points is not None else model_cfg.n_points
     out = Path(args.out)
@@ -140,9 +134,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
+def _cmd_pretrain(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     clouds = load_dataset_dir(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,9 +152,7 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _cmd_finetune(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
+def _cmd_finetune(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     clouds = load_dataset_dir(args.data)
     pretrained = _load_pretrained(args, model_cfg)
     result = finetune_classify(clouds, model_cfg, train_cfg, pretrained=pretrained)
@@ -181,9 +171,7 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
-def _cmd_fewshot(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
+def _cmd_fewshot(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     clouds = load_dataset_dir(args.data)
     pretrained = _load_pretrained(args, model_cfg)
     result = few_shot_eval(clouds, model_cfg, train_cfg, pretrained=pretrained)
@@ -200,17 +188,11 @@ def _cmd_fewshot(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
-    ckpt = load_checkpoint(
-        args.checkpoint,
-        expect_fingerprint=model_fingerprint(model_cfg),
-        allow_mismatch=args.allow_mismatch,
-    )
+def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
+    params = _load_pretrained(args, model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     model = MaskedAutoencoder(model_cfg, rng)
-    apply_params(model, ckpt.params)
+    apply_params(model, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for source in args.inputs:
@@ -234,8 +216,7 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    _, train_cfg = _configs(args)
+def _cmd_gradcheck(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     seed = train_cfg.seed
     reports = op_gradient_suite(seed=seed)
     worst_op = max(reports, key=lambda k: reports[k].max_rel_err)
@@ -254,14 +235,10 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    model_cfg, train_cfg = _configs(args)
-    _echo(model_cfg, train_cfg)
+def _cmd_ablate(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     clouds = load_dataset_dir(args.data)
 
     def final_loss(mc: ModelConfig, tc: TrainConfig) -> float:
-        mc.validate()
-        tc.validate()
         return pretrain_run(clouds, mc, tc).rows[-1].loss
 
     rows: list[str] = []
@@ -313,9 +290,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code is None else int(e.code)
     try:
+        model_cfg, train_cfg = _configs(args)
+        print("# resolved config")
+        for line in resolved_lines(model_cfg, train_cfg):
+            print(line)
         # the Tensor finiteness check turns an overflow or 0/0 into a NonFiniteError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command](args, model_cfg, train_cfg)
     except PamrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

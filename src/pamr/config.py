@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -88,6 +89,11 @@ class _FromMapping:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
+    def _require_finite(self) -> None:
+        for name, value in self.as_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+
 
 @dataclass
 class ModelConfig(_FromMapping):
@@ -114,6 +120,7 @@ class ModelConfig(_FromMapping):
             self.la_enabled = False
 
     def validate(self) -> None:
+        self._require_finite()
         s = len(self.sizes)
         if s < 2:
             raise ConfigError(f"need at least 2 scales, got sizes {self.sizes}")
@@ -130,6 +137,8 @@ class ModelConfig(_FromMapping):
         for k, a in zip(self.ks, avail):
             if not 1 <= k <= a:
                 raise ConfigError(f"patch size {k} exceeds the {a} points below it")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be at least 1, got {self.heads}")
         for d in self.dims:
             if d < self.heads or d % self.heads != 0:
                 raise ConfigError(f"dim {d} not divisible by {self.heads} heads")
@@ -186,6 +195,9 @@ class TrainConfig(_FromMapping):
     test_per_class: int = 20
 
     def validate(self) -> None:
+        self._require_finite()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if not 0 <= self.warmup_epochs < self.epochs:

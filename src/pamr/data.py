@@ -195,6 +195,8 @@ def parse_xyz(text: str, origin: str = "<string>") -> PointCloud:
                     raise PointCloudParseError(
                         f"{origin}:{lineno}: bad label {parts[1]!r}"
                     ) from None
+                if not -(2**63) <= label < 2**63:
+                    raise PointCloudParseError(f"{origin}:{lineno}: label {parts[1]} outside int64")
                 continue
             raise PointCloudParseError(f"{origin}:{lineno}: unexpected comment line")
         parts = line.split()
@@ -221,13 +223,14 @@ def read_xyz(path: str | Path) -> PointCloud:
     return parse_xyz(text, origin=str(path))
 
 
-def save_dataset_dir(directory: str | Path, clouds: list[PointCloud], stem: str = "cloud") -> list[Path]:
+def save_dataset_dir(directory: str | Path, clouds: list[PointCloud]) -> list[Path]:
+    """Write `cloud_0000.xyz`, `cloud_0001.xyz`, ... in list order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(len(clouds))))
     paths = []
     for i, cloud in enumerate(clouds):
-        p = directory / f"{stem}_{i:0{width}d}.xyz"
+        p = directory / f"cloud_{i:0{width}d}.xyz"
         write_xyz(p, cloud)
         paths.append(p)
     return paths

@@ -9,7 +9,7 @@ every later stage (masking, tokenization, reconstruction) operates on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +66,22 @@ class PointCloud:
             self.label = int(self.label)
 
 
-def fps(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+def fps(points: np.ndarray, m: int) -> np.ndarray:
     """Greedy farthest point sampling; returns `m` unique indices.
 
-    Begins at `start` (index 0 by default, which keeps the whole pipeline
-    deterministic); each step picks the point farthest from the selected set
-    (squared distance), ties toward the lower index. Selected slots are
-    poisoned to -1 so duplicates in the cloud can never be picked twice.
+    Begins at index 0, which keeps the whole pipeline deterministic; each
+    step picks the point farthest from the selected set (squared distance),
+    ties toward the lower index. Selected slots are poisoned to -1 so
+    duplicates in the cloud can never be picked twice.
     """
     pts = _check_points(points, "points")
     n = pts.shape[0]
     if not 1 <= m <= n:
         raise ShapeError(f"cannot sample {m} points from a cloud of {n}")
-    if not 0 <= start < n:
-        raise ShapeError(f"start index {start} outside cloud of {n}")
-    sel = np.empty(m, dtype=np.int64)
-    sel[0] = start
-    diff = pts - pts[start]
+    sel = np.zeros(m, dtype=np.int64)
+    diff = pts - pts[0]
     best = (diff * diff).sum(axis=1)
-    best[start] = -1.0
+    best[0] = -1.0
     for i in range(1, m):
         nxt = int(np.argmax(best))
         sel[i] = nxt
@@ -178,9 +175,8 @@ class MaskPlan:
     masked. At each scale the two arrays partition arange(N_i).
     """
 
-    mu: float
-    visible: list = field(default_factory=list)
-    masked: list = field(default_factory=list)
+    visible: list
+    masked: list
 
 
 def mask_and_backproject(
@@ -203,7 +199,7 @@ def mask_and_backproject(
         for i in range(1, s + 1):
             visible[i] = np.arange(pyramid.size_at(i), dtype=np.int64)
             masked[i] = np.empty(0, dtype=np.int64)
-        return MaskPlan(mu, visible, masked)
+        return MaskPlan(visible, masked)
 
     perm = rng.permutation(n_final)
     masked[s] = np.sort(perm[:n_masked]).astype(np.int64)
@@ -214,26 +210,20 @@ def mask_and_backproject(
         visible[i] = vis
         all_i = np.arange(pyramid.size_at(i), dtype=np.int64)
         masked[i] = np.setdiff1d(all_i, vis, assume_unique=True)
-    return MaskPlan(mu, visible, masked)
+    return MaskPlan(visible, masked)
 
 
-def gather_patches(
-    pyramid: ScalePyramid, scale: int, centers: np.ndarray | None = None
-) -> np.ndarray:
-    """Center-relative patch coordinates at a scale: (n, k_scale, 3).
+def gather_patches(pyramid: ScalePyramid, scale: int, centers: np.ndarray) -> np.ndarray:
+    """Center-relative patch coordinates of the given scale-`scale` centers:
+    (len(centers), k_scale, 3).
 
     Each row is the scale-(i-1) neighborhood of one scale-i center, expressed
-    relative to that center. `centers` restricts to a subset of center
-    indices; None takes all of them.
+    relative to that center.
     """
     if not 1 <= scale <= pyramid.num_scales:
         raise ShapeError(f"scale {scale} outside 1..{pyramid.num_scales}")
-    idx = pyramid.neighbors[scale - 1]
-    ctr = pyramid.points[scale]
-    if centers is not None:
-        centers = np.asarray(centers, dtype=np.int64)
-        idx = idx[centers]
-        ctr = ctr[centers]
+    idx = pyramid.neighbors[scale - 1][centers]
+    ctr = pyramid.points[scale][centers]
     return pyramid.points[scale - 1][idx] - ctr[:, None, :]
 
 

@@ -49,9 +49,6 @@ class GradCheckReport:
     def ok(self) -> bool:
         return self.max_rel_err < self.tol
 
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if e.max_rel_err >= self.tol]
-
     def summary(self) -> str:
         lines = [f"gradcheck: max rel err {self.max_rel_err:.3e} (tol {self.tol:.1e})"]
         for e in sorted(self.entries, key=lambda e: -e.max_rel_err):
@@ -68,15 +65,13 @@ def finite_diff_check(
     params: Mapping[str, Tensor],
     h: float = 1e-5,
     tol: float = 1e-4,
-    floor: float = 1e-6,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
-    raise_on_fail: bool = False,
 ) -> GradCheckReport:
     """Compare backward() against central differences for each param entry.
 
     `f` must rebuild its graph from the live param tensors on every call and
-    return a scalar. Relative error uses |a - n| / max(|a|, |n|, floor).
+    return a scalar. Relative error uses |a - n| / max(|a|, |n|, 1e-6).
     When `sample` is given, at most that many entries per parameter are
     perturbed (chosen by `rng`), which keeps large checks affordable.
     """
@@ -117,16 +112,13 @@ def finite_diff_check(
             flat[i] = keep
             numeric = (up - down) / (2.0 * h)
             a = a_flat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             if rel > worst.max_rel_err:
                 worst.max_rel_err = rel
                 worst.worst_index = tuple(int(v) for v in np.unravel_index(i, p.shape))
                 worst.analytic = float(a)
                 worst.numeric = float(numeric)
         report.entries.append(worst)
-
-    if raise_on_fail and not report.ok:
-        raise GradCheckError(report.summary())
     return report
 
 
@@ -207,7 +199,7 @@ def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict
     run("index_select", {"src": src}, lambda: T.index_select(src, idx))
 
     c1, c2 = any_((2, 4)), any_((3, 4))
-    run("concat", {"c1": c1, "c2": c2}, lambda: T.concat([c1, c2], axis=0))
+    run("concat", {"c1": c1, "c2": c2}, lambda: T.concat([c1, c2]))
 
     return reports
 

@@ -50,28 +50,16 @@ class Module:
             out[name] = p
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
 
 class Linear(Module):
     """y = x @ W + b with W of shape (fan_in, fan_out)."""
 
-    def __init__(
-        self,
-        fan_in: int,
-        fan_out: int,
-        rng: np.random.Generator,
-        std: float = 0.02,
-        bias: bool = True,
-    ):
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, std: float = 0.02):
         self.weight = T.param(rng.normal(size=(fan_in, fan_out)) * std)
-        self.bias = T.param(np.zeros(fan_out)) if bias else None
+        self.bias = T.param(np.zeros(fan_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        return T.add(y, self.bias) if self.bias is not None else y
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):

@@ -54,6 +54,8 @@ _grad_enabled = True
 # tanh-form gelu constants
 _GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_K1 = 0.044715
+# variance floor of layer_norm and group_norm
+_NORM_EPS = 1e-5
 
 
 @contextmanager
@@ -287,10 +289,8 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), bwd, "reshape output")
 
 
-def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
+def transpose(a, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
@@ -313,34 +313,27 @@ def expand(a, shape) -> Tensor:
     return _make(out, (a,), bwd, "expand output")
 
 
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Iterable[Tensor]) -> Tensor:
+    """Join along axis 0."""
     parts = [as_tensor(t) for t in tensors]
     if not parts:
         raise ShapeError("concat needs at least one tensor")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
+    out = np.concatenate([p.data for p in parts])
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def bwd(g):
-        grads = []
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(lo), int(hi))
-            grads.append((p, g[tuple(sl)]))
-        return grads
+        return [(p, g[lo:hi]) for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])]
 
     return _make(out, parts, bwd, "concat output")
 
 
-def index_select(a, idx, axis: int = 0) -> Tensor:
+def index_select(a, idx) -> Tensor:
     """Gather rows of `a` along axis 0; `idx` may have any shape.
 
     Output shape is idx.shape + a.shape[1:]. Repeated indices are fine:
     their gradients accumulate.
     """
     a = as_tensor(a)
-    if axis != 0:
-        raise ShapeError("index_select only gathers along axis 0")
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("index_select needs integer indices")
@@ -534,15 +527,15 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
     return _make(out, (x, kernel, bias), bwd, "conv1d_channel output")
 
 
-def _standardize(x: Tensor, eps: float) -> Tensor:
+def _standardize(x: Tensor) -> Tensor:
     """Shift to zero mean and scale to unit (biased) variance over the last axis."""
     mu = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    return div(centered, sqrt(add(var, eps)))
+    return div(centered, sqrt(add(var, _NORM_EPS)))
 
 
-def group_norm(x, groups: int, scale, shift, eps: float = 1e-5) -> Tensor:
+def group_norm(x, groups: int, scale, shift) -> Tensor:
     """Normalize (..., C, L) over channel groups, then apply per-channel affine.
 
     Statistics are taken jointly over each group's channels and all L
@@ -559,15 +552,15 @@ def group_norm(x, groups: int, scale, shift, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"affine params must have shape ({c},)")
     lead = x.shape[:-2]
     grouped = reshape(x, lead + (groups, (c // groups) * x.shape[-1]))
-    normed = reshape(_standardize(grouped, eps), x.shape)
+    normed = reshape(_standardize(grouped), x.shape)
     return add(mul(normed, reshape(scale, (c, 1))), reshape(shift, (c, 1)))
 
 
-def layer_norm(x, scale, shift, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, scale, shift) -> Tensor:
     """Normalize over the last axis with per-feature affine parameters."""
     x = as_tensor(x)
     c = x.shape[-1]
     scale, shift = as_tensor(scale), as_tensor(shift)
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"affine params must have shape ({c},)")
-    return add(mul(_standardize(x, eps), scale), shift)
+    return add(mul(_standardize(x), scale), shift)

@@ -38,19 +38,12 @@ __all__ = [
 class AdamW:
     """Decoupled weight decay: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        weight_decay: float = 0.0,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -328,7 +321,7 @@ def finetune_classify(
 
         def logits_of(batch: np.ndarray) -> Tensor:
             pyramids = [_prepare(train_clouds[i].points, rng, model_cfg, train_cfg) for i in batch]
-            return T.concat([clf.logits(p) for p in pyramids], axis=0)
+            return T.concat([clf.logits(p) for p in pyramids])
 
         _fit_classifier(clf.param_dict(), logits_of, labels[train_idx], train_cfg, rng, rows)
         train_feats = pooled_features(clf, train_clouds, model_cfg)

@@ -29,11 +29,11 @@ def with_sentinel_as(payload: bytes, value: float) -> bytes:
     return payload.replace(raw, struct.pack("<d", value))
 
 
-def fps_reference(points: np.ndarray, m: int, start: int = 0) -> np.ndarray:
-    """Exhaustive greedy max-min: rebuilds the full distance-to-set matrix
-    every step instead of keeping a running minimum."""
+def fps_reference(points: np.ndarray, m: int) -> np.ndarray:
+    """Exhaustive greedy max-min from index 0: rebuilds the full
+    distance-to-set matrix every step instead of keeping a running minimum."""
     pts = np.asarray(points, dtype=np.float64)
-    sel = [start]
+    sel = [0]
     while len(sel) < m:
         cols = [((pts - pts[j]) ** 2).sum(axis=1) for j in sel]
         dist = np.stack(cols, axis=1).min(axis=1)

@@ -71,19 +71,16 @@ class TestEncoder:
         pyr, plan = tiny_pyramid(seed=3)
         outs = enc(pyr, plan)
         assert len(outs) == 2
-        for i, st in enumerate(outs):
-            scale = i + 1
-            assert st.tokens.shape == (plan.visible[scale].size, cfg.dims[i])
-            assert st.coords.shape == (plan.visible[scale].size, 3)
-            np.testing.assert_array_equal(st.index, plan.visible[scale])
+        for i, tokens in enumerate(outs):
+            assert tokens.shape == (plan.visible[i + 1].size, cfg.dims[i])
 
     def test_mu_zero_full_counts(self):
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(11))
         pyr, plan = tiny_pyramid(seed=4, mu=0.0)
         outs = enc(pyr, plan)
-        assert outs[0].tokens.shape == (16, 8)
-        assert outs[1].tokens.shape == (8, 16)
+        assert outs[0].shape == (16, 8)
+        assert outs[1].shape == (8, 16)
 
     def test_deterministic_given_seed(self):
         cfg = ModelConfig.tiny()
@@ -91,13 +88,13 @@ class TestEncoder:
         a = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
         b = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.tokens.data, sb.tokens.data)
+            np.testing.assert_array_equal(sa.data, sb.data)
 
     def test_masked_coordinates_do_not_leak(self):
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(13))
         pyr, plan = tiny_pyramid(seed=6)
-        base = [st.tokens.numpy() for st in enc(pyr, plan)]
+        base = [t.numpy() for t in enc(pyr, plan)]
 
         mutated = copy.deepcopy(pyr)
         rng = np.random.default_rng(14)
@@ -110,7 +107,7 @@ class TestEncoder:
         free = np.setdiff1d(np.arange(pyr.size_at(0)), used)
         mutated.points[0][free] += rng.normal(size=(free.size, 3))
 
-        after = [st.tokens.numpy() for st in enc(mutated, plan)]
+        after = [t.numpy() for t in enc(mutated, plan)]
         for x, y in zip(base, after):
             np.testing.assert_array_equal(x, y)
 
@@ -119,7 +116,6 @@ class TestEncoder:
         enc = HierarchicalEncoder(cfg, np.random.default_rng(15))
         pyr, _ = tiny_pyramid(seed=7)
         empty = MaskPlan(
-            0.9,
             [None, np.arange(16), np.empty(0, dtype=np.int64)],
             [None, np.empty(0, dtype=np.int64), np.arange(8)],
         )
@@ -193,11 +189,7 @@ class TestDecoder:
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=8)
         out = dec(enc(pyr, plan), pyr, plan)
-        assert out.tokens.shape == (pyr.size_at(2), cfg.dims[1])
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate([out.visible_idx, out.masked_idx])),
-            np.arange(pyr.size_at(2)),
-        )
+        assert out.shape == (pyr.size_at(2), cfg.dims[1])
 
     def test_mask_token_reaches_masked_outputs(self):
         cfg = ModelConfig.tiny()
@@ -206,12 +198,12 @@ class TestDecoder:
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=9)
         stages = enc(pyr, plan)
-        before = dec(stages, pyr, plan).tokens.numpy()
+        before = dec(stages, pyr, plan).numpy()
         # non-uniform bump: a uniform one would be erased by layer norms
         dec.mask_token.data = dec.mask_token.data + np.random.default_rng(33).normal(
             size=dec.mask_token.shape
         )
-        after = dec(stages, pyr, plan).tokens.numpy()
+        after = dec(stages, pyr, plan).numpy()
         msk = plan.masked[2]
         assert not np.allclose(before[msk], after[msk])
 

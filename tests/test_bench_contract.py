@@ -1,9 +1,11 @@
-"""Every name the benchmark tracer wraps must exist where it looks for it.
+"""The benchmark's calls into pamr must keep resolving.
 
 `perfbench/tracer.py` patches pamr's public functions and module methods by
 name, and its `install()` raises on a missing one, which fails the traced
 benchmark run. This reads that list (without editing it) and resolves each
 name the same way, so deleting or renaming a traced name fails here first.
+`perfbench/child.py` drives pamr untraced as well (`save_dataset_dir`,
+`state_arrays`, `write_metrics`, ...); one toy run of each kind covers those.
 """
 import importlib
 import importlib.util
@@ -11,17 +13,17 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-_TRACER = _tracer()
+_TRACER = _load("perfbench_tracer", PERFBENCH / "tracer.py")
 TARGETS = list(_TRACER.MODULE_SPANS) + [("tensor", op) for op in _TRACER.TENSOR_OPS]
 
 
@@ -36,3 +38,17 @@ def test_traced_name_resolves(module, public):
         assert attr in obj.__dict__, f"pamr.{module}.{head} defines no {attr}() of its own"
     else:
         assert not method and callable(obj), f"pamr.{module}.{public} is not a function"
+
+
+@pytest.mark.parametrize("workload", ["selftest-pretrain", "selftest-fewshot"])
+def test_benchmark_run_passes_its_checks(tmp_path, monkeypatch, workload):
+    import pamr.cli  # binds `pamr` with every submodule that child.py reaches through it
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # child.py imports `workloads`
+    child = _load("perfbench_child", PERFBENCH / "child.py")
+    w = child.WORKLOADS[workload]
+    child.mode_prep(pamr, w, {"seconds": 0.0, "seed": 1}, tmp_path)
+    run = child.Run(pamr, w, tmp_path)
+    run.setup()
+    rec = run.timed_call()
+    assert rec["digest"] and rec["errors"] == []

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,15 @@ class TestValidation:
         for cut in (3, 9, 30, len(payload) // 2, len(payload) - 1):
             with pytest.raises(CheckpointFormatError):
                 decode_checkpoint(payload[:cut])
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1), (65536,) * 4])
+    def test_dims_past_int64_read_as_truncation(self, dims):
+        payload = encode_checkpoint({"w": np.zeros(1)}, FP, step=0)
+        header = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1)
+        assert payload.count(header) == 1
+        huge = struct.pack("<H", 1) + b"w" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            decode_checkpoint(payload.replace(header, huge))
 
     def test_trailing_garbage_rejected(self):
         payload = encode_checkpoint(tiny_params(), FP, 0) + b"\x00"

@@ -36,6 +36,12 @@ holdout_fraction = 0.25
 """
 
 
+def with_setting(text: str, key: str, value: str) -> str:
+    """`text` with the `key = ...` line set to `value`, appended if absent."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     p = tmp_path / "tiny.cfg"
@@ -101,7 +107,9 @@ class TestUsage:
 
 
 class TestUnreadableFiles:
-    @pytest.mark.parametrize("case", ["missing checkpoint", "xyz not utf-8", "config not utf-8"])
+    @pytest.mark.parametrize(
+        "case", ["missing checkpoint", "xyz not utf-8", "config not utf-8", "xyz label past int64"]
+    )
     def test_exits_1_without_traceback(self, tmp_path, cfg_file, dataset, capsys, case):
         out = str(tmp_path / "out")
         if case == "missing checkpoint":
@@ -111,15 +119,52 @@ class TestUnreadableFiles:
         elif case == "xyz not utf-8":
             (Path(dataset) / "bad.xyz").write_bytes(b"0 0 0\n\xff 1 1\n")
             args = ["pretrain", "--config", cfg_file, "--data", dataset, "--out", out]
-        else:
+        elif case == "config not utf-8":
             bad = tmp_path / "bad.cfg"
             bad.write_bytes(b"seed = 1\xff\n")
             args = ["pretrain", "--config", str(bad), "--data", dataset, "--out", out]
+        else:
+            (Path(dataset) / "big.xyz").write_text(f"# label {10**30}\n0 0 0\n1 0 0\n")
+            args = ["finetune", "--config", cfg_file, "--data", dataset, "--out", out]
         capsys.readouterr()
         rc = main(args)
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestBadConfigValues:
+    """Values that used to crash mid-run or pass validation as NaN or inf."""
+
+    GEN = ["gen-data", "--kinds", "sphere", "--per-class", "1", "--n-points", "64"]
+
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "gradcheck"])
+    @pytest.mark.parametrize(
+        "setting",
+        ["heads = 0", "heads = -2", "seed = -1", "--seed -1", "base_lr = nan", "min_lr = nan",
+         "weight_decay = nan", "base_lr = inf", "translate = inf", "scale_hi = inf"],
+    )
+    def test_exits_1_naming_the_key(self, tmp_path, dataset, capsys, command, setting):
+        key = setting.split()[0].lstrip("-")
+        text, flags = TINY_CFG, []
+        if setting.startswith("--"):
+            flags = setting.split()
+        else:
+            text = with_setting(TINY_CFG, key, setting.split(" = ")[1])
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = str(tmp_path / "out")
+        args = {
+            "gen-data": self.GEN + ["--out", out],
+            "pretrain": ["pretrain", "--data", dataset, "--out", out],
+            "gradcheck": ["gradcheck"],
+        }[command]
+        capsys.readouterr()
+        rc = main(args + ["--config", str(cfg)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and key in err
         assert "Traceback" not in err
 
 

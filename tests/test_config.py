@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pamr.config import (
@@ -68,6 +70,11 @@ class TestModelConfig:
             ModelConfig.from_mapping({"sizes": "16,8", "ks": "4,4", "dims": "8,16",
                                       "heads": "2", "n_points": "32", "la_window": "4"})
 
+    @pytest.mark.parametrize("heads", ["0", "-2"])
+    def test_heads_must_be_positive(self, heads):
+        with pytest.raises(ConfigError, match="heads must be at least 1"):
+            ModelConfig.from_mapping({"heads": heads})
+
     def test_both_branches_off_disables_gate(self):
         cfg = ModelConfig(la_avg_branch=False, la_max_branch=False)
         assert cfg.la_enabled is False
@@ -87,12 +94,30 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig.from_mapping({"epochs": "5", "warmup_epochs": "5"})
 
+    def test_seed_must_be_nonnegative(self):
+        TrainConfig.from_mapping({"seed": "0"})
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            TrainConfig.from_mapping({"seed": "-1"})
+
     def test_bool_coercion(self):
         cfg = TrainConfig.from_mapping({"augment": "false", "freeze_backbone": "true"})
         assert cfg.augment is False
         assert cfg.freeze_backbone is True
         with pytest.raises(ConfigError):
             TrainConfig.from_mapping({"augment": "maybe"})
+
+
+FLOAT_FIELDS = [
+    f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        split_mapping({key: value})
 
 
 class TestSplitAndResolve:

@@ -117,6 +117,15 @@ class TestXyzFormat:
         with pytest.raises(PointCloudParseError, match="bad label"):
             parse_xyz("# label x\n0 0 0\n")
 
+    @pytest.mark.parametrize("label", [10**30, 2**63, -(2**63) - 1])
+    def test_label_outside_int64_names_lineno(self, label):
+        with pytest.raises(PointCloudParseError, match="f.xyz:1: label .* outside int64"):
+            parse_xyz(f"# label {label}\n0 0 0\n", origin="f.xyz")
+
+    def test_int64_label_bounds_accepted(self):
+        for label in (2**63 - 1, -(2**63)):
+            assert parse_xyz(f"# label {label}\n0 0 0\n").label == label
+
     def test_stray_comment_rejected(self):
         with pytest.raises(PointCloudParseError, match=":3"):
             parse_xyz("0 0 0\n1 1 1\n# not a header\n")

@@ -68,12 +68,6 @@ class TestFPS:
         out = fps(pts, 17)
         assert sorted(out.tolist()) == list(range(17))
 
-    def test_start_parameter(self):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        out = fps(pts, 2, start=3)
-        np.testing.assert_array_equal(out, [3, 0])
-        np.testing.assert_array_equal(out, fps_reference(pts, 2, start=3))
-
     def test_duplicate_points_never_repicked(self):
         pts = np.zeros((6, 3))
         pts[3] = [1.0, 0, 0]
@@ -86,8 +80,6 @@ class TestFPS:
             fps(pts, 5)
         with pytest.raises(ShapeError):
             fps(pts, 0)
-        with pytest.raises(ShapeError):
-            fps(pts, 2, start=4)
 
 
 class TestKNN:
@@ -215,7 +207,7 @@ class TestGatherPatches:
         pts = random_cloud(rng, 48)
         pyr = build_scale_pyramid(pts, (12, 6), (4, 3))
         for scale in (1, 2):
-            got = gather_patches(pyr, scale)
+            got = gather_patches(pyr, scale, np.arange(pyr.size_at(scale)))
             idx = pyr.neighbors[scale - 1]
             for c in range(pyr.size_at(scale)):
                 expected = pyr.points[scale - 1][idx[c]] - pyr.points[scale][c]
@@ -236,8 +228,9 @@ class TestGatherPatches:
         pts = random_cloud(rng, 48)
         pyr1 = build_scale_pyramid(pts, (12,), (4,))
         pyr2 = build_scale_pyramid(pts + np.array([3.0, -2.0, 1.0]), (12,), (4,))
+        every = np.arange(12)
         np.testing.assert_allclose(
-            gather_patches(pyr1, 1), gather_patches(pyr2, 1), atol=1e-12
+            gather_patches(pyr1, 1, every), gather_patches(pyr2, 1, every), atol=1e-12
         )
 
 
