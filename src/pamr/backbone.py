@@ -52,27 +52,8 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def _heads_first(self, t: Tensor) -> Tensor:
-        n, c = t.shape
-        return T.transpose(T.reshape(t, (n, self.heads, c // self.heads)), (1, 0, 2))
-
-    def _weights(self, x: Tensor) -> Tensor:
-        """(heads, N, N) softmax of the scaled query-key scores."""
-        q = self._heads_first(self.wq(x))
-        k = self._heads_first(self.wk(x))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[2]))
-        return T.softmax(scores, axis=-1)
-
     def forward(self, x: Tensor) -> Tensor:
-        n, c = x.shape
-        out = T.matmul(self._weights(x), self._heads_first(self.wv(x)))  # (h, n, dh)
-        out = T.reshape(T.transpose(out, (1, 0, 2)), (n, c))
-        return self.wo(out)
-
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """(heads, N, N) softmax weights, for inspection only."""
-        with T.no_grad():
-            return self._weights(x).numpy()
+        return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads))
 
 
 class TransformerBlock(Module):

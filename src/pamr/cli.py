@@ -33,7 +33,7 @@ from .data import (
     write_text_atomic,
     write_xyz,
 )
-from .errors import PamrError
+from .errors import ConfigError, PamrError
 from .geometry import PointCloud, gather_patches, mask_and_backproject
 from .gradcheck import op_gradient_suite, pipeline_gradient_check
 from .metrics import write_metrics
@@ -120,17 +120,23 @@ def _load_pretrained(args, model_cfg: ModelConfig):
 
 def _cmd_gen_data(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ConfigError(f"--kinds must name distinct shape kinds, got {args.kinds!r}")
+    if args.per_class < 1:
+        raise ConfigError(f"--per-class must be at least 1, got {args.per_class}")
     n_points = args.n_points if args.n_points is not None else model_cfg.n_points
+    # every spec is validated before the first file is written
+    specs = [
+        ShapeSpec(kind, n_points, args.jitter, seed=train_cfg.seed + label * args.per_class + j, label=label)
+        for label, kind in enumerate(kinds)
+        for j in range(args.per_class)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for label, kind in enumerate(kinds):
-        for j in range(args.per_class):
-            spec = ShapeSpec(kind, n_points, args.jitter, seed=train_cfg.seed + count, label=label)
-            (cloud,) = gen_shapes([spec])
-            write_xyz(out / f"{kind}_{j:04d}.xyz", cloud)
-            count += 1
-    print(f"wrote {count} clouds ({len(kinds)} classes) to {out}")
+    for i, spec in enumerate(specs):
+        (cloud,) = gen_shapes([spec])
+        write_xyz(out / f"{spec.kind}_{i % args.per_class:04d}.xyz", cloud)
+    print(f"wrote {len(specs)} clouds ({len(kinds)} classes) to {out}")
     return 0
 
 

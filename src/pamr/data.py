@@ -147,8 +147,8 @@ class ShapeSpec:
             )
         if self.n_points < 64:
             raise ConfigError(f"need at least 64 points per shape, got {self.n_points}")
-        if self.jitter < 0:
-            raise ConfigError(f"jitter must be non-negative, got {self.jitter}")
+        if not np.isfinite(self.jitter) or self.jitter < 0:
+            raise ConfigError(f"jitter must be finite and non-negative, got {self.jitter}")
 
 
 def gen_shapes(specs: list[ShapeSpec]) -> list[PointCloud]:

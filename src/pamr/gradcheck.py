@@ -201,6 +201,11 @@ def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict
     c1, c2 = any_((2, 4)), any_((3, 4))
     run("concat", {"c1": c1, "c2": c2}, lambda: T.concat([c1, c2]))
 
+    lw, lbias = any_((4, 5)), any_((5,))
+    run("linear", {"x": x, "lw": lw, "lbias": lbias}, lambda: T.linear(x, lw, lbias))
+    q, k, v = any_((5, 6)), any_((5, 6)), any_((5, 6))
+    run("attention", {"q": q, "k": k, "v": v}, lambda: T.attention(q, k, v, 2))
+
     return reports
 
 

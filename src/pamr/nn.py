@@ -59,7 +59,7 @@ class Linear(Module):
         self.bias = T.param(np.zeros(fan_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -47,6 +47,8 @@ __all__ = [
     "expand",
     "group_norm",
     "layer_norm",
+    "attention",
+    "linear",
 ]
 
 _grad_enabled = True
@@ -71,7 +73,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -137,8 +139,14 @@ class Tensor:
             for parent, g in node._bwd(node._grad):
                 if parent.requires_grad or parent._bwd is not None:
                     if parent._grad is None:
-                        parent._grad = np.zeros_like(parent.data)
-                    parent._grad += g
+                        # a copy in the parent's own layout: `g` may alias
+                        # another node's buffer, and the layout keeps later
+                        # BLAS calls on the gradient bitwise stable
+                        buf = np.empty_like(parent.data)
+                        np.copyto(buf, g)
+                        parent._grad = buf
+                    else:
+                        parent._grad += g
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
@@ -449,7 +457,7 @@ def gelu(a) -> Tensor:
     """tanh-form gelu: 0.5*x*(1 + tanh(k0*(x + k1*x^3)))."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_K0 * (x + _GELU_K1 * x**3)
+    inner = _GELU_K0 * (x + _GELU_K1 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
@@ -527,12 +535,26 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
     return _make(out, (x, kernel, bias), bwd, "conv1d_channel output")
 
 
-def _standardize(x: Tensor) -> Tensor:
-    """Shift to zero mean and scale to unit (biased) variance over the last axis."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    return div(centered, sqrt(add(var, _NORM_EPS)))
+def _standardize(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Shift to zero mean and scale to unit (biased) variance over the last
+    axis; returns the normalized values and the per-row denominator.
+
+    A non-finite mean or variance raises: an overflowed variance would
+    otherwise divide every row down to a finite, all-zero output.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    _check_finite(mu, f"{what} mean")
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    _check_finite(var, f"{what} variance")
+    denom = np.sqrt(var + _NORM_EPS)
+    return centered / denom, denom
+
+
+def _standardize_grad(g: np.ndarray, normed: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Input gradient of `_standardize` given the gradient `g` of its output."""
+    g_centered = (g - normed * (g * normed).mean(axis=-1, keepdims=True)) / denom
+    return g_centered - g_centered.mean(axis=-1, keepdims=True)
 
 
 def group_norm(x, groups: int, scale, shift) -> Tensor:
@@ -550,10 +572,21 @@ def group_norm(x, groups: int, scale, shift) -> Tensor:
     scale, shift = as_tensor(scale), as_tensor(shift)
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"affine params must have shape ({c},)")
-    lead = x.shape[:-2]
-    grouped = reshape(x, lead + (groups, (c // groups) * x.shape[-1]))
-    normed = reshape(_standardize(grouped), x.shape)
-    return add(mul(normed, reshape(scale, (c, 1))), reshape(shift, (c, 1)))
+    grouped = x.shape[:-2] + (groups, (c // groups) * x.shape[-1])
+    normed, denom = _standardize(x.data.reshape(grouped), "group_norm")
+    normed = normed.reshape(x.shape)
+    col_scale = scale.data.reshape(c, 1)
+    out = normed * col_scale + shift.data.reshape(c, 1)
+
+    def bwd(g):
+        gx = _standardize_grad((g * col_scale).reshape(grouped), normed.reshape(grouped), denom)
+        return [
+            (x, gx.reshape(x.shape)),
+            (scale, _unbroadcast(g * normed, (c, 1)).reshape(c)),
+            (shift, _unbroadcast(g, (c, 1)).reshape(c)),
+        ]
+
+    return _make(out, (x, scale, shift), bwd, "group_norm output")
 
 
 def layer_norm(x, scale, shift) -> Tensor:
@@ -563,4 +596,79 @@ def layer_norm(x, scale, shift) -> Tensor:
     scale, shift = as_tensor(scale), as_tensor(shift)
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"affine params must have shape ({c},)")
-    return add(mul(_standardize(x), scale), shift)
+    normed, denom = _standardize(x.data, "layer_norm")
+    out = normed * scale.data + shift.data
+
+    def bwd(g):
+        return [
+            (x, _standardize_grad(g * scale.data, normed, denom)),
+            (scale, _unbroadcast(g * normed, scale.shape)),
+            (shift, _unbroadcast(g, shift.shape)),
+        ]
+
+    return _make(out, (x, scale, shift), bwd, "layer_norm output")
+
+
+# -- fused layers ------------------------------------------------------------
+
+
+def linear(x, weight, bias) -> Tensor:
+    """x @ weight + bias over the last axis of `x`, for any leading shape."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"linear needs a 2-d weight and matching bias: {weight.shape}, {bias.shape}")
+    fan_in, fan_out = weight.shape
+    if x.ndim < 1 or x.shape[-1] != fan_in:
+        raise ShapeError(f"linear input {x.shape} does not end in {fan_in} features")
+    out = x.data @ weight.data + bias.data
+
+    def bwd(g):
+        return [
+            (x, g @ weight.data.T),
+            (weight, x.data.reshape(-1, fan_in).T @ g.reshape(-1, fan_out)),
+            (bias, _unbroadcast(g, bias.shape)),
+        ]
+
+    return _make(out, (x, weight, bias), bwd, "linear output")
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (N, C) token rows.
+
+    Each head takes its own C/heads channels of q, k and v and computes
+    softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
+    back to (N, C) in head order.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal (N, C) q, k, v: {q.shape}, {k.shape}, {v.shape}")
+    n, c = q.shape
+    if heads < 1 or c % heads != 0:
+        raise ShapeError(f"{heads} heads do not divide {c} channels")
+    dh = c // heads
+
+    def split(t: np.ndarray) -> np.ndarray:  # (N, C) -> (heads, N, dh)
+        return t.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(t: np.ndarray) -> np.ndarray:  # (heads, N, dh) -> (N, C)
+        return t.transpose(1, 0, 2).reshape(n, c)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    temp = 1.0 / np.sqrt(dh)
+    scores = (qh @ kh.transpose(0, 2, 1)) * temp
+    _check_finite(scores, "attention scores")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = merge(w @ vh)
+
+    def bwd(g):
+        gh = split(g)
+        gw = gh @ vh.transpose(0, 2, 1)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
+        return [
+            (q, merge(gs @ kh)),
+            (k, merge(gs.transpose(0, 2, 1) @ qh)),
+            (v, merge(w.transpose(0, 2, 1) @ gh)),
+        ]
+
+    return _make(out, (q, k, v), bwd, "attention output")

@@ -11,11 +11,18 @@ it overwrites one float of a valid encoding in place.
 
 `few_shot_reference` is the few-shot protocol without feature reuse: every
 trial encodes its own train and test clouds with its own classifier.
+
+The `*_reference` layers rebuild each fused tensor op as the chain of
+elementary ops it replaces, so both the forward values (same arithmetic
+order, hence bitwise equal) and the gradients (same maths, different
+summation order) can be checked against it. `COMPOSITES` maps each fused
+op's name to its chain, for swapping into a whole model.
 """
 import struct
 
 import numpy as np
 
+from pamr import tensor as T
 from pamr.backbone import CloudClassifier
 from pamr.training import _accuracy, _fit_frozen_head, load_encoder_weights, pooled_features
 
@@ -94,3 +101,46 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
         test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
         accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
     return accs
+
+
+def _standardize_reference(x):
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    return T.div(centered, T.sqrt(T.add(var, 1e-5)))
+
+
+def layer_norm_reference(x, scale, shift):
+    return T.add(T.mul(_standardize_reference(T.as_tensor(x)), scale), shift)
+
+
+def group_norm_reference(x, groups, scale, shift):
+    x = T.as_tensor(x)
+    c = x.shape[-2]
+    grouped = T.reshape(x, x.shape[:-2] + (groups, (c // groups) * x.shape[-1]))
+    normed = T.reshape(_standardize_reference(grouped), x.shape)
+    return T.add(T.mul(normed, T.reshape(scale, (c, 1))), T.reshape(shift, (c, 1)))
+
+
+def attention_reference(q, k, v, heads):
+    n, c = q.shape
+
+    def heads_first(t):
+        return T.transpose(T.reshape(t, (n, heads, c // heads)), (1, 0, 2))
+
+    qh, kh = heads_first(q), heads_first(k)
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(c // heads))
+    out = T.matmul(T.softmax(scores, axis=-1), heads_first(v))  # (heads, n, c / heads)
+    return T.reshape(T.transpose(out, (1, 0, 2)), (n, c))
+
+
+def linear_reference(x, weight, bias):
+    return T.add(T.matmul(x, weight), bias)
+
+
+COMPOSITES = {
+    "layer_norm": layer_norm_reference,
+    "group_norm": group_norm_reference,
+    "attention": attention_reference,
+    "linear": linear_reference,
+}

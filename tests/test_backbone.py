@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from _oracles import COMPOSITES
 
 from pamr import tensor as T
 from pamr.backbone import (
@@ -29,18 +30,6 @@ def tiny_pyramid(seed=0, n=32, mu=0.6):
 
 
 class TestAttention:
-    def test_singleton_weight_is_one(self):
-        rng = np.random.default_rng(0)
-        attn = MultiHeadAttention(8, 2, rng)
-        w = attn.attention_weights(Tensor(rng.normal(size=(1, 8))))
-        np.testing.assert_array_equal(w, np.ones((2, 1, 1)))
-
-    def test_rows_are_distributions(self):
-        rng = np.random.default_rng(1)
-        attn = MultiHeadAttention(8, 2, rng)
-        w = attn.attention_weights(Tensor(rng.normal(size=(5, 8))))
-        np.testing.assert_allclose(w.sum(axis=-1), np.ones((2, 5)), rtol=1e-12)
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             MultiHeadAttention(10, 3, np.random.default_rng(0))
@@ -272,6 +261,32 @@ class TestMaskedAutoencoder:
         base = pretrain_loss(rec.pred, pyr, plan).item()
         extra = pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True).item()
         np.testing.assert_allclose(model.loss(pyr, plan).item(), base + extra, rtol=1e-12)
+
+    def test_fused_ops_match_their_composite_chains(self, monkeypatch):
+        # one desk-scale cloud through the whole model, once with the fused
+        # ops and once with the chains of elementary ops they replace
+        cfg = ModelConfig(
+            n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2,
+            encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
+        )
+        pts = np.random.default_rng(55).normal(size=(128, 3))
+        pyr = build_scale_pyramid(pts, cfg.sizes, cfg.ks)
+        plan = mask_and_backproject(pyr, 0.6, np.random.default_rng(56))
+
+        def run():
+            model = MaskedAutoencoder(cfg, np.random.default_rng(57))
+            loss = model.loss(pyr, plan)
+            loss.backward()
+            return loss.item(), {n: p.grad for n, p in model.named_parameters()}
+
+        loss, grads = run()
+        for name, ref_op in COMPOSITES.items():
+            monkeypatch.setattr(T, name, ref_op)
+        ref_loss, ref_grads = run()
+        assert loss == ref_loss
+        scale = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * scale, name
 
     def test_end_to_end_gradients_sampled(self):
         cfg = ModelConfig.tiny()

@@ -169,6 +169,23 @@ class TestBadConfigValues:
 
 
 class TestGenData:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jitter", "nan"], ["--jitter", "-0.1"], ["--per-class", "0"], ["--per-class", "-1"],
+         ["--kinds", ","], ["--kinds", "sphere,sphere"]],
+    )
+    def test_bad_flags_exit_1_before_writing(self, tmp_path, cfg_file, capsys, flags):
+        out = tmp_path / "d"
+        args = ["gen-data", "--config", cfg_file, "--out", str(out), "--kinds", "sphere",
+                "--per-class", "1", "--n-points", "64"]
+        capsys.readouterr()
+        rc = main(args + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_echoes_resolved_config(self, tmp_path, cfg_file, capsys):
         rc = main(["gen-data", "--config", cfg_file, "--out", str(tmp_path / "d"),
                    "--kinds", "sphere", "--per-class", "1", "--n-points", "64"])

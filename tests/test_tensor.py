@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import COMPOSITES
 
 from pamr import tensor as T
 from pamr.errors import NonFiniteError, ShapeError
@@ -198,6 +199,86 @@ class TestConvAndNorms:
         out = T.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-6)
+
+
+class TestFusedOps:
+    """Each fused op against the chain of elementary ops it replaces: the
+    forward keeps the chain's arithmetic order, so values are bitwise equal;
+    the closed-form backward sums differently, so gradients agree to a
+    roundoff bound relative to the largest gradient entry."""
+
+    def check(self, name, arrays, call):
+        """`call(op, *inputs)` applies the fused op or its composite chain."""
+        results = []
+        for op in (getattr(T, name), COMPOSITES[name]):
+            inputs = [T.param(a) for a in arrays]
+            out = call(op, *inputs)
+            T.tsum(T.mul(out, np.random.default_rng(99).normal(size=out.shape))).backward()
+            results.append((out.data, [t.grad for t in inputs]))
+        (got, got_grads), (ref, ref_grads) = results
+        np.testing.assert_array_equal(got, ref)
+        for g, r in zip(got_grads, ref_grads):
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=(3, 5, 8)) * 4.0, rng.normal(size=8), rng.normal(size=8)]
+        self.check("layer_norm", arrays, lambda op, x, s, b: op(x, s, b))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 6, 5)])
+    def test_group_norm_with_and_without_leading_dims(self, shape):
+        rng = np.random.default_rng(11)
+        arrays = [rng.normal(size=shape) * 3.0, rng.normal(size=6), rng.normal(size=6)]
+        self.check("group_norm", arrays, lambda op, x, s, b: op(x, 3, s, b))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention(self, heads):
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=(7, 6)) for _ in range(3)]
+        self.check("attention", arrays, lambda op, q, k, v: op(q, k, v, heads))
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
+    def test_linear(self, shape):
+        rng = np.random.default_rng(13)
+        arrays = [rng.normal(size=shape), rng.normal(size=(4, 6)), rng.normal(size=6)]
+        self.check("linear", arrays, lambda op, x, w, b: op(x, w, b))
+
+    def test_overflowing_variance_raises(self):
+        # each entry is finite but its square is not: an unchecked variance
+        # would be inf, and every row would silently normalize to zeros
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(2, 4, 6)) * 1e200)
+        ones, zeros = Tensor(np.ones(6)), Tensor(np.zeros(6))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="variance"):
+                T.layer_norm(x, ones, zeros)
+            with pytest.raises(NonFiniteError, match="variance"):
+                T.group_norm(T.transpose(x, (0, 2, 1)), 2, ones, zeros)
+
+    def test_single_token_attends_to_itself(self):
+        rng = np.random.default_rng(15)
+        q, k, v = (Tensor(rng.normal(size=(1, 8))) for _ in range(3))
+        np.testing.assert_array_equal(T.attention(q, k, v, 2).data, v.data)
+
+    def test_attention_weights_are_distributions(self):
+        # with every value row equal, the output is that row scaled by each
+        # row's weight sum, which must be one
+        rng = np.random.default_rng(16)
+        q, k = Tensor(rng.normal(size=(5, 8)) * 3.0), Tensor(rng.normal(size=(5, 8)) * 3.0)
+        row = rng.normal(size=8)
+        out = T.attention(q, k, Tensor(np.tile(row, (5, 1))), 2).data
+        np.testing.assert_allclose(out, np.tile(row, (5, 1)), rtol=1e-12)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), 4)
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))), 2)
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((3, 5))), Tensor(np.ones((4, 6))), Tensor(np.ones(6)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 6))), Tensor(np.ones(5)))
 
 
 class TestGradientSuite:
