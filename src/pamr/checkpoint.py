@@ -14,18 +14,27 @@ Layout (all integers little-endian):
     [t u64, then per entry in the same order: m payload, v payload]
 
 Sorting plus fixed-width floats make save -> load -> save byte-identical.
+
+Save and load stream entry by entry over a binary stream: `save_checkpoint`
+writes each array's own buffer into the temp file of an atomic write, and
+`load_checkpoint` reads each array from the file straight into its own
+writable array. `encode_checkpoint` and `decode_checkpoint` run the same
+writer and reader over an in-memory buffer, so the byte layout is the same
+either way.
 """
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .data import write_bytes_atomic
+from .data import write_atomic
 from .errors import CheckpointCompatibilityError, CheckpointFormatError
 from .nn import Module
 from .tensor import Tensor
@@ -46,7 +55,7 @@ class CheckpointData:
     opt_v: dict[str, np.ndarray] | None = None
 
 
-def _pack_str(out: io.BytesIO, s: str) -> None:
+def _pack_str(out: BinaryIO, s: str) -> None:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise CheckpointFormatError(f"name too long: {len(raw)} bytes")
@@ -54,27 +63,27 @@ def _pack_str(out: io.BytesIO, s: str) -> None:
     out.write(raw)
 
 
-def _pack_array(out: io.BytesIO, a: np.ndarray, what: str) -> None:
+def _pack_array(out: BinaryIO, a: np.ndarray, what: str) -> None:
     a = np.ascontiguousarray(a, dtype="<f8")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise CheckpointFormatError(f"{what} holds non-finite values")
     out.write(struct.pack("<B", a.ndim))
     for d in a.shape:
         out.write(struct.pack("<I", d))
-    out.write(a.tobytes())
+    out.write(a)  # the array's own buffer, no bytes copy
 
 
-def encode_checkpoint(
+def _write_checkpoint(
+    out: BinaryIO,
     params: dict[str, Tensor | np.ndarray],
     fingerprint: str,
     step: int,
-    opt_state: tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
-) -> bytes:
+    opt_state: tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]] | None,
+) -> None:
     arrays = {
         name: (p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64))
         for name, p in params.items()
     }
-    out = io.BytesIO()
     out.write(MAGIC)
     out.write(struct.pack("<I", VERSION))
     _pack_str(out, fingerprint)
@@ -95,6 +104,16 @@ def encode_checkpoint(
         for name in names:
             _pack_array(out, m[name], f"optimizer m of {name!r}")
             _pack_array(out, v[name], f"optimizer v of {name!r}")
+
+
+def encode_checkpoint(
+    params: dict[str, Tensor | np.ndarray],
+    fingerprint: str,
+    step: int,
+    opt_state: tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]] | None = None,
+) -> bytes:
+    out = io.BytesIO()
+    _write_checkpoint(out, params, fingerprint, step, opt_state)
     return out.getvalue()
 
 
@@ -105,20 +124,31 @@ def save_checkpoint(
     step: int,
     opt_state=None,
 ) -> None:
-    write_bytes_atomic(path, encode_checkpoint(params, fingerprint, step, opt_state))
+    """Stream the checkpoint into a temp file, renamed over `path` once complete."""
+    write_atomic(path, lambda fh: _write_checkpoint(fh, params, fingerprint, step, opt_state))
 
 
 class _Reader:
-    def __init__(self, payload: bytes, origin: str):
-        self.buf = payload
-        self.pos = 0
+    """Reads a checkpoint from a binary stream holding exactly `size` bytes."""
+
+    def __init__(self, stream: BinaryIO, size: int, origin: str):
+        self.stream = stream
+        self.left = size
         self.origin = origin
 
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise self._truncated()
+        self.left -= n
+
+    def _truncated(self) -> CheckpointFormatError:
+        return CheckpointFormatError(f"{self.origin}: truncated checkpoint")
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointFormatError(f"{self.origin}: truncated checkpoint")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
+        self._claim(n)
+        out = self.stream.read(n)
+        if len(out) != n:  # the file shrank after its size was read
+            raise self._truncated()
         return out
 
     def unpack(self, fmt: str):
@@ -135,15 +165,21 @@ class _Reader:
     def take_array(self, what: str) -> np.ndarray:
         ndim = self.unpack("<B")
         shape = tuple(self.unpack("<I") for _ in range(ndim))
-        raw = self.take(8 * math.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(arr)):
+        # checked before allocating, so dims past 2^63 read as truncation
+        self._claim(8 * math.prod(shape))
+        try:
+            arr = np.empty(shape, dtype="<f8")
+        except ValueError:  # a zero dim beside dims whose product overflows
+            raise CheckpointFormatError(f"{self.origin}: {what} has impossible shape {shape}") from None
+        if self.stream.readinto(arr) != arr.nbytes:
+            raise self._truncated()
+        if not np.isfinite(arr).all():
             raise CheckpointFormatError(f"{self.origin}: {what} holds non-finite values")
-        return arr
+        return arr.astype(np.float64, copy=False)
 
 
-def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData:
-    r = _Reader(payload, origin)
+def _read_checkpoint(stream: BinaryIO, size: int, origin: str) -> CheckpointData:
+    r = _Reader(stream, size, origin)
     if r.take(5) != MAGIC:
         raise CheckpointFormatError(f"{origin}: bad magic, not a checkpoint")
     version = r.unpack("<I")
@@ -170,9 +206,13 @@ def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData
         for name in order:
             data.opt_m[name] = r.take_array(f"optimizer m of {name!r}")
             data.opt_v[name] = r.take_array(f"optimizer v of {name!r}")
-    if r.pos != len(payload):
-        raise CheckpointFormatError(f"{origin}: {len(payload) - r.pos} trailing bytes")
+    if r.left:
+        raise CheckpointFormatError(f"{origin}: {r.left} trailing bytes")
     return data
+
+
+def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData:
+    return _read_checkpoint(io.BytesIO(payload), len(payload), origin)
 
 
 def load_checkpoint(
@@ -180,11 +220,12 @@ def load_checkpoint(
     expect_fingerprint: str | None = None,
     allow_mismatch: bool = False,
 ) -> CheckpointData:
+    """Read `path` entry by entry, straight into the decoded arrays."""
     try:
-        payload = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, str(path))
     except OSError as e:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from None
-    data = decode_checkpoint(payload, origin=str(path))
     if (
         expect_fingerprint is not None
         and data.fingerprint != expect_fingerprint

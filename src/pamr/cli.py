@@ -108,7 +108,7 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def _load_pretrained(args, model_cfg: ModelConfig):
     """The parameter arrays of `--checkpoint`, or None without one."""
-    if not args.checkpoint:
+    if args.checkpoint is None:
         return None
     data = load_checkpoint(
         args.checkpoint,

@@ -11,6 +11,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -26,16 +27,21 @@ __all__ = [
     "save_dataset_dir",
     "load_dataset_dir",
     "write_text_atomic",
-    "write_bytes_atomic",
+    "write_atomic",
 ]
 
 
-def write_bytes_atomic(path: str | Path, payload: bytes) -> None:
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Run `write` on a temp file beside `path`, then rename it into place.
+
+    If `write` raises, the temp file is removed and any older file at `path`
+    is left as it was.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,7 +50,7 @@ def write_bytes_atomic(path: str | Path, payload: bytes) -> None:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ back to its parents. Calling ``backward()`` on a scalar loss linearizes the
 recorded graph once (iterative topological order, no recursion) and replays
 it in reverse, accumulating gradients into every tensor that needs one.
 
+``backward()`` consumes the graph: each interior node drops its closure,
+its parent links and its gradient as soon as its closure has run, so the
+graph's memory is freed during the pass and an interior ``.grad`` reads
+None afterwards. Leaves (``requires_grad``) keep their gradients and
+accumulate them across graphs until ``zero_grad()``. Running backward()
+again through a consumed graph raises PamrError.
+
 All values are float64 and must be finite; any operation that produces a
 NaN or infinity raises NonFiniteError at the point of creation rather than
 letting it propagate silently. Gradients of parameters that did not
@@ -17,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import NonFiniteError, PamrError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -78,7 +85,7 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_bwd", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -129,28 +136,46 @@ class Tensor:
         self._grad = None
 
     def backward(self) -> None:
+        """Accumulate gradients into the leaves, releasing each node as it runs."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         order = _linearize(self)
         self._grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bwd is None or node._grad is None:
+        while order:
+            # popped only after every consumer has run, so nothing reads it again
+            node = order.pop()
+            if node._bwd is None:
                 continue
-            for parent, g in node._bwd(node._grad):
-                if parent.requires_grad or parent._bwd is not None:
-                    if parent._grad is None:
-                        # a copy in the parent's own layout: `g` may alias
-                        # another node's buffer, and the layout keeps later
-                        # BLAS calls on the gradient bitwise stable
-                        buf = np.empty_like(parent.data)
-                        np.copyto(buf, g)
-                        parent._grad = buf
-                    else:
-                        parent._grad += g
+            if node._grad is not None:
+                for parent, g in node._bwd(node._grad):
+                    if parent.requires_grad or parent._bwd is not None:
+                        if parent._grad is None:
+                            # a copy in the parent's own layout: `g` may alias
+                            # another node's buffer, and the layout keeps later
+                            # BLAS calls on the gradient bitwise stable
+                            buf = np.empty_like(parent.data)
+                            np.copyto(buf, g)
+                            parent._grad = buf
+                        else:
+                            parent._grad += g
+            node._bwd = _consumed
+            node._parents = ()
+            node._grad = None
+
+
+_CONSUMED = "backward() through a graph that an earlier backward() consumed; run the forward pass again"
+
+
+def _consumed(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+    """Closure left on a released node; _linearize refuses graphs holding one."""
+    raise PamrError(_CONSUMED)
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
-    """Topological order with parents before consumers; visits each node once."""
+    """Topological order with parents before consumers; visits each node once.
+
+    Raises before any gradient moves when the graph holds a consumed node.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -161,6 +186,8 @@ def _linearize(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._bwd is _consumed:
+            raise PamrError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:

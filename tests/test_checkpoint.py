@@ -93,14 +93,28 @@ class TestValidation:
             with pytest.raises(CheckpointFormatError):
                 decode_checkpoint(payload[:cut])
 
-    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1), (65536,) * 4])
-    def test_dims_past_int64_read_as_truncation(self, dims):
+    @staticmethod
+    def with_dims(dims) -> bytes:
         payload = encode_checkpoint({"w": np.zeros(1)}, FP, step=0)
         header = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1)
         assert payload.count(header) == 1
         huge = struct.pack("<H", 1) + b"w" + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        return payload.replace(header, huge)
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1), (65536,) * 4])
+    def test_dims_past_int64_read_as_truncation(self, tmp_path, dims):
+        payload = self.with_dims(dims)
         with pytest.raises(CheckpointFormatError, match="truncated"):
-            decode_checkpoint(payload.replace(header, huge))
+            decode_checkpoint(payload)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(payload)
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_zero_dim_beside_overflowing_dims_is_a_format_error(self):
+        payload = self.with_dims((0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(CheckpointFormatError, match="impossible shape"):
+            decode_checkpoint(payload)
 
     def test_trailing_garbage_rejected(self):
         payload = encode_checkpoint(tiny_params(), FP, 0) + b"\x00"
@@ -174,6 +188,55 @@ class TestValidation:
             save_checkpoint(target, {"p": Boom()}, FP, 0)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+def opt_state_of(params, seed=1):
+    rng = np.random.default_rng(seed)
+    m = {k: rng.normal(size=a.shape) for k, a in params.items()}
+    v = {k: rng.uniform(size=a.shape) for k, a in params.items()}
+    return 7, m, v
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_save_writes_exactly_the_encoded_bytes(self, tmp_path, with_opt):
+        params = tiny_params()
+        opt = opt_state_of(params) if with_opt else None
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, params, FP, 4, opt)
+        assert path.read_bytes() == encode_checkpoint(params, FP, 4, opt)
+
+    def test_load_equals_decode_and_owns_writable_arrays(self, tmp_path):
+        params = tiny_params()
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, params, FP, 9, opt_state_of(params))
+        loaded = load_checkpoint(path)
+        decoded = decode_checkpoint(path.read_bytes())
+        assert (loaded.fingerprint, loaded.step, loaded.opt_t) == (
+            decoded.fingerprint, decoded.step, decoded.opt_t
+        )
+        for field in ("params", "opt_m", "opt_v"):
+            got, want = getattr(loaded, field), getattr(decoded, field)
+            assert list(got) == list(want)
+            for name in want:
+                for arr in (got[name], want[name]):
+                    assert arr.dtype == np.float64
+                    assert arr.flags.owndata and arr.flags.writeable
+                assert got[name].tobytes() == want[name].tobytes()
+
+    def test_failed_save_keeps_older_file(self, tmp_path):
+        params = tiny_params()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, FP, 1)
+        older = path.read_bytes()
+        t, m, v = opt_state_of(params)
+        last = sorted(params)[-1]
+        v[last].flat[-1] = np.nan
+        with pytest.raises(CheckpointFormatError, match=f"optimizer v of {last!r}"):
+            save_checkpoint(path, params, FP, 2, (t, m, v))
+        assert path.read_bytes() == older
+        assert list(tmp_path.iterdir()) == [path]
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestModelIntegration:

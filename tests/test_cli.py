@@ -133,6 +133,22 @@ class TestUnreadableFiles:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "finetune", "fewshot"])
+    def test_empty_checkpoint_path_is_unreadable(self, tmp_path, cfg_file, dataset, capsys, command):
+        out = str(tmp_path / "out")
+        args = [command, "--config", cfg_file, "--checkpoint", "", "--out", out]
+        if command == "reconstruct":
+            args.append(str(sorted(Path(dataset).glob("*.xyz"))[0]))
+        else:
+            args += ["--data", dataset]
+        capsys.readouterr()
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: cannot read checkpoint")
+        assert "Traceback" not in err
+        assert not Path(out).exists()
+
 
 class TestBadConfigValues:
     """Values that used to crash mid-run or pass validation as NaN or inf."""

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from _oracles import COMPOSITES
 
 from pamr import tensor as T
-from pamr.errors import NonFiniteError, ShapeError
+from pamr.errors import NonFiniteError, PamrError, ShapeError
 from pamr.gradcheck import op_gradient_suite
 from pamr.tensor import Tensor
 
@@ -77,6 +79,55 @@ class TestBackwardBasics:
         loss = T.add(T.tsum(h), T.tsum(T.mul(h, 3.0)))  # 4*x^2
         loss.backward()
         np.testing.assert_allclose(x.grad, [12.0])
+
+
+class TestGraphRelease:
+    def test_interior_nodes_freed_by_backward(self):
+        x = T.param(np.arange(4.0))
+        h = T.mul(x, x)
+        dead_node, dead_data = weakref.ref(h), weakref.ref(h.data)
+        loss = T.tsum(T.mul(h, 3.0))
+        del h
+        assert dead_node() is not None and dead_data() is not None
+        loss.backward()
+        assert dead_node() is None
+        assert dead_data() is None
+        np.testing.assert_array_equal(x.grad, 6.0 * np.arange(4.0))
+
+    def test_interior_grad_reads_none_afterwards(self):
+        x = T.param([2.0])
+        h = T.mul(x, x)
+        T.tsum(h).backward()
+        assert h.grad is None
+        assert h._parents == ()
+        np.testing.assert_array_equal(h.data, [4.0])  # forward values stay readable
+
+    def test_leaf_sums_two_graphs(self):
+        x = T.param([1.0, -2.0])
+        first = T.tsum(T.mul(x, x))
+        second = T.tsum(T.mul(x, 5.0))
+        first.backward()
+        second.backward()
+        np.testing.assert_array_equal(x.grad, [2.0 + 5.0, -4.0 + 5.0])
+
+    def test_second_backward_raises_and_leaves_grads(self):
+        x = T.param([1.5, 3.0])
+        loss = T.tsum(T.mul(x, x))
+        loss.backward()
+        before = x.grad.copy()
+        with pytest.raises(PamrError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, before)
+
+    def test_backward_through_a_consumed_node_raises(self):
+        x, y = T.param([2.0]), T.param([1.0])
+        h = T.mul(x, x)
+        T.tsum(h).backward()
+        before = x.grad.copy()
+        with pytest.raises(PamrError, match="consumed"):
+            T.tsum(T.add(T.mul(y, 4.0), h)).backward()
+        np.testing.assert_array_equal(x.grad, before)
+        assert np.all(y.grad == 0.0)
 
 
 class TestPointwiseValues:
