@@ -64,7 +64,7 @@ def _pack_str(out: BinaryIO, s: str) -> None:
 
 
 def _pack_array(out: BinaryIO, a: np.ndarray, what: str) -> None:
-    a = np.ascontiguousarray(a, dtype="<f8")
+    a = np.asarray(a, dtype="<f8", order="C")  # not ascontiguousarray, which makes 0-d 1-d
     if not np.isfinite(a).all():
         raise CheckpointFormatError(f"{what} holds non-finite values")
     out.write(struct.pack("<B", a.ndim))

@@ -160,6 +160,19 @@ def _fit(
             on_epoch_end(epoch)
 
 
+def _per_cloud(batch: np.ndarray, loss_of):
+    """Forward and backward one item at a time, each loss scaled by 1/B, so one
+    graph is alive at once. `loss_of(i)` gives item i's loss and whether it was
+    classified right (or None); returns the mean loss and accuracy (or None)."""
+    total, hits = 0.0, []
+    for i in batch:
+        loss, hit = loss_of(i)
+        T.mul(loss, 1.0 / batch.size).backward()
+        total += loss.item()
+        hits.append(hit)
+    return total / batch.size, None if hits[0] is None else float(np.mean(hits))
+
+
 @dataclass
 class PretrainResult:
     model: MaskedAutoencoder
@@ -192,15 +205,9 @@ def pretrain_run(
     opt = AdamW(model.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
     result = PretrainResult(model, opt)
 
-    def batch_loss(batch: np.ndarray):
-        total = 0.0
-        for ci in batch:
-            pyr = _prepare(clouds[ci].points, rng, model_cfg, train_cfg)
-            plan = mask_and_backproject(pyr, train_cfg.mask_ratio, rng)
-            loss = model.loss(pyr, plan)
-            T.mul(loss, 1.0 / batch.size).backward()
-            total += loss.item()
-        return total / batch.size, None
+    def loss_of(ci: int):
+        pyr = _prepare(clouds[ci].points, rng, model_cfg, train_cfg)
+        return model.loss(pyr, mask_and_backproject(pyr, train_cfg.mask_ratio, rng)), None
 
     def on_epoch_end(epoch: int) -> None:
         every, done = train_cfg.checkpoint_every, epoch + 1
@@ -208,7 +215,9 @@ def pretrain_run(
             on_checkpoint(model, opt, len(result.rows), f"epoch{done:04d}")
 
     try:
-        _fit(opt, len(clouds), train_cfg, rng, batch_loss, result.rows, on_epoch_end)
+        _fit(
+            opt, len(clouds), train_cfg, rng, lambda b: _per_cloud(b, loss_of), result.rows, on_epoch_end
+        )
     except NonFiniteError:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
@@ -251,32 +260,20 @@ class FinetuneResult:
     holdout_idx: np.ndarray | None = None
 
 
-def _fit_classifier(
-    params: dict, logits_of, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
+def _fit_frozen_head(
+    clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
 ) -> None:
-    """Cross-entropy training of `params`; `logits_of(batch)` gives the (B, K)
-    logits of the items `batch` indexes, whose classes are `labels[batch]`."""
-    opt = AdamW(params, train_cfg.base_lr, train_cfg.weight_decay)
+    """Train only the head, one (B, K) graph per batch, on the frozen encoder's features."""
+    head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
+    opt = AdamW(head, train_cfg.base_lr, train_cfg.weight_decay)
 
     def batch_loss(batch: np.ndarray):
-        logits = logits_of(batch)
+        logits = clf.logits_from_features(T.constant(feats[batch]))
         loss = cross_entropy(logits, labels[batch])
         loss.backward()
         return loss.item(), float(np.mean(np.argmax(logits.data, axis=1) == labels[batch]))
 
     _fit(opt, labels.size, train_cfg, rng, batch_loss, rows)
-
-
-def _fit_frozen_head(
-    clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
-) -> None:
-    """Train only the head, on the frozen encoder's feature matrix `feats`."""
-    head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
-
-    def logits_of(batch: np.ndarray) -> Tensor:
-        return clf.logits_from_features(T.constant(feats[batch]))
-
-    _fit_classifier(head, logits_of, labels, train_cfg, rng, rows)
 
 
 def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -298,35 +295,35 @@ def finetune_classify(
     copied in. With `freeze_backbone` only the head trains, on cached
     features; otherwise gradients flow through the whole encoder.
     """
-    labels = np.array(
-        [c.label if c.label is not None else -1 for c in clouds], dtype=np.int64
-    )
-    if labels.size == 0 or labels.min() < 0:
+    if not clouds or any(c.label is None for c in clouds):
         raise ConfigError("fine-tuning needs a label on every cloud")
-    n_classes = int(labels.max()) + 1
-    if np.unique(labels).size < 2:
+    # classes in sorted order become 0..K-1, so labels 0..K-1 map to themselves
+    classes, labels = np.unique([c.label for c in clouds], return_inverse=True)
+    if classes.size < 2:
         raise ConfigError("fine-tuning needs at least two classes present")
     rng = np.random.default_rng(train_cfg.seed)
-    clf = CloudClassifier(model_cfg, n_classes, train_cfg.head_hidden, rng)
+    clf = CloudClassifier(model_cfg, classes.size, train_cfg.head_hidden, rng)
     if pretrained is not None:
         load_encoder_weights(clf, pretrained)
     train_idx, hold_idx = _stratified_split(labels, train_cfg.holdout_fraction, rng)
-    train_clouds = [clouds[i] for i in train_idx]
+    train_clouds, train_labels = [clouds[i] for i in train_idx], labels[train_idx]
     rows: list[MetricsRow] = []
 
     if train_cfg.freeze_backbone:
         train_feats = pooled_features(clf, train_clouds, model_cfg)
-        _fit_frozen_head(clf, train_feats, labels[train_idx], train_cfg, rng, rows)
+        _fit_frozen_head(clf, train_feats, train_labels, train_cfg, rng, rows)
     else:
 
-        def logits_of(batch: np.ndarray) -> Tensor:
-            pyramids = [_prepare(train_clouds[i].points, rng, model_cfg, train_cfg) for i in batch]
-            return T.concat([clf.logits(p) for p in pyramids])
+        def loss_of(i: int):
+            logits = clf.logits(_prepare(train_clouds[i].points, rng, model_cfg, train_cfg))
+            hit = np.argmax(logits.data[0]) == train_labels[i]
+            return cross_entropy(logits, train_labels[i : i + 1]), hit
 
-        _fit_classifier(clf.param_dict(), logits_of, labels[train_idx], train_cfg, rng, rows)
+        opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
+        _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_cloud(b, loss_of), rows)
         train_feats = pooled_features(clf, train_clouds, model_cfg)
 
-    train_acc = _accuracy(clf, train_feats, labels[train_idx])
+    train_acc = _accuracy(clf, train_feats, train_labels)
     hold_acc = float("nan")
     if hold_idx.size:
         hold_feats = pooled_features(clf, [clouds[i] for i in hold_idx], model_cfg)

@@ -12,6 +12,10 @@ it overwrites one float of a valid encoding in place.
 `few_shot_reference` is the few-shot protocol without feature reuse: every
 trial encodes its own train and test clouds with its own classifier.
 
+`batched_classifier_loss` is the unfrozen fine-tune step as one (B, K) graph
+over the whole batch, back-propagated once, for comparison with the
+cloud-by-cloud step.
+
 The `*_reference` layers rebuild each fused tensor op as the chain of
 elementary ops it replaces, so both the forward values (same arithmetic
 order, hence bitwise equal) and the gradients (same maths, different
@@ -24,7 +28,13 @@ import numpy as np
 
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier
-from pamr.training import _accuracy, _fit_frozen_head, load_encoder_weights, pooled_features
+from pamr.training import (
+    _accuracy,
+    _fit_frozen_head,
+    cross_entropy,
+    load_encoder_weights,
+    pooled_features,
+)
 
 SENTINEL = 1234.5678
 
@@ -101,6 +111,13 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
         test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
         accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
     return accs
+
+
+def batched_classifier_loss(clf, pyramids, labels) -> float:
+    """Mean cross-entropy of the concatenated (B, K) logits; back-propagates it."""
+    loss = cross_entropy(T.concat([clf.logits(p) for p in pyramids]), labels)
+    loss.backward()
+    return loss.item()
 
 
 def _standardize_reference(x):

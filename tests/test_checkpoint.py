@@ -70,6 +70,17 @@ class TestRoundTrip:
         save_checkpoint(path2, data.params, FP, 1, (data.opt_t, data.opt_m, data.opt_v))
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("through", ["bytes", "file"])
+    def test_zero_d_entry_keeps_its_shape(self, tmp_path, through):
+        params = {"s": np.float64(2.0)}
+        if through == "bytes":
+            data = decode_checkpoint(encode_checkpoint(params, FP, 0))
+        else:
+            save_checkpoint(tmp_path / "s.ckpt", params, FP, 0)
+            data = load_checkpoint(tmp_path / "s.ckpt", expect_fingerprint=FP)
+        assert data.params["s"].shape == ()
+        assert data.params["s"] == 2.0
+
     def test_entries_stored_sorted(self):
         payload = encode_checkpoint(tiny_params(), FP, 0)
         pos_a = payload.find(b"a.bias")

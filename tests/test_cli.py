@@ -7,7 +7,8 @@ import pytest
 from _oracles import SENTINEL, with_sentinel_as
 from pamr.checkpoint import decode_checkpoint, encode_checkpoint
 from pamr.cli import main
-from pamr.data import load_dataset_dir, read_xyz
+from pamr.data import load_dataset_dir, read_xyz, write_xyz
+from pamr.geometry import PointCloud
 from pamr.metrics import format_metrics
 from pamr.training import MetricsRow
 
@@ -270,6 +271,17 @@ class TestPretrainCommand:
         assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
 
 
+def relabeled(dataset: str, out: Path, labels: dict[int, int]) -> str:
+    """A copy of the clouds of `dataset` whose label is a key of `labels`,
+    each relabelled to that key's value."""
+    out.mkdir()
+    for f in sorted(Path(dataset).glob("*.xyz")):
+        cloud = read_xyz(f)
+        if cloud.label in labels:
+            write_xyz(out / f.name, PointCloud(cloud.points, labels[cloud.label]))
+    return str(out)
+
+
 class TestFinetuneCommand:
     def test_end_to_end_with_checkpoint(self, tmp_path, cfg_file, dataset, capsys):
         pre = tmp_path / "pre"
@@ -283,6 +295,26 @@ class TestFinetuneCommand:
         assert (ft / "classifier.ckpt").exists()
         header = (ft / "metrics.csv").read_text().splitlines()[0]
         assert header == "step,epoch,lr,loss,accuracy"
+
+    @pytest.mark.parametrize("label", [2**62, -3])
+    def test_any_int64_labels_train(self, tmp_path, cfg_file, dataset, capsys, label):
+        data = relabeled(dataset, tmp_path / "relabeled", {0: 0, 1: label, 2: 2, 3: 3})
+        rc = main(["finetune", "--config", cfg_file, "--data", data, "--out", str(tmp_path / "ft")])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "holdout accuracy" in captured.out
+
+    def test_labels_map_to_their_rank(self, tmp_path, cfg_file, dataset, capsys):
+        runs = []
+        for name, second in (("dense", 1), ("sparse", 5)):
+            data = relabeled(dataset, tmp_path / name, {0: 0, 1: second})
+            ft = tmp_path / f"ft_{name}"
+            capsys.readouterr()
+            assert main(["finetune", "--config", cfg_file, "--data", data, "--out", str(ft)]) == 0
+            runs.append(
+                (capsys.readouterr().out, (ft / "metrics.csv").read_bytes(), (ft / "classifier.ckpt").read_bytes())
+            )
+        assert runs[0] == runs[1]
 
     def test_fingerprint_mismatch_fails_without_override(self, tmp_path, cfg_file, dataset, capsys):
         pre = tmp_path / "pre"

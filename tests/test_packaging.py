@@ -1,0 +1,35 @@
+"""The runtime needs the standard library and numpy, nothing else."""
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level package of every absolute import anywhere in `path`."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_sources_import_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    sources = sorted((ROOT / "src" / "pamr").glob("*.py"))
+    assert len(sources) > 1
+    outside = {p.name: sorted(absolute_imports(p) - allowed) for p in sources}
+    assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]

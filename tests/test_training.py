@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from pamr import tensor as T
+from pamr.backbone import CloudClassifier
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import ConfigError, NonFiniteError
@@ -14,6 +16,7 @@ import pamr.training
 from pamr.training import (
     AdamW,
     augment,
+    cloud_pyramid,
     cross_entropy,
     few_shot_eval,
     finetune_classify,
@@ -25,6 +28,11 @@ from pamr.training import (
 )
 
 TINY = ModelConfig.tiny()
+# the acceptance-07 architecture
+DESK = ModelConfig(
+    n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2, encoder_blocks=1,
+    decoder_blocks=1, interp_k=3, la_window=3, la_groups=4,
+)
 
 
 def small_dataset(per_class=4, n_points=64, jitter=0.02):
@@ -285,6 +293,63 @@ class TestFinetune:
         b = finetune_classify(clouds, TINY, cfg)
         assert [r.loss for r in a.rows] == [r.loss for r in b.rows]
         assert np.array_equal(a.train_idx, b.train_idx)
+
+    def test_one_live_graph_in_unfrozen_fine_tune(self, monkeypatch):
+        refs, alive = [], []
+        logits = CloudClassifier.logits
+
+        def spy(clf, pyramid):
+            alive.append(bool(refs) and refs[-1]() is not None)
+            out = logits(clf, pyramid)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(CloudClassifier, "logits", spy)
+        cfg = TrainConfig(
+            epochs=2, batch_size=4, warmup_epochs=0, seed=5, augment=False, head_hidden=(16,),
+        )
+        res = finetune_classify(small_dataset(per_class=2), TINY, cfg)
+        assert len(alive) == cfg.epochs * res.train_idx.size
+        assert not any(alive)
+
+    def test_per_cloud_step_matches_batched_graph(self, monkeypatch):
+        """One unfrozen step on the desk model against the (B, K) graph it replaced."""
+        clouds = gen_shapes([
+            ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
+            for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
+            for j in range(4)
+        ])
+        cfg = TrainConfig(
+            epochs=1, batch_size=16, base_lr=1e-3, weight_decay=0.0, warmup_epochs=0, seed=3,
+            augment=False, head_hidden=(64,), holdout_fraction=0.25,
+        )
+        batches, seen = [], []
+        per_cloud, step = pamr.training._per_cloud, AdamW.step
+
+        def per_cloud_spy(batch, loss_of):
+            batches.append(batch)
+            return per_cloud(batch, loss_of)
+
+        def step_spy(opt):
+            seen.append({n: (p.data.copy(), p.grad.copy()) for n, p in opt.params.items()})
+            step(opt)
+
+        monkeypatch.setattr(pamr.training, "_per_cloud", per_cloud_spy)
+        monkeypatch.setattr(AdamW, "step", step_spy)
+        res = finetune_classify(clouds, DESK, cfg)
+        assert len(batches) == len(seen) == 1
+        train = [clouds[i] for i in res.train_idx[batches[0]]]
+        clf = res.classifier
+        for name, p in clf.param_dict().items():
+            p.data = seen[0][name][0]
+            p.zero_grad()
+        ref = _oracles.batched_classifier_loss(
+            clf, [cloud_pyramid(c.points, DESK) for c in train], np.array([c.label for c in train])
+        )
+        assert abs(res.rows[0].loss - ref) <= 1e-15 * abs(ref)
+        for name, p in clf.param_dict().items():
+            got = seen[0][name][1]
+            assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
 
     def test_frozen_train_accuracy_matches_re_encoding(self):
         clouds = small_dataset(per_class=3)
