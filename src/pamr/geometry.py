@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, MaskConsistencyError, PamrError, ShapeError
+from .errors import ConfigError, MaskConsistencyError, NonFiniteError, PamrError, ShapeError
 from .tensor import Tensor
 
 __all__ = [
@@ -46,8 +46,11 @@ def _check_points(points: np.ndarray, what: str) -> np.ndarray:
 def normalize_points(points: np.ndarray) -> np.ndarray:
     """Center at the centroid and scale so the farthest point has norm 1."""
     pts = _check_points(points, "points")
-    centered = pts - pts.mean(axis=0)
-    radius = float(np.sqrt((centered * centered).sum(axis=1).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = pts - pts.mean(axis=0)
+        radius = float(np.sqrt((centered * centered).sum(axis=1).max()))
+    if not np.isfinite(radius):
+        raise NonFiniteError("cannot normalize a cloud whose extent overflows float64")
     if radius == 0.0:
         raise PamrError("cannot normalize a cloud whose points all coincide")
     return centered / radius
@@ -78,33 +81,71 @@ def fps(points: np.ndarray, m: int) -> np.ndarray:
     n = pts.shape[0]
     if not 1 <= m <= n:
         raise ShapeError(f"cannot sample {m} points from a cloud of {n}")
+    cols = tuple(np.ascontiguousarray(pts.T))
+    best, dist, diff = np.empty(n), np.empty(n), np.empty(n)
     sel = np.zeros(m, dtype=np.int64)
-    diff = pts - pts[0]
-    best = (diff * diff).sum(axis=1)
+    _sq_dists(pts[0], cols, best, diff)
     best[0] = -1.0
     for i in range(1, m):
         nxt = int(np.argmax(best))
         sel[i] = nxt
-        diff = pts - pts[nxt]
-        np.minimum(best, (diff * diff).sum(axis=1), out=best)
+        np.minimum(best, _sq_dists(pts[nxt], cols, dist, diff), out=best)
         best[nxt] = -1.0
     return sel
+
+
+def _sq_dists(q, r, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Squared distances between `q` and `r`, each given as its x, y and z
+    coordinate columns, broadcast into `out`; `diff` is scratch of its shape.
+
+    Built from explicit differences, one coordinate at a time, in the order
+    (dx*dx + dy*dy) + dz*dz that a sum over each row of an (..., 3) array
+    takes, so ties and zeros come out exactly.
+    """
+    np.subtract(q[0], r[0], out=out)
+    out *= out
+    for j in (1, 2):
+        np.subtract(q[j], r[j], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+# Up to this many reference points a full sort of each row is cheaper than
+# the partial selection's extra passes.
+_SORT_ALL_MAX = 32
 
 
 def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest reference points for each query, nearest first.
 
     Squared euclidean distance; equal distances resolve toward the lower
-    reference index (stable sort), so the result is fully deterministic.
+    reference index, exactly as a stable argsort of each row would, so the
+    result is fully deterministic. Past `_SORT_ALL_MAX` references only the
+    candidates that can reach the first k are sorted: the m smallest entries
+    of every row, where m is the largest per-row count of distances up to
+    that row's k-th smallest.
     """
     q = _check_points(queries, "queries")
     r = _check_points(refs, "refs")
-    if not 1 <= k <= r.shape[0]:
-        raise ShapeError(f"k={k} with only {r.shape[0]} reference points")
-    diff = q[:, None, :] - r[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k].astype(np.int64)
+    n = r.shape[0]
+    if not 1 <= k <= n:
+        raise ShapeError(f"k={k} with only {n} reference points")
+    shape = (q.shape[0], n)
+    d2 = _sq_dists(q.T[:, :, None], np.ascontiguousarray(r.T), np.empty(shape), np.empty(shape))
+    if n > _SORT_ALL_MAX:
+        rows = np.arange(q.shape[0])[:, None]
+        part = np.argpartition(d2, k - 1, axis=1)
+        m = int(np.count_nonzero(d2 <= d2[rows, part[:, k - 1 : k]], axis=1).max())
+        if m < n:
+            if m > k:
+                # ties at the k-th value: widen to the m smallest, which hold them all
+                part = np.argpartition(d2, m - 1, axis=1)
+            cand = part[:, :m]
+            cand.sort(axis=1)
+            order = np.argsort(d2[rows, cand], axis=1, kind="stable")
+            return cand[rows, order[:, :k]].astype(np.int64)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64)
 
 
 @dataclass

@@ -196,6 +196,7 @@ def pretrain_run(
     `checkpoint_every` epochs, and with tag "aborted" before re-raising if a
     non-finite value surfaces mid-training.
     """
+    train_cfg.validate()
     if not clouds:
         raise ConfigError("pretraining needs a non-empty dataset")
     if train_cfg.mask_ratio <= 0.0:
@@ -295,6 +296,7 @@ def finetune_classify(
     copied in. With `freeze_backbone` only the head trains, on cached
     features; otherwise gradients flow through the whole encoder.
     """
+    train_cfg.validate()
     if not clouds or any(c.label is None for c in clouds):
         raise ConfigError("fine-tuning needs a label on every cloud")
     # classes in sorted order become 0..K-1, so labels 0..K-1 map to themselves
@@ -369,6 +371,7 @@ def few_shot_eval(
     is the same, so each cloud is encoded at most once per call and its
     features are reused by later trials. Otherwise the encoder keeps some
     of its per-trial random init and every trial encodes its own clouds."""
+    train_cfg.validate()
     n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):

@@ -6,6 +6,11 @@ meaningful. Arithmetic is arranged to be bitwise comparable: squared
 distances are formed the same way ((a-b)^2 summed in coordinate order) and
 minima/argmaxima are exact operations, so no tolerance is needed.
 
+`fps_rowsum_reference` and `knn_argsort_reference` are the earlier
+production kernels, kept verbatim: per-step (N, 3) row sums for farthest
+point sampling, and a (Q, R, 3) difference array with a full stable argsort
+for kNN. They are fast enough to check the kernels at full model size.
+
 `with_sentinel_as` makes the checkpoint bytes the encoder refuses to write:
 it overwrites one float of a valid encoding in place.
 
@@ -28,6 +33,8 @@ import numpy as np
 
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier
+from pamr.errors import ShapeError
+from pamr.geometry import _check_points
 from pamr.training import (
     _accuracy,
     _fit_frozen_head,
@@ -72,6 +79,48 @@ def knn_reference(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
         order = sorted(range(len(d2)), key=lambda j: (d2[j], j))
         rows.append(order[:k])
     return np.asarray(rows, dtype=np.int64)
+
+
+def fps_rowsum_reference(points: np.ndarray, m: int) -> np.ndarray:
+    pts = _check_points(points, "points")
+    n = pts.shape[0]
+    if not 1 <= m <= n:
+        raise ShapeError(f"cannot sample {m} points from a cloud of {n}")
+    sel = np.zeros(m, dtype=np.int64)
+    diff = pts - pts[0]
+    best = (diff * diff).sum(axis=1)
+    best[0] = -1.0
+    for i in range(1, m):
+        nxt = int(np.argmax(best))
+        sel[i] = nxt
+        diff = pts - pts[nxt]
+        np.minimum(best, (diff * diff).sum(axis=1), out=best)
+        best[nxt] = -1.0
+    return sel
+
+
+def knn_argsort_reference(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
+    q = _check_points(queries, "queries")
+    r = _check_points(refs, "refs")
+    if not 1 <= k <= r.shape[0]:
+        raise ShapeError(f"k={k} with only {r.shape[0]} reference points")
+    diff = q[:, None, :] - r[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[:, :k].astype(np.int64)
+
+
+def pyramid_reference(points: np.ndarray, sizes, ks, fps_ref, knn_ref):
+    """(sample_idx, neighbors, points) of a scale pyramid built level by
+    level with the given fps and kNN."""
+    levels, sample_idx, neighbors = [np.asarray(points, dtype=np.float64)], [], []
+    for size, k in zip(sizes, ks):
+        below = levels[-1]
+        idx = fps_ref(below, size)
+        neighbors.append(knn_ref(below[idx], below, k))
+        sample_idx.append(idx)
+        levels.append(below[idx])
+    return sample_idx, neighbors, levels
 
 
 def chamfer_reference(a: np.ndarray, b: np.ndarray) -> float:

@@ -262,6 +262,14 @@ class TestPretrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: non-finite")
         assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
 
+    def test_overflowing_cloud_is_one_error_line(self, tmp_path, cfg_file, dataset, capsys):
+        huge = np.array([[1e200, -1e200, 1e200], [-1e200, 1e200, -1e200]] * 32)
+        write_xyz(Path(dataset) / "huge.xyz", PointCloud(huge, 0))
+        rc = main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(tmp_path / "pre")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
+
     def test_seed_flag_changes_run(self, tmp_path, cfg_file, dataset, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(a)]) == 0

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from _oracles import chamfer_reference, fps_reference, knn_reference
+from _oracles import (
+    chamfer_reference,
+    fps_reference,
+    fps_rowsum_reference,
+    knn_argsort_reference,
+    knn_reference,
+    pyramid_reference,
+)
 from pamr import tensor as T
-from pamr.errors import ConfigError, MaskConsistencyError, PamrError, ShapeError
+from pamr.backbone import TokenPropagator
+from pamr.config import ModelConfig
+from pamr.data import SHAPE_KINDS, ShapeSpec, gen_shapes
+from pamr.errors import ConfigError, MaskConsistencyError, NonFiniteError, PamrError, ShapeError
 from pamr.gradcheck import finite_diff_check
 from pamr.geometry import (
     PointCloud,
@@ -43,6 +53,21 @@ class TestPointCloud:
     def test_normalize_rejects_degenerate(self):
         with pytest.raises(PamrError):
             normalize_points(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_normalize_finite_extent_unchanged(self, scale):
+        pts = np.random.default_rng(1).normal(size=(40, 3)) * scale
+        centered = pts - pts.mean(axis=0)
+        expected = centered / np.sqrt((centered * centered).sum(axis=1).max())
+        assert normalize_points(pts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("coord", [1e200, 1.7e308])
+    def test_normalize_rejects_overflowing_extent(self, coord):
+        pts = np.array([[coord, -coord, coord], [-coord, coord, -coord], [0.0, 0.0, 0.0]])
+        # at 1.7e308 the centroid of the all-positive cloud overflows too
+        for cloud in (pts, np.abs(pts)):
+            with pytest.raises(NonFiniteError, match="overflows"):
+                normalize_points(cloud)
 
     def test_label_coerced(self):
         c = PointCloud(np.ones((2, 3)), label=np.int64(3))
@@ -150,6 +175,35 @@ class TestScalePyramid:
             build_scale_pyramid(pts, (8, 4), (2,))
         with pytest.raises(ConfigError):
             build_scale_pyramid(pts, (8, 4), (2, 9))
+
+
+class TestFullSizeKernels:
+    """The kernels against the former production kernels at the default
+    model's sizes, on one normalized 2,048-point cloud of every kind."""
+
+    CFG = ModelConfig()
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE_KINDS))
+    def test_pyramid_and_interpolation_byte_identical(self, kind):
+        (cloud,) = gen_shapes([ShapeSpec(kind, 2048, jitter=0.01, seed=7)])
+        pts = normalize_points(cloud.points)
+        pyr = build_scale_pyramid(pts, self.CFG.sizes, self.CFG.ks)
+        assert self.CFG.sizes == (512, 256, 64) and self.CFG.ks == (16, 8, 8)
+        sample_idx, neighbors, levels = pyramid_reference(
+            pts, self.CFG.sizes, self.CFG.ks, fps_rowsum_reference, knn_argsort_reference
+        )
+        for i in range(3):
+            assert pyr.sample_idx[i].tobytes() == sample_idx[i].tobytes()
+            assert pyr.neighbors[i].tobytes() == neighbors[i].tobytes()
+            assert pyr.points[i + 1].tobytes() == levels[i + 1].tobytes()
+
+        coarse, fine, k = pyr.points[3], pyr.points[2], self.CFG.interp_k
+        idx, weights = TokenPropagator.interpolation_weights(coarse, fine, k)
+        ref_idx = knn_argsort_reference(fine, coarse, k)
+        diff = fine[:, None, :] - coarse[ref_idx]
+        inv = 1.0 / np.maximum(np.sqrt((diff * diff).sum(axis=2)), 1e-8)
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert weights.tobytes() == (inv / inv.sum(axis=1, keepdims=True)).tobytes()
 
 
 class TestMasking:

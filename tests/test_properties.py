@@ -1,10 +1,13 @@
-"""Property tests over the three text and byte inputs a user hands to pamr.
+"""Property tests over the three text and byte inputs a user hands to pamr,
+and over the fps and kNN kernels.
 
 Every input must either load or raise a PamrError subclass, which the CLI
 turns into `error: ...` and exit code 1; any other exception is a crash.
-Examples are derandomized and no example database is kept, so a run is
-repeatable and leaves nothing in the checkout.
+The kernels must return exactly the indices of their reference oracles on
+clouds full of ties. Examples are derandomized and no example database is
+kept, so a run is repeatable and leaves nothing in the checkout.
 """
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -13,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from _oracles import fps_reference, knn_reference, pyramid_reference
 from pamr.checkpoint import MAGIC, VERSION, decode_checkpoint, encode_checkpoint
 from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mapping
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
+from pamr.geometry import build_scale_pyramid, fps, knn
 
 # Hypothesis caches the constants it finds in local modules, at collection
 # time, under `.hypothesis/` in the working directory unless told otherwise.
@@ -106,3 +111,71 @@ CONFIG_TEXT = st.lists(_PAIR, max_size=4).map(
 @given(CONFIG_TEXT)
 def test_config_from_key_value_text(text):
     loads_or_pamr_error(lambda t: split_mapping(parse_config_text(t)), text)
+
+
+# -- fps and kNN kernels -----------------------------------------------------
+
+# Small integer coordinates make many equal distances. The six orderings of
+# a float triple are equally far from the origin in exact arithmetic, and
+# rounding alone decides their order, so the sum order of dx*dx + dy*dy +
+# dz*dz shows. Scaled by 1e160 the squared distances overflow to inf, by
+# 1e-170 they underflow to 0, and by 1e-160 they are subnormal. Up to 64
+# points, so kNN runs both its full-sort and its partial-selection path.
+_SCALES = st.sampled_from([1.0, 0.5, 1e160, 1e-160, 1e-170])
+_TRIPLES = st.lists(
+    st.tuples(*[st.floats(-4.0, 4.0, allow_subnormal=False)] * 3), min_size=1, max_size=10
+)
+
+
+@st.composite
+def tie_clouds(draw, min_size=1, max_size=64):
+    if draw(st.booleans()):
+        n = draw(st.integers(min_size, max_size))
+        coords = draw(st.lists(st.integers(-2, 2), min_size=3 * n, max_size=3 * n))
+    else:
+        points = [(0.0, 0.0, 0.0)] + [p for t in draw(_TRIPLES) for p in itertools.permutations(t)]
+        coords = [v for p in draw(st.permutations(points)) for v in p]
+    return np.array(coords, dtype=np.float64).reshape(-1, 3) * draw(_SCALES)
+
+
+@SETTINGS
+@given(tie_clouds(), tie_clouds())
+def test_knn_matches_full_sort_for_every_k(queries, refs):
+    with np.errstate(over="ignore"):
+        full = knn_reference(queries, refs, refs.shape[0])
+        for k in range(1, refs.shape[0] + 1):
+            np.testing.assert_array_equal(knn(queries, refs, k), full[:, :k])
+
+
+@SETTINGS
+@given(tie_clouds())
+def test_fps_matches_exhaustive_max_min(points):
+    with np.errstate(over="ignore"):
+        full = fps_reference(points, points.shape[0])
+        for m in range(1, points.shape[0] + 1):
+            np.testing.assert_array_equal(fps(points, m), full[:m])
+
+
+@st.composite
+def pyramid_args(draw):
+    points = draw(tie_clouds(min_size=3))
+    n = points.shape[0]
+    s1 = draw(st.integers(2, n))
+    sizes = (s1, draw(st.integers(1, s1 - 1)))
+    ks = (draw(st.integers(1, n)), draw(st.integers(1, s1)))
+    return points, sizes, ks
+
+
+@SETTINGS
+@given(pyramid_args())
+def test_pyramid_is_fps_and_knn_level_by_level(args):
+    points, sizes, ks = args
+    with np.errstate(over="ignore"):
+        pyr = build_scale_pyramid(points, sizes, ks)
+        sample_idx, neighbors, levels = pyramid_reference(
+            points, sizes, ks, fps_reference, knn_reference
+        )
+    for i in range(len(sizes)):
+        np.testing.assert_array_equal(pyr.sample_idx[i], sample_idx[i])
+        np.testing.assert_array_equal(pyr.neighbors[i], neighbors[i])
+        np.testing.assert_array_equal(pyr.points[i + 1], levels[i + 1])

@@ -500,3 +500,21 @@ class TestFewShot:
         feats = pooled_features(clf, clouds, TINY)
         assert feats.shape == (4, 2 * TINY.dims[-1])
         assert np.isfinite(feats).all()
+
+
+class TestEntryPointsValidate:
+    """A config built in code meets the checks a config file gets."""
+
+    @pytest.mark.parametrize(
+        "run, setting, match",
+        [
+            (finetune_classify, {"holdout_fraction": 0.0}, "holdout_fraction"),
+            (pretrain_run, {"batch_size": 0}, "batch_size"),
+            (pretrain_run, {"base_lr": -1.0}, "base_lr"),
+            (few_shot_eval, {"trials": 0}, "few-shot"),
+        ],
+    )
+    def test_invalid_train_config_is_config_error(self, run, setting, match):
+        cfg = TrainConfig(**{**dict(epochs=1, batch_size=4, warmup_epochs=0, augment=False), **setting})
+        with pytest.raises(ConfigError, match=match):
+            run(small_dataset(per_class=1), TINY, cfg)
