@@ -25,6 +25,11 @@ __all__ = [
     "pipeline_gradient_check",
 ]
 
+# central-difference step of every check
+_H = 1e-5
+# entries per parameter the pipeline check perturbs, and its mask ratio
+_PIPELINE_SAMPLE, _PIPELINE_MASK_RATIO = 1, 0.6
+
 
 @dataclass
 class GradCheckEntry:
@@ -63,7 +68,6 @@ class GradCheckReport:
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Mapping[str, Tensor],
-    h: float = 1e-5,
     tol: float = 1e-4,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
@@ -103,14 +107,14 @@ def finite_diff_check(
         a_flat = analytic[name].reshape(-1)
         for i in picks:
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + _H
             with T.no_grad():
                 up = f().item()
-            flat[i] = keep - h
+            flat[i] = keep - _H
             with T.no_grad():
                 down = f().item()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _H)
             a = a_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             if rel > worst.max_rel_err:
@@ -122,7 +126,7 @@ def finite_diff_check(
     return report
 
 
-def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict[str, GradCheckReport]:
+def op_gradient_suite(seed: int = 0, tol: float = 1e-4) -> dict[str, GradCheckReport]:
     """Run the per-op finite-difference battery; returns name -> report."""
     rng = np.random.default_rng(seed)
 
@@ -145,7 +149,7 @@ def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict
                 weight.append(T.constant(rng.normal(size=out.shape)))
             return T.tsum(T.mul(out, weight[0]))
 
-        reports[name] = finite_diff_check(f, params, h=h, tol=tol)
+        reports[name] = finite_diff_check(f, params, tol=tol)
 
     a, b = any_((3, 4)), any_((3, 4))
     run("add", {"a": a, "b": b}, lambda: T.add(a, b))
@@ -209,18 +213,12 @@ def op_gradient_suite(seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict
     return reports
 
 
-def pipeline_gradient_check(
-    seed: int = 0,
-    h: float = 1e-5,
-    tol: float = 1e-3,
-    sample: int = 1,
-    mask_ratio: float = 0.6,
-) -> GradCheckReport:
+def pipeline_gradient_check(seed: int = 0, tol: float = 1e-3) -> GradCheckReport:
     """Finite-difference the full masked-reconstruction loss on a small model.
 
-    Checks `sample` entries of every parameter against central differences on
-    a fixed 32-point cloud. The looser tolerance absorbs the longer chain of
-    float64 roundoff through tokenizer, encoder, decoder, and the set loss.
+    Checks `_PIPELINE_SAMPLE` entries of every parameter against central
+    differences on a fixed 32-point cloud. The looser tolerance absorbs the
+    longer roundoff chain through tokenizer, encoder, decoder and set loss.
     """
     # imported here so the op battery stays usable without the model stack
     from .backbone import MaskedAutoencoder
@@ -231,9 +229,9 @@ def pipeline_gradient_check(
     rng = np.random.default_rng(seed)
     cfg = ModelConfig.tiny()
     pyramid = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
-    plan = mask_and_backproject(pyramid, mask_ratio, rng)
+    plan = mask_and_backproject(pyramid, _PIPELINE_MASK_RATIO, rng)
     model = MaskedAutoencoder(cfg, rng)
     params = dict(model.named_parameters())
     return finite_diff_check(
-        lambda: model.loss(pyramid, plan), params, h=h, tol=tol, sample=sample, rng=rng
+        lambda: model.loss(pyramid, plan), params, tol=tol, sample=_PIPELINE_SAMPLE, rng=rng
     )

@@ -15,7 +15,8 @@ from . import tensor as T
 from .backbone import CloudClassifier, MaskedAutoencoder
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NonFiniteError
-from .geometry import PointCloud, build_scale_pyramid, mask_and_backproject, normalize_points
+from .geometry import PointCloud, ScalePyramid, build_scale_pyramid
+from .geometry import mask_and_backproject, normalize_points
 from .tensor import Tensor
 
 __all__ = [
@@ -100,22 +101,20 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.min_lr + (cfg.base_lr - cfg.min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def augment(points: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.ndarray:
-    """Random isotropic scale and per-axis translation: p <- s*p + t."""
-    s = rng.uniform(cfg.scale_lo, cfg.scale_hi)
-    t = rng.uniform(-cfg.translate, cfg.translate, size=3)
-    return points * s + t
-
-
-def cloud_pyramid(points: np.ndarray, model_cfg: ModelConfig):
+def cloud_pyramid(points: np.ndarray, model_cfg: ModelConfig) -> ScalePyramid:
     """The model input for one raw cloud: the ScalePyramid of its normalized points."""
     return build_scale_pyramid(normalize_points(points), model_cfg.sizes, model_cfg.ks)
 
 
-def _prepare(points: np.ndarray, rng, model_cfg: ModelConfig, train_cfg: TrainConfig):
-    if train_cfg.augment:
-        points = augment(points, rng, train_cfg)
-    return cloud_pyramid(points, model_cfg)
+def augment(pyramid: ScalePyramid, rng: np.random.Generator, cfg: TrainConfig) -> ScalePyramid:
+    """Random isotropic scale and per-axis translation of every level's
+    coordinates, p <- s*p + t, keeping the FPS and kNN indices (so the levels
+    still nest); with `cfg.augment` off it returns `pyramid` and draws nothing."""
+    if not cfg.augment:
+        return pyramid
+    s = rng.uniform(cfg.scale_lo, cfg.scale_hi)
+    t = rng.uniform(-cfg.translate, cfg.translate, size=3)
+    return ScalePyramid([p * s + t for p in pyramid.points], pyramid.sample_idx, pyramid.neighbors)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -205,9 +204,10 @@ def pretrain_run(
     model = MaskedAutoencoder(model_cfg, rng)
     opt = AdamW(model.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
     result = PretrainResult(model, opt)
+    pyramids = [cloud_pyramid(c.points, model_cfg) for c in clouds]
 
     def loss_of(ci: int):
-        pyr = _prepare(clouds[ci].points, rng, model_cfg, train_cfg)
+        pyr = augment(pyramids[ci], rng, train_cfg)
         return model.loss(pyr, mask_and_backproject(pyr, train_cfg.mask_ratio, rng)), None
 
     def on_epoch_end(epoch: int) -> None:
@@ -244,10 +244,10 @@ def _stratified_split(
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(hold), dtype=np.int64)
 
 
-def pooled_features(clf: CloudClassifier, clouds: list[PointCloud], model_cfg: ModelConfig) -> np.ndarray:
-    """Frozen-backbone feature matrix (n, 2*C_S); no augmentation, no grads."""
+def pooled_features(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
+    """Frozen-backbone feature matrix (n, 2*C_S), one row per pyramid; no grads."""
     with T.no_grad():
-        rows = [clf.features(cloud_pyramid(c.points, model_cfg)).data[0] for c in clouds]
+        rows = [clf.features(pyr).data[0] for pyr in pyramids]
     return np.stack(rows, axis=0)
 
 
@@ -308,27 +308,28 @@ def finetune_classify(
     if pretrained is not None:
         load_encoder_weights(clf, pretrained)
     train_idx, hold_idx = _stratified_split(labels, train_cfg.holdout_fraction, rng)
-    train_clouds, train_labels = [clouds[i] for i in train_idx], labels[train_idx]
+    pyramids = [cloud_pyramid(c.points, model_cfg) for c in clouds]
+    train_pyrs, train_labels = [pyramids[i] for i in train_idx], labels[train_idx]
     rows: list[MetricsRow] = []
 
     if train_cfg.freeze_backbone:
-        train_feats = pooled_features(clf, train_clouds, model_cfg)
+        train_feats = pooled_features(clf, train_pyrs)
         _fit_frozen_head(clf, train_feats, train_labels, train_cfg, rng, rows)
     else:
 
         def loss_of(i: int):
-            logits = clf.logits(_prepare(train_clouds[i].points, rng, model_cfg, train_cfg))
+            logits = clf.logits(augment(train_pyrs[i], rng, train_cfg))
             hit = np.argmax(logits.data[0]) == train_labels[i]
             return cross_entropy(logits, train_labels[i : i + 1]), hit
 
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
         _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_cloud(b, loss_of), rows)
-        train_feats = pooled_features(clf, train_clouds, model_cfg)
+        train_feats = pooled_features(clf, train_pyrs)
 
     train_acc = _accuracy(clf, train_feats, train_labels)
     hold_acc = float("nan")
     if hold_idx.size:
-        hold_feats = pooled_features(clf, [clouds[i] for i in hold_idx], model_cfg)
+        hold_feats = pooled_features(clf, [pyramids[i] for i in hold_idx])
         hold_acc = _accuracy(clf, hold_feats, labels[hold_idx])
     return FinetuneResult(clf, train_acc, hold_acc, rows, train_idx, hold_idx)
 
@@ -404,7 +405,8 @@ def few_shot_eval(
             feats = {}  # part of this trial's encoder is its own random init
         todo = [i for i in train_set + test_set if i not in feats]
         if todo:
-            feats.update(zip(todo, pooled_features(clf, [clouds[i] for i in todo], model_cfg)))
+            pyramids = [cloud_pyramid(clouds[i].points, model_cfg) for i in todo]
+            feats.update(zip(todo, pooled_features(clf, pyramids)))
         tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
         te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)
         _fit_frozen_head(clf, np.stack([feats[i] for i in train_set]), tr_labels, train_cfg, rng, [])

@@ -38,6 +38,7 @@ from pamr.geometry import _check_points
 from pamr.training import (
     _accuracy,
     _fit_frozen_head,
+    cloud_pyramid,
     cross_entropy,
     load_encoder_weights,
     pooled_features,
@@ -155,9 +156,9 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
         if pretrained is not None:
             load_encoder_weights(clf, pretrained)
-        train_feats = pooled_features(clf, [clouds[i] for i in train_set], model_cfg)
+        train_feats = pooled_features(clf, [cloud_pyramid(clouds[i].points, model_cfg) for i in train_set])
         _fit_frozen_head(clf, train_feats, np.array(tr_labels), train_cfg, rng, [])
-        test_feats = pooled_features(clf, [clouds[i] for i in test_set], model_cfg)
+        test_feats = pooled_features(clf, [cloud_pyramid(clouds[i].points, model_cfg) for i in test_set])
         accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
     return accs
 

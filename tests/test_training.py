@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pamr import tensor as T
-from pamr.backbone import CloudClassifier
+from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import ConfigError, NonFiniteError
-from pamr.geometry import PointCloud
+from pamr.geometry import PointCloud, ScalePyramid
 from pamr.tensor import Tensor
 import _oracles
 import pamr.training
@@ -137,7 +137,7 @@ class TestAugment:
         rng = np.random.default_rng(0)
         pts = np.random.default_rng(1).normal(size=(50, 3))
         for _ in range(20):
-            out = augment(pts, rng, cfg)
+            out = augment(ScalePyramid([pts], [], []), rng, cfg).points[0]
             # recover scale from pairwise distances, translation from centroids
             s = np.linalg.norm(out[0] - out[1]) / np.linalg.norm(pts[0] - pts[1])
             assert cfg.scale_lo - 1e-9 <= s <= cfg.scale_hi + 1e-9
@@ -147,9 +147,82 @@ class TestAugment:
     def test_same_generator_state_same_output(self):
         cfg = TrainConfig()
         pts = np.random.default_rng(2).normal(size=(10, 3))
-        a = augment(pts, np.random.default_rng(5), cfg)
-        b = augment(pts, np.random.default_rng(5), cfg)
+        a = augment(ScalePyramid([pts], [], []), np.random.default_rng(5), cfg).points[0]
+        b = augment(ScalePyramid([pts], [], []), np.random.default_rng(5), cfg).points[0]
         assert np.array_equal(a, b)
+
+
+def count_pyramid_builds(monkeypatch, clouds) -> list:
+    """Spy on `cloud_pyramid`: the index of each cloud it builds, in call
+    order (None for points that are no cloud's own array)."""
+    built = []
+    build = pamr.training.cloud_pyramid
+
+    def counting(points, model_cfg):
+        built.append(next((i for i, c in enumerate(clouds) if c.points is points), None))
+        return build(points, model_cfg)
+
+    monkeypatch.setattr(pamr.training, "cloud_pyramid", counting)
+    return built
+
+
+class TestModelInput:
+    """Each call builds one pyramid per cloud; augmentation maps its coordinates."""
+
+    CFG = TrainConfig(
+        epochs=3, batch_size=4, warmup_epochs=1, seed=7, mask_ratio=0.6, head_hidden=(16,),
+    )
+
+    def test_augment_maps_normalized_coordinates_and_keeps_indices(self, monkeypatch):
+        assert self.CFG.augment
+        seen = []
+        loss, logits = MaskedAutoencoder.loss, CloudClassifier.logits
+
+        def loss_spy(model, pyramid, plan):
+            seen.append(pyramid)
+            return loss(model, pyramid, plan)
+
+        def logits_spy(clf, pyramid):
+            seen.append(pyramid)
+            return logits(clf, pyramid)
+
+        monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
+        monkeypatch.setattr(CloudClassifier, "logits", logits_spy)
+        clouds = small_dataset(per_class=2)
+        pretrain_run(clouds, TINY, self.CFG)
+        n_pretrain = len(seen)
+        res = finetune_classify(clouds, TINY, self.CFG)
+        assert n_pretrain == self.CFG.epochs * len(clouds)
+        assert len(seen) - n_pretrain == self.CFG.epochs * res.train_idx.size
+        plain = [cloud_pyramid(c.points, TINY) for c in clouds]
+        for pyr in seen:
+            (ref,) = [
+                p for p in plain
+                if all(map(np.array_equal, p.sample_idx + p.neighbors, pyr.sample_idx + pyr.neighbors))
+            ]
+            p0, a0 = ref.points[0], pyr.points[0]
+            assert not np.allclose(a0, p0, rtol=0.0, atol=1e-6)
+            # least-squares s and t of a0 = s*p0 + t
+            dp, da = p0 - p0.mean(axis=0), a0 - a0.mean(axis=0)
+            s = float((dp * da).sum() / (dp * dp).sum())
+            t = a0.mean(axis=0) - s * p0.mean(axis=0)
+            assert self.CFG.scale_lo <= s <= self.CFG.scale_hi
+            assert np.all(np.abs(t) <= self.CFG.translate + 1e-12)
+            for level, want in zip(pyr.points, ref.points):
+                assert np.abs(level - (s * want + t)).max() <= 1e-12
+            for i, idx in enumerate(pyr.sample_idx):
+                assert np.array_equal(pyr.points[i + 1], pyr.points[i][idx])
+
+    @pytest.mark.parametrize("run", ["pretrain", "unfrozen", "frozen"])
+    def test_one_pyramid_per_cloud_per_call(self, run, monkeypatch):
+        clouds = small_dataset(per_class=2)
+        built = count_pyramid_builds(monkeypatch, clouds)
+        if run == "pretrain":
+            pretrain_run(clouds, TINY, self.CFG)
+        else:
+            cfg = TrainConfig(**{**self.CFG.__dict__, "freeze_backbone": run == "frozen"})
+            finetune_classify(clouds, TINY, cfg)
+        assert built == list(range(len(clouds)))
 
 
 class TestCrossEntropy:
@@ -359,7 +432,7 @@ class TestFinetune:
         )
         res = finetune_classify(clouds, TINY, cfg)
         train = [clouds[i] for i in res.train_idx]
-        feats = pooled_features(res.classifier, train, TINY)
+        feats = pooled_features(res.classifier, [cloud_pyramid(c.points, TINY) for c in train])
         with T.no_grad():
             logits = res.classifier.logits_from_features(T.constant(feats)).data
         labels = np.array([c.label for c in train])
@@ -453,14 +526,7 @@ class TestFewShot:
     def test_encodes_each_cloud_once_per_call_with_full_checkpoint(
         self, full_checkpoint, few_shot_clouds, encoder_checkpoint, monkeypatch
     ):
-        encoded = []
-        build = pamr.training.cloud_pyramid
-
-        def counting(points, model_cfg):
-            encoded.append(next(i for i, c in enumerate(few_shot_clouds) if c.points is points))
-            return build(points, model_cfg)
-
-        monkeypatch.setattr(pamr.training, "cloud_pyramid", counting)
+        encoded = count_pyramid_builds(monkeypatch, few_shot_clouds)
         pretrained = encoder_checkpoint if full_checkpoint else None
         few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained=pretrained)
         c = FEW_SHOT_CFG
@@ -497,7 +563,7 @@ class TestFewShot:
 
         clouds = small_dataset(per_class=1)
         clf = CloudClassifier(TINY, 4, (8,), np.random.default_rng(0))
-        feats = pooled_features(clf, clouds, TINY)
+        feats = pooled_features(clf, [cloud_pyramid(c.points, TINY) for c in clouds])
         assert feats.shape == (4, 2 * TINY.dims[-1])
         assert np.isfinite(feats).all()
 
