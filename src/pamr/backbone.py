@@ -21,9 +21,9 @@ from .errors import ConfigError, ShapeError
 from .geometry import (
     MaskPlan,
     ScalePyramid,
+    _knn,
     chamfer_l2_batched,
     gather_patches,
-    knn,
     mask_and_backproject,
     visible_positions,
 )
@@ -154,9 +154,8 @@ class TokenPropagator(Module):
         """kNN indices into the coarse set and their inverse-distance weights,
         convex per fine point; the pair forward() mixes tokens with."""
         k_eff = min(k, coarse_coords.shape[0])
-        idx = knn(fine_coords, coarse_coords, k_eff)
-        diff = fine_coords[:, None, :] - coarse_coords[idx]
-        dist = np.maximum(np.sqrt((diff * diff).sum(axis=2)), 1e-8)
+        idx, d2 = _knn(fine_coords, coarse_coords, k_eff)
+        dist = np.maximum(np.sqrt(np.take_along_axis(d2, idx, 1)), 1e-8)
         inv = 1.0 / dist
         return idx, inv / inv.sum(axis=1, keepdims=True)
 
@@ -187,17 +186,10 @@ class HierarchicalDecoder(Module):
         """Tokens for every scale-2 position, in index order."""
         s = pyramid.num_scales
         top = stage_outputs[-1]
-        vis, msk = plan.visible[s], plan.masked[s]
-        dim_top = self.mask_token.shape[0]
-        # rebuild the full coarsest sequence: visible tokens in their slots,
-        # the shared mask token everywhere else
-        if msk.size:
-            fill = T.expand(T.reshape(self.mask_token, (1, dim_top)), (msk.size, dim_top))
-            stacked = T.concat([top, fill])
-        else:
-            stacked = top
-        order = np.concatenate([vis, msk])
-        x = T.index_select(stacked, np.argsort(order))
+        # the full coarsest sequence: visible slots gather their tokens, the rest the mask row
+        slot = np.full(pyramid.size_at(s), top.shape[0])
+        slot[plan.visible[s]] = np.arange(top.shape[0])
+        x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), slot)
         prev_coords = pyramid.points[s]
         for j, sc in enumerate(self.scales):
             full_coords = pyramid.points[sc]

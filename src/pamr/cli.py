@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         # the Tensor finiteness check turns an overflow or 0/0 into a NonFiniteError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args, model_cfg, train_cfg)
-    except PamrError as e:
+    except (PamrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

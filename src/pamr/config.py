@@ -214,8 +214,8 @@ class TrainConfig(_FromMapping):
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0 < self.scale_lo <= self.scale_hi:
             raise ConfigError(f"bad augment scale range [{self.scale_lo}, {self.scale_hi}]")
-        if self.translate < 0:
-            raise ConfigError(f"translate must be nonnegative, got {self.translate}")
+        if self.translate < 0 or not math.isfinite(2 * self.translate):
+            raise ConfigError(f"translate must be nonnegative and 2 * translate finite, got {self.translate}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
         if self.checkpoint_every < 0:

@@ -126,6 +126,11 @@ def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     of every row, where m is the largest per-row count of distances up to
     that row's k-th smallest.
     """
+    return _knn(queries, refs, k)[0]
+
+
+def _knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`knn`'s indices and the (Q, R) squared distances it selected them from."""
     q = _check_points(queries, "queries")
     r = _check_points(refs, "refs")
     n = r.shape[0]
@@ -144,8 +149,8 @@ def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
             cand = part[:, :m]
             cand.sort(axis=1)
             order = np.argsort(d2[rows, cand], axis=1, kind="stable")
-            return cand[rows, order[:, :k]].astype(np.int64)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64)
+            return cand[rows, order[:, :k]].astype(np.int64), d2
+    return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64), d2
 
 
 @dataclass
@@ -284,19 +289,6 @@ def visible_positions(visible_sorted: np.ndarray, wanted: np.ndarray) -> np.ndar
     return pos.astype(np.int64)
 
 
-def _pairwise_sq(a: Tensor, b: Tensor) -> Tensor:
-    """(..., A, B) squared distances between (..., A, 3) and (..., B, 3).
-
-    Built from explicit differences, not the expanded quadratic form, so
-    identical points give exactly 0 (the loss on a perfect reconstruction
-    must be 0, not cancellation noise).
-    """
-    sa = a.shape[:-2] + (a.shape[-2], 1, 3)
-    sb = b.shape[:-2] + (1, b.shape[-2], 3)
-    diff = T.sub(T.reshape(a, sa), T.reshape(b, sb))
-    return T.tsum(T.mul(diff, diff), axis=-1)
-
-
 def chamfer_l2_batched(pred, truth) -> Tensor:
     """Symmetric squared-distance chamfer, averaged over a batch of patch pairs.
 
@@ -304,6 +296,9 @@ def chamfer_l2_batched(pred, truth) -> Tensor:
     inputs: the mean over the first of the squared distance to the nearest
     point of the second, plus the same with roles swapped. Gradients flow
     into whichever side is a live tensor; two single clouds are the M = 1 case.
+    Distances come from explicit differences, not the expanded quadratic form,
+    so identical points give exactly 0 (a perfect reconstruction must score 0,
+    not cancellation noise); each minimum's gradient goes to its first argmin.
     """
     pt, tt = T.as_tensor(pred), T.as_tensor(truth)
     if pt.ndim != 3 or pt.shape[2] != 3 or tt.ndim != 3 or tt.shape[2] != 3:
@@ -312,7 +307,20 @@ def chamfer_l2_batched(pred, truth) -> Tensor:
         raise ShapeError(f"batch sizes disagree: {pt.shape[0]} vs {tt.shape[0]}")
     if pt.shape[0] < 1 or pt.shape[1] < 1 or tt.shape[1] < 1:
         raise ShapeError("batched chamfer is undefined for empty patches")
-    d2 = _pairwise_sq(pt, tt)  # (M, A, B)
-    fwd = T.tmean(T.amin(d2, axis=2), axis=1)  # (M,)
-    bwd = T.tmean(T.amin(d2, axis=1), axis=1)  # (M,)
-    return T.tmean(T.add(fwd, bwd))
+    (m, a, _), b = pt.shape, tt.shape[1]
+    diff = pt.data[:, :, None] - tt.data[:, None]  # (M, A, B, 3)
+    d2 = (diff * diff).sum(-1)
+    near_b, near_a = d2.argmin(axis=2), d2.argmin(axis=1)  # (M, A), (M, B)
+    out = (d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)).mean()
+
+    def grad(g):
+        g_d2 = np.zeros_like(d2)
+        np.put_along_axis(g_d2, near_b[:, :, None], g / m / a, 2)
+        g_d2[np.arange(m)[:, None], near_a, np.arange(b)] += g / m / b
+        g_diff = g_d2[..., None] * diff
+        g_diff = g_diff + g_diff
+        # a length-1 axis is passed through, not summed: a sum would turn -0.0 into 0.0
+        return [(pt, T._unbroadcast(g_diff, (m, a, 1, 3)).reshape(pt.shape)),
+                (tt, T._unbroadcast(-g_diff, (m, 1, b, 3)).reshape(tt.shape))]
+
+    return T._make(np.asarray(out), (pt, tt), grad, "chamfer output")

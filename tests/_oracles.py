@@ -14,6 +14,10 @@ for kNN. They are fast enough to check the kernels at full model size.
 `with_sentinel_as` makes the checkpoint bytes the encoder refuses to write:
 it overwrites one float of a valid encoding in place.
 
+`chamfer_chain_reference` is the chamfer loss as the earlier chain of
+elementary tape ops, and `interpolation_weights_reference` the earlier
+interpolation weights, whose distances were recomputed after kNN.
+
 `few_shot_reference` is the few-shot protocol without feature reuse: every
 trial encodes its own train and test clouds with its own classifier.
 
@@ -131,6 +135,27 @@ def chamfer_reference(a: np.ndarray, b: np.ndarray) -> float:
     fwd = sum(min(((p - q) ** 2).sum() for q in b) for p in a) / len(a)
     bwd = sum(min(((q - p) ** 2).sum() for p in a) for q in b) / len(b)
     return float(fwd + bwd)
+
+
+def chamfer_chain_reference(pred, truth):
+    """`chamfer_l2_batched` as the chain of elementary tape ops it replaces;
+    its loss and both gradients are bitwise those of the fused op."""
+    pt, tt = T.as_tensor(pred), T.as_tensor(truth)
+    (m, a, _), b = pt.shape, tt.shape[1]
+    diff = T.sub(T.reshape(pt, (m, a, 1, 3)), T.reshape(tt, (m, 1, b, 3)))
+    d2 = T.tsum(T.mul(diff, diff), axis=-1)  # (M, A, B)
+    fwd = T.tmean(T.amin(d2, axis=2), axis=1)  # (M,)
+    bwd = T.tmean(T.amin(d2, axis=1), axis=1)  # (M,)
+    return T.tmean(T.add(fwd, bwd))
+
+
+def interpolation_weights_reference(coarse, fine, k):
+    """`TokenPropagator.interpolation_weights` with the distances rebuilt
+    from a fresh (Q, k, 3) difference array of the selected neighbors."""
+    idx = knn_argsort_reference(fine, coarse, min(k, coarse.shape[0]))
+    diff = fine[:, None, :] - coarse[idx]
+    inv = 1.0 / np.maximum(np.sqrt((diff * diff).sum(axis=2)), 1e-8)
+    return idx, inv / inv.sum(axis=1, keepdims=True)
 
 
 def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[float]:

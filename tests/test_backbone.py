@@ -2,8 +2,9 @@ import copy
 
 import numpy as np
 import pytest
-from _oracles import COMPOSITES
+from _oracles import COMPOSITES, chamfer_chain_reference, interpolation_weights_reference
 
+from pamr import backbone
 from pamr import tensor as T
 from pamr.backbone import (
     CloudClassifier,
@@ -138,6 +139,22 @@ class TestTokenPropagator:
         _, w = TokenPropagator.interpolation_weights(coarse, fine, 3)
         assert w[0, 0] > 1.0 - 1e-6
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_interpolation_weights_match_recomputed_distances(self, ties):
+        # kNN's own squared distances give the weights a fresh difference
+        # array gave, bit for bit, past and below the full-sort cutoff
+        rng = np.random.default_rng(16)
+        for n_coarse in (1, 2, 5, 32, 33, 80):
+            coarse = rng.normal(size=(n_coarse, 3))
+            fine = np.concatenate([rng.normal(size=(40, 3)), coarse[:4]])
+            if ties:
+                coarse, fine = np.round(coarse), np.round(2.0 * fine) / 2.0
+            for k in (1, 3, 8):
+                idx, weights = TokenPropagator.interpolation_weights(coarse, fine, k)
+                ref_idx, ref_weights = interpolation_weights_reference(coarse, fine, k)
+                assert idx.tobytes() == ref_idx.tobytes()
+                assert weights.tobytes() == ref_weights.tobytes()
+
     def test_constant_tokens_give_projected_constant(self):
         rng = np.random.default_rng(22)
         prop = TokenPropagator(4, 6, rng)
@@ -195,6 +212,19 @@ class TestDecoder:
         after = dec(stages, pyr, plan).numpy()
         msk = plan.masked[2]
         assert not np.allclose(before[msk], after[msk])
+
+    def test_no_masked_top_centers_leaves_mask_token_gradient_zero(self):
+        cfg = ModelConfig.tiny()
+        rng = np.random.default_rng(34)
+        enc, dec = HierarchicalEncoder(cfg, rng), HierarchicalDecoder(cfg, rng)
+        pyr, plan = tiny_pyramid(seed=12, mu=0.0)
+        assert plan.masked[2].size == 0
+        stages = enc(pyr, plan)
+        out = dec(stages, pyr, plan)
+        assert out.shape == (pyr.size_at(2), cfg.dims[1])
+        T.tsum(T.mul(out, rng.normal(size=out.shape))).backward()
+        assert dec.mask_token.grad.tobytes() == np.zeros(cfg.dims[-1]).tobytes()
+        assert np.any(enc.norms[-1].scale.grad != 0.0)
 
     def test_gradient_flows_to_mask_token(self):
         cfg = ModelConfig.tiny()
@@ -282,6 +312,7 @@ class TestMaskedAutoencoder:
         loss, grads = run()
         for name, ref_op in COMPOSITES.items():
             monkeypatch.setattr(T, name, ref_op)
+        monkeypatch.setattr(backbone, "chamfer_l2_batched", chamfer_chain_reference)
         ref_loss, ref_grads = run()
         assert loss == ref_loss
         scale = max(np.max(np.abs(g)) for g in ref_grads.values())

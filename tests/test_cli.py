@@ -151,6 +151,26 @@ class TestUnreadableFiles:
         assert not Path(out).exists()
 
 
+class TestUnusableOutPath:
+    @pytest.mark.parametrize("command", ["pretrain", "gen-data", "ablate"])
+    def test_exits_1_without_traceback(self, tmp_path, cfg_file, dataset, capsys, command):
+        # an existing file where a directory is wanted, or the reverse
+        taken = tmp_path / "taken"
+        if command == "ablate":
+            taken.mkdir()
+            args = ["ablate", "--axis", "la-branches", "--data", dataset]
+        else:
+            taken.write_text("keep\n")
+            args = {"pretrain": ["pretrain", "--data", dataset], "gen-data": TestBadConfigValues.GEN}[command]
+        capsys.readouterr()
+        rc = main(args + ["--config", cfg_file, "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestBadConfigValues:
     """Values that used to crash mid-run or pass validation as NaN or inf."""
 
@@ -160,7 +180,8 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "setting",
         ["heads = 0", "heads = -2", "seed = -1", "--seed -1", "base_lr = nan", "min_lr = nan",
-         "weight_decay = nan", "base_lr = inf", "translate = inf", "scale_hi = inf"],
+         "weight_decay = nan", "base_lr = inf", "translate = inf", "translate = 1e308",
+         "scale_hi = inf"],
     )
     def test_exits_1_naming_the_key(self, tmp_path, dataset, capsys, command, setting):
         key = setting.split()[0].lstrip("-")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    chamfer_chain_reference,
     chamfer_reference,
     fps_reference,
     fps_rowsum_reference,
+    interpolation_weights_reference,
     knn_argsort_reference,
     knn_reference,
     pyramid_reference,
@@ -199,11 +201,9 @@ class TestFullSizeKernels:
 
         coarse, fine, k = pyr.points[3], pyr.points[2], self.CFG.interp_k
         idx, weights = TokenPropagator.interpolation_weights(coarse, fine, k)
-        ref_idx = knn_argsort_reference(fine, coarse, k)
-        diff = fine[:, None, :] - coarse[ref_idx]
-        inv = 1.0 / np.maximum(np.sqrt((diff * diff).sum(axis=2)), 1e-8)
+        ref_idx, ref_weights = interpolation_weights_reference(coarse, fine, k)
         assert idx.tobytes() == ref_idx.tobytes()
-        assert weights.tobytes() == (inv / inv.sum(axis=1, keepdims=True)).tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
 
 class TestMasking:
@@ -351,6 +351,24 @@ class TestChamfer:
         truth = rng.normal(size=(3, 5, 3))
         report = finite_diff_check(lambda: chamfer_l2_batched(pred, truth), {"pred": pred})
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("case", ["random", "ties", "duplicates"])
+    def test_loss_and_both_gradients_match_the_op_chain_bitwise(self, case):
+        rng = np.random.default_rng(66)
+        for m, a, b in [(1, 1, 1), (3, 1, 6), (4, 6, 1), (2, 5, 7), (5, 8, 8), (3, 16, 9)]:
+            pred, truth = rng.normal(size=(m, a, 3)), rng.normal(size=(m, b, 3))
+            if case == "ties":  # equal distances to several nearest points
+                pred, truth = np.round(pred), np.round(truth)
+            elif case == "duplicates":
+                truth[:, -1], pred[:, -1] = truth[:, 0], pred[:, 0]
+                pred[0, 0] = truth[0, 0]
+            got, ref = [], []
+            for fn, out in ((chamfer_l2_batched, got), (chamfer_chain_reference, ref)):
+                p, t = T.param(pred), T.param(truth)
+                loss = fn(p, t)
+                loss.backward()
+                out += [loss.data.tobytes(), p.grad.tobytes(), t.grad.tobytes()]
+            assert got == ref, (m, a, b)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
