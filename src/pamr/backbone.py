@@ -73,7 +73,6 @@ class TransformerBlock(Module):
 
 class HierarchicalEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        cfg.validate()
         dims = cfg.dims
         self.num_scales = len(dims)
         self.tokenizer = PatchTokenizer(
@@ -232,7 +231,6 @@ class ReconOutput:
 
 class MaskedAutoencoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.encoder = HierarchicalEncoder(cfg, rng)
         self.decoder = HierarchicalDecoder(cfg, rng)
@@ -242,11 +240,11 @@ class MaskedAutoencoder(Module):
         )
 
     def reconstruct(self, pyramid: ScalePyramid, plan: MaskPlan) -> ReconOutput:
-        stages = self.encoder(pyramid, plan)
-        dec = self.decoder(stages, pyramid, plan)
         msk = plan.masked[2]
         if msk.size == 0:
-            raise ConfigError("no masked scale-2 centers: nothing to reconstruct")
+            raise ConfigError("no masked scale-2 centers to reconstruct; raise mask_ratio or lower ks")
+        stages = self.encoder(pyramid, plan)
+        dec = self.decoder(stages, pyramid, plan)
         hidden = T.index_select(dec, msk)
         pred = T.reshape(self.recon_head(hidden), (msk.size, self.cfg.ks[1], 3))
         pred_zero = None

@@ -102,7 +102,6 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
     model, train = split_mapping(mapping)
     if args.seed is not None:
         train = replace(train, seed=args.seed)
-        train.validate()
     return model, train
 
 
@@ -265,9 +264,8 @@ def _cmd_ablate(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
         header = "avg_branch,max_branch,final_loss"
         for avg in (True, False):
             for mx in (True, False):
-                loss = final_loss(
-                    replace(model_cfg, la_avg_branch=avg, la_max_branch=mx), train_cfg
-                )
+                mc = replace(model_cfg, la_enabled=avg or mx, la_avg_branch=avg, la_max_branch=mx)
+                loss = final_loss(mc, train_cfg)
                 rows.append(f"{str(avg).lower()},{str(mx).lower()},{loss!r}")
 
     out = Path(args.out)

@@ -72,6 +72,10 @@ def _canon(value) -> str:
 
 
 class _FromMapping:
+    def __post_init__(self):
+        # the one check of a frozen config: from a file, in code or by `dataclasses.replace`
+        self.validate()
+
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in dataclasses.fields(cls))
@@ -82,9 +86,7 @@ class _FromMapping:
         for f in dataclasses.fields(cls):
             if f.name in mapping:
                 kwargs[f.name] = _coerce(mapping[f.name], f.default, f.name)
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -95,7 +97,7 @@ class _FromMapping:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(_FromMapping):
     """Architecture of the autoencoder; defaults are the full-scale setup."""
 
@@ -113,11 +115,6 @@ class ModelConfig(_FromMapping):
     la_avg_branch: bool = True
     la_max_branch: bool = True
     zero_scale_head: bool = False
-
-    def __post_init__(self):
-        # both branches off means the gate module is dropped entirely
-        if not self.la_avg_branch and not self.la_max_branch:
-            self.la_enabled = False
 
     def validate(self) -> None:
         self._require_finite()
@@ -152,6 +149,10 @@ class ModelConfig(_FromMapping):
             raise ConfigError(f"la_window must be odd, got {self.la_window}")
         if self.la_groups < 1:
             raise ConfigError(f"la_groups must be positive, got {self.la_groups}")
+        if self.la_enabled and not (self.la_avg_branch or self.la_max_branch):
+            raise ConfigError(
+                "the gate needs la_avg_branch or la_max_branch; set la_enabled = false to drop it"
+            )
 
     @classmethod
     def tiny(cls) -> "ModelConfig":
@@ -169,7 +170,7 @@ class ModelConfig(_FromMapping):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(_FromMapping):
     """Optimization and protocol knobs; defaults follow the pretrain recipe."""
 
@@ -220,7 +221,9 @@ class TrainConfig(_FromMapping):
             raise ConfigError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
-        if min(self.n_way, self.m_shot, self.trials, self.test_per_class) < 1:
+        if self.n_way < 2:
+            raise ConfigError(f"n_way must be at least 2, got {self.n_way}")
+        if min(self.m_shot, self.trials, self.test_per_class) < 1:
             raise ConfigError("few-shot settings must all be positive")
         if not all(h >= 1 for h in self.head_hidden):
             raise ConfigError(f"head_hidden must be positive widths, got {self.head_hidden}")

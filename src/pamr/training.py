@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import CloudClassifier, MaskedAutoencoder
 from .config import ModelConfig, TrainConfig
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, PamrError
 from .geometry import PointCloud, ScalePyramid, build_scale_pyramid
 from .geometry import mask_and_backproject, normalize_points
 from .tensor import Tensor
@@ -192,10 +192,9 @@ def pretrain_run(
     """The masked-reconstruction loop.
 
     `on_checkpoint(model, optimizer, step, tag)` is invoked at the end, every
-    `checkpoint_every` epochs, and with tag "aborted" before re-raising if a
-    non-finite value surfaces mid-training.
+    `checkpoint_every` epochs, and with tag "aborted" before re-raising any
+    PamrError that surfaces mid-training.
     """
-    train_cfg.validate()
     if not clouds:
         raise ConfigError("pretraining needs a non-empty dataset")
     if train_cfg.mask_ratio <= 0.0:
@@ -219,7 +218,7 @@ def pretrain_run(
         _fit(
             opt, len(clouds), train_cfg, rng, lambda b: _per_cloud(b, loss_of), result.rows, on_epoch_end
         )
-    except NonFiniteError:
+    except PamrError:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
             on_checkpoint(model, opt, len(result.rows), "aborted")
@@ -296,7 +295,6 @@ def finetune_classify(
     copied in. With `freeze_backbone` only the head trains, on cached
     features; otherwise gradients flow through the whole encoder.
     """
-    train_cfg.validate()
     if not clouds or any(c.label is None for c in clouds):
         raise ConfigError("fine-tuning needs a label on every cloud")
     # classes in sorted order become 0..K-1, so labels 0..K-1 map to themselves
@@ -372,7 +370,6 @@ def few_shot_eval(
     is the same, so each cloud is encoded at most once per call and its
     features are reused by later trials. Otherwise the encoder keeps some
     of its per-trial random init and every trial encodes its own clouds."""
-    train_cfg.validate()
     n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):

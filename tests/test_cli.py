@@ -283,6 +283,26 @@ class TestPretrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: non-finite")
         assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
 
+    def test_mid_run_error_writes_aborted_checkpoint(self, tmp_path, capsys):
+        # a 3-scale config whose mask plans can leave no scale-2 center masked;
+        # under seed 13 the first such plan comes in step 2
+        text = TINY_CFG
+        for key, value in [("n_points", "128"), ("sizes", "64,32,16"), ("ks", "8,8,8"),
+                           ("dims", "16,32,64"), ("epochs", "3"), ("warmup_epochs", "0")]:
+            text = with_setting(text, key, value)
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(text)
+        data, out = tmp_path / "data", tmp_path / "pre"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--kinds", "sphere,cube",
+                     "--per-class", "2", "--n-points", "128"]) == 0
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                   "--seed", "13"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: no masked scale-2 centers")
+        assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
+
     def test_overflowing_cloud_is_one_error_line(self, tmp_path, cfg_file, dataset, capsys):
         huge = np.array([[1e200, -1e200, 1e200], [-1e200, 1e200, -1e200]] * 32)
         write_xyz(Path(dataset) / "huge.xyz", PointCloud(huge, 0))
@@ -505,3 +525,15 @@ class TestAblateCommand:
         assert lines[0] == "avg_branch,max_branch,final_loss"
         assert [tuple(ln.split(",")[:2]) for ln in lines[1:]] == [
             ("true", "true"), ("true", "false"), ("false", "true"), ("false", "false")]
+
+    def test_branch_axis_ignores_the_base_gate(self, tmp_path, quick_cfg, small_data, capsys):
+        # each row sets the gate from its own branches, whatever the base config says
+        gate_off = tmp_path / "gate_off.cfg"
+        gate_off.write_text(with_setting(Path(quick_cfg).read_text(), "la_enabled", "false"))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for cfg, out in ((quick_cfg, a), (gate_off, b)):
+            rc = main(["ablate", "--axis", "la-branches", "--config", str(cfg),
+                       "--data", small_data, "--out", str(out)])
+            assert rc == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()

@@ -1,10 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from pamr.config import (
     ModelConfig,
     TrainConfig,
+    _coerce,
     load_config_file,
     model_fingerprint,
     parse_config_text,
@@ -75,8 +78,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="heads must be at least 1"):
             ModelConfig.from_mapping({"heads": heads})
 
-    def test_both_branches_off_disables_gate(self):
-        cfg = ModelConfig(la_avg_branch=False, la_max_branch=False)
+    def test_both_branches_off_with_gate_on_rejected(self):
+        with pytest.raises(ConfigError, match="set la_enabled = false"):
+            ModelConfig(la_avg_branch=False, la_max_branch=False)
+        cfg = ModelConfig(la_enabled=False, la_avg_branch=False, la_max_branch=False)
         assert cfg.la_enabled is False
 
 
@@ -120,6 +125,30 @@ def test_non_finite_float_rejected(key, value):
         split_mapping({key: value})
 
 
+class TestCheckedOnceAndFrozen:
+    """Every config is checked when it is built, however it is built."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: TrainConfig(translate=1e308), "translate"),
+            (lambda: ModelConfig(sizes=(16, 16)), "sizes"),
+            (lambda: dataclasses.replace(TrainConfig(), seed=-1), "seed must be nonnegative"),
+        ],
+        ids=["translate-in-code", "sizes-in-code", "seed-by-replace"],
+    )
+    def test_invalid_config_rejected_at_construction(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "cfg, name", [(ModelConfig.tiny(), "heads"), (TrainConfig(), "seed")], ids=["model", "train"]
+    )
+    def test_fields_cannot_be_assigned(self, cfg, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, 1)
+
+
 class TestSplitAndResolve:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -161,9 +190,37 @@ class TestFingerprint:
 
     def test_sensitive_to_architecture(self):
         a = ModelConfig.tiny()
-        b = ModelConfig.tiny()
-        b.heads = 1
+        b = dataclasses.replace(a, heads=1)
         assert model_fingerprint(a) != model_fingerprint(b)
 
     def test_differs_between_presets(self):
         assert model_fingerprint(ModelConfig()) != model_fingerprint(ModelConfig.tiny())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_defaults() -> dict[str, str]:
+    """Key -> documented default text, from the README's Configuration table.
+    A row naming several keys gives one default for all or one for each."""
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    out: dict[str, str] = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 3 or not cells[0].startswith("`"):
+            continue
+        keys = re.findall(r"`(\w+)`", cells[0])
+        defaults = cells[1].split(", ")
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), line
+        out.update(zip(keys, defaults))
+    return out
+
+
+def test_readme_table_documents_every_field_and_its_default():
+    fields = {f.name: f.default for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)}
+    documented = readme_config_defaults()
+    assert set(documented) == set(fields)
+    for key, raw in documented.items():
+        assert _coerce(raw, fields[key], key) == fields[key], key

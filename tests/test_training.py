@@ -578,9 +578,10 @@ class TestEntryPointsValidate:
             (pretrain_run, {"batch_size": 0}, "batch_size"),
             (pretrain_run, {"base_lr": -1.0}, "base_lr"),
             (few_shot_eval, {"trials": 0}, "few-shot"),
+            (few_shot_eval, {"n_way": 1}, "n_way"),
         ],
     )
     def test_invalid_train_config_is_config_error(self, run, setting, match):
-        cfg = TrainConfig(**{**dict(epochs=1, batch_size=4, warmup_epochs=0, augment=False), **setting})
         with pytest.raises(ConfigError, match=match):
+            cfg = TrainConfig(**{**dict(epochs=1, batch_size=4, warmup_epochs=0, augment=False), **setting})
             run(small_dataset(per_class=1), TINY, cfg)
