@@ -1,5 +1,10 @@
 """Hierarchical transformer over the scale pyramid.
 
+The model's unit of work is a pack: one or more clouds whose token rows are
+stacked along axis 0, cloud after cloud, with per-scale segment offsets.
+Row-wise layers run once per pack and attention stays within each cloud's
+segment, so a pack of one is a single cloud.
+
 The encoder runs one stage per scale on visible tokens only, merging tokens
 between stages; every stage output is retained. The decoder rebuilds the
 full coarsest-scale sequence by scattering a shared mask token into the
@@ -11,6 +16,7 @@ chamfer distance to the true patches is the pretraining loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +58,9 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads))
+    def forward(self, x: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+        """`offsets` are the pack's segment offsets (see `tensor.attention`)."""
+        return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads, offsets))
 
 
 class TransformerBlock(Module):
@@ -66,9 +73,14 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, 4 * dim, rng)
         self.fc2 = Linear(4 * dim, dim, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = T.add(x, self.attn(self.ln1(x)))
+    def forward(self, x: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+        x = T.add(x, self.attn(self.ln1(x), offsets))
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
+
+
+def _offsets(counts) -> np.ndarray:
+    """Segment offsets of consecutive blocks of the given row counts."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
 class HierarchicalEncoder(Module):
@@ -94,30 +106,37 @@ class HierarchicalEncoder(Module):
             TokenMerger(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
 
-    def forward(self, pyramid: ScalePyramid, plan: MaskPlan) -> list[Tensor]:
-        """Each stage's tokens, in the order of `plan.visible` at its scale."""
-        if pyramid.num_scales != self.num_scales:
-            raise ShapeError(
-                f"pyramid has {pyramid.num_scales} scales, model expects {self.num_scales}"
-            )
-        for scale in range(1, self.num_scales + 1):
-            if plan.visible[scale].size == 0:
-                raise ConfigError(f"no visible centers at scale {scale}; lower the mask ratio")
+    def forward(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> list[Tensor]:
+        """Each stage's tokens: every cloud's rows in the order of its
+        `plan.visible` at that scale, the clouds in pack order."""
+        if not pyramids or len(plans) != len(pyramids):
+            raise ShapeError(f"a pack needs one plan per pyramid, got {len(pyramids)} and {len(plans)}")
+        for pyr, plan in zip(pyramids, plans):
+            if pyr.num_scales != self.num_scales:
+                raise ShapeError(f"pyramid has {pyr.num_scales} scales, model expects {self.num_scales}")
+            for scale in range(1, self.num_scales + 1):
+                if plan.visible[scale].size == 0:
+                    raise ConfigError(f"no visible centers at scale {scale}; lower the mask ratio")
+        pack = list(zip(pyramids, plans))
         outs: list[Tensor] = []
-        x = self.tokenizer(gather_patches(pyramid, 1, plan.visible[1]))
+        x = self.tokenizer(np.concatenate([gather_patches(pyr, 1, plan.visible[1]) for pyr, plan in pack]))
+        offsets = _offsets([plan.visible[1].size for plan in plans])
         for i in range(self.num_scales):
             scale = i + 1
-            vis = plan.visible[scale]
-            coords = pyramid.points[scale][vis]
             if i > 0:
                 # patch rows index the scale below; all of them are visible
                 # by the nesting invariant, or visible_positions raises
-                rows = pyramid.neighbors[i][vis]
-                rows = visible_positions(plan.visible[scale - 1], rows.ravel()).reshape(rows.shape)
-                x = self.mergers[i - 1](x, rows)
+                rows = []
+                for (pyr, plan), lo in zip(pack, offsets):
+                    want = pyr.neighbors[i][plan.visible[scale]]
+                    pos = visible_positions(plan.visible[scale - 1], want.ravel())
+                    rows.append(pos.reshape(want.shape) + lo)
+                x = self.mergers[i - 1](x, np.concatenate(rows))
+                offsets = _offsets([plan.visible[scale].size for plan in plans])
+            coords = np.concatenate([pyr.points[scale][plan.visible[scale]] for pyr, plan in pack])
             x = T.add(x, self.pos[i](coords))
             for block in self.stages[i]:
-                x = block(x)
+                x = block(x, offsets)
             x = self.norms[i](x)
             outs.append(x)
         return outs
@@ -132,18 +151,26 @@ class TokenPropagator(Module):
     def forward(
         self,
         tokens: Tensor,
-        coarse_coords: np.ndarray,
-        fine_coords: np.ndarray,
+        coarse_coords: Sequence[np.ndarray],
+        fine_coords: Sequence[np.ndarray],
         k: int,
     ) -> Tensor:
-        n_coarse = coarse_coords.shape[0]
-        if tokens.shape[0] != n_coarse:
-            raise ShapeError(f"{tokens.shape[0]} tokens for {n_coarse} coarse positions")
-        if n_coarse < 1:
+        """Per cloud of the pack, its coarse and fine coordinates; `tokens`
+        holds the clouds' coarse rows one after another. Each fine point
+        mixes its own cloud's tokens, k clamped to the smallest coarse set."""
+        counts = [c.shape[0] for c in coarse_coords]
+        if tokens.shape[0] != sum(counts):
+            raise ShapeError(f"{tokens.shape[0]} tokens for {sum(counts)} coarse positions")
+        if min(counts, default=0) < 1:
             raise ShapeError("cannot propagate from an empty coarse set")
-        idx, weights = self.interpolation_weights(coarse_coords, fine_coords, k)
-        gathered = T.index_select(tokens, idx)  # (n_fine, k_eff, dim_in)
-        mixed = T.tsum(T.mul(gathered, weights[:, :, None]), axis=1)
+        k = min(k, *counts)
+        idx, weights = [], []
+        for coarse, fine, lo in zip(coarse_coords, fine_coords, _offsets(counts)):
+            i, w = self.interpolation_weights(coarse, fine, k)
+            idx.append(i + lo)
+            weights.append(w)
+        gathered = T.index_select(tokens, np.concatenate(idx))  # (n_fine, k, dim_in)
+        mixed = T.tsum(T.mul(gathered, np.concatenate(weights)[:, :, None]), axis=1)
         return self.proj(mixed)
 
     @staticmethod
@@ -180,50 +207,67 @@ class HierarchicalDecoder(Module):
         self.final_norm = LayerNorm(dims[1])
 
     def forward(
-        self, stage_outputs: list[Tensor], pyramid: ScalePyramid, plan: MaskPlan
+        self,
+        stage_outputs: list[Tensor],
+        pyramids: Sequence[ScalePyramid],
+        plans: Sequence[MaskPlan],
     ) -> Tensor:
-        """Tokens for every scale-2 position, in index order."""
-        s = pyramid.num_scales
+        """Tokens for every scale-2 position of every cloud, each cloud in
+        index order, the clouds in pack order."""
+        s = self.scales[0]
         top = stage_outputs[-1]
-        # the full coarsest sequence: visible slots gather their tokens, the rest the mask row
-        slot = np.full(pyramid.size_at(s), top.shape[0])
-        slot[plan.visible[s]] = np.arange(top.shape[0])
-        x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), slot)
-        prev_coords = pyramid.points[s]
+        # each cloud's full coarsest sequence: visible slots gather their
+        # tokens, the rest the mask row after all of them
+        slots, lo = [], 0
+        for pyr, plan in zip(pyramids, plans):
+            slot = np.full(pyr.size_at(s), top.shape[0])
+            slot[plan.visible[s]] = np.arange(lo, lo + plan.visible[s].size)
+            lo += plan.visible[s].size
+            slots.append(slot)
+        x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), np.concatenate(slots))
+        prev_coords = [pyr.points[s] for pyr in pyramids]
         for j, sc in enumerate(self.scales):
-            full_coords = pyramid.points[sc]
+            full_coords = [pyr.points[sc] for pyr in pyramids]
             if j > 0:
                 x = self.props[j - 1](x, prev_coords, full_coords, self.interp_k)
-            x = T.add(x, self.pos[j](full_coords))
+            x = T.add(x, self.pos[j](np.concatenate(full_coords)))
+            offsets = _offsets([c.shape[0] for c in full_coords])
             for block in self.stages[j]:
-                x = block(x)
+                x = block(x, offsets)
             prev_coords = full_coords
         return self.final_norm(x)
 
 
 def pretrain_loss(
-    pred: Tensor, pyramid: ScalePyramid, plan: MaskPlan, zero_scale: bool = False
+    pred: Tensor,
+    pyramids: Sequence[ScalePyramid],
+    plans: Sequence[MaskPlan],
+    zero_scale: bool = False,
 ) -> Tensor:
-    """Mean chamfer between predicted and true center-relative patches of the
-    masked scale-2 centers.
+    """Mean over the pack's clouds of each cloud's mean chamfer between
+    predicted and true center-relative patches of its masked scale-2 centers:
+    each of cloud i's M_i rows weighs 1/(B * M_i).
 
-    The target is each center's scale-2 patch, or with `zero_scale` its
-    raw-point neighborhood: the scale-1 patch of the same point, which fps
-    carried up from scale 1 unchanged.
+    `pred` holds the clouds' masked rows one after another. The target is
+    each center's scale-2 patch, or with `zero_scale` its raw-point
+    neighborhood: the scale-1 patch of the same point, which fps carried up
+    from scale 1 unchanged.
     """
-    msk = plan.masked[2]
-    if msk.size == 0:
-        raise ConfigError("no masked scale-2 centers: mask ratio too small to pretrain")
-    scale, centers = (1, pyramid.sample_idx[1][msk]) if zero_scale else (2, msk)
-    k = pyramid.neighbors[scale - 1].shape[1]
-    if pred.shape != (msk.size, k, 3):
-        raise ShapeError(f"predictions must have shape ({msk.size}, {k}, 3), got {pred.shape}")
-    return chamfer_l2_batched(pred, gather_patches(pyramid, scale, centers))
+    truths, weights = [], []
+    for pyr, plan in zip(pyramids, plans):
+        msk = plan.masked[2]
+        scale, centers = (1, pyr.sample_idx[1][msk]) if zero_scale else (2, msk)
+        truths.append(gather_patches(pyr, scale, centers))
+        weights.append(np.full(msk.size, 1.0) / (len(plans) * msk.size))
+    truth = np.concatenate(truths)
+    if pred.shape != truth.shape:
+        raise ShapeError(f"predictions must have shape {truth.shape}, got {pred.shape}")
+    return chamfer_l2_batched(pred, truth, np.concatenate(weights))
 
 
 @dataclass
 class ReconOutput:
-    pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center
+    pred: Tensor  # (sum M_i, k_2, 3) relative to each masked scale-2 center, clouds in pack order
     pred_zero: Tensor | None
     stage_outputs: list[Tensor]
     decoder: Tensor
@@ -239,24 +283,29 @@ class MaskedAutoencoder(Module):
             Linear(cfg.dims[1], cfg.ks[0] * 3, rng) if cfg.zero_scale_head else None
         )
 
-    def reconstruct(self, pyramid: ScalePyramid, plan: MaskPlan) -> ReconOutput:
-        msk = plan.masked[2]
-        if msk.size == 0:
-            raise ConfigError("no masked scale-2 centers to reconstruct; raise mask_ratio or lower ks")
-        stages = self.encoder(pyramid, plan)
-        dec = self.decoder(stages, pyramid, plan)
-        hidden = T.index_select(dec, msk)
-        pred = T.reshape(self.recon_head(hidden), (msk.size, self.cfg.ks[1], 3))
+    def reconstruct(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> ReconOutput:
+        for i, plan in enumerate(plans):
+            if plan.masked[2].size == 0:
+                raise ConfigError(
+                    f"no masked scale-2 centers in cloud {i} of the pack; raise mask_ratio or lower ks"
+                )
+        stages = self.encoder(pyramids, plans)
+        dec = self.decoder(stages, pyramids, plans)
+        starts = _offsets([pyr.size_at(2) for pyr in pyramids])
+        rows = np.concatenate([plan.masked[2] + lo for plan, lo in zip(plans, starts)])
+        hidden = T.index_select(dec, rows)
+        pred = T.reshape(self.recon_head(hidden), (rows.size, self.cfg.ks[1], 3))
         pred_zero = None
         if self.zero_head is not None:
-            pred_zero = T.reshape(self.zero_head(hidden), (msk.size, self.cfg.ks[0], 3))
+            pred_zero = T.reshape(self.zero_head(hidden), (rows.size, self.cfg.ks[0], 3))
         return ReconOutput(pred, pred_zero, stages, dec)
 
-    def loss(self, pyramid: ScalePyramid, plan: MaskPlan) -> Tensor:
-        rec = self.reconstruct(pyramid, plan)
-        total = pretrain_loss(rec.pred, pyramid, plan)
+    def loss(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> Tensor:
+        """The pack's mean pretraining loss over its clouds."""
+        rec = self.reconstruct(pyramids, plans)
+        total = pretrain_loss(rec.pred, pyramids, plans)
         if rec.pred_zero is not None:
-            total = T.add(total, pretrain_loss(rec.pred_zero, pyramid, plan, zero_scale=True))
+            total = T.add(total, pretrain_loss(rec.pred_zero, pyramids, plans, zero_scale=True))
         return total
 
 
@@ -278,13 +327,17 @@ class CloudClassifier(Module):
         widths = (2 * cfg.dims[-1],) + tuple(head_hidden) + (n_classes,)
         self.head = [Linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
 
-    def features(self, pyramid: ScalePyramid) -> Tensor:
-        """(1, 2*C_S) pooled final-stage features of the whole, unmasked cloud:
-        max-pool next to mean-pool."""
-        all_visible = mask_and_backproject(pyramid, 0.0, np.random.default_rng(0))
-        top = self.encoder(pyramid, all_visible)[-1]
-        pooled = T.concat([T.amax(top, axis=0), T.tmean(top, axis=0)])
-        return T.reshape(pooled, (1, pooled.shape[0]))
+    def features(self, pyramids: Sequence[ScalePyramid]) -> Tensor:
+        """(B, 2*C_S) pooled final-stage features of the pack's whole, unmasked
+        clouds, one row per cloud: max-pool next to mean-pool."""
+        rng = np.random.default_rng(0)  # a zero mask ratio draws nothing
+        plans = [mask_and_backproject(pyr, 0.0, rng) for pyr in pyramids]
+        top = self.encoder(pyramids, plans)[-1]
+        b, c = len(pyramids), top.shape[1]
+        per_cloud = T.reshape(top, (b, -1, c))  # unmasked, every cloud has N_S rows
+        pooled = T.concat([T.amax(per_cloud, axis=1), T.tmean(per_cloud, axis=1)])  # (2B, C)
+        # cloud i's max row, then its mean row
+        return T.reshape(T.index_select(pooled, np.arange(2 * b).reshape(2, b).T), (b, 2 * c))
 
     def logits_from_features(self, feats: Tensor) -> Tensor:
         h = feats
@@ -292,5 +345,5 @@ class CloudClassifier(Module):
             h = T.gelu(layer(h))
         return self.head[-1](h)
 
-    def logits(self, pyramid: ScalePyramid) -> Tensor:
-        return self.logits_from_features(self.features(pyramid))
+    def logits(self, pyramids: Sequence[ScalePyramid]) -> Tensor:
+        return self.logits_from_features(self.features(pyramids))

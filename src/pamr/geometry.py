@@ -289,8 +289,9 @@ def visible_positions(visible_sorted: np.ndarray, wanted: np.ndarray) -> np.ndar
     return pos.astype(np.int64)
 
 
-def chamfer_l2_batched(pred, truth) -> Tensor:
-    """Symmetric squared-distance chamfer, averaged over a batch of patch pairs.
+def chamfer_l2_batched(pred, truth, weights: np.ndarray | None = None) -> Tensor:
+    """Symmetric squared-distance chamfer, averaged over a batch of patch pairs
+    (or summed with the given per-pair `weights`).
 
     For each pair of (A, 3) and (B, 3) rows of the (M, A, 3) and (M, B, 3)
     inputs: the mean over the first of the squared distance to the nearest
@@ -308,15 +309,19 @@ def chamfer_l2_batched(pred, truth) -> Tensor:
     if pt.shape[0] < 1 or pt.shape[1] < 1 or tt.shape[1] < 1:
         raise ShapeError("batched chamfer is undefined for empty patches")
     (m, a, _), b = pt.shape, tt.shape[1]
+    if weights is not None and np.shape(weights) != (m,):
+        raise ShapeError(f"need one weight per pair, {m}, got shape {np.shape(weights)}")
     diff = pt.data[:, :, None] - tt.data[:, None]  # (M, A, B, 3)
     d2 = (diff * diff).sum(-1)
     near_b, near_a = d2.argmin(axis=2), d2.argmin(axis=1)  # (M, A), (M, B)
-    out = (d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)).mean()
+    per_pair = d2.min(axis=2).mean(axis=1) + d2.min(axis=1).mean(axis=1)
+    out = per_pair.mean() if weights is None else (per_pair * weights).sum()
 
     def grad(g):
+        g_pair = np.full((m, 1), g / m) if weights is None else (g * weights)[:, None]
         g_d2 = np.zeros_like(d2)
-        np.put_along_axis(g_d2, near_b[:, :, None], g / m / a, 2)
-        g_d2[np.arange(m)[:, None], near_a, np.arange(b)] += g / m / b
+        np.put_along_axis(g_d2, near_b[:, :, None], (g_pair / a)[:, :, None], 2)
+        g_d2[np.arange(m)[:, None], near_a, np.arange(b)] += g_pair / b
         g_diff = g_d2[..., None] * diff
         g_diff = g_diff + g_diff
         # a length-1 axis is passed through, not summed: a sum would turn -0.0 into 0.0

@@ -207,8 +207,9 @@ def op_gradient_suite(seed: int = 0, tol: float = 1e-4) -> dict[str, GradCheckRe
 
     lw, lbias = any_((4, 5)), any_((5,))
     run("linear", {"x": x, "lw": lw, "lbias": lbias}, lambda: T.linear(x, lw, lbias))
+    # two segments of unequal length: a gradient may not cross between them
     q, k, v = any_((5, 6)), any_((5, 6)), any_((5, 6))
-    run("attention", {"q": q, "k": k, "v": v}, lambda: T.attention(q, k, v, 2))
+    run("attention", {"q": q, "k": k, "v": v}, lambda: T.attention(q, k, v, 2, (0, 2, 5)))
 
     return reports
 
@@ -217,8 +218,10 @@ def pipeline_gradient_check(seed: int = 0, tol: float = 1e-3) -> GradCheckReport
     """Finite-difference the full masked-reconstruction loss on a small model.
 
     Checks `_PIPELINE_SAMPLE` entries of every parameter against central
-    differences on a fixed 32-point cloud. The looser tolerance absorbs the
-    longer roundoff chain through tokenizer, encoder, decoder and set loss.
+    differences on a pack of two fixed clouds whose visible counts differ, so
+    a gradient that leaks between the clouds' segments shows. The looser
+    tolerance absorbs the longer roundoff chain through tokenizer, encoder,
+    decoder and set loss.
     """
     # imported here so the op battery stays usable without the model stack
     from .backbone import MaskedAutoencoder
@@ -228,10 +231,15 @@ def pipeline_gradient_check(seed: int = 0, tol: float = 1e-3) -> GradCheckReport
 
     rng = np.random.default_rng(seed)
     cfg = ModelConfig.tiny()
-    pyramid = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
-    plan = mask_and_backproject(pyramid, _PIPELINE_MASK_RATIO, rng)
+    pyramids, plans = [], []
+    while len(plans) < 2:
+        pyr = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
+        plan = mask_and_backproject(pyr, _PIPELINE_MASK_RATIO, rng)
+        if not plans or plan.visible[1].size != plans[0].visible[1].size:
+            pyramids.append(pyr)
+            plans.append(plan)
     model = MaskedAutoencoder(cfg, rng)
     params = dict(model.named_parameters())
     return finite_diff_check(
-        lambda: model.loss(pyramid, plan), params, tol=tol, sample=_PIPELINE_SAMPLE, rng=rng
+        lambda: model.loss(pyramids, plans), params, tol=tol, sample=_PIPELINE_SAMPLE, rng=rng
     )

@@ -639,6 +639,20 @@ def layer_norm(x, scale, shift) -> Tensor:
 # -- fused layers ------------------------------------------------------------
 
 
+# inner (summed) length of the longest product BLAS gets: OpenBLAS cuts a
+# longer one into blocks differently on one thread and on several
+_INNER_BLOCK = 256
+
+
+def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b over the rows of (R, m) and (R, n), summed _INNER_BLOCK rows
+    at a time, so its bits do not depend on the BLAS thread count."""
+    out = a[:_INNER_BLOCK].T @ b[:_INNER_BLOCK]
+    for lo in range(_INNER_BLOCK, a.shape[0], _INNER_BLOCK):
+        out += a[lo : lo + _INNER_BLOCK].T @ b[lo : lo + _INNER_BLOCK]
+    return out
+
+
 def linear(x, weight, bias) -> Tensor:
     """x @ weight + bias over the last axis of `x`, for any leading shape."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
@@ -652,19 +666,42 @@ def linear(x, weight, bias) -> Tensor:
     def bwd(g):
         return [
             (x, g @ weight.data.T),
-            (weight, x.data.reshape(-1, fan_in).T @ g.reshape(-1, fan_out)),
+            (weight, _row_sum_product(x.data.reshape(-1, fan_in), g.reshape(-1, fan_out))),
             (bias, _unbroadcast(g, bias.shape)),
         ]
 
     return _make(out, (x, weight, bias), bwd, "linear output")
 
 
-def attention(q, k, v, heads: int) -> Tensor:
+# OpenBLAS runs a product of at most this many multiply-adds (M*N*K) on one thread
+_ONE_THREAD_MNK = 4 * 65536
+
+
+def _one_thread_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked a @ b over contiguous (h, m, k) and (h, k, n), in row blocks
+    small enough that BLAS runs each on one thread."""
+    h, m, k = a.shape
+    n = b.shape[2]
+    rows = max(1, _ONE_THREAD_MNK // (n * k))
+    if rows >= m:
+        return a @ b
+    out = np.empty((h, m, n))
+    for lo in range(0, m, rows):
+        np.matmul(a[:, lo : lo + rows], b, out=out[:, lo : lo + rows])
+    return out
+
+
+def attention(q, k, v, heads: int, offsets: Sequence[int] | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over (N, C) token rows.
 
+    `offsets` (0 first, N last, strictly increasing) cut the rows into
+    segments, one per cloud of a pack; a segment attends only to itself, by
+    the arithmetic it would get alone. None is one segment of all N rows.
     Each head takes its own C/heads channels of q, k and v and computes
     softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
-    back to (N, C) in head order.
+    back to (N, C) in head order. Every stacked product runs on contiguous
+    operands, in row blocks BLAS runs on one thread, so its bits do not
+    depend on the BLAS thread count.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -672,30 +709,43 @@ def attention(q, k, v, heads: int) -> Tensor:
     n, c = q.shape
     if heads < 1 or c % heads != 0:
         raise ShapeError(f"{heads} heads do not divide {c} channels")
+    bounds = np.asarray((0, n) if offsets is None else offsets, dtype=np.int64)
+    if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n or np.any(np.diff(bounds) < 1):
+        raise ShapeError(f"segment offsets must rise strictly from 0 to {n}, got {bounds.tolist()}")
     dh = c // heads
-
-    def split(t: np.ndarray) -> np.ndarray:  # (N, C) -> (heads, N, dh)
-        return t.reshape(n, heads, dh).transpose(1, 0, 2)
-
-    def merge(t: np.ndarray) -> np.ndarray:  # (heads, N, dh) -> (N, C)
-        return t.transpose(1, 0, 2).reshape(n, c)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     temp = 1.0 / np.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 2, 1)) * temp
-    _check_finite(scores, "attention scores")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    out = merge(w @ vh)
+
+    def split(t: np.ndarray) -> np.ndarray:  # (n, C) -> contiguous (heads, n, dh)
+        return np.ascontiguousarray(t.reshape(-1, heads, dh).transpose(1, 0, 2))
+
+    def swap(t: np.ndarray) -> np.ndarray:  # contiguous transpose of the last two axes
+        return np.ascontiguousarray(t.transpose(0, 2, 1))
+
+    def merge(t: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, C)
+        return t.transpose(1, 0, 2).reshape(-1, c)
+
+    out = np.empty((n, c))
+    weights = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
+        scores = _one_thread_matmul(qh, swap(kh)) * temp
+        _check_finite(scores, "attention scores")
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[lo:hi] = merge(_one_thread_matmul(w, vh))
+        weights.append(w)
 
     def bwd(g):
-        gh = split(g)
-        gw = gh @ vh.transpose(0, 2, 1)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
-        return [
-            (q, merge(gs @ kh)),
-            (k, merge(gs.transpose(0, 2, 1) @ qh)),
-            (v, merge(w.transpose(0, 2, 1) @ gh)),
-        ]
+        gq, gk, gv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
+        for lo, hi, w in zip(bounds[:-1], bounds[1:], weights):
+            # the head splits again, not kept: they would double the pack's q, k and v
+            qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
+            gh = split(g[lo:hi])
+            gw = _one_thread_matmul(gh, swap(vh))
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
+            gq[lo:hi] = merge(_one_thread_matmul(gs, kh))
+            gk[lo:hi] = merge(_one_thread_matmul(swap(gs), qh))
+            gv[lo:hi] = merge(_one_thread_matmul(swap(w), gh))
+        return [(q, gq), (k, gk), (v, gv)]
 
     return _make(out, (q, k, v), bwd, "attention output")

@@ -24,6 +24,8 @@ __all__ = [
     "lr_at",
     "augment",
     "cloud_pyramid",
+    "PACK_BUDGET",
+    "pack_size",
     "cross_entropy",
     "MetricsRow",
     "PretrainResult",
@@ -159,17 +161,33 @@ def _fit(
             on_epoch_end(epoch)
 
 
-def _per_cloud(batch: np.ndarray, loss_of):
-    """Forward and backward one item at a time, each loss scaled by 1/B, so one
-    graph is alive at once. `loss_of(i)` gives item i's loss and whether it was
-    classified right (or None); returns the mean loss and accuracy (or None)."""
+# Token-channels, sum(sizes[s] * dims[s]) over the scales, of the clouds one
+# graph may hold. A desk-scale cloud (1,024; about 0.6 MiB of live graph)
+# goes four to a graph, and a default-config cloud (122,880; about 200 MiB)
+# alone, so packing costs peak memory little at either size.
+PACK_BUDGET = 4096
+
+
+def pack_size(cfg: ModelConfig) -> int:
+    """Clouds per graph under PACK_BUDGET, at least one; depends on the
+    architecture only, never on a mask draw."""
+    return max(1, PACK_BUDGET // sum(n * d for n, d in zip(cfg.sizes, cfg.dims)))
+
+
+def _per_pack(batch: np.ndarray, size: int, loss_of):
+    """Forward and backward `size` items at a time, each pack's mean loss
+    scaled by its share of the batch, so one pack's graph is alive at once.
+    `loss_of(items)` gives the pack's mean loss and whether each item was
+    classified right (or None); returns the batch's mean loss and accuracy
+    (or None)."""
     total, hits = 0.0, []
-    for i in batch:
-        loss, hit = loss_of(i)
-        T.mul(loss, 1.0 / batch.size).backward()
-        total += loss.item()
+    for lo in range(0, batch.size, size):
+        items = batch[lo : lo + size]
+        loss, hit = loss_of(items)
+        T.mul(loss, items.size / batch.size).backward()
+        total += loss.item() * items.size
         hits.append(hit)
-    return total / batch.size, None if hits[0] is None else float(np.mean(hits))
+    return total / batch.size, None if hits[0] is None else float(np.mean(np.concatenate(hits)))
 
 
 @dataclass
@@ -205,18 +223,24 @@ def pretrain_run(
     result = PretrainResult(model, opt)
     pyramids = [cloud_pyramid(c.points, model_cfg) for c in clouds]
 
-    def loss_of(ci: int):
-        pyr = augment(pyramids[ci], rng, train_cfg)
-        return model.loss(pyr, mask_and_backproject(pyr, train_cfg.mask_ratio, rng)), None
+    def loss_of(items: np.ndarray):
+        # every draw in batch order before the forward, which draws nothing,
+        # so no augmentation or mask plan depends on the pack size
+        pyrs, plans = [], []
+        for ci in items:
+            pyrs.append(augment(pyramids[ci], rng, train_cfg))
+            plans.append(mask_and_backproject(pyrs[-1], train_cfg.mask_ratio, rng))
+        return model.loss(pyrs, plans), None
 
     def on_epoch_end(epoch: int) -> None:
         every, done = train_cfg.checkpoint_every, epoch + 1
         if on_checkpoint is not None and every and done % every == 0 and done < train_cfg.epochs:
             on_checkpoint(model, opt, len(result.rows), f"epoch{done:04d}")
 
+    size = pack_size(model_cfg)
     try:
         _fit(
-            opt, len(clouds), train_cfg, rng, lambda b: _per_cloud(b, loss_of), result.rows, on_epoch_end
+            opt, len(clouds), train_cfg, rng, lambda b: _per_pack(b, size, loss_of), result.rows, on_epoch_end
         )
     except PamrError:
         # parameters still hold the last completed step
@@ -244,10 +268,12 @@ def _stratified_split(
 
 
 def pooled_features(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
-    """Frozen-backbone feature matrix (n, 2*C_S), one row per pyramid; no grads."""
+    """Frozen-backbone feature matrix (n, 2*C_S), one row per pyramid, encoded
+    a pack at a time; no grads."""
+    size = pack_size(clf.cfg)
     with T.no_grad():
-        rows = [clf.features(pyr).data[0] for pyr in pyramids]
-    return np.stack(rows, axis=0)
+        rows = [clf.features(pyramids[lo : lo + size]).data for lo in range(0, len(pyramids), size)]
+    return np.concatenate(rows, axis=0)
 
 
 @dataclass
@@ -315,13 +341,14 @@ def finetune_classify(
         _fit_frozen_head(clf, train_feats, train_labels, train_cfg, rng, rows)
     else:
 
-        def loss_of(i: int):
-            logits = clf.logits(augment(train_pyrs[i], rng, train_cfg))
-            hit = np.argmax(logits.data[0]) == train_labels[i]
-            return cross_entropy(logits, train_labels[i : i + 1]), hit
+        def loss_of(items: np.ndarray):
+            logits = clf.logits([augment(train_pyrs[i], rng, train_cfg) for i in items])
+            hits = np.argmax(logits.data, axis=1) == train_labels[items]
+            return cross_entropy(logits, train_labels[items]), hits
 
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_cloud(b, loss_of), rows)
+        size = pack_size(model_cfg)
+        _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_pack(b, size, loss_of), rows)
         train_feats = pooled_features(clf, train_pyrs)
 
     train_acc = _accuracy(clf, train_feats, train_labels)

@@ -21,9 +21,8 @@ interpolation weights, whose distances were recomputed after kNN.
 `few_shot_reference` is the few-shot protocol without feature reuse: every
 trial encodes its own train and test clouds with its own classifier.
 
-`batched_classifier_loss` is the unfrozen fine-tune step as one (B, K) graph
-over the whole batch, back-propagated once, for comparison with the
-cloud-by-cloud step.
+`per_cloud_step` is the training step before packing: one cloud's graph at a
+time, each loss scaled by 1/B, for comparison with the packed step.
 
 The `*_reference` layers rebuild each fused tensor op as the chain of
 elementary ops it replaces, so both the forward values (same arithmetic
@@ -43,7 +42,6 @@ from pamr.training import (
     _accuracy,
     _fit_frozen_head,
     cloud_pyramid,
-    cross_entropy,
     load_encoder_weights,
     pooled_features,
 )
@@ -137,7 +135,7 @@ def chamfer_reference(a: np.ndarray, b: np.ndarray) -> float:
     return float(fwd + bwd)
 
 
-def chamfer_chain_reference(pred, truth):
+def chamfer_chain_reference(pred, truth, weights=None):
     """`chamfer_l2_batched` as the chain of elementary tape ops it replaces;
     its loss and both gradients are bitwise those of the fused op."""
     pt, tt = T.as_tensor(pred), T.as_tensor(truth)
@@ -146,7 +144,9 @@ def chamfer_chain_reference(pred, truth):
     d2 = T.tsum(T.mul(diff, diff), axis=-1)  # (M, A, B)
     fwd = T.tmean(T.amin(d2, axis=2), axis=1)  # (M,)
     bwd = T.tmean(T.amin(d2, axis=1), axis=1)  # (M,)
-    return T.tmean(T.add(fwd, bwd))
+    if weights is None:
+        return T.tmean(T.add(fwd, bwd))
+    return T.tsum(T.mul(T.add(fwd, bwd), weights))
 
 
 def interpolation_weights_reference(coarse, fine, k):
@@ -188,11 +188,17 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
     return accs
 
 
-def batched_classifier_loss(clf, pyramids, labels) -> float:
-    """Mean cross-entropy of the concatenated (B, K) logits; back-propagates it."""
-    loss = cross_entropy(T.concat([clf.logits(p) for p in pyramids]), labels)
-    loss.backward()
-    return loss.item()
+def per_cloud_step(batch, loss_of):
+    """Forward and backward one item at a time, each loss scaled by 1/B, so one
+    graph is alive at once. `loss_of(i)` gives item i's loss and whether it was
+    classified right (or None); returns the mean loss and accuracy (or None)."""
+    total, hits = 0.0, []
+    for i in batch:
+        loss, hit = loss_of(i)
+        T.mul(loss, 1.0 / batch.size).backward()
+        total += loss.item()
+        hits.append(hit)
+    return total / batch.size, None if hits[0] is None else float(np.mean(hits))
 
 
 def _standardize_reference(x):
@@ -214,16 +220,23 @@ def group_norm_reference(x, groups, scale, shift):
     return T.add(T.mul(normed, T.reshape(scale, (c, 1))), T.reshape(shift, (c, 1)))
 
 
-def attention_reference(q, k, v, heads):
+def attention_reference(q, k, v, heads, offsets=None):
+    """Each segment's rows picked out, attended alone, and the outputs joined."""
     n, c = q.shape
+    bounds = (0, n) if offsets is None else offsets
+    outs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = np.arange(lo, hi)
 
-    def heads_first(t):
-        return T.transpose(T.reshape(t, (n, heads, c // heads)), (1, 0, 2))
+        def heads_first(t):
+            seg = T.reshape(T.index_select(t, rows), (hi - lo, heads, c // heads))
+            return T.transpose(seg, (1, 0, 2))
 
-    qh, kh = heads_first(q), heads_first(k)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(c // heads))
-    out = T.matmul(T.softmax(scores, axis=-1), heads_first(v))  # (heads, n, c / heads)
-    return T.reshape(T.transpose(out, (1, 0, 2)), (n, c))
+        qh, kh = heads_first(q), heads_first(k)
+        scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(c // heads))
+        out = T.matmul(T.softmax(scores, axis=-1), heads_first(v))  # (heads, n, c / heads)
+        outs.append(T.reshape(T.transpose(out, (1, 0, 2)), (hi - lo, c)))
+    return T.concat(outs)
 
 
 def linear_reference(x, weight, bias):

@@ -356,6 +356,45 @@ def test_blas_thread_count_leaves_outputs_byte_identical(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+FULL_CONFIG_DIGEST = """
+import hashlib
+import numpy as np
+from pamr.backbone import MaskedAutoencoder
+from pamr.config import ModelConfig
+from pamr.geometry import mask_and_backproject
+from pamr.training import cloud_pyramid
+
+cfg = ModelConfig()
+rng = np.random.default_rng(0)
+pyr = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
+plan = mask_and_backproject(pyr, 0.6, rng)
+model = MaskedAutoencoder(cfg, rng)
+loss = model.loss([pyr], [plan])
+loss.backward()
+digest = hashlib.sha256(loss.data.tobytes())
+for _, p in model.named_parameters():
+    digest.update(p.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_leaves_full_config_gradients_byte_identical():
+    with criterion("acceptance 09 full-config gradients across BLAS thread counts"):
+        import pamr
+
+        src = str(Path(pamr.__file__).resolve().parents[1])
+        digests = []
+        # 4 threads oversubscribe a 2-core host, which must not matter either
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", FULL_CONFIG_DIGEST], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1] == digests[2], digests
+
+
 def test_full_size_config_shape_contract():
     with criterion("acceptance 10 full-size shape contract"):
         mc = ModelConfig()  # 2048 points, three scales, two decoder stages
@@ -367,14 +406,14 @@ def test_full_size_config_shape_contract():
         assert len(plan.masked[3]) == 38
         assert len(plan.visible[3]) == 26
         model = MaskedAutoencoder(mc, rng)
-        rec = model.reconstruct(pyr, plan)
+        rec = model.reconstruct([pyr], [plan])
         stage_dims = [(s.shape[0], s.shape[1]) for s in rec.stage_outputs]
         assert stage_dims[0] == (len(plan.visible[1]), 96)
         assert stage_dims[1] == (len(plan.visible[2]), 192)
         assert stage_dims[2] == (26, 384)
         assert rec.decoder.shape == (256, 192)
         assert rec.pred.shape == (len(plan.masked[2]), 8, 3)
-        pretrain_loss(rec.pred, pyr, plan).backward()
+        pretrain_loss(rec.pred, [pyr], [plan]).backward()
         touched = [p for p in model.parameters() if p.grad is not None]
         assert len(touched) > 0
         assert all(np.all(np.isfinite(p.grad)) for p in touched)

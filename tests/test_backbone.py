@@ -59,7 +59,7 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(10))
         pyr, plan = tiny_pyramid(seed=3)
-        outs = enc(pyr, plan)
+        outs = enc([pyr], [plan])
         assert len(outs) == 2
         for i, tokens in enumerate(outs):
             assert tokens.shape == (plan.visible[i + 1].size, cfg.dims[i])
@@ -68,15 +68,15 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(11))
         pyr, plan = tiny_pyramid(seed=4, mu=0.0)
-        outs = enc(pyr, plan)
+        outs = enc([pyr], [plan])
         assert outs[0].shape == (16, 8)
         assert outs[1].shape == (8, 16)
 
     def test_deterministic_given_seed(self):
         cfg = ModelConfig.tiny()
         pyr, plan = tiny_pyramid(seed=5)
-        a = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
-        b = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
+        a = HierarchicalEncoder(cfg, np.random.default_rng(12))([pyr], [plan])
+        b = HierarchicalEncoder(cfg, np.random.default_rng(12))([pyr], [plan])
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.data, sb.data)
 
@@ -84,7 +84,7 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(13))
         pyr, plan = tiny_pyramid(seed=6)
-        base = [t.numpy() for t in enc(pyr, plan)]
+        base = [t.numpy() for t in enc([pyr], [plan])]
 
         mutated = copy.deepcopy(pyr)
         rng = np.random.default_rng(14)
@@ -97,7 +97,7 @@ class TestEncoder:
         free = np.setdiff1d(np.arange(pyr.size_at(0)), used)
         mutated.points[0][free] += rng.normal(size=(free.size, 3))
 
-        after = [t.numpy() for t in enc(mutated, plan)]
+        after = [t.numpy() for t in enc([mutated], [plan])]
         for x, y in zip(base, after):
             np.testing.assert_array_equal(x, y)
 
@@ -110,7 +110,7 @@ class TestEncoder:
             [None, np.empty(0, dtype=np.int64), np.arange(8)],
         )
         with pytest.raises(ConfigError):
-            enc(pyr, empty)
+            enc([pyr], [empty])
 
     def test_scale_count_mismatch(self):
         cfg = ModelConfig.tiny()
@@ -119,7 +119,7 @@ class TestEncoder:
         pyr = build_scale_pyramid(pts, (16, 8, 4), (4, 4, 2))
         plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            enc(pyr, plan)
+            enc([pyr], [plan])
 
 
 class TestTokenPropagator:
@@ -162,7 +162,7 @@ class TestTokenPropagator:
         tokens = Tensor(np.tile(v, (8, 1)))
         coarse = rng.normal(size=(8, 3))
         fine = rng.normal(size=(20, 3))
-        out = prop(tokens, coarse, fine, 3).data
+        out = prop(tokens, [coarse], [fine], 3).data
         expected = (T.matmul(Tensor(v[None, :]), prop.proj.weight).data + prop.proj.bias.data)
         np.testing.assert_allclose(out, np.tile(expected, (20, 1)), atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestTokenPropagator:
         rng = np.random.default_rng(23)
         prop = TokenPropagator(4, 4, rng)
         tokens = Tensor(rng.normal(size=(2, 4)))
-        out = prop(tokens, rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), 3)
+        out = prop(tokens, [rng.normal(size=(2, 3))], [rng.normal(size=(5, 3))], 3)
         assert out.shape == (5, 4)
 
     def test_gradients(self):
@@ -182,7 +182,7 @@ class TestTokenPropagator:
         w = rng.normal(size=(9, 5))
         params = dict(prop.param_dict(), tokens=tokens)
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(prop(tokens, coarse, fine, 3), w)), params
+            lambda: T.tsum(T.mul(prop(tokens, [coarse], [fine], 3), w)), params
         )
         assert report.ok, report.summary()
 
@@ -194,7 +194,7 @@ class TestDecoder:
         enc = HierarchicalEncoder(cfg, rng)
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=8)
-        out = dec(enc(pyr, plan), pyr, plan)
+        out = dec(enc([pyr], [plan]), [pyr], [plan])
         assert out.shape == (pyr.size_at(2), cfg.dims[1])
 
     def test_mask_token_reaches_masked_outputs(self):
@@ -203,13 +203,13 @@ class TestDecoder:
         enc = HierarchicalEncoder(cfg, rng)
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=9)
-        stages = enc(pyr, plan)
-        before = dec(stages, pyr, plan).numpy()
+        stages = enc([pyr], [plan])
+        before = dec(stages, [pyr], [plan]).numpy()
         # non-uniform bump: a uniform one would be erased by layer norms
         dec.mask_token.data = dec.mask_token.data + np.random.default_rng(33).normal(
             size=dec.mask_token.shape
         )
-        after = dec(stages, pyr, plan).numpy()
+        after = dec(stages, [pyr], [plan]).numpy()
         msk = plan.masked[2]
         assert not np.allclose(before[msk], after[msk])
 
@@ -219,8 +219,8 @@ class TestDecoder:
         enc, dec = HierarchicalEncoder(cfg, rng), HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=12, mu=0.0)
         assert plan.masked[2].size == 0
-        stages = enc(pyr, plan)
-        out = dec(stages, pyr, plan)
+        stages = enc([pyr], [plan])
+        out = dec(stages, [pyr], [plan])
         assert out.shape == (pyr.size_at(2), cfg.dims[1])
         T.tsum(T.mul(out, rng.normal(size=out.shape))).backward()
         assert dec.mask_token.grad.tobytes() == np.zeros(cfg.dims[-1]).tobytes()
@@ -231,7 +231,7 @@ class TestDecoder:
         rng = np.random.default_rng(32)
         model = MaskedAutoencoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=10)
-        model.loss(pyr, plan).backward()
+        model.loss([pyr], [plan]).backward()
         g = model.decoder.mask_token.grad
         assert np.any(g != 0.0)
 
@@ -244,22 +244,25 @@ class TestPretrainLoss:
         assert plan.masked[2].size == 1
         truth = gather_patches(pyr, 2, plan.masked[2])
         pred = Tensor(truth + np.array([1.0, 0.0, 0.0]))
-        assert abs(pretrain_loss(pred, pyr, plan).item() - 2.0) < 1e-12
+        assert abs(pretrain_loss(pred, [pyr], [plan]).item() - 2.0) < 1e-12
 
     def test_exact_prediction_zero_loss(self):
         pyr, plan = tiny_pyramid(seed=11)
         truth = gather_patches(pyr, 2, plan.masked[2])
-        assert pretrain_loss(Tensor(truth), pyr, plan).item() == 0.0
+        assert pretrain_loss(Tensor(truth), [pyr], [plan]).item() == 0.0
 
     def test_nothing_masked_raises(self):
+        # the one empty-mask check is the model's, before the pack's forward
         pyr, plan = tiny_pyramid(seed=12, mu=0.0)
-        with pytest.raises(ConfigError):
-            pretrain_loss(Tensor(np.zeros((1, 4, 3))), pyr, plan)
+        ok_pyr, ok_plan = tiny_pyramid(seed=11)
+        model = MaskedAutoencoder(ModelConfig.tiny(), np.random.default_rng(58))
+        with pytest.raises(ConfigError, match="in cloud 1 of the pack; raise mask_ratio or lower ks"):
+            model.loss([ok_pyr, pyr], [ok_plan, plan])
 
     def test_shape_mismatch_raises(self):
         pyr, plan = tiny_pyramid(seed=13)
         with pytest.raises(ShapeError):
-            pretrain_loss(Tensor(np.zeros((1, 2, 3))), pyr, plan)
+            pretrain_loss(Tensor(np.zeros((1, 2, 3))), [pyr], [plan])
 
 
 class TestMaskedAutoencoder:
@@ -267,7 +270,7 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(50))
         pyr, plan = tiny_pyramid(seed=14)
-        loss = model.loss(pyr, plan)
+        loss = model.loss([pyr], [plan])
         assert loss.shape == () and loss.item() >= 0.0
         loss.backward()
         for name, p in model.named_parameters():
@@ -277,7 +280,7 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(51))
         pyr, plan = tiny_pyramid(seed=15)
-        rec = model.reconstruct(pyr, plan)
+        rec = model.reconstruct([pyr], [plan])
         assert rec.pred.shape == (plan.masked[2].size, cfg.ks[1], 3)
         assert rec.pred_zero is None
 
@@ -286,11 +289,11 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig(**{**cfg.as_dict(), "zero_scale_head": True})
         model = MaskedAutoencoder(cfg, np.random.default_rng(52))
         pyr, plan = tiny_pyramid(seed=16)
-        rec = model.reconstruct(pyr, plan)
+        rec = model.reconstruct([pyr], [plan])
         assert rec.pred_zero.shape == (plan.masked[2].size, cfg.ks[0], 3)
-        base = pretrain_loss(rec.pred, pyr, plan).item()
-        extra = pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True).item()
-        np.testing.assert_allclose(model.loss(pyr, plan).item(), base + extra, rtol=1e-12)
+        base = pretrain_loss(rec.pred, [pyr], [plan]).item()
+        extra = pretrain_loss(rec.pred_zero, [pyr], [plan], zero_scale=True).item()
+        np.testing.assert_allclose(model.loss([pyr], [plan]).item(), base + extra, rtol=1e-12)
 
     def test_fused_ops_match_their_composite_chains(self, monkeypatch):
         # one desk-scale cloud through the whole model, once with the fused
@@ -305,7 +308,7 @@ class TestMaskedAutoencoder:
 
         def run():
             model = MaskedAutoencoder(cfg, np.random.default_rng(57))
-            loss = model.loss(pyr, plan)
+            loss = model.loss([pyr], [plan])
             loss.backward()
             return loss.item(), {n: p.grad for n, p in model.named_parameters()}
 
@@ -324,7 +327,7 @@ class TestMaskedAutoencoder:
         model = MaskedAutoencoder(cfg, np.random.default_rng(53))
         pyr, plan = tiny_pyramid(seed=17)
         report = finite_diff_check(
-            lambda: model.loss(pyr, plan),
+            lambda: model.loss([pyr], [plan]),
             model.param_dict(),
             tol=1e-3,
             sample=1,
@@ -338,9 +341,9 @@ class TestCloudClassifier:
         cfg = ModelConfig.tiny()
         clf = CloudClassifier(cfg, 4, (16,), np.random.default_rng(60))
         pyr, _ = tiny_pyramid(seed=18, mu=0.0)
-        feats = clf.features(pyr)
+        feats = clf.features([pyr])
         assert feats.shape == (1, 2 * cfg.dims[-1])
-        assert clf.logits(pyr).shape == (1, 4)
+        assert clf.logits([pyr]).shape == (1, 4)
 
     def test_class_count_validated(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from pamr.cli import main
 from pamr.data import load_dataset_dir, read_xyz, write_xyz
 from pamr.geometry import PointCloud
 from pamr.metrics import format_metrics
-from pamr.training import MetricsRow
+from pamr.training import AdamW, MetricsRow
 
 TINY_CFG = """
 # architecture
@@ -302,6 +302,35 @@ class TestPretrainCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: no masked scale-2 centers")
         assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
+
+    def test_empty_mask_in_a_pack_stops_before_its_forward(self, tmp_path, cfg_file, dataset, capsys, monkeypatch):
+        # batches of 4; the second batch's third cloud draws a plan with nothing masked
+        import pamr.training
+
+        draw, step, calls, after_step = pamr.training.mask_and_backproject, AdamW.step, [], []
+
+        def draw_spy(pyr, mu, rng):
+            calls.append(mu)
+            return draw(pyr, 0.0 if len(calls) == 7 else mu, rng)
+
+        def step_spy(opt):
+            step(opt)
+            after_step.append({name: p.data.copy() for name, p in opt.params.items()})
+
+        monkeypatch.setattr(pamr.training, "mask_and_backproject", draw_spy)
+        monkeypatch.setattr(AdamW, "step", step_spy)
+        out = tmp_path / "pre"
+        rc = main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and len(calls) == 8
+        assert err.splitlines() == [
+            "error: no masked scale-2 centers in cloud 2 of the pack; raise mask_ratio or lower ks"
+        ]
+        ckpt = decode_checkpoint((out / "model_aborted.ckpt").read_bytes())
+        assert ckpt.step == len(after_step) == 1
+        assert ckpt.params.keys() == after_step[0].keys()
+        for name, value in ckpt.params.items():
+            assert value.tobytes() == after_step[0][name].tobytes(), name
 
     def test_overflowing_cloud_is_one_error_line(self, tmp_path, cfg_file, dataset, capsys):
         huge = np.array([[1e200, -1e200, 1e200], [-1e200, 1e200, -1e200]] * 32)

@@ -1,11 +1,13 @@
 """Property tests over the three text and byte inputs a user hands to pamr,
-and over the fps and kNN kernels.
+over the fps and kNN kernels, and over the model's packs of clouds.
 
 Every input must either load or raise a PamrError subclass, which the CLI
 turns into `error: ...` and exit code 1; any other exception is a crash.
 The kernels must return exactly the indices of their reference oracles on
-clouds full of ties. Examples are derandomized and no example database is
-kept, so a run is repeatable and leaves nothing in the checkout.
+clouds full of ties. A pack of clouds must give the loss, gradients and
+features of the same clouds run one at a time. Examples are derandomized
+and no example database is kept, so a run is repeatable and leaves nothing
+in the checkout.
 """
 import itertools
 import tempfile
@@ -17,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from _oracles import fps_reference, knn_reference, pyramid_reference
+from _oracles import fps_reference, knn_reference, per_cloud_step, pyramid_reference
+from pamr import tensor as T
+from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.checkpoint import MAGIC, VERSION, decode_checkpoint, encode_checkpoint
 from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mapping
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
-from pamr.geometry import build_scale_pyramid, fps, knn
+from pamr.geometry import build_scale_pyramid, fps, knn, mask_and_backproject
+from pamr.training import cloud_pyramid
 
 # To report a failing example, Hypothesis imports `hypothesis.extra._patching`,
 # whose libcst import warns (mypy_extensions' TypedDict is deprecated). Under
@@ -192,3 +197,56 @@ def test_pyramid_is_fps_and_knn_level_by_level(args):
         np.testing.assert_array_equal(pyr.sample_idx[i], sample_idx[i])
         np.testing.assert_array_equal(pyr.neighbors[i], neighbors[i])
         np.testing.assert_array_equal(pyr.points[i + 1], levels[i + 1])
+
+
+# -- packs ---------------------------------------------------------------------
+
+# the quick config, the acceptance-07 desk architecture, and three scales,
+# whose decoder propagates between clouds' coarse and fine sets; its top
+# patches (k = 2) leave scale-2 centers masked on every draw
+PACK_CONFIGS = {
+    "quick": ModelConfig.tiny(),
+    "desk": ModelConfig(
+        n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2,
+        encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
+    ),
+    "three-scale": ModelConfig(
+        n_points=64, sizes=(32, 16, 8), ks=(4, 4, 2), dims=(8, 16, 16), heads=2,
+        encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
+    ),
+}
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(sorted(PACK_CONFIGS)),
+    st.booleans(),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_pack_matches_its_clouds_one_at_a_time(config, zero_scale_head, n_clouds, seed):
+    base = PACK_CONFIGS[config]
+    cfg = ModelConfig(**{**base.as_dict(), "zero_scale_head": zero_scale_head})
+    rng = np.random.default_rng(seed)
+    pyramids = [cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg) for _ in range(n_clouds)]
+    plans = [mask_and_backproject(pyr, 0.6, rng) for pyr in pyramids]
+    model = MaskedAutoencoder(cfg, rng)
+    params = model.param_dict()
+
+    loss = model.loss(pyramids, plans)
+    loss.backward()
+    packed = {name: p.grad.copy() for name, p in params.items()}
+    for p in params.values():
+        p.zero_grad()
+    ref, _ = per_cloud_step(np.arange(n_clouds), lambda i: (model.loss([pyramids[i]], [plans[i]]), None))
+    assert abs(loss.item() - ref) <= 1e-12 * abs(ref)
+    scale = max(np.abs(p.grad).max() for p in params.values())
+    for name, p in params.items():
+        assert np.abs(packed[name] - p.grad).max() <= 1e-12 * scale, name
+
+    clf = CloudClassifier(cfg, 3, (8,), rng)
+    with T.no_grad():
+        feats = clf.features(pyramids).data
+        one_by_one = np.concatenate([clf.features([pyr]).data for pyr in pyramids])
+    assert feats.shape == one_by_one.shape
+    assert np.abs(feats - one_by_one).max() <= 1e-12

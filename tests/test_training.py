@@ -13,6 +13,7 @@ from pamr.geometry import PointCloud, ScalePyramid
 from pamr.tensor import Tensor
 import _oracles
 import pamr.training
+from pamr.cli import _build_parser
 from pamr.training import (
     AdamW,
     augment,
@@ -22,6 +23,7 @@ from pamr.training import (
     finetune_classify,
     load_encoder_weights,
     lr_at,
+    pack_size,
     pooled_features,
     pretrain_run,
     _stratified_split,
@@ -178,13 +180,13 @@ class TestModelInput:
         seen = []
         loss, logits = MaskedAutoencoder.loss, CloudClassifier.logits
 
-        def loss_spy(model, pyramid, plan):
-            seen.append(pyramid)
-            return loss(model, pyramid, plan)
+        def loss_spy(model, pyramids, plans):
+            seen.extend(pyramids)
+            return loss(model, pyramids, plans)
 
-        def logits_spy(clf, pyramid):
-            seen.append(pyramid)
-            return logits(clf, pyramid)
+        def logits_spy(clf, pyramids):
+            seen.extend(pyramids)
+            return logits(clf, pyramids)
 
         monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
         monkeypatch.setattr(CloudClassifier, "logits", logits_spy)
@@ -223,6 +225,41 @@ class TestModelInput:
             cfg = TrainConfig(**{**self.CFG.__dict__, "freeze_backbone": run == "frozen"})
             finetune_classify(clouds, TINY, cfg)
         assert built == list(range(len(clouds)))
+
+
+class TestPackPlanner:
+    def test_budget_gives_one_default_cloud_and_four_desk_clouds_per_graph(self):
+        assert pack_size(ModelConfig()) == 1
+        assert pack_size(DESK) == 4
+
+    def test_a_batch_keeps_its_remainder_pack(self, monkeypatch):
+        packs, loss = [], MaskedAutoencoder.loss
+
+        def loss_spy(model, pyramids, plans):
+            packs.append(len(pyramids))
+            return loss(model, pyramids, plans)
+
+        monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
+        clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(10)])
+        cfg = TrainConfig(epochs=1, batch_size=10, warmup_epochs=0, seed=0, augment=False)
+        pretrain_run(clouds, DESK, cfg)
+        assert packs == [4, 4, 2]
+
+    def test_the_budget_is_no_setting(self):
+        assert ModelConfig.field_names() == (
+            "n_points", "sizes", "ks", "dims", "heads", "encoder_blocks", "decoder_blocks",
+            "interp_k", "la_enabled", "la_window", "la_groups", "la_avg_branch", "la_max_branch",
+            "zero_scale_head",
+        )
+        assert TrainConfig.field_names() == (
+            "epochs", "batch_size", "base_lr", "weight_decay", "warmup_epochs", "min_lr", "seed",
+            "mask_ratio", "augment", "scale_lo", "scale_hi", "translate", "checkpoint_every",
+            "head_hidden", "freeze_backbone", "holdout_fraction", "n_way", "m_shot", "trials",
+            "test_per_class",
+        )
+        commands = next(a for a in _build_parser()._actions if a.choices).choices
+        for name, sub in commands.items():
+            assert not [flag for flag in sub._option_string_actions if "pack" in flag], name
 
 
 class TestCrossEntropy:
@@ -371,9 +408,9 @@ class TestFinetune:
         refs, alive = [], []
         logits = CloudClassifier.logits
 
-        def spy(clf, pyramid):
+        def spy(clf, pyramids):
             alive.append(bool(refs) and refs[-1]() is not None)
-            out = logits(clf, pyramid)
+            out = logits(clf, pyramids)
             refs.append(weakref.ref(out))
             return out
 
@@ -382,11 +419,13 @@ class TestFinetune:
             epochs=2, batch_size=4, warmup_epochs=0, seed=5, augment=False, head_hidden=(16,),
         )
         res = finetune_classify(small_dataset(per_class=2), TINY, cfg)
-        assert len(alive) == cfg.epochs * res.train_idx.size
+        # one graph per batch: the quick model packs more clouds than a batch holds
+        assert len(alive) == cfg.epochs * math.ceil(res.train_idx.size / cfg.batch_size)
         assert not any(alive)
 
-    def test_per_cloud_step_matches_batched_graph(self, monkeypatch):
-        """One unfrozen step on the desk model against the (B, K) graph it replaced."""
+    def test_packed_step_matches_per_cloud_oracle(self, monkeypatch):
+        """One unfrozen step on the desk model, three packs of four, against
+        the cloud-by-cloud step it replaced."""
         clouds = gen_shapes([
             ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
             for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
@@ -397,32 +436,39 @@ class TestFinetune:
             augment=False, head_hidden=(64,), holdout_fraction=0.25,
         )
         batches, seen = [], []
-        per_cloud, step = pamr.training._per_cloud, AdamW.step
+        per_pack, step = pamr.training._per_pack, AdamW.step
 
-        def per_cloud_spy(batch, loss_of):
-            batches.append(batch)
-            return per_cloud(batch, loss_of)
+        def per_pack_spy(batch, size, loss_of):
+            batches.append((batch, size))
+            return per_pack(batch, size, loss_of)
 
         def step_spy(opt):
             seen.append({n: (p.data.copy(), p.grad.copy()) for n, p in opt.params.items()})
             step(opt)
 
-        monkeypatch.setattr(pamr.training, "_per_cloud", per_cloud_spy)
+        monkeypatch.setattr(pamr.training, "_per_pack", per_pack_spy)
         monkeypatch.setattr(AdamW, "step", step_spy)
         res = finetune_classify(clouds, DESK, cfg)
         assert len(batches) == len(seen) == 1
-        train = [clouds[i] for i in res.train_idx[batches[0]]]
+        assert batches[0][0].size == 12 and batches[0][1] == 4
+        train = [clouds[i] for i in res.train_idx[batches[0][0]]]
+        pyramids = [cloud_pyramid(c.points, DESK) for c in train]
+        labels = np.array([c.label for c in train])
         clf = res.classifier
         for name, p in clf.param_dict().items():
             p.data = seen[0][name][0]
             p.zero_grad()
-        ref = _oracles.batched_classifier_loss(
-            clf, [cloud_pyramid(c.points, DESK) for c in train], np.array([c.label for c in train])
-        )
+
+        def loss_of(i):
+            logits = clf.logits([pyramids[i]])
+            return cross_entropy(logits, labels[i : i + 1]), np.argmax(logits.data[0]) == labels[i]
+
+        ref, ref_acc = _oracles.per_cloud_step(np.arange(len(train)), loss_of)
         assert abs(res.rows[0].loss - ref) <= 1e-15 * abs(ref)
+        assert res.rows[0].accuracy == ref_acc
+        scale = max(np.abs(p.grad).max() for p in clf.param_dict().values())
         for name, p in clf.param_dict().items():
-            got = seen[0][name][1]
-            assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+            assert np.abs(seen[0][name][1] - p.grad).max() <= 1e-12 * scale, name
 
     def test_frozen_train_accuracy_matches_re_encoding(self):
         clouds = small_dataset(per_class=3)
