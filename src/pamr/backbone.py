@@ -1,9 +1,9 @@
 """Hierarchical transformer over the scale pyramid.
 
-The model's unit of work is a pack: one or more clouds whose token rows are
-stacked along axis 0, cloud after cloud, with per-scale segment offsets.
-Row-wise layers run once per pack and attention stays within each cloud's
-segment, so a pack of one is a single cloud.
+The model's unit of work is a pack: one pyramid whose levels hold one or more
+clouds' rows, cloud after cloud (`geometry.stack_pack`). Row-wise layers run
+once per pack and attention stays within each cloud's rows, so a single
+cloud's pyramid is a pack of one.
 
 The encoder runs one stage per scale on visible tokens only, merging tokens
 between stages; every stage output is retained. The decoder rebuilds the
@@ -16,7 +16,6 @@ chamfer distance to the true patches is the pretraining loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,11 +77,6 @@ class TransformerBlock(Module):
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
 
 
-def _offsets(counts) -> np.ndarray:
-    """Segment offsets of consecutive blocks of the given row counts."""
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-
 class HierarchicalEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         dims = cfg.dims
@@ -106,37 +100,32 @@ class HierarchicalEncoder(Module):
             TokenMerger(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
 
-    def forward(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> list[Tensor]:
-        """Each stage's tokens: every cloud's rows in the order of its
-        `plan.visible` at that scale, the clouds in pack order."""
-        if not pyramids or len(plans) != len(pyramids):
-            raise ShapeError(f"a pack needs one plan per pyramid, got {len(pyramids)} and {len(plans)}")
-        for pyr, plan in zip(pyramids, plans):
-            if pyr.num_scales != self.num_scales:
-                raise ShapeError(f"pyramid has {pyr.num_scales} scales, model expects {self.num_scales}")
-            for scale in range(1, self.num_scales + 1):
-                if plan.visible[scale].size == 0:
-                    raise ConfigError(f"no visible centers at scale {scale}; lower the mask ratio")
-        pack = list(zip(pyramids, plans))
+    def forward(self, pyr: ScalePyramid, plan: MaskPlan) -> list[Tensor]:
+        """Each stage's tokens: the rows of `plan.visible` at that scale, in
+        order, so each cloud of a pack follows the one before it."""
+        if pyr.num_scales != self.num_scales:
+            raise ShapeError(f"pyramid has {pyr.num_scales} scales, model expects {self.num_scales}")
+        # each scale's visible rows, cut into the pack's clouds
+        cuts = {s: np.searchsorted(plan.visible[s], pyr.offsets[s]) for s in range(1, self.num_scales + 1)}
+        for scale, cut in cuts.items():
+            empty = np.flatnonzero(np.diff(cut) == 0)
+            if empty.size:
+                raise ConfigError(
+                    f"no visible centers at scale {scale} in cloud {empty[0]} of the pack; lower mask_ratio"
+                )
         outs: list[Tensor] = []
-        x = self.tokenizer(np.concatenate([gather_patches(pyr, 1, plan.visible[1]) for pyr, plan in pack]))
-        offsets = _offsets([plan.visible[1].size for plan in plans])
+        x = self.tokenizer(gather_patches(pyr, 1, plan.visible[1]))
         for i in range(self.num_scales):
             scale = i + 1
             if i > 0:
                 # patch rows index the scale below; all of them are visible
                 # by the nesting invariant, or visible_positions raises
-                rows = []
-                for (pyr, plan), lo in zip(pack, offsets):
-                    want = pyr.neighbors[i][plan.visible[scale]]
-                    pos = visible_positions(plan.visible[scale - 1], want.ravel())
-                    rows.append(pos.reshape(want.shape) + lo)
-                x = self.mergers[i - 1](x, np.concatenate(rows))
-                offsets = _offsets([plan.visible[scale].size for plan in plans])
-            coords = np.concatenate([pyr.points[scale][plan.visible[scale]] for pyr, plan in pack])
-            x = T.add(x, self.pos[i](coords))
+                want = pyr.neighbors[i][plan.visible[scale]]
+                rows = visible_positions(plan.visible[scale - 1], want.ravel())
+                x = self.mergers[i - 1](x, rows.reshape(want.shape))
+            x = T.add(x, self.pos[i](pyr.points[scale][plan.visible[scale]]))
             for block in self.stages[i]:
-                x = block(x, offsets)
+                x = block(x, cuts[scale])
             x = self.norms[i](x)
             outs.append(x)
         return outs
@@ -148,26 +137,18 @@ class TokenPropagator(Module):
     def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator):
         self.proj = Linear(dim_in, dim_out, rng)
 
-    def forward(
-        self,
-        tokens: Tensor,
-        coarse_coords: Sequence[np.ndarray],
-        fine_coords: Sequence[np.ndarray],
-        k: int,
-    ) -> Tensor:
-        """Per cloud of the pack, its coarse and fine coordinates; `tokens`
-        holds the clouds' coarse rows one after another. Each fine point
-        mixes its own cloud's tokens, k clamped to the smallest coarse set."""
-        counts = [c.shape[0] for c in coarse_coords]
-        if tokens.shape[0] != sum(counts):
-            raise ShapeError(f"{tokens.shape[0]} tokens for {sum(counts)} coarse positions")
-        if min(counts, default=0) < 1:
-            raise ShapeError("cannot propagate from an empty coarse set")
-        k = min(k, *counts)
+    def forward(self, tokens: Tensor, pyr: ScalePyramid, scale: int, k: int) -> Tensor:
+        """`tokens` has a row per scale-(scale+1) position of `pyr`; each of its
+        scale-`scale` positions mixes the tokens of its k nearest coarse
+        positions in its own cloud."""
+        coarse, fine = pyr.points[scale + 1], pyr.points[scale]
+        if tokens.shape[0] != coarse.shape[0]:
+            raise ShapeError(f"{tokens.shape[0]} tokens for {coarse.shape[0]} coarse positions")
+        co, fo = pyr.offsets[scale + 1], pyr.offsets[scale]
         idx, weights = [], []
-        for coarse, fine, lo in zip(coarse_coords, fine_coords, _offsets(counts)):
-            i, w = self.interpolation_weights(coarse, fine, k)
-            idx.append(i + lo)
+        for c0, c1, f0, f1 in zip(co[:-1], co[1:], fo[:-1], fo[1:]):
+            i, w = self.interpolation_weights(coarse[c0:c1], fine[f0:f1], k)
+            idx.append(i + c0)
             weights.append(w)
         gathered = T.index_select(tokens, np.concatenate(idx))  # (n_fine, k, dim_in)
         mixed = T.tsum(T.mul(gathered, np.concatenate(weights)[:, :, None]), axis=1)
@@ -206,68 +187,46 @@ class HierarchicalDecoder(Module):
         ]
         self.final_norm = LayerNorm(dims[1])
 
-    def forward(
-        self,
-        stage_outputs: list[Tensor],
-        pyramids: Sequence[ScalePyramid],
-        plans: Sequence[MaskPlan],
-    ) -> Tensor:
-        """Tokens for every scale-2 position of every cloud, each cloud in
-        index order, the clouds in pack order."""
+    def forward(self, stage_outputs: list[Tensor], pyr: ScalePyramid, plan: MaskPlan) -> Tensor:
+        """Tokens for every scale-2 row of `pyr`, in row order."""
         s = self.scales[0]
         top = stage_outputs[-1]
-        # each cloud's full coarsest sequence: visible slots gather their
-        # tokens, the rest the mask row after all of them
-        slots, lo = [], 0
-        for pyr, plan in zip(pyramids, plans):
-            slot = np.full(pyr.size_at(s), top.shape[0])
-            slot[plan.visible[s]] = np.arange(lo, lo + plan.visible[s].size)
-            lo += plan.visible[s].size
-            slots.append(slot)
-        x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), np.concatenate(slots))
-        prev_coords = [pyr.points[s] for pyr in pyramids]
+        # the full coarsest sequence: visible slots gather their tokens, the
+        # rest the mask row after all of them
+        slot = np.full(pyr.size_at(s), top.shape[0])
+        slot[plan.visible[s]] = np.arange(top.shape[0])
+        x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), slot)
         for j, sc in enumerate(self.scales):
-            full_coords = [pyr.points[sc] for pyr in pyramids]
             if j > 0:
-                x = self.props[j - 1](x, prev_coords, full_coords, self.interp_k)
-            x = T.add(x, self.pos[j](np.concatenate(full_coords)))
-            offsets = _offsets([c.shape[0] for c in full_coords])
+                x = self.props[j - 1](x, pyr, sc, self.interp_k)
+            x = T.add(x, self.pos[j](pyr.points[sc]))
             for block in self.stages[j]:
-                x = block(x, offsets)
-            prev_coords = full_coords
+                x = block(x, pyr.offsets[sc])
         return self.final_norm(x)
 
 
-def pretrain_loss(
-    pred: Tensor,
-    pyramids: Sequence[ScalePyramid],
-    plans: Sequence[MaskPlan],
-    zero_scale: bool = False,
-) -> Tensor:
-    """Mean over the pack's clouds of each cloud's mean chamfer between
+def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: bool = False) -> Tensor:
+    """Mean over the pack's B clouds of each cloud's mean chamfer between
     predicted and true center-relative patches of its masked scale-2 centers:
     each of cloud i's M_i rows weighs 1/(B * M_i).
 
-    `pred` holds the clouds' masked rows one after another. The target is
-    each center's scale-2 patch, or with `zero_scale` its raw-point
-    neighborhood: the scale-1 patch of the same point, which fps carried up
-    from scale 1 unchanged.
+    `pred` holds the rows of `plan.masked[2]` in order. The target is each
+    center's scale-2 patch, or with `zero_scale` its raw-point neighborhood:
+    the scale-1 patch of the same point, which fps carried up from scale 1
+    unchanged.
     """
-    truths, weights = [], []
-    for pyr, plan in zip(pyramids, plans):
-        msk = plan.masked[2]
-        scale, centers = (1, pyr.sample_idx[1][msk]) if zero_scale else (2, msk)
-        truths.append(gather_patches(pyr, scale, centers))
-        weights.append(np.full(msk.size, 1.0) / (len(plans) * msk.size))
-    truth = np.concatenate(truths)
+    msk = plan.masked[2]
+    scale, centers = (1, pyr.sample_idx[1][msk]) if zero_scale else (2, msk)
+    truth = gather_patches(pyr, scale, centers)
     if pred.shape != truth.shape:
         raise ShapeError(f"predictions must have shape {truth.shape}, got {pred.shape}")
-    return chamfer_l2_batched(pred, truth, np.concatenate(weights))
+    counts = np.diff(np.searchsorted(msk, pyr.offsets[2]))  # M_i
+    return chamfer_l2_batched(pred, truth, 1.0 / (counts.size * np.repeat(counts, counts)))
 
 
 @dataclass
 class ReconOutput:
-    pred: Tensor  # (sum M_i, k_2, 3) relative to each masked scale-2 center, clouds in pack order
+    pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center, rows of plan.masked[2] in order
     pred_zero: Tensor | None
     stage_outputs: list[Tensor]
     decoder: Tensor
@@ -283,16 +242,15 @@ class MaskedAutoencoder(Module):
             Linear(cfg.dims[1], cfg.ks[0] * 3, rng) if cfg.zero_scale_head else None
         )
 
-    def reconstruct(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> ReconOutput:
-        for i, plan in enumerate(plans):
-            if plan.masked[2].size == 0:
-                raise ConfigError(
-                    f"no masked scale-2 centers in cloud {i} of the pack; raise mask_ratio or lower ks"
-                )
-        stages = self.encoder(pyramids, plans)
-        dec = self.decoder(stages, pyramids, plans)
-        starts = _offsets([pyr.size_at(2) for pyr in pyramids])
-        rows = np.concatenate([plan.masked[2] + lo for plan, lo in zip(plans, starts)])
+    def reconstruct(self, pyr: ScalePyramid, plan: MaskPlan) -> ReconOutput:
+        rows = plan.masked[2]
+        empty = np.flatnonzero(np.diff(np.searchsorted(rows, pyr.offsets[2])) == 0)
+        if empty.size:
+            raise ConfigError(
+                f"no masked scale-2 centers in cloud {empty[0]} of the pack; raise mask_ratio or lower ks"
+            )
+        stages = self.encoder(pyr, plan)
+        dec = self.decoder(stages, pyr, plan)
         hidden = T.index_select(dec, rows)
         pred = T.reshape(self.recon_head(hidden), (rows.size, self.cfg.ks[1], 3))
         pred_zero = None
@@ -300,12 +258,12 @@ class MaskedAutoencoder(Module):
             pred_zero = T.reshape(self.zero_head(hidden), (rows.size, self.cfg.ks[0], 3))
         return ReconOutput(pred, pred_zero, stages, dec)
 
-    def loss(self, pyramids: Sequence[ScalePyramid], plans: Sequence[MaskPlan]) -> Tensor:
+    def loss(self, pyr: ScalePyramid, plan: MaskPlan) -> Tensor:
         """The pack's mean pretraining loss over its clouds."""
-        rec = self.reconstruct(pyramids, plans)
-        total = pretrain_loss(rec.pred, pyramids, plans)
+        rec = self.reconstruct(pyr, plan)
+        total = pretrain_loss(rec.pred, pyr, plan)
         if rec.pred_zero is not None:
-            total = T.add(total, pretrain_loss(rec.pred_zero, pyramids, plans, zero_scale=True))
+            total = T.add(total, pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True))
         return total
 
 
@@ -327,13 +285,12 @@ class CloudClassifier(Module):
         widths = (2 * cfg.dims[-1],) + tuple(head_hidden) + (n_classes,)
         self.head = [Linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
 
-    def features(self, pyramids: Sequence[ScalePyramid]) -> Tensor:
+    def features(self, pyr: ScalePyramid) -> Tensor:
         """(B, 2*C_S) pooled final-stage features of the pack's whole, unmasked
         clouds, one row per cloud: max-pool next to mean-pool."""
         rng = np.random.default_rng(0)  # a zero mask ratio draws nothing
-        plans = [mask_and_backproject(pyr, 0.0, rng) for pyr in pyramids]
-        top = self.encoder(pyramids, plans)[-1]
-        b, c = len(pyramids), top.shape[1]
+        top = self.encoder(pyr, mask_and_backproject(pyr, 0.0, rng))[-1]
+        b, c = pyr.offsets[-1].size - 1, top.shape[1]
         per_cloud = T.reshape(top, (b, -1, c))  # unmasked, every cloud has N_S rows
         pooled = T.concat([T.amax(per_cloud, axis=1), T.tmean(per_cloud, axis=1)])  # (2B, C)
         # cloud i's max row, then its mean row
@@ -345,5 +302,5 @@ class CloudClassifier(Module):
             h = T.gelu(layer(h))
         return self.head[-1](h)
 
-    def logits(self, pyramids: Sequence[ScalePyramid]) -> Tensor:
-        return self.logits_from_features(self.features(pyramids))
+    def logits(self, pyr: ScalePyramid) -> Tensor:
+        return self.logits_from_features(self.features(pyr))

@@ -205,7 +205,7 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
         pyramid = cloud_pyramid(cloud.points, model_cfg)
         plan = mask_and_backproject(pyramid, train_cfg.mask_ratio, rng)
         with T.no_grad():
-            rec = model.reconstruct([pyramid], [plan])
+            rec = model.reconstruct(pyramid, plan)
         visible_fine = pyramid.points[1][plan.visible[1]]
         centers = pyramid.points[2]
         truth_vis = gather_patches(pyramid, 2, plan.visible[2]) + centers[plan.visible[2]][:, None, :]

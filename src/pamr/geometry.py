@@ -25,6 +25,7 @@ __all__ = [
     "fps",
     "knn",
     "build_scale_pyramid",
+    "stack_pack",
     "mask_and_backproject",
     "gather_patches",
     "visible_positions",
@@ -155,16 +156,18 @@ def _knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.
 
 @dataclass
 class ScalePyramid:
-    """Coarse-to-fine index structure over one cloud.
+    """Coarse-to-fine index structure over a pack of one or more clouds.
 
     points[i] is the scale-i cloud (scale 0 is the raw input); sample_idx[i-1]
     locates scale i inside scale i-1; neighbors[i-1] (shape (N_i, k_i)) is the
-    patch of each scale-i center, indexing into scale i-1.
+    patch of each scale-i center, indexing into scale i-1. Cloud c holds the
+    scale-i rows offsets[i][c]:offsets[i][c+1]; one cloud's are [0, N_i].
     """
 
     points: list[np.ndarray]
     sample_idx: list[np.ndarray]
     neighbors: list[np.ndarray]
+    offsets: list[np.ndarray]
 
     @property
     def num_scales(self) -> int:
@@ -210,7 +213,38 @@ def build_scale_pyramid(
         neighbors.append(knn(centers, below, k))
         sample_idx.append(idx)
         levels.append(centers)
-    return ScalePyramid(levels, sample_idx, neighbors)
+    return ScalePyramid(levels, sample_idx, neighbors, [np.array([0, lv.shape[0]]) for lv in levels])
+
+
+def stack_pack(
+    pyramids: list[ScalePyramid], plans: list[MaskPlan] | None = None
+) -> tuple[ScalePyramid, MaskPlan | None]:
+    """One pyramid holding the rows of the pack's single-cloud pyramids at
+    every level, cloud after cloud, and the matching stacked plan (None
+    without `plans`). Every index moves into its own cloud's rows, so code
+    for one cloud runs on the whole pack."""
+    counts = [p.num_scales for p in pyramids]
+    if len(set(counts)) != 1:
+        raise ShapeError(f"a pack needs one or more pyramids of one scale count, got {counts}")
+    if plans is not None and len(plans) != len(pyramids):
+        raise ShapeError(f"a pack needs one plan per pyramid, got {len(pyramids)} and {len(plans)}")
+    levels = range(counts[0] + 1)
+    offsets = [np.cumsum([0] + [p.size_at(i) for p in pyramids]) for i in levels]
+
+    def stack(arrays, level: int) -> np.ndarray:  # each cloud's indices shifted to its first row
+        return np.concatenate([a + lo for a, lo in zip(arrays, offsets[level])])
+
+    pyramid = ScalePyramid(
+        [np.concatenate([p.points[i] for p in pyramids]) for i in levels],
+        [stack([p.sample_idx[i] for p in pyramids], i) for i in levels[:-1]],
+        [stack([p.neighbors[i] for p in pyramids], i) for i in levels[:-1]],
+        offsets,
+    )
+    if plans is None:
+        return pyramid, None
+    visible = [None] + [stack([p.visible[i] for p in plans], i) for i in levels[1:]]
+    masked = [None] + [stack([p.masked[i] for p in plans], i) for i in levels[1:]]
+    return pyramid, MaskPlan(visible, masked)
 
 
 @dataclass

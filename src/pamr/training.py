@@ -7,7 +7,7 @@ so a rerun with the same config reproduces the loss series bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .backbone import CloudClassifier, MaskedAutoencoder
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NonFiniteError, PamrError
 from .geometry import PointCloud, ScalePyramid, build_scale_pyramid
-from .geometry import mask_and_backproject, normalize_points
+from .geometry import mask_and_backproject, normalize_points, stack_pack
 from .tensor import Tensor
 
 __all__ = [
@@ -116,7 +116,7 @@ def augment(pyramid: ScalePyramid, rng: np.random.Generator, cfg: TrainConfig) -
         return pyramid
     s = rng.uniform(cfg.scale_lo, cfg.scale_hi)
     t = rng.uniform(-cfg.translate, cfg.translate, size=3)
-    return ScalePyramid([p * s + t for p in pyramid.points], pyramid.sample_idx, pyramid.neighbors)
+    return replace(pyramid, points=[p * s + t for p in pyramid.points])
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -230,7 +230,7 @@ def pretrain_run(
         for ci in items:
             pyrs.append(augment(pyramids[ci], rng, train_cfg))
             plans.append(mask_and_backproject(pyrs[-1], train_cfg.mask_ratio, rng))
-        return model.loss(pyrs, plans), None
+        return model.loss(*stack_pack(pyrs, plans)), None
 
     def on_epoch_end(epoch: int) -> None:
         every, done = train_cfg.checkpoint_every, epoch + 1
@@ -272,7 +272,8 @@ def pooled_features(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.nd
     a pack at a time; no grads."""
     size = pack_size(clf.cfg)
     with T.no_grad():
-        rows = [clf.features(pyramids[lo : lo + size]).data for lo in range(0, len(pyramids), size)]
+        packs = (stack_pack(pyramids[lo : lo + size])[0] for lo in range(0, len(pyramids), size))
+        rows = [clf.features(pack).data for pack in packs]
     return np.concatenate(rows, axis=0)
 
 
@@ -342,7 +343,7 @@ def finetune_classify(
     else:
 
         def loss_of(items: np.ndarray):
-            logits = clf.logits([augment(train_pyrs[i], rng, train_cfg) for i in items])
+            logits = clf.logits(stack_pack([augment(train_pyrs[i], rng, train_cfg) for i in items])[0])
             hits = np.argmax(logits.data, axis=1) == train_labels[items]
             return cross_entropy(logits, train_labels[items]), hits
 

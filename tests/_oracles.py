@@ -21,8 +21,10 @@ interpolation weights, whose distances were recomputed after kNN.
 `few_shot_reference` is the few-shot protocol without feature reuse: every
 trial encodes its own train and test clouds with its own classifier.
 
-`per_cloud_step` is the training step before packing: one cloud's graph at a
-time, each loss scaled by 1/B, for comparison with the packed step.
+`per_cloud_step` is the training step before packing: each cloud's own
+pyramid through its own graph, one at a time, each loss scaled by 1/B, for
+comparison with one graph over the pack's stacked pyramid. `unstack_pack`
+cuts a stacked pyramid back into its clouds' pyramids.
 
 The `*_reference` layers rebuild each fused tensor op as the chain of
 elementary ops it replaces, so both the forward values (same arithmetic
@@ -37,7 +39,7 @@ import numpy as np
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier
 from pamr.errors import ShapeError
-from pamr.geometry import _check_points
+from pamr.geometry import ScalePyramid, _check_points
 from pamr.training import (
     _accuracy,
     _fit_frozen_head,
@@ -190,7 +192,8 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
 
 def per_cloud_step(batch, loss_of):
     """Forward and backward one item at a time, each loss scaled by 1/B, so one
-    graph is alive at once. `loss_of(i)` gives item i's loss and whether it was
+    graph is alive at once: the per-cloud oracle for a pack's step. `loss_of(i)`
+    gives item i's loss, from its own pyramid (a pack of one), and whether it was
     classified right (or None); returns the mean loss and accuracy (or None)."""
     total, hits = 0.0, []
     for i in batch:
@@ -199,6 +202,25 @@ def per_cloud_step(batch, loss_of):
         total += loss.item()
         hits.append(hit)
     return total / batch.size, None if hits[0] is None else float(np.mean(hits))
+
+
+def unstack_pack(pyr):
+    """The clouds of a stacked pyramid, each as its own pyramid: every level's
+    rows cut at the pack's offsets and every index shifted back."""
+    o = pyr.offsets
+
+    def cut(arrays, c):  # entry i has a row per scale-(i+1) point, indexing scale i
+        return [a[o[i + 1][c] : o[i + 1][c + 1]] - o[i][c] for i, a in enumerate(arrays)]
+
+    return [
+        ScalePyramid(
+            [p[o[i][c] : o[i][c + 1]] for i, p in enumerate(pyr.points)],
+            cut(pyr.sample_idx, c),
+            cut(pyr.neighbors, c),
+            [np.array([0, o[i][c + 1] - o[i][c]]) for i in range(len(o))],
+        )
+        for c in range(o[0].size - 1)
+    ]
 
 
 def _standardize_reference(x):

@@ -369,7 +369,7 @@ rng = np.random.default_rng(0)
 pyr = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
 plan = mask_and_backproject(pyr, 0.6, rng)
 model = MaskedAutoencoder(cfg, rng)
-loss = model.loss([pyr], [plan])
+loss = model.loss(pyr, plan)
 loss.backward()
 digest = hashlib.sha256(loss.data.tobytes())
 for _, p in model.named_parameters():
@@ -406,14 +406,14 @@ def test_full_size_config_shape_contract():
         assert len(plan.masked[3]) == 38
         assert len(plan.visible[3]) == 26
         model = MaskedAutoencoder(mc, rng)
-        rec = model.reconstruct([pyr], [plan])
+        rec = model.reconstruct(pyr, plan)
         stage_dims = [(s.shape[0], s.shape[1]) for s in rec.stage_outputs]
         assert stage_dims[0] == (len(plan.visible[1]), 96)
         assert stage_dims[1] == (len(plan.visible[2]), 192)
         assert stage_dims[2] == (26, 384)
         assert rec.decoder.shape == (256, 192)
         assert rec.pred.shape == (len(plan.masked[2]), 8, 3)
-        pretrain_loss(rec.pred, [pyr], [plan]).backward()
+        pretrain_loss(rec.pred, pyr, plan).backward()
         touched = [p for p in model.parameters() if p.grad is not None]
         assert len(touched) > 0
         assert all(np.all(np.isfinite(p.grad)) for p in touched)

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,15 @@ from pamr.backbone import (
 )
 from pamr.config import ModelConfig
 from pamr.errors import ConfigError, ShapeError
-from pamr.gradcheck import finite_diff_check
-from pamr.geometry import MaskPlan, build_scale_pyramid, gather_patches, mask_and_backproject
+from pamr.gradcheck import finite_diff_check, pipeline_gradient_check
+from pamr.geometry import (
+    MaskPlan,
+    ScalePyramid,
+    build_scale_pyramid,
+    gather_patches,
+    mask_and_backproject,
+    stack_pack,
+)
 from pamr.tensor import Tensor
 
 
@@ -28,6 +36,11 @@ def tiny_pyramid(seed=0, n=32, mu=0.6):
     pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
     plan = mask_and_backproject(pyr, mu, np.random.default_rng(seed + 1))
     return pyr, plan
+
+
+def two_levels(fine, coarse):
+    """A one-cloud pyramid of just the two levels a propagator reads."""
+    return ScalePyramid([fine, coarse], [], [], [np.array([0, len(fine)]), np.array([0, len(coarse)])])
 
 
 class TestAttention:
@@ -59,7 +72,7 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(10))
         pyr, plan = tiny_pyramid(seed=3)
-        outs = enc([pyr], [plan])
+        outs = enc(pyr, plan)
         assert len(outs) == 2
         for i, tokens in enumerate(outs):
             assert tokens.shape == (plan.visible[i + 1].size, cfg.dims[i])
@@ -68,15 +81,15 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(11))
         pyr, plan = tiny_pyramid(seed=4, mu=0.0)
-        outs = enc([pyr], [plan])
+        outs = enc(pyr, plan)
         assert outs[0].shape == (16, 8)
         assert outs[1].shape == (8, 16)
 
     def test_deterministic_given_seed(self):
         cfg = ModelConfig.tiny()
         pyr, plan = tiny_pyramid(seed=5)
-        a = HierarchicalEncoder(cfg, np.random.default_rng(12))([pyr], [plan])
-        b = HierarchicalEncoder(cfg, np.random.default_rng(12))([pyr], [plan])
+        a = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
+        b = HierarchicalEncoder(cfg, np.random.default_rng(12))(pyr, plan)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.data, sb.data)
 
@@ -84,7 +97,7 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(13))
         pyr, plan = tiny_pyramid(seed=6)
-        base = [t.numpy() for t in enc([pyr], [plan])]
+        base = [t.numpy() for t in enc(pyr, plan)]
 
         mutated = copy.deepcopy(pyr)
         rng = np.random.default_rng(14)
@@ -97,7 +110,7 @@ class TestEncoder:
         free = np.setdiff1d(np.arange(pyr.size_at(0)), used)
         mutated.points[0][free] += rng.normal(size=(free.size, 3))
 
-        after = [t.numpy() for t in enc([mutated], [plan])]
+        after = [t.numpy() for t in enc(mutated, plan)]
         for x, y in zip(base, after):
             np.testing.assert_array_equal(x, y)
 
@@ -110,7 +123,10 @@ class TestEncoder:
             [None, np.empty(0, dtype=np.int64), np.arange(8)],
         )
         with pytest.raises(ConfigError):
-            enc([pyr], [empty])
+            enc(pyr, empty)
+        ok_pyr, ok_plan = tiny_pyramid(seed=8)
+        with pytest.raises(ConfigError, match="no visible centers at scale 2 in cloud 1 of the pack"):
+            enc(*stack_pack([ok_pyr, pyr], [ok_plan, empty]))
 
     def test_scale_count_mismatch(self):
         cfg = ModelConfig.tiny()
@@ -119,7 +135,7 @@ class TestEncoder:
         pyr = build_scale_pyramid(pts, (16, 8, 4), (4, 4, 2))
         plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            enc([pyr], [plan])
+            enc(pyr, plan)
 
 
 class TestTokenPropagator:
@@ -162,7 +178,7 @@ class TestTokenPropagator:
         tokens = Tensor(np.tile(v, (8, 1)))
         coarse = rng.normal(size=(8, 3))
         fine = rng.normal(size=(20, 3))
-        out = prop(tokens, [coarse], [fine], 3).data
+        out = prop(tokens, two_levels(fine, coarse), 0, 3).data
         expected = (T.matmul(Tensor(v[None, :]), prop.proj.weight).data + prop.proj.bias.data)
         np.testing.assert_allclose(out, np.tile(expected, (20, 1)), atol=1e-12)
 
@@ -170,7 +186,7 @@ class TestTokenPropagator:
         rng = np.random.default_rng(23)
         prop = TokenPropagator(4, 4, rng)
         tokens = Tensor(rng.normal(size=(2, 4)))
-        out = prop(tokens, [rng.normal(size=(2, 3))], [rng.normal(size=(5, 3))], 3)
+        out = prop(tokens, two_levels(rng.normal(size=(5, 3)), rng.normal(size=(2, 3))), 0, 3)
         assert out.shape == (5, 4)
 
     def test_gradients(self):
@@ -182,7 +198,7 @@ class TestTokenPropagator:
         w = rng.normal(size=(9, 5))
         params = dict(prop.param_dict(), tokens=tokens)
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(prop(tokens, [coarse], [fine], 3), w)), params
+            lambda: T.tsum(T.mul(prop(tokens, two_levels(fine, coarse), 0, 3), w)), params
         )
         assert report.ok, report.summary()
 
@@ -194,7 +210,7 @@ class TestDecoder:
         enc = HierarchicalEncoder(cfg, rng)
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=8)
-        out = dec(enc([pyr], [plan]), [pyr], [plan])
+        out = dec(enc(pyr, plan), pyr, plan)
         assert out.shape == (pyr.size_at(2), cfg.dims[1])
 
     def test_mask_token_reaches_masked_outputs(self):
@@ -203,13 +219,13 @@ class TestDecoder:
         enc = HierarchicalEncoder(cfg, rng)
         dec = HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=9)
-        stages = enc([pyr], [plan])
-        before = dec(stages, [pyr], [plan]).numpy()
+        stages = enc(pyr, plan)
+        before = dec(stages, pyr, plan).numpy()
         # non-uniform bump: a uniform one would be erased by layer norms
         dec.mask_token.data = dec.mask_token.data + np.random.default_rng(33).normal(
             size=dec.mask_token.shape
         )
-        after = dec(stages, [pyr], [plan]).numpy()
+        after = dec(stages, pyr, plan).numpy()
         msk = plan.masked[2]
         assert not np.allclose(before[msk], after[msk])
 
@@ -219,8 +235,8 @@ class TestDecoder:
         enc, dec = HierarchicalEncoder(cfg, rng), HierarchicalDecoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=12, mu=0.0)
         assert plan.masked[2].size == 0
-        stages = enc([pyr], [plan])
-        out = dec(stages, [pyr], [plan])
+        stages = enc(pyr, plan)
+        out = dec(stages, pyr, plan)
         assert out.shape == (pyr.size_at(2), cfg.dims[1])
         T.tsum(T.mul(out, rng.normal(size=out.shape))).backward()
         assert dec.mask_token.grad.tobytes() == np.zeros(cfg.dims[-1]).tobytes()
@@ -231,7 +247,7 @@ class TestDecoder:
         rng = np.random.default_rng(32)
         model = MaskedAutoencoder(cfg, rng)
         pyr, plan = tiny_pyramid(seed=10)
-        model.loss([pyr], [plan]).backward()
+        model.loss(pyr, plan).backward()
         g = model.decoder.mask_token.grad
         assert np.any(g != 0.0)
 
@@ -244,12 +260,12 @@ class TestPretrainLoss:
         assert plan.masked[2].size == 1
         truth = gather_patches(pyr, 2, plan.masked[2])
         pred = Tensor(truth + np.array([1.0, 0.0, 0.0]))
-        assert abs(pretrain_loss(pred, [pyr], [plan]).item() - 2.0) < 1e-12
+        assert abs(pretrain_loss(pred, pyr, plan).item() - 2.0) < 1e-12
 
     def test_exact_prediction_zero_loss(self):
         pyr, plan = tiny_pyramid(seed=11)
         truth = gather_patches(pyr, 2, plan.masked[2])
-        assert pretrain_loss(Tensor(truth), [pyr], [plan]).item() == 0.0
+        assert pretrain_loss(Tensor(truth), pyr, plan).item() == 0.0
 
     def test_nothing_masked_raises(self):
         # the one empty-mask check is the model's, before the pack's forward
@@ -257,12 +273,12 @@ class TestPretrainLoss:
         ok_pyr, ok_plan = tiny_pyramid(seed=11)
         model = MaskedAutoencoder(ModelConfig.tiny(), np.random.default_rng(58))
         with pytest.raises(ConfigError, match="in cloud 1 of the pack; raise mask_ratio or lower ks"):
-            model.loss([ok_pyr, pyr], [ok_plan, plan])
+            model.loss(*stack_pack([ok_pyr, pyr], [ok_plan, plan]))
 
     def test_shape_mismatch_raises(self):
         pyr, plan = tiny_pyramid(seed=13)
         with pytest.raises(ShapeError):
-            pretrain_loss(Tensor(np.zeros((1, 2, 3))), [pyr], [plan])
+            pretrain_loss(Tensor(np.zeros((1, 2, 3))), pyr, plan)
 
 
 class TestMaskedAutoencoder:
@@ -270,7 +286,7 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(50))
         pyr, plan = tiny_pyramid(seed=14)
-        loss = model.loss([pyr], [plan])
+        loss = model.loss(pyr, plan)
         assert loss.shape == () and loss.item() >= 0.0
         loss.backward()
         for name, p in model.named_parameters():
@@ -280,7 +296,7 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(51))
         pyr, plan = tiny_pyramid(seed=15)
-        rec = model.reconstruct([pyr], [plan])
+        rec = model.reconstruct(pyr, plan)
         assert rec.pred.shape == (plan.masked[2].size, cfg.ks[1], 3)
         assert rec.pred_zero is None
 
@@ -289,11 +305,11 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig(**{**cfg.as_dict(), "zero_scale_head": True})
         model = MaskedAutoencoder(cfg, np.random.default_rng(52))
         pyr, plan = tiny_pyramid(seed=16)
-        rec = model.reconstruct([pyr], [plan])
+        rec = model.reconstruct(pyr, plan)
         assert rec.pred_zero.shape == (plan.masked[2].size, cfg.ks[0], 3)
-        base = pretrain_loss(rec.pred, [pyr], [plan]).item()
-        extra = pretrain_loss(rec.pred_zero, [pyr], [plan], zero_scale=True).item()
-        np.testing.assert_allclose(model.loss([pyr], [plan]).item(), base + extra, rtol=1e-12)
+        base = pretrain_loss(rec.pred, pyr, plan).item()
+        extra = pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True).item()
+        np.testing.assert_allclose(model.loss(pyr, plan).item(), base + extra, rtol=1e-12)
 
     def test_fused_ops_match_their_composite_chains(self, monkeypatch):
         # one desk-scale cloud through the whole model, once with the fused
@@ -308,7 +324,7 @@ class TestMaskedAutoencoder:
 
         def run():
             model = MaskedAutoencoder(cfg, np.random.default_rng(57))
-            loss = model.loss([pyr], [plan])
+            loss = model.loss(pyr, plan)
             loss.backward()
             return loss.item(), {n: p.grad for n, p in model.named_parameters()}
 
@@ -327,7 +343,7 @@ class TestMaskedAutoencoder:
         model = MaskedAutoencoder(cfg, np.random.default_rng(53))
         pyr, plan = tiny_pyramid(seed=17)
         report = finite_diff_check(
-            lambda: model.loss([pyr], [plan]),
+            lambda: model.loss(pyr, plan),
             model.param_dict(),
             tol=1e-3,
             sample=1,
@@ -335,15 +351,29 @@ class TestMaskedAutoencoder:
         )
         assert report.ok, report.summary()
 
+    # zero up to rounding at any weights: each gate's scalar biases, which its
+    # group norm cancels, and each attention's key bias, which adds one
+    # constant q.b to every score of a query and so leaves its softmax as is
+    INERT = re.compile(r"gate_[ab]\.(avg|max)_bias$|attn\.wk\.bias$")
+
+    def test_pipeline_gradient_check_compares_every_live_parameter(self):
+        # an entry below the relative-error floor of 1e-6 is compared with zero
+        report = pipeline_gradient_check()
+        assert report.ok, report.summary()
+        inert = [e for e in report.entries if self.INERT.search(e.name)]
+        assert len(inert) == 7 and all(abs(e.analytic) < 1e-15 for e in inert)
+        low = [e.name for e in report.entries if abs(e.analytic) <= 1e-6 and e not in inert]
+        assert not low, low
+
 
 class TestCloudClassifier:
     def test_feature_and_logit_shapes(self):
         cfg = ModelConfig.tiny()
         clf = CloudClassifier(cfg, 4, (16,), np.random.default_rng(60))
         pyr, _ = tiny_pyramid(seed=18, mu=0.0)
-        feats = clf.features([pyr])
+        feats = clf.features(pyr)
         assert feats.shape == (1, 2 * cfg.dims[-1])
-        assert clf.logits([pyr]).shape == (1, 4)
+        assert clf.logits(pyr).shape == (1, 4)
 
     def test_class_count_validated(self):
         with pytest.raises(ConfigError):

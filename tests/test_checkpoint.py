@@ -266,12 +266,12 @@ class TestModelIntegration:
         pyr = build_scale_pyramid(pts, TINY.sizes, TINY.ks)
         plan = mask_and_backproject(pyr, 0.6, np.random.default_rng(0))
         with T.no_grad():
-            want = pre.model.loss([pyr], [plan]).item()
+            want = pre.model.loss(pyr, plan).item()
 
         fresh = MaskedAutoencoder(TINY, np.random.default_rng(999))
         apply_params(fresh, load_checkpoint(path, expect_fingerprint=fp).params)
         with T.no_grad():
-            got = fresh.loss([pyr], [plan]).item()
+            got = fresh.loss(pyr, plan).item()
         assert got == want
 
     def test_apply_params_rejects_wrong_names(self):

@@ -26,6 +26,7 @@ from pamr.geometry import (
     knn,
     mask_and_backproject,
     normalize_points,
+    stack_pack,
     visible_positions,
 )
 
@@ -177,6 +178,25 @@ class TestScalePyramid:
             build_scale_pyramid(pts, (8, 4), (2,))
         with pytest.raises(ConfigError):
             build_scale_pyramid(pts, (8, 4), (2, 9))
+
+
+class TestStackPack:
+    def test_a_built_pyramid_is_a_pack_of_one(self):
+        pyr = build_scale_pyramid(random_cloud(np.random.default_rng(33), 40), (16, 8), (4, 4))
+        assert [o.tolist() for o in pyr.offsets] == [[0, 40], [0, 16], [0, 8]]
+
+    def test_mismatched_packs_rejected(self):
+        pts = random_cloud(np.random.default_rng(34), 32)
+        two, three = build_scale_pyramid(pts, (16, 8), (4, 4)), build_scale_pyramid(pts, (16, 8, 4), (4, 4, 2))
+        plan = mask_and_backproject(two, 0.5, np.random.default_rng(35))
+        with pytest.raises(ShapeError, match="of one scale count, got \\[2, 3\\]"):
+            stack_pack([two, three])
+        with pytest.raises(ShapeError, match="one plan per pyramid"):
+            stack_pack([two, two], [plan])
+        with pytest.raises(ShapeError, match="one plan per pyramid"):
+            stack_pack([two], [plan, plan])
+        with pytest.raises(ShapeError, match="one or more pyramids"):
+            stack_pack([])
 
 
 class TestFullSizeKernels:

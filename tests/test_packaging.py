@@ -1,4 +1,5 @@
-"""The runtime needs the standard library and numpy, nothing else."""
+"""The runtime needs the standard library and numpy, nothing else, and
+README's library layout names every module."""
 import ast
 import re
 import sys
@@ -33,3 +34,11 @@ def test_numpy_is_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9._-]+", dep).group(0) for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_readme_layout_has_one_row_per_module():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `pamr\.(\w+)` \|", table, flags=re.M)
+    modules = [p.stem for p in (ROOT / "src" / "pamr").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)

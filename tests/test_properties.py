@@ -4,8 +4,9 @@ over the fps and kNN kernels, and over the model's packs of clouds.
 Every input must either load or raise a PamrError subclass, which the CLI
 turns into `error: ...` and exit code 1; any other exception is a crash.
 The kernels must return exactly the indices of their reference oracles on
-clouds full of ties. A pack of clouds must give the loss, gradients and
-features of the same clouds run one at a time. Examples are derandomized
+clouds full of ties. A pack's stacked pyramid must hold each cloud's own
+pyramid in the cloud's own rows, and a pack must give the loss, gradients
+and features of the same clouds run one at a time. Examples are derandomized
 and no example database is kept, so a run is repeatable and leaves nothing
 in the checkout.
 """
@@ -19,14 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from _oracles import fps_reference, knn_reference, per_cloud_step, pyramid_reference
+from _oracles import fps_reference, knn_reference, per_cloud_step, pyramid_reference, unstack_pack
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.checkpoint import MAGIC, VERSION, decode_checkpoint, encode_checkpoint
 from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mapping
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
-from pamr.geometry import build_scale_pyramid, fps, knn, mask_and_backproject
+from pamr.geometry import build_scale_pyramid, fps, gather_patches, knn, mask_and_backproject, stack_pack
 from pamr.training import cloud_pyramid
 
 # To report a failing example, Hypothesis imports `hypothesis.extra._patching`,
@@ -218,6 +219,43 @@ PACK_CONFIGS = {
 
 
 @settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(PACK_CONFIGS)), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stack_pack_keeps_each_cloud_in_its_own_rows(config, n_clouds, seed):
+    cfg = PACK_CONFIGS[config]
+    rng = np.random.default_rng(seed)
+    # raw counts differ between clouds: loading a dataset does not resample to n_points
+    raw = rng.integers(cfg.sizes[0], 2 * cfg.n_points, size=n_clouds)
+    pyramids = [cloud_pyramid(rng.normal(size=(n, 3)), cfg) for n in raw]
+    plans = [mask_and_backproject(pyr, 0.6, rng) for pyr in pyramids]
+    pyr, plan = stack_pack(pyramids, plans)
+
+    def same(a, b):
+        assert len(a) == len(b) and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    def levels(p):
+        return p.points + p.sample_idx + p.neighbors + p.offsets
+
+    for level in range(len(cfg.sizes) + 1):
+        assert pyr.offsets[level].tolist() == [0] + np.cumsum([p.size_at(level) for p in pyramids]).tolist()
+    # cut back at the offsets, every cloud's levels and indices are its own
+    # pyramid's, so each shifted index lands in its own cloud's rows
+    cuts = unstack_pack(pyr)
+    assert len(cuts) == n_clouds
+    for own, cut in zip(pyramids, cuts):
+        same(levels(own), levels(cut))
+    for scale in range(1, len(cfg.sizes) + 1):
+        for field in ("visible", "masked"):
+            want = [getattr(p, field)[scale] + lo for p, lo in zip(plans, pyr.offsets[scale])]
+            same([getattr(plan, field)[scale]], [np.concatenate(want)])
+        own = [gather_patches(p, scale, np.arange(p.size_at(scale))) for p in pyramids]
+        same([gather_patches(pyr, scale, np.arange(pyr.size_at(scale)))], [np.concatenate(own)])
+
+    one, one_plan = stack_pack(pyramids[:1], plans[:1])
+    same(levels(one) + one_plan.visible[1:] + one_plan.masked[1:],
+         levels(pyramids[0]) + plans[0].visible[1:] + plans[0].masked[1:])
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
 @given(
     st.sampled_from(sorted(PACK_CONFIGS)),
     st.booleans(),
@@ -233,12 +271,12 @@ def test_pack_matches_its_clouds_one_at_a_time(config, zero_scale_head, n_clouds
     model = MaskedAutoencoder(cfg, rng)
     params = model.param_dict()
 
-    loss = model.loss(pyramids, plans)
+    loss = model.loss(*stack_pack(pyramids, plans))
     loss.backward()
     packed = {name: p.grad.copy() for name, p in params.items()}
     for p in params.values():
         p.zero_grad()
-    ref, _ = per_cloud_step(np.arange(n_clouds), lambda i: (model.loss([pyramids[i]], [plans[i]]), None))
+    ref, _ = per_cloud_step(np.arange(n_clouds), lambda i: (model.loss(pyramids[i], plans[i]), None))
     assert abs(loss.item() - ref) <= 1e-12 * abs(ref)
     scale = max(np.abs(p.grad).max() for p in params.values())
     for name, p in params.items():
@@ -246,7 +284,7 @@ def test_pack_matches_its_clouds_one_at_a_time(config, zero_scale_head, n_clouds
 
     clf = CloudClassifier(cfg, 3, (8,), rng)
     with T.no_grad():
-        feats = clf.features(pyramids).data
-        one_by_one = np.concatenate([clf.features([pyr]).data for pyr in pyramids])
+        feats = clf.features(stack_pack(pyramids)[0]).data
+        one_by_one = np.concatenate([clf.features(pyr).data for pyr in pyramids])
     assert feats.shape == one_by_one.shape
     assert np.abs(feats - one_by_one).max() <= 1e-12

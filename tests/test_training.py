@@ -139,7 +139,7 @@ class TestAugment:
         rng = np.random.default_rng(0)
         pts = np.random.default_rng(1).normal(size=(50, 3))
         for _ in range(20):
-            out = augment(ScalePyramid([pts], [], []), rng, cfg).points[0]
+            out = augment(ScalePyramid([pts], [], [], [np.array([0, len(pts)])]), rng, cfg).points[0]
             # recover scale from pairwise distances, translation from centroids
             s = np.linalg.norm(out[0] - out[1]) / np.linalg.norm(pts[0] - pts[1])
             assert cfg.scale_lo - 1e-9 <= s <= cfg.scale_hi + 1e-9
@@ -149,8 +149,8 @@ class TestAugment:
     def test_same_generator_state_same_output(self):
         cfg = TrainConfig()
         pts = np.random.default_rng(2).normal(size=(10, 3))
-        a = augment(ScalePyramid([pts], [], []), np.random.default_rng(5), cfg).points[0]
-        b = augment(ScalePyramid([pts], [], []), np.random.default_rng(5), cfg).points[0]
+        a = augment(ScalePyramid([pts], [], [], [np.array([0, len(pts)])]), np.random.default_rng(5), cfg).points[0]
+        b = augment(ScalePyramid([pts], [], [], [np.array([0, len(pts)])]), np.random.default_rng(5), cfg).points[0]
         assert np.array_equal(a, b)
 
 
@@ -180,13 +180,13 @@ class TestModelInput:
         seen = []
         loss, logits = MaskedAutoencoder.loss, CloudClassifier.logits
 
-        def loss_spy(model, pyramids, plans):
-            seen.extend(pyramids)
-            return loss(model, pyramids, plans)
+        def loss_spy(model, pyr, plan):
+            seen.extend(_oracles.unstack_pack(pyr))
+            return loss(model, pyr, plan)
 
-        def logits_spy(clf, pyramids):
-            seen.extend(pyramids)
-            return logits(clf, pyramids)
+        def logits_spy(clf, pyr):
+            seen.extend(_oracles.unstack_pack(pyr))
+            return logits(clf, pyr)
 
         monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
         monkeypatch.setattr(CloudClassifier, "logits", logits_spy)
@@ -235,9 +235,9 @@ class TestPackPlanner:
     def test_a_batch_keeps_its_remainder_pack(self, monkeypatch):
         packs, loss = [], MaskedAutoencoder.loss
 
-        def loss_spy(model, pyramids, plans):
-            packs.append(len(pyramids))
-            return loss(model, pyramids, plans)
+        def loss_spy(model, pyr, plan):
+            packs.append(pyr.offsets[0].size - 1)
+            return loss(model, pyr, plan)
 
         monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
         clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(10)])
@@ -460,7 +460,7 @@ class TestFinetune:
             p.zero_grad()
 
         def loss_of(i):
-            logits = clf.logits([pyramids[i]])
+            logits = clf.logits(pyramids[i])
             return cross_entropy(logits, labels[i : i + 1]), np.argmax(logits.data[0]) == labels[i]
 
         ref, ref_acc = _oracles.per_cloud_step(np.arange(len(train)), loss_of)
