@@ -144,14 +144,11 @@ class TokenPropagator(Module):
         coarse, fine = pyr.points[scale + 1], pyr.points[scale]
         if tokens.shape[0] != coarse.shape[0]:
             raise ShapeError(f"{tokens.shape[0]} tokens for {coarse.shape[0]} coarse positions")
-        co, fo = pyr.offsets[scale + 1], pyr.offsets[scale]
-        idx, weights = [], []
-        for c0, c1, f0, f1 in zip(co[:-1], co[1:], fo[:-1], fo[1:]):
-            i, w = self.interpolation_weights(coarse[c0:c1], fine[f0:f1], k)
-            idx.append(i + c0)
-            weights.append(w)
-        gathered = T.index_select(tokens, np.concatenate(idx))  # (n_fine, k, dim_in)
-        mixed = T.tsum(T.mul(gathered, np.concatenate(weights)[:, :, None]), axis=1)
+        b = pyr.offsets[scale].size - 1  # every cloud has as many rows at a scale past 0
+        idx, weights = self.interpolation_weights(coarse.reshape(b, -1, 3), fine.reshape(b, -1, 3), k)
+        idx = idx + pyr.offsets[scale + 1][:-1, None, None]  # into each cloud's own rows
+        gathered = T.index_select(tokens, idx.reshape(-1, idx.shape[-1]))  # (n_fine, k, dim_in)
+        mixed = T.tsum(T.mul(gathered, weights.reshape(-1, weights.shape[-1], 1)), axis=1)
         return self.proj(mixed)
 
     @staticmethod
@@ -159,12 +156,13 @@ class TokenPropagator(Module):
         coarse_coords: np.ndarray, fine_coords: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN indices into the coarse set and their inverse-distance weights,
-        convex per fine point; the pair forward() mixes tokens with."""
-        k_eff = min(k, coarse_coords.shape[0])
+        convex per fine point; the pair forward() mixes tokens with. Stacks
+        of clouds, (C, Q, 3) and (C, R, 3), give (C, Q, k) of each."""
+        k_eff = min(k, coarse_coords.shape[-2])
         idx, d2 = _knn(fine_coords, coarse_coords, k_eff)
-        dist = np.maximum(np.sqrt(np.take_along_axis(d2, idx, 1)), 1e-8)
+        dist = np.maximum(np.sqrt(np.take_along_axis(d2, idx, -1)), 1e-8)
         inv = 1.0 / dist
-        return idx, inv / inv.sum(axis=1, keepdims=True)
+        return idx, inv / inv.sum(axis=-1, keepdims=True)
 
 
 class HierarchicalDecoder(Module):

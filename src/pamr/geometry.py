@@ -33,11 +33,13 @@ __all__ = [
 ]
 
 
-def _check_points(points: np.ndarray, what: str) -> np.ndarray:
+def _check_points(points: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
+    """`points` as float64 (N, 3), or with `stacked` also (C, N, 3): C clouds
+    of N points each."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ShapeError(f"{what} must have shape (N, 3), got {pts.shape}")
-    if pts.shape[0] < 1:
+    if pts.ndim not in ((2, 3) if stacked else (2,)) or pts.shape[-1] != 3:
+        raise ShapeError(f"{what} must have shape {'([C,] N, 3)' if stacked else '(N, 3)'}, got {pts.shape}")
+    if 0 in pts.shape:
         raise ShapeError(f"{what} must hold at least one point")
     if not np.all(np.isfinite(pts)):
         raise ShapeError(f"{what} holds non-finite coordinates")
@@ -76,23 +78,33 @@ def fps(points: np.ndarray, m: int) -> np.ndarray:
     Begins at index 0, which keeps the whole pipeline deterministic; each
     step picks the point farthest from the selected set (squared distance),
     ties toward the lower index. Selected slots are poisoned to -1 so
-    duplicates in the cloud can never be picked twice.
+    duplicates in the cloud can never be picked twice. A stack of clouds,
+    (C, N, 3), is sampled in lock-step, each cloud on its own: (C, m).
     """
-    pts = _check_points(points, "points")
-    n = pts.shape[0]
+    pts = _check_points(points, "points", stacked=True)
+    stack = pts.reshape((-1,) + pts.shape[-2:])
+    c, n = stack.shape[:2]
     if not 1 <= m <= n:
         raise ShapeError(f"cannot sample {m} points from a cloud of {n}")
-    cols = tuple(np.ascontiguousarray(pts.T))
-    best, dist, diff = np.empty(n), np.empty(n), np.empty(n)
-    sel = np.zeros(m, dtype=np.int64)
-    _sq_dists(pts[0], cols, best, diff)
-    best[0] = -1.0
+    flat = stack.reshape(-1, 3)
+    cols = tuple(np.ascontiguousarray(stack.transpose(2, 0, 1)))  # x, y, z: (C, N) each
+    best, dist, diff = np.empty((c, n)), np.empty((c, n)), np.empty((c, n))
+    flat_best = best.reshape(-1)
+    sel = np.zeros((c, m), dtype=np.int64)
+    first = np.arange(0, c * n, n)  # each cloud's point 0 in `flat`
+    at, picked = first.copy(), np.empty((c, 3))
+    # views of the picks' x, y and z: (C, 1) each, or 0-d for one cloud,
+    # which numpy subtracts as fast as a scalar
+    picked_cols = [picked[..., j, None] if c > 1 else picked[0, j, ...] for j in range(3)]
+    np.take(flat, at, axis=0, out=picked, mode="clip")
+    _sq_dists(picked_cols, cols, best, diff)
+    flat_best[at] = -1.0
     for i in range(1, m):
-        nxt = int(np.argmax(best))
-        sel[i] = nxt
-        np.minimum(best, _sq_dists(pts[nxt], cols, dist, diff), out=best)
-        best[nxt] = -1.0
-    return sel
+        np.add(best.argmax(axis=1, out=sel[:, i]), first, out=at)
+        np.take(flat, at, axis=0, out=picked, mode="clip")
+        np.minimum(best, _sq_dists(picked_cols, cols, dist, diff), out=best)
+        flat_best[at] = -1.0
+    return sel if pts.ndim == 3 else sel[0]
 
 
 def _sq_dists(q, r, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -125,33 +137,41 @@ def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     result is fully deterministic. Past `_SORT_ALL_MAX` references only the
     candidates that can reach the first k are sorted: the m smallest entries
     of every row, where m is the largest per-row count of distances up to
-    that row's k-th smallest.
+    that row's k-th smallest. Stacks of clouds, (C, Q, 3) queries and
+    (C, R, 3) refs, give (C, Q, k): each cloud's queries against its own refs.
     """
     return _knn(queries, refs, k)[0]
 
 
 def _knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`knn`'s indices and the (Q, R) squared distances it selected them from."""
-    q = _check_points(queries, "queries")
-    r = _check_points(refs, "refs")
-    n = r.shape[0]
+    """`knn`'s indices and the ([C,] Q, R) squared distances it selected them from."""
+    q = _check_points(queries, "queries", stacked=True)
+    r = _check_points(refs, "refs", stacked=True)
+    if q.shape[:-2] != r.shape[:-2]:
+        raise ShapeError(f"queries {q.shape} and refs {r.shape} must stack the same clouds")
+    n = r.shape[-2]
     if not 1 <= k <= n:
         raise ShapeError(f"k={k} with only {n} reference points")
-    shape = (q.shape[0], n)
-    d2 = _sq_dists(q.T[:, :, None], np.ascontiguousarray(r.T), np.empty(shape), np.empty(shape))
+    qs, rs = (a.reshape((-1,) + a.shape[-2:]) for a in (q, r))  # (C, Q, 3), (C, R, 3)
+    shape = qs.shape[:-1] + (n,)
+    q_cols = qs.transpose(2, 0, 1)[..., None]
+    r_cols = np.ascontiguousarray(rs.transpose(2, 0, 1))[:, :, None]
+    d2 = _sq_dists(q_cols, r_cols, np.empty(shape), np.empty(shape)).reshape(q.shape[:-1] + (n,))
+    flat = d2.reshape(-1, n)  # one row per query, cloud after cloud
+    out_shape = q.shape[:-1] + (k,)
     if n > _SORT_ALL_MAX:
-        rows = np.arange(q.shape[0])[:, None]
-        part = np.argpartition(d2, k - 1, axis=1)
-        m = int(np.count_nonzero(d2 <= d2[rows, part[:, k - 1 : k]], axis=1).max())
+        rows = np.arange(flat.shape[0])[:, None]
+        part = np.argpartition(flat, k - 1, axis=1)
+        m = int(np.count_nonzero(flat <= flat[rows, part[:, k - 1 : k]], axis=1).max())
         if m < n:
             if m > k:
                 # ties at the k-th value: widen to the m smallest, which hold them all
-                part = np.argpartition(d2, m - 1, axis=1)
+                part = np.argpartition(flat, m - 1, axis=1)
             cand = part[:, :m]
             cand.sort(axis=1)
-            order = np.argsort(d2[rows, cand], axis=1, kind="stable")
-            return cand[rows, order[:, :k]].astype(np.int64), d2
-    return np.argsort(d2, axis=1, kind="stable")[:, :k].astype(np.int64), d2
+            order = np.argsort(flat[rows, cand], axis=1, kind="stable")
+            return cand[rows, order[:, :k]].astype(np.int64).reshape(out_shape), d2
+    return np.argsort(flat, axis=1, kind="stable")[:, :k].astype(np.int64).reshape(out_shape), d2
 
 
 @dataclass
@@ -183,37 +203,47 @@ class ScalePyramid:
 
 def build_scale_pyramid(
     points: np.ndarray, sizes: tuple[int, ...], ks: tuple[int, ...]
-) -> ScalePyramid:
+) -> ScalePyramid | list[ScalePyramid]:
     """Subsample repeatedly with fps and attach a knn patch to every center.
 
     `sizes` are the per-scale center counts (strictly decreasing, all below
     the raw count); `ks` the per-scale patch sizes, one per entry of `sizes`.
+    A stack of clouds, (C, N, 3), is built in lock-step and gives a list of
+    C pyramids, each the one its cloud gives alone.
     """
-    pts = _check_points(points, "points")
+    pts = _check_points(points, "points", stacked=True)
+    stack = pts.reshape((-1,) + pts.shape[-2:])
+    c, n = stack.shape[:2]
     if len(sizes) != len(ks):
         raise ConfigError(f"sizes {sizes} and ks {ks} must align")
     if len(sizes) < 1:
         raise ConfigError("a pyramid needs at least one scale")
-    if not 1 <= sizes[0] <= pts.shape[0]:
-        raise ConfigError(f"first scale size {sizes[0]} exceeds the raw count {pts.shape[0]}")
+    if not 1 <= sizes[0] <= n:
+        raise ConfigError(f"first scale size {sizes[0]} exceeds the raw count {n}")
     for coarse, fine in zip(sizes[1:], sizes[:-1]):
         if not 1 <= coarse < fine:
             raise ConfigError(f"scale sizes must strictly decrease: {sizes}")
-    prev_sizes = (pts.shape[0],) + tuple(sizes[:-1])
+    prev_sizes = (n,) + tuple(sizes[:-1])
     for k, avail in zip(ks, prev_sizes):
         if not 1 <= k <= avail:
             raise ConfigError(f"patch size {k} exceeds the {avail} points of the scale below")
-    levels = [pts]
+    levels = [stack]
     sample_idx: list[np.ndarray] = []
     neighbors: list[np.ndarray] = []
-    for size, k in zip(sizes, ks):
+    for size, k, avail in zip(sizes, ks, prev_sizes):
         below = levels[-1]
         idx = fps(below, size)
-        centers = below[idx]
+        # each cloud's picks, looked up among all clouds' rows
+        centers = np.take(below.reshape(-1, 3), idx + np.arange(0, c * avail, avail)[:, None], axis=0)
         neighbors.append(knn(centers, below, k))
         sample_idx.append(idx)
         levels.append(centers)
-    return ScalePyramid(levels, sample_idx, neighbors, [np.array([0, lv.shape[0]]) for lv in levels])
+    offsets = [np.array([0, lv.shape[1]]) for lv in levels]
+    pyramids = [
+        ScalePyramid([lv[i] for lv in levels], [a[i] for a in sample_idx], [a[i] for a in neighbors], offsets)
+        for i in range(c)
+    ]
+    return pyramids if pts.ndim == 3 else pyramids[0]
 
 
 def stack_pack(

@@ -24,7 +24,9 @@ __all__ = [
     "lr_at",
     "augment",
     "cloud_pyramid",
+    "cloud_pyramids",
     "PACK_BUDGET",
+    "NO_GRAD_BUDGET",
     "pack_size",
     "cross_entropy",
     "MetricsRow",
@@ -108,6 +110,35 @@ def cloud_pyramid(points: np.ndarray, model_cfg: ModelConfig) -> ScalePyramid:
     return build_scale_pyramid(normalize_points(points), model_cfg.sizes, model_cfg.ks)
 
 
+def _check_point_counts(clouds: list[np.ndarray], model_cfg: ModelConfig) -> None:
+    for i, points in enumerate(clouds):
+        if len(points) < model_cfg.sizes[0]:
+            raise ConfigError(
+                f"cloud {i} in dataset order has {len(points)} points, "
+                f"fewer than the first scale size {model_cfg.sizes[0]}"
+            )
+
+
+def cloud_pyramids(clouds: list[np.ndarray], model_cfg: ModelConfig) -> list[ScalePyramid]:
+    """`cloud_pyramid` of every raw cloud, in the order given. Clouds of one
+    point count are stacked and built in lock-step, a no-grad pack at a time.
+    A cloud with fewer points than the first scale size is a ConfigError that
+    names its position, before any pyramid is built."""
+    _check_point_counts(clouds, model_cfg)
+    groups: dict[int, list[int]] = {}  # point count -> positions
+    for i, points in enumerate(clouds):
+        groups.setdefault(len(points), []).append(i)
+    size = pack_size(model_cfg, NO_GRAD_BUDGET)
+    pyramids: list = [None] * len(clouds)
+    for members in groups.values():
+        for lo in range(0, len(members), size):
+            chunk = members[lo : lo + size]
+            stack = np.stack([normalize_points(clouds[i]) for i in chunk])
+            for i, pyr in zip(chunk, build_scale_pyramid(stack, model_cfg.sizes, model_cfg.ks)):
+                pyramids[i] = pyr
+    return pyramids
+
+
 def augment(pyramid: ScalePyramid, rng: np.random.Generator, cfg: TrainConfig) -> ScalePyramid:
     """Random isotropic scale and per-axis translation of every level's
     coordinates, p <- s*p + t, keeping the FPS and kNN indices (so the levels
@@ -167,11 +198,18 @@ def _fit(
 # alone, so packing costs peak memory little at either size.
 PACK_BUDGET = 4096
 
+# The same for one pass that keeps no graph: a pyramid build or a frozen
+# encode. Traced with tracemalloc at the desk config, a frozen encode of 12
+# clouds peaks at 2.23 MiB, below the 2.56 MiB of one training pack of 4
+# (loss forward and backward), and 16 would peak at 2.97 MiB; a pyramid
+# build of 12 peaks at 0.96 MiB. A default-config cloud still goes alone.
+NO_GRAD_BUDGET = 3 * PACK_BUDGET
 
-def pack_size(cfg: ModelConfig) -> int:
-    """Clouds per graph under PACK_BUDGET, at least one; depends on the
+
+def pack_size(cfg: ModelConfig, budget: int = PACK_BUDGET) -> int:
+    """Clouds per pack under `budget`, at least one; depends on the
     architecture only, never on a mask draw."""
-    return max(1, PACK_BUDGET // sum(n * d for n, d in zip(cfg.sizes, cfg.dims)))
+    return max(1, budget // sum(n * d for n, d in zip(cfg.sizes, cfg.dims)))
 
 
 def _per_pack(batch: np.ndarray, size: int, loss_of):
@@ -221,7 +259,7 @@ def pretrain_run(
     model = MaskedAutoencoder(model_cfg, rng)
     opt = AdamW(model.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
     result = PretrainResult(model, opt)
-    pyramids = [cloud_pyramid(c.points, model_cfg) for c in clouds]
+    pyramids = cloud_pyramids([c.points for c in clouds], model_cfg)
 
     def loss_of(items: np.ndarray):
         # every draw in batch order before the forward, which draws nothing,
@@ -269,8 +307,8 @@ def _stratified_split(
 
 def pooled_features(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
     """Frozen-backbone feature matrix (n, 2*C_S), one row per pyramid, encoded
-    a pack at a time; no grads."""
-    size = pack_size(clf.cfg)
+    a no-grad pack at a time."""
+    size = pack_size(clf.cfg, NO_GRAD_BUDGET)
     with T.no_grad():
         packs = (stack_pack(pyramids[lo : lo + size])[0] for lo in range(0, len(pyramids), size))
         rows = [clf.features(pack).data for pack in packs]
@@ -333,7 +371,7 @@ def finetune_classify(
     if pretrained is not None:
         load_encoder_weights(clf, pretrained)
     train_idx, hold_idx = _stratified_split(labels, train_cfg.holdout_fraction, rng)
-    pyramids = [cloud_pyramid(c.points, model_cfg) for c in clouds]
+    pyramids = cloud_pyramids([c.points for c in clouds], model_cfg)
     train_pyrs, train_labels = [pyramids[i] for i in train_idx], labels[train_idx]
     rows: list[MetricsRow] = []
 
@@ -404,6 +442,7 @@ def few_shot_eval(
         if c.label is None:
             raise ConfigError("few-shot needs a label on every cloud")
         per_class.setdefault(c.label, []).append(i)
+    _check_point_counts([c.points for c in clouds], model_cfg)
     need = m + train_cfg.test_per_class
     eligible = [cls for cls, idx in per_class.items() if len(idx) >= need]
     if len(eligible) < n:
@@ -428,9 +467,9 @@ def few_shot_eval(
         n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
         if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
             feats = {}  # part of this trial's encoder is its own random init
-        todo = [i for i in train_set + test_set if i not in feats]
+        todo = sorted(set(train_set + test_set) - feats.keys())  # in dataset order
         if todo:
-            pyramids = [cloud_pyramid(clouds[i].points, model_cfg) for i in todo]
+            pyramids = cloud_pyramids([clouds[i].points for i in todo], model_cfg)
             feats.update(zip(todo, pooled_features(clf, pyramids)))
         tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
         te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)

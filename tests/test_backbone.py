@@ -189,6 +189,18 @@ class TestTokenPropagator:
         out = prop(tokens, two_levels(rng.normal(size=(5, 3)), rng.normal(size=(2, 3))), 0, 3)
         assert out.shape == (5, 4)
 
+    @pytest.mark.parametrize("sizes", [(32, 16, 8), (96, 48, 40)])
+    def test_a_pack_mixes_each_cloud_as_alone(self, sizes):
+        # 8 coarse centers are sorted in full, 40 by kNN's partial selection
+        rng = np.random.default_rng(25)
+        pyramids = [build_scale_pyramid(rng.normal(size=(128, 3)), sizes, (4, 4, 2)) for _ in range(3)]
+        pack, _ = stack_pack(pyramids)
+        prop = TokenPropagator(4, 6, rng)
+        tokens = rng.normal(size=(pack.size_at(3), 4))
+        cuts = pack.offsets[3]
+        alone = [prop(Tensor(tokens[lo:hi]), p, 2, 3).data for p, lo, hi in zip(pyramids, cuts[:-1], cuts[1:])]
+        assert prop(Tensor(tokens), pack, 2, 3).data.tobytes() == np.concatenate(alone).tobytes()
+
     def test_gradients(self):
         rng = np.random.default_rng(24)
         prop = TokenPropagator(4, 5, rng)

@@ -340,6 +340,15 @@ class TestPretrainCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
 
+    def test_too_small_cloud_is_named_by_its_dataset_position(self, tmp_path, cfg_file, dataset, capsys):
+        write_xyz(Path(dataset) / "few.xyz", PointCloud(np.random.default_rng(4).normal(size=(9, 3)), 0))
+        pos = [len(c.points) for c in load_dataset_dir(dataset)].index(9)
+        rc = main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(tmp_path / "pre")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: cloud {pos} in dataset order has 9 points, fewer than the first scale size 16\n"
+        assert not list((tmp_path / "pre").glob("*.ckpt"))
+
     def test_seed_flag_changes_run(self, tmp_path, cfg_file, dataset, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(a)]) == 0

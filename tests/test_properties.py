@@ -4,9 +4,10 @@ over the fps and kNN kernels, and over the model's packs of clouds.
 Every input must either load or raise a PamrError subclass, which the CLI
 turns into `error: ...` and exit code 1; any other exception is a crash.
 The kernels must return exactly the indices of their reference oracles on
-clouds full of ties. A pack's stacked pyramid must hold each cloud's own
+clouds full of ties, one cloud or a stack of them. A pack's stacked pyramid must hold each cloud's own
 pyramid in the cloud's own rows, and a pack must give the loss, gradients
-and features of the same clouds run one at a time. Examples are derandomized
+and features of the same clouds run one at a time (the features of a
+no-grad pack bit for bit). Examples are derandomized
 and no example database is kept, so a run is repeatable and leaves nothing
 in the checkout.
 """
@@ -16,6 +17,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -28,7 +30,7 @@ from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mappi
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
 from pamr.geometry import build_scale_pyramid, fps, gather_patches, knn, mask_and_backproject, stack_pack
-from pamr.training import cloud_pyramid
+from pamr.training import NO_GRAD_BUDGET, cloud_pyramid, cloud_pyramids, pack_size, pooled_features
 
 # To report a failing example, Hypothesis imports `hypothesis.extra._patching`,
 # whose libcst import warns (mypy_extensions' TypedDict is deprecated). Under
@@ -176,6 +178,29 @@ def test_fps_matches_exhaustive_max_min(points):
 
 
 @st.composite
+def tie_stacks(draw, n_clouds):
+    """`n_clouds` tie clouds cut to the point count of the smallest and
+    stacked: (C, N, 3)."""
+    clouds = [draw(tie_clouds()) for _ in range(n_clouds)]
+    n = min(c.shape[0] for c in clouds)
+    return np.stack([c[:n] for c in clouds])
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda c: st.tuples(tie_stacks(c), tie_stacks(c))), st.data())
+def test_stacked_fps_and_knn_match_the_references_cloud_by_cloud(stacks, data):
+    queries, refs = stacks
+    m = data.draw(st.integers(1, refs.shape[1]))
+    k = data.draw(st.integers(1, refs.shape[1]))
+    with np.errstate(over="ignore"):
+        sel, near = fps(refs, m), knn(queries, refs, k)
+        assert sel.shape == (refs.shape[0], m) and near.shape == queries.shape[:2] + (k,)
+        for c in range(refs.shape[0]):
+            np.testing.assert_array_equal(sel[c], fps_reference(refs[c], m))
+            np.testing.assert_array_equal(near[c], knn_reference(queries[c], refs[c], k))
+
+
+@st.composite
 def pyramid_args(draw):
     points = draw(tie_clouds(min_size=3))
     n = points.shape[0]
@@ -288,3 +313,14 @@ def test_pack_matches_its_clouds_one_at_a_time(config, zero_scale_head, n_clouds
         one_by_one = np.concatenate([clf.features(pyr).data for pyr in pyramids])
     assert feats.shape == one_by_one.shape
     assert np.abs(feats - one_by_one).max() <= 1e-12
+
+
+@pytest.mark.parametrize("config", sorted(PACK_CONFIGS))
+def test_pooled_feature_rows_are_those_of_one_cloud_packs(config):
+    cfg = PACK_CONFIGS[config]
+    rng = np.random.default_rng(5)
+    n_clouds = pack_size(cfg, NO_GRAD_BUDGET) + 2  # a full no-grad pack and a remainder of two
+    pyramids = cloud_pyramids([rng.normal(size=(cfg.n_points, 3)) for _ in range(n_clouds)], cfg)
+    clf = CloudClassifier(cfg, 3, (8,), rng)
+    alone = np.concatenate([pooled_features(clf, [pyr]) for pyr in pyramids])
+    assert pooled_features(clf, pyramids).tobytes() == alone.tobytes()

@@ -9,15 +9,17 @@ from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import ConfigError, NonFiniteError
-from pamr.geometry import PointCloud, ScalePyramid
+from pamr.geometry import PointCloud, ScalePyramid, normalize_points
 from pamr.tensor import Tensor
 import _oracles
 import pamr.training
 from pamr.cli import _build_parser
 from pamr.training import (
     AdamW,
+    NO_GRAD_BUDGET,
     augment,
     cloud_pyramid,
+    cloud_pyramids,
     cross_entropy,
     few_shot_eval,
     finetune_classify,
@@ -155,16 +157,16 @@ class TestAugment:
 
 
 def count_pyramid_builds(monkeypatch, clouds) -> list:
-    """Spy on `cloud_pyramid`: the index of each cloud it builds, in call
+    """Spy on `cloud_pyramids`: the index of each cloud it builds, in call
     order (None for points that are no cloud's own array)."""
     built = []
-    build = pamr.training.cloud_pyramid
+    build = pamr.training.cloud_pyramids
 
     def counting(points, model_cfg):
-        built.append(next((i for i, c in enumerate(clouds) if c.points is points), None))
+        built.extend(next((i for i, c in enumerate(clouds) if c.points is p), None) for p in points)
         return build(points, model_cfg)
 
-    monkeypatch.setattr(pamr.training, "cloud_pyramid", counting)
+    monkeypatch.setattr(pamr.training, "cloud_pyramids", counting)
     return built
 
 
@@ -227,10 +229,57 @@ class TestModelInput:
         assert built == list(range(len(clouds)))
 
 
+    def test_mixed_point_counts_build_each_cloud_as_alone(self, monkeypatch):
+        # 26 clouds of 128 points and 5 of 100, interleaved: the 128-point
+        # clouds take three no-grad packs, the 100-point ones a fourth
+        rng = np.random.default_rng(3)
+        clouds = [rng.normal(size=(100 if i % 6 == 5 else 128, 3)) for i in range(31)]
+        stacks, build = [], pamr.training.build_scale_pyramid
+
+        def spy(points, sizes, ks):
+            stacks.append(points.shape[0])
+            return build(points, sizes, ks)
+
+        monkeypatch.setattr(pamr.training, "build_scale_pyramid", spy)
+        pyramids = cloud_pyramids(clouds, DESK)
+        assert stacks == [12, 12, 2, 5]
+        monkeypatch.undo()
+        for points, pyr in zip(clouds, pyramids):
+            alone = cloud_pyramid(points, DESK)
+            for field in ("points", "sample_idx", "neighbors", "offsets"):
+                got, want = getattr(pyr, field), getattr(alone, field)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], field
+            sample_idx, neighbors, levels = _oracles.pyramid_reference(
+                normalize_points(points), DESK.sizes, DESK.ks, _oracles.fps_reference, _oracles.knn_reference
+            )
+            assert [a.tobytes() for a in pyr.sample_idx] == [a.tobytes() for a in sample_idx]
+            assert [a.tobytes() for a in pyr.neighbors] == [a.tobytes() for a in neighbors]
+            assert [a.tobytes() for a in pyr.points] == [a.tobytes() for a in levels]
+
+    @pytest.mark.parametrize("run", [pretrain_run, finetune_classify, few_shot_eval])
+    def test_too_small_cloud_is_named_before_any_pyramid_is_built(self, run, monkeypatch):
+        clouds = small_dataset(per_class=3, n_points=128)
+        clouds[5] = PointCloud(clouds[5].points[:19], clouds[5].label)
+        built, build = [], pamr.training.build_scale_pyramid
+        monkeypatch.setattr(pamr.training, "build_scale_pyramid", lambda *a: built.append(a) or build(*a))
+        cfg = TrainConfig(
+            epochs=1, batch_size=4, warmup_epochs=0, augment=False, head_hidden=(8,),
+            n_way=2, m_shot=1, test_per_class=1, trials=1,
+        )
+        message = "^cloud 5 in dataset order has 19 points, fewer than the first scale size 32$"
+        with pytest.raises(ConfigError, match=message):
+            run(clouds, DESK, cfg)
+        assert built == []
+
+
 class TestPackPlanner:
     def test_budget_gives_one_default_cloud_and_four_desk_clouds_per_graph(self):
         assert pack_size(ModelConfig()) == 1
         assert pack_size(DESK) == 4
+
+    def test_no_grad_budget_gives_one_default_cloud_and_twelve_desk_clouds_per_pass(self):
+        assert pack_size(ModelConfig(), NO_GRAD_BUDGET) == 1
+        assert pack_size(DESK, NO_GRAD_BUDGET) == 12
 
     def test_a_batch_keeps_its_remainder_pack(self, monkeypatch):
         packs, loss = [], MaskedAutoencoder.loss
