@@ -57,7 +57,7 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def forward(self, x: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, offsets: np.ndarray) -> Tensor:
         """`offsets` are the pack's segment offsets (see `tensor.attention`)."""
         return self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads, offsets))
 
@@ -72,7 +72,7 @@ class TransformerBlock(Module):
         self.fc1 = Linear(dim, 4 * dim, rng)
         self.fc2 = Linear(4 * dim, dim, rng)
 
-    def forward(self, x: Tensor, offsets: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, offsets: np.ndarray) -> Tensor:
         x = T.add(x, self.attn(self.ln1(x), offsets))
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
 
@@ -156,9 +156,9 @@ class TokenPropagator(Module):
         coarse_coords: np.ndarray, fine_coords: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN indices into the coarse set and their inverse-distance weights,
-        convex per fine point; the pair forward() mixes tokens with. Stacks
-        of clouds, (C, Q, 3) and (C, R, 3), give (C, Q, k) of each."""
-        k_eff = min(k, coarse_coords.shape[-2])
+        convex per fine point; the pair forward() mixes tokens with. Stacks of
+        clouds, (C, R, 3) coarse and (C, Q, 3) fine, give (C, Q, k) of each."""
+        k_eff = min(k, coarse_coords.shape[1])
         idx, d2 = _knn(fine_coords, coarse_coords, k_eff)
         dist = np.maximum(np.sqrt(np.take_along_axis(d2, idx, -1)), 1e-8)
         inv = 1.0 / dist

@@ -37,7 +37,7 @@ from .errors import ConfigError, PamrError
 from .geometry import PointCloud, gather_patches, mask_and_backproject
 from .gradcheck import op_gradient_suite, pipeline_gradient_check
 from .metrics import write_metrics
-from .training import cloud_pyramid, few_shot_eval, finetune_classify, pretrain_run
+from .training import cloud_pyramids, few_shot_eval, finetune_classify, pretrain_run
 
 __all__ = ["main"]
 
@@ -198,11 +198,12 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
     rng = np.random.default_rng(train_cfg.seed)
     model = MaskedAutoencoder(model_cfg, rng)
     apply_params(model, params)
+    # every input is read and built before the first output is written
+    clouds = [read_xyz(source) for source in args.inputs]
+    pyramids = cloud_pyramids([c.points for c in clouds], model_cfg, names=args.inputs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for source in args.inputs:
-        cloud = read_xyz(source)
-        pyramid = cloud_pyramid(cloud.points, model_cfg)
+    for source, cloud, pyramid in zip(args.inputs, clouds, pyramids):
         plan = mask_and_backproject(pyramid, train_cfg.mask_ratio, rng)
         with T.no_grad():
             rec = model.reconstruct(pyramid, plan)

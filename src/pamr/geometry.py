@@ -1,11 +1,11 @@
 """Point-set geometry kernels.
 
-Raw clouds are plain float64 numpy arrays of shape (N, 3). Everything here
-is deterministic given its inputs: farthest point sampling always starts at
-index 0 and breaks ties toward the lower index, and k-nearest-neighbor
-ordering is stable so equal distances also resolve toward the lower index.
-The coarse-to-fine pyramid built from these two kernels is the substrate
-every later stage (masking, tokenization, reconstruction) operates on.
+Raw clouds are float64 arrays of shape (N, 3); FPS, kNN and the pyramid take
+stacks of them, (C, N, 3), so one cloud is a stack of one. All of it is
+deterministic: farthest point sampling starts at index 0 and breaks ties
+toward the lower index, and kNN ordering is stable so equal distances also
+resolve toward the lower index. The coarse-to-fine pyramid built from these
+two kernels is what every later stage (masking, tokens, loss) works on.
 """
 from __future__ import annotations
 
@@ -33,12 +33,12 @@ __all__ = [
 ]
 
 
-def _check_points(points: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
-    """`points` as float64 (N, 3), or with `stacked` also (C, N, 3): C clouds
-    of N points each."""
+def _check_points(points: np.ndarray, what: str, shape: str = "(N, 3)") -> np.ndarray:
+    """`points` as a float64 array of `shape`: one cloud, "(N, 3)", or a
+    stack of C clouds of N points each, "(C, N, 3)"."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim not in ((2, 3) if stacked else (2,)) or pts.shape[-1] != 3:
-        raise ShapeError(f"{what} must have shape {'([C,] N, 3)' if stacked else '(N, 3)'}, got {pts.shape}")
+    if pts.ndim != shape.count(",") + 1 or pts.shape[-1] != 3:
+        raise ShapeError(f"{what} must have shape {shape}, got {pts.shape}")
     if 0 in pts.shape:
         raise ShapeError(f"{what} must hold at least one point")
     if not np.all(np.isfinite(pts)):
@@ -73,21 +73,20 @@ class PointCloud:
 
 
 def fps(points: np.ndarray, m: int) -> np.ndarray:
-    """Greedy farthest point sampling; returns `m` unique indices.
+    """Greedy farthest point sampling of a stack of clouds, (C, N, 3), each
+    on its own and all in lock-step; returns (C, m) unique indices per cloud.
 
     Begins at index 0, which keeps the whole pipeline deterministic; each
     step picks the point farthest from the selected set (squared distance),
     ties toward the lower index. Selected slots are poisoned to -1 so
-    duplicates in the cloud can never be picked twice. A stack of clouds,
-    (C, N, 3), is sampled in lock-step, each cloud on its own: (C, m).
+    duplicates in the cloud can never be picked twice.
     """
-    pts = _check_points(points, "points", stacked=True)
-    stack = pts.reshape((-1,) + pts.shape[-2:])
-    c, n = stack.shape[:2]
+    pts = _check_points(points, "points", "(C, N, 3)")
+    c, n = pts.shape[:2]
     if not 1 <= m <= n:
         raise ShapeError(f"cannot sample {m} points from a cloud of {n}")
-    flat = stack.reshape(-1, 3)
-    cols = tuple(np.ascontiguousarray(stack.transpose(2, 0, 1)))  # x, y, z: (C, N) each
+    flat = pts.reshape(-1, 3)
+    cols = tuple(np.ascontiguousarray(pts.transpose(2, 0, 1)))  # x, y, z: (C, N) each
     best, dist, diff = np.empty((c, n)), np.empty((c, n)), np.empty((c, n))
     flat_best = best.reshape(-1)
     sel = np.zeros((c, m), dtype=np.int64)
@@ -104,7 +103,7 @@ def fps(points: np.ndarray, m: int) -> np.ndarray:
         np.take(flat, at, axis=0, out=picked, mode="clip")
         np.minimum(best, _sq_dists(picked_cols, cols, dist, diff), out=best)
         flat_best[at] = -1.0
-    return sel if pts.ndim == 3 else sel[0]
+    return sel
 
 
 def _sq_dists(q, r, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -137,26 +136,25 @@ def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     result is fully deterministic. Past `_SORT_ALL_MAX` references only the
     candidates that can reach the first k are sorted: the m smallest entries
     of every row, where m is the largest per-row count of distances up to
-    that row's k-th smallest. Stacks of clouds, (C, Q, 3) queries and
-    (C, R, 3) refs, give (C, Q, k): each cloud's queries against its own refs.
+    that row's k-th smallest. Stacks of (C, Q, 3) queries and (C, R, 3)
+    refs give (C, Q, k): each cloud's queries against its own refs.
     """
     return _knn(queries, refs, k)[0]
 
 
 def _knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`knn`'s indices and the ([C,] Q, R) squared distances it selected them from."""
-    q = _check_points(queries, "queries", stacked=True)
-    r = _check_points(refs, "refs", stacked=True)
-    if q.shape[:-2] != r.shape[:-2]:
+    """`knn`'s indices and the (C, Q, R) squared distances it selected them from."""
+    q = _check_points(queries, "queries", "(C, N, 3)")
+    r = _check_points(refs, "refs", "(C, N, 3)")
+    if q.shape[0] != r.shape[0]:
         raise ShapeError(f"queries {q.shape} and refs {r.shape} must stack the same clouds")
-    n = r.shape[-2]
+    n = r.shape[1]
     if not 1 <= k <= n:
         raise ShapeError(f"k={k} with only {n} reference points")
-    qs, rs = (a.reshape((-1,) + a.shape[-2:]) for a in (q, r))  # (C, Q, 3), (C, R, 3)
-    shape = qs.shape[:-1] + (n,)
-    q_cols = qs.transpose(2, 0, 1)[..., None]
-    r_cols = np.ascontiguousarray(rs.transpose(2, 0, 1))[:, :, None]
-    d2 = _sq_dists(q_cols, r_cols, np.empty(shape), np.empty(shape)).reshape(q.shape[:-1] + (n,))
+    shape = q.shape[:-1] + (n,)
+    q_cols = q.transpose(2, 0, 1)[..., None]
+    r_cols = np.ascontiguousarray(r.transpose(2, 0, 1))[:, :, None]
+    d2 = _sq_dists(q_cols, r_cols, np.empty(shape), np.empty(shape))
     flat = d2.reshape(-1, n)  # one row per query, cloud after cloud
     out_shape = q.shape[:-1] + (k,)
     if n > _SORT_ALL_MAX:
@@ -203,7 +201,7 @@ class ScalePyramid:
 
 def build_scale_pyramid(
     points: np.ndarray, sizes: tuple[int, ...], ks: tuple[int, ...]
-) -> ScalePyramid | list[ScalePyramid]:
+) -> list[ScalePyramid]:
     """Subsample repeatedly with fps and attach a knn patch to every center.
 
     `sizes` are the per-scale center counts (strictly decreasing, all below
@@ -211,9 +209,8 @@ def build_scale_pyramid(
     A stack of clouds, (C, N, 3), is built in lock-step and gives a list of
     C pyramids, each the one its cloud gives alone.
     """
-    pts = _check_points(points, "points", stacked=True)
-    stack = pts.reshape((-1,) + pts.shape[-2:])
-    c, n = stack.shape[:2]
+    pts = _check_points(points, "points", "(C, N, 3)")
+    c, n = pts.shape[:2]
     if len(sizes) != len(ks):
         raise ConfigError(f"sizes {sizes} and ks {ks} must align")
     if len(sizes) < 1:
@@ -227,7 +224,7 @@ def build_scale_pyramid(
     for k, avail in zip(ks, prev_sizes):
         if not 1 <= k <= avail:
             raise ConfigError(f"patch size {k} exceeds the {avail} points of the scale below")
-    levels = [stack]
+    levels = [pts]
     sample_idx: list[np.ndarray] = []
     neighbors: list[np.ndarray] = []
     for size, k, avail in zip(sizes, ks, prev_sizes):
@@ -239,11 +236,10 @@ def build_scale_pyramid(
         sample_idx.append(idx)
         levels.append(centers)
     offsets = [np.array([0, lv.shape[1]]) for lv in levels]
-    pyramids = [
+    return [
         ScalePyramid([lv[i] for lv in levels], [a[i] for a in sample_idx], [a[i] for a in neighbors], offsets)
         for i in range(c)
     ]
-    return pyramids if pts.ndim == 3 else pyramids[0]
 
 
 def stack_pack(

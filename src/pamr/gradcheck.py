@@ -228,13 +228,13 @@ def pipeline_gradient_check(seed: int = 0, tol: float = 1e-3) -> GradCheckReport
     from .backbone import MaskedAutoencoder
     from .config import ModelConfig
     from .geometry import mask_and_backproject, stack_pack
-    from .training import cloud_pyramid
+    from .training import cloud_pyramids
 
     rng = np.random.default_rng(seed)
     cfg = replace(ModelConfig.tiny(), la_groups=2)
     pyramids, plans = [], []
     while len(plans) < 2:
-        pyr = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
+        pyr = cloud_pyramids([rng.normal(size=(cfg.n_points, 3))], cfg)[0]
         plan = mask_and_backproject(pyr, _PIPELINE_MASK_RATIO, rng)
         if not plans or plan.visible[1].size != plans[0].visible[1].size:
             pyramids.append(pyr)

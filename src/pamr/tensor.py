@@ -691,12 +691,12 @@ def _one_thread_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention(q, k, v, heads: int, offsets: Sequence[int] | None = None) -> Tensor:
+def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     """Multi-head scaled dot-product attention over (N, C) token rows.
 
     `offsets` (0 first, N last, strictly increasing) cut the rows into
     segments, one per cloud of a pack; a segment attends only to itself, by
-    the arithmetic it would get alone. None is one segment of all N rows.
+    the arithmetic it would get alone. One sequence is `(0, N)`.
     Each head takes its own C/heads channels of q, k and v and computes
     softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
     back to (N, C) in head order. Every stacked product runs on contiguous
@@ -709,7 +709,7 @@ def attention(q, k, v, heads: int, offsets: Sequence[int] | None = None) -> Tens
     n, c = q.shape
     if heads < 1 or c % heads != 0:
         raise ShapeError(f"{heads} heads do not divide {c} channels")
-    bounds = np.asarray((0, n) if offsets is None else offsets, dtype=np.int64)
+    bounds = np.asarray(offsets, dtype=np.int64)
     if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n or np.any(np.diff(bounds) < 1):
         raise ShapeError(f"segment offsets must rise strictly from 0 to {n}, got {bounds.tolist()}")
     dh = c // heads

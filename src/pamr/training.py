@@ -23,7 +23,6 @@ __all__ = [
     "AdamW",
     "lr_at",
     "augment",
-    "cloud_pyramid",
     "cloud_pyramids",
     "PACK_BUDGET",
     "NO_GRAD_BUDGET",
@@ -105,26 +104,22 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.min_lr + (cfg.base_lr - cfg.min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def cloud_pyramid(points: np.ndarray, model_cfg: ModelConfig) -> ScalePyramid:
-    """The model input for one raw cloud: the ScalePyramid of its normalized points."""
-    return build_scale_pyramid(normalize_points(points), model_cfg.sizes, model_cfg.ks)
-
-
-def _check_point_counts(clouds: list[np.ndarray], model_cfg: ModelConfig) -> None:
+def _check_point_counts(clouds: list[np.ndarray], model_cfg: ModelConfig, names=None) -> None:
+    first = model_cfg.sizes[0]
     for i, points in enumerate(clouds):
-        if len(points) < model_cfg.sizes[0]:
-            raise ConfigError(
-                f"cloud {i} in dataset order has {len(points)} points, "
-                f"fewer than the first scale size {model_cfg.sizes[0]}"
-            )
+        if len(points) < first:
+            name = f"cloud {i} in dataset order" if names is None else names[i]
+            raise ConfigError(f"{name} has {len(points)} points, fewer than the first scale size {first}")
 
 
-def cloud_pyramids(clouds: list[np.ndarray], model_cfg: ModelConfig) -> list[ScalePyramid]:
-    """`cloud_pyramid` of every raw cloud, in the order given. Clouds of one
-    point count are stacked and built in lock-step, a no-grad pack at a time.
-    A cloud with fewer points than the first scale size is a ConfigError that
-    names its position, before any pyramid is built."""
-    _check_point_counts(clouds, model_cfg)
+def cloud_pyramids(clouds: list[np.ndarray], model_cfg: ModelConfig, names=None) -> list[ScalePyramid]:
+    """The model input for each raw cloud, in the order given: the
+    ScalePyramid of its normalized points. Clouds of one point count are
+    stacked and built in lock-step, a no-grad pack at a time; each gets the
+    pyramid it would get alone. A cloud with fewer points than the first
+    scale size is a ConfigError, before any pyramid is built, that names it
+    by `names[i]` or else by its position."""
+    _check_point_counts(clouds, model_cfg, names)
     groups: dict[int, list[int]] = {}  # point count -> positions
     for i, points in enumerate(clouds):
         groups.setdefault(len(points), []).append(i)
@@ -432,10 +427,11 @@ def few_shot_eval(
     each of n sampled classes (frozen backbone) and test on `test_per_class`
     held-out examples per class.
 
-    When `pretrained` covers every encoder parameter, each trial's encoder
-    is the same, so each cloud is encoded at most once per call and its
-    features are reused by later trials. Otherwise the encoder keeps some
-    of its per-trial random init and every trial encodes its own clouds."""
+    Each drawn cloud's pyramid is built once per call. When `pretrained`
+    covers every encoder parameter, each trial's encoder is the same, so
+    each cloud is encoded at most once per call and its features are reused
+    by later trials. Otherwise the encoder keeps some of its per-trial random
+    init and every trial encodes its own clouds."""
     n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):
@@ -452,6 +448,7 @@ def few_shot_eval(
     rng = np.random.default_rng(train_cfg.seed)
     accs: list[float] = []
     feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
+    pyramids: dict[int, ScalePyramid] = {}  # cloud index -> its pyramid
     for _ in range(train_cfg.trials):
         classes = rng.choice(np.array(sorted(eligible)), size=n, replace=False)
         train_set: list[int] = []
@@ -468,9 +465,10 @@ def few_shot_eval(
         if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
             feats = {}  # part of this trial's encoder is its own random init
         todo = sorted(set(train_set + test_set) - feats.keys())  # in dataset order
+        new = [i for i in todo if i not in pyramids]
+        pyramids.update(zip(new, cloud_pyramids([clouds[i].points for i in new], model_cfg)))
         if todo:
-            pyramids = cloud_pyramids([clouds[i].points for i in todo], model_cfg)
-            feats.update(zip(todo, pooled_features(clf, pyramids)))
+            feats.update(zip(todo, pooled_features(clf, [pyramids[i] for i in todo])))
         tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
         te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)
         _fit_frozen_head(clf, np.stack([feats[i] for i in train_set]), tr_labels, train_cfg, rng, [])

@@ -18,8 +18,9 @@ it overwrites one float of a valid encoding in place.
 elementary tape ops, and `interpolation_weights_reference` the earlier
 interpolation weights, whose distances were recomputed after kNN.
 
-`few_shot_reference` is the few-shot protocol without feature reuse: every
-trial encodes its own train and test clouds with its own classifier.
+`few_shot_reference` is the few-shot protocol without reuse: every trial
+builds the pyramids of its own train and test clouds, one cloud at a time
+with `pyramid_of`, and encodes them with its own classifier.
 
 `per_cloud_step` is the training step before packing: each cloud's own
 pyramid through its own graph, one at a time, each loss scaled by 1/B, for
@@ -39,14 +40,8 @@ import numpy as np
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier
 from pamr.errors import ShapeError
-from pamr.geometry import ScalePyramid, _check_points
-from pamr.training import (
-    _accuracy,
-    _fit_frozen_head,
-    cloud_pyramid,
-    load_encoder_weights,
-    pooled_features,
-)
+from pamr.geometry import ScalePyramid, _check_points, build_scale_pyramid, normalize_points
+from pamr.training import _accuracy, _fit_frozen_head, load_encoder_weights, pooled_features
 
 SENTINEL = 1234.5678
 
@@ -128,6 +123,12 @@ def pyramid_reference(points: np.ndarray, sizes, ks, fps_ref, knn_ref):
     return sample_idx, neighbors, levels
 
 
+def pyramid_of(points: np.ndarray, model_cfg):
+    """The model input for one raw cloud, built alone: the pyramid of its
+    normalized points as a stack of one."""
+    return build_scale_pyramid(normalize_points(points)[None], model_cfg.sizes, model_cfg.ks)[0]
+
+
 def chamfer_reference(a: np.ndarray, b: np.ndarray) -> float:
     """Loop-based symmetric squared-distance chamfer."""
     a = np.asarray(a, dtype=np.float64)
@@ -183,9 +184,9 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
         if pretrained is not None:
             load_encoder_weights(clf, pretrained)
-        train_feats = pooled_features(clf, [cloud_pyramid(clouds[i].points, model_cfg) for i in train_set])
+        train_feats = pooled_features(clf, [pyramid_of(clouds[i].points, model_cfg) for i in train_set])
         _fit_frozen_head(clf, train_feats, np.array(tr_labels), train_cfg, rng, [])
-        test_feats = pooled_features(clf, [cloud_pyramid(clouds[i].points, model_cfg) for i in test_set])
+        test_feats = pooled_features(clf, [pyramid_of(clouds[i].points, model_cfg) for i in test_set])
         accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
     return accs
 
@@ -242,12 +243,11 @@ def group_norm_reference(x, groups, scale, shift):
     return T.add(T.mul(normed, T.reshape(scale, (c, 1))), T.reshape(shift, (c, 1)))
 
 
-def attention_reference(q, k, v, heads, offsets=None):
+def attention_reference(q, k, v, heads, offsets):
     """Each segment's rows picked out, attended alone, and the outputs joined."""
-    n, c = q.shape
-    bounds = (0, n) if offsets is None else offsets
+    c = q.shape[1]
     outs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
         rows = np.arange(lo, hi)
 
         def heads_first(t):

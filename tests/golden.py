@@ -105,13 +105,16 @@ CONFIGS = {
 def stack() -> dict[str, str]:
     """What the digests depend on besides the code: numpy, the BLAS it calls
     (with the kernel OpenBLAS picked for this CPU, when it says) and the platform."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its build config
+        blas = {}
     name = f"{blas.get('name')} {blas.get('version')}"
     for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
         for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
             fn = getattr(ctypes.CDLL(lib), symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 name += f" {fn().decode()}"
                 break
     return {
@@ -158,12 +161,13 @@ def run_matrix(root: Path) -> dict[str, str]:
         # kinds with a point count of its own
         run(f"{name}/gen-data-big", ["gen-data", "--config", off, "--out", data, "--kinds", "sphere,cube",
                                      "--per-class", per_class + 1, "--n-points", big])
-        run(f"{name}/gen-data-small", ["gen-data", "--config", off, "--out", data, "--kinds",
-                                       "torus,cylinder", "--per-class", per_class, "--n-points", small, "--seed", 9])
+        run(f"{name}/gen-data-small", ["gen-data", "--config", off, "--out", data, "--kinds", "torus,cylinder",
+                                       "--per-class", per_class, "--n-points", small, "--seed", 9])
         collect(f"{name}/data", data)
         for tag, cfg in (("on", on), ("off", off)):
-            run(f"{name}/pretrain-{tag}", ["pretrain", "--config", cfg, "--data", data, "--out", base / f"pre_{tag}"])
-            collect(f"{name}/pre_{tag}", base / f"pre_{tag}")
+            out = base / f"pre_{tag}"
+            run(f"{name}/pretrain-{tag}", ["pretrain", "--config", cfg, "--data", data, "--out", out])
+            collect(f"{name}/pre_{tag}", out)
         ckpt = base / "pre_off" / "model.ckpt"
         frozen = base / "frozen.cfg"
         frozen.write_text(off.read_text() + "freeze_backbone = true\n")

@@ -74,14 +74,14 @@ def test_sampling_matches_bruteforce_references():
             n = int(rng.integers(8, 257))
             pts = rng.normal(size=(n, 3))
             m = int(rng.integers(1, n + 1))
-            assert np.array_equal(fps(pts, m), fps_reference(pts, m))
+            assert np.array_equal(fps(pts[None], m)[0], fps_reference(pts, m))
         for _ in range(100):
             r = int(rng.integers(4, 513))
             q = int(rng.integers(1, 65))
             k = int(rng.integers(1, r + 1))
             refs = rng.normal(size=(r, 3))
             queries = rng.normal(size=(q, 3))
-            assert np.array_equal(knn(queries, refs, k), knn_reference(queries, refs, k))
+            assert np.array_equal(knn(queries[None], refs[None], k)[0], knn_reference(queries, refs, k))
 
 
 def test_gradient_suite_and_pipeline_loss():
@@ -100,7 +100,7 @@ def test_mask_partition_counts_and_nesting():
         for trial in range(50):
             mu = ratios[trial % len(ratios)]
             pts = rng.normal(size=(64, 3))
-            pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
+            pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
             plan = mask_and_backproject(pyr, mu, np.random.default_rng(trial))
             s = pyr.num_scales
             assert len(plan.masked[s]) == int(np.floor(mu * pyr.size_at(s)))
@@ -362,11 +362,11 @@ import numpy as np
 from pamr.backbone import MaskedAutoencoder
 from pamr.config import ModelConfig
 from pamr.geometry import mask_and_backproject
-from pamr.training import cloud_pyramid
+from pamr.training import cloud_pyramids
 
 cfg = ModelConfig()
 rng = np.random.default_rng(0)
-pyr = cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg)
+pyr = cloud_pyramids([rng.normal(size=(cfg.n_points, 3))], cfg)[0]
 plan = mask_and_backproject(pyr, 0.6, rng)
 model = MaskedAutoencoder(cfg, rng)
 loss = model.loss(pyr, plan)
@@ -400,7 +400,7 @@ def test_full_size_config_shape_contract():
         mc = ModelConfig()  # 2048 points, three scales, two decoder stages
         rng = np.random.default_rng(0)
         pts = normalize_points(rng.normal(size=(mc.n_points, 3)))
-        pyr = build_scale_pyramid(pts, mc.sizes, mc.ks)
+        pyr = build_scale_pyramid(pts[None], mc.sizes, mc.ks)[0]
         assert pyr.sizes == (2048, 512, 256, 64)
         plan = mask_and_backproject(pyr, 0.6, rng)
         assert len(plan.masked[3]) == 38

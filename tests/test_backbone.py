@@ -33,7 +33,7 @@ from pamr.tensor import Tensor
 
 def tiny_pyramid(seed=0, n=32, mu=0.6):
     pts = np.random.default_rng(seed).normal(size=(n, 3))
-    pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
+    pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
     plan = mask_and_backproject(pyr, mu, np.random.default_rng(seed + 1))
     return pyr, plan
 
@@ -54,7 +54,7 @@ class TestTransformerBlock:
         rng = np.random.default_rng(2)
         block = TransformerBlock(8, 2, rng)
         x = Tensor(rng.normal(size=(7, 8)))
-        assert block(x).shape == (7, 8)
+        assert block(x, (0, 7)).shape == (7, 8)
 
     def test_full_block_gradient(self):
         rng = np.random.default_rng(3)
@@ -62,7 +62,7 @@ class TestTransformerBlock:
         x = np.random.default_rng(4).normal(size=(3, 4))
         w = np.random.default_rng(5).normal(size=(3, 4))
         report = finite_diff_check(
-            lambda: T.tsum(T.mul(block(Tensor(x)), w)), block.param_dict()
+            lambda: T.tsum(T.mul(block(Tensor(x), (0, 3)), w)), block.param_dict()
         )
         assert report.ok, report.summary()
 
@@ -132,7 +132,7 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(16))
         pts = np.random.default_rng(17).normal(size=(32, 3))
-        pyr = build_scale_pyramid(pts, (16, 8, 4), (4, 4, 2))
+        pyr = build_scale_pyramid(pts[None], (16, 8, 4), (4, 4, 2))[0]
         plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc(pyr, plan)
@@ -141,19 +141,19 @@ class TestEncoder:
 class TestTokenPropagator:
     def test_weights_convex(self):
         rng = np.random.default_rng(20)
-        coarse = rng.normal(size=(10, 3))
-        fine = rng.normal(size=(25, 3))
+        coarse = rng.normal(size=(2, 10, 3))
+        fine = rng.normal(size=(2, 25, 3))
         idx, w = TokenPropagator.interpolation_weights(coarse, fine, 3)
-        assert idx.shape == w.shape == (25, 3)
+        assert idx.shape == w.shape == (2, 25, 3)
         assert np.all(w >= 0)
-        np.testing.assert_allclose(w.sum(axis=1), np.ones(25), atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=2), np.ones((2, 25)), atol=1e-12)
 
     def test_coincident_point_dominates(self):
         rng = np.random.default_rng(21)
         coarse = rng.normal(size=(6, 3))
         fine = np.concatenate([coarse[[2]], rng.normal(size=(4, 3))])
-        _, w = TokenPropagator.interpolation_weights(coarse, fine, 3)
-        assert w[0, 0] > 1.0 - 1e-6
+        _, w = TokenPropagator.interpolation_weights(coarse[None], fine[None], 3)
+        assert w[0, 0, 0] > 1.0 - 1e-6
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_interpolation_weights_match_recomputed_distances(self, ties):
@@ -166,10 +166,10 @@ class TestTokenPropagator:
             if ties:
                 coarse, fine = np.round(coarse), np.round(2.0 * fine) / 2.0
             for k in (1, 3, 8):
-                idx, weights = TokenPropagator.interpolation_weights(coarse, fine, k)
+                idx, weights = TokenPropagator.interpolation_weights(coarse[None], fine[None], k)
                 ref_idx, ref_weights = interpolation_weights_reference(coarse, fine, k)
-                assert idx.tobytes() == ref_idx.tobytes()
-                assert weights.tobytes() == ref_weights.tobytes()
+                assert idx[0].tobytes() == ref_idx.tobytes()
+                assert weights[0].tobytes() == ref_weights.tobytes()
 
     def test_constant_tokens_give_projected_constant(self):
         rng = np.random.default_rng(22)
@@ -193,7 +193,7 @@ class TestTokenPropagator:
     def test_a_pack_mixes_each_cloud_as_alone(self, sizes):
         # 8 coarse centers are sorted in full, 40 by kNN's partial selection
         rng = np.random.default_rng(25)
-        pyramids = [build_scale_pyramid(rng.normal(size=(128, 3)), sizes, (4, 4, 2)) for _ in range(3)]
+        pyramids = build_scale_pyramid(rng.normal(size=(3, 128, 3)), sizes, (4, 4, 2))
         pack, _ = stack_pack(pyramids)
         prop = TokenPropagator(4, 6, rng)
         tokens = rng.normal(size=(pack.size_at(3), 4))
@@ -267,7 +267,7 @@ class TestDecoder:
 class TestPretrainLoss:
     def test_hand_value_single_center_offset(self):
         pts = np.random.default_rng(40).normal(size=(8, 3))
-        pyr = build_scale_pyramid(pts, (4, 2), (1, 1))
+        pyr = build_scale_pyramid(pts[None], (4, 2), (1, 1))[0]
         plan = mask_and_backproject(pyr, 0.5, np.random.default_rng(1))
         assert plan.masked[2].size == 1
         truth = gather_patches(pyr, 2, plan.masked[2])
@@ -331,7 +331,7 @@ class TestMaskedAutoencoder:
             encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
         )
         pts = np.random.default_rng(55).normal(size=(128, 3))
-        pyr = build_scale_pyramid(pts, cfg.sizes, cfg.ks)
+        pyr = build_scale_pyramid(pts[None], cfg.sizes, cfg.ks)[0]
         plan = mask_and_backproject(pyr, 0.6, np.random.default_rng(56))
 
         def run():

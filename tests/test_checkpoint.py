@@ -263,7 +263,7 @@ class TestModelIntegration:
         save_checkpoint(path, pre.model.param_dict(), fp, 2)
 
         pts = normalize_points(clouds[0].points)
-        pyr = build_scale_pyramid(pts, TINY.sizes, TINY.ks)
+        pyr = build_scale_pyramid(pts[None], TINY.sizes, TINY.ks)[0]
         plan = mask_and_backproject(pyr, 0.6, np.random.default_rng(0))
         with T.no_grad():
             want = pre.model.loss(pyr, plan).item()

@@ -459,6 +459,20 @@ class TestReconstructCommand:
         assert original.points.shape[0] == 64
 
 
+    def test_checks_every_input_before_writing_any_output(self, tmp_path, cfg_file, dataset, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(pre)]) == 0
+        few = tmp_path / "few.xyz"
+        write_xyz(few, PointCloud(np.random.default_rng(4).normal(size=(9, 3)), 0))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", cfg_file, "--checkpoint", str(pre / "model.ckpt"),
+                   "--out", str(out), str(sorted(Path(dataset).glob("*.xyz"))[0]), str(few)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {few} has 9 points, fewer than the first scale size 16\n"
+        assert not out.exists()
+
+
 class TestCorruptCheckpoint:
     FS_CFG = TINY_CFG + "n_way = 2\nm_shot = 1\ntest_per_class = 2\ntrials = 1\n"
 

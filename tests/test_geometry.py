@@ -84,26 +84,26 @@ class TestFPS:
             n = int(rng.integers(2, 120))
             m = int(rng.integers(1, n + 1))
             pts = random_cloud(rng, n)
-            np.testing.assert_array_equal(fps(pts, m), fps_reference(pts, m))
+            np.testing.assert_array_equal(fps(pts[None], m)[0], fps_reference(pts, m))
 
     def test_square_corners(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        np.testing.assert_array_equal(fps(pts, 2), [0, 3])
+        np.testing.assert_array_equal(fps(pts[None], 2)[0], [0, 3])
 
     def test_m_equals_n_gives_all_indices(self):
         rng = np.random.default_rng(11)
         pts = random_cloud(rng, 17)
-        out = fps(pts, 17)
+        out = fps(pts[None], 17)[0]
         assert sorted(out.tolist()) == list(range(17))
 
     def test_duplicate_points_never_repicked(self):
         pts = np.zeros((6, 3))
         pts[3] = [1.0, 0, 0]
-        out = fps(pts, 4)
+        out = fps(pts[None], 4)[0]
         assert len(set(out.tolist())) == 4
 
     def test_argument_errors(self):
-        pts = np.ones((4, 3))
+        pts = np.ones((1, 4, 3))
         with pytest.raises(ShapeError):
             fps(pts, 5)
         with pytest.raises(ShapeError):
@@ -119,26 +119,47 @@ class TestKNN:
             k = int(rng.integers(1, r + 1))
             refs = random_cloud(rng, r)
             queries = random_cloud(rng, q)
-            np.testing.assert_array_equal(knn(queries, refs, k), knn_reference(queries, refs, k))
+            np.testing.assert_array_equal(knn(queries[None], refs[None], k)[0], knn_reference(queries, refs, k))
 
     def test_self_query_returns_itself_first(self):
         rng = np.random.default_rng(21)
         refs = random_cloud(rng, 12)
-        out = knn(refs[[4]], refs, 3)
+        out = knn(refs[None, [4]], refs[None], 3)[0]
         assert out[0, 0] == 4
 
     def test_hand_case(self):
-        out = knn(np.zeros((1, 3)), np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float), 2)
+        out = knn(np.zeros((1, 1, 3)), np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float), 2)[0]
         np.testing.assert_array_equal(out, [[0, 1]])
 
     def test_tie_breaks_to_lower_index(self):
         refs = np.array([[1, 0, 0], [-1, 0, 0], [2, 0, 0]], dtype=float)
-        out = knn(np.zeros((1, 3)), refs, 2)
+        out = knn(np.zeros((1, 1, 3)), refs[None], 2)[0]
         np.testing.assert_array_equal(out, [[0, 1]])
 
     def test_k_too_large(self):
         with pytest.raises(ShapeError):
-            knn(np.zeros((1, 3)), np.ones((3, 3)), 4)
+            knn(np.zeros((1, 1, 3)), np.ones((1, 3, 3)), 4)
+
+
+class TestStacksOnly:
+    """FPS, kNN, the pyramid and the decoder's interpolation take stacks of
+    clouds only; one cloud is a stack of one."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pts: fps(pts, 4),
+            lambda pts: knn(pts, pts, 2),
+            lambda pts: knn(pts[None], pts, 2),
+            lambda pts: build_scale_pyramid(pts, (8, 4), (2, 2)),
+            lambda pts: TokenPropagator.interpolation_weights(pts, pts, 3),
+        ],
+        ids=["fps", "knn", "knn-refs", "build_scale_pyramid", "interpolation_weights"],
+    )
+    def test_one_cloud_without_its_stack_axis_is_a_shape_error(self, call):
+        pts = random_cloud(np.random.default_rng(60), 16)
+        with pytest.raises(ShapeError, match=r"must have shape \(C, N, 3\), got \(16, 3\)$"):
+            call(pts)
 
 
 class TestScalePyramid:
@@ -146,7 +167,7 @@ class TestScalePyramid:
         rng = np.random.default_rng(30)
         for seed in range(10):
             pts = random_cloud(np.random.default_rng(seed), 64)
-            pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
+            pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
             assert pyr.num_scales == 2
             assert pyr.sizes == (64, 16, 8)
             for i in range(1, 3):
@@ -164,12 +185,12 @@ class TestScalePyramid:
 
     def test_single_scale_full_size(self):
         pts = np.random.default_rng(31).normal(size=(10, 3))
-        pyr = build_scale_pyramid(pts, (10,), (1,))
+        pyr = build_scale_pyramid(pts[None], (10,), (1,))[0]
         assert sorted(pyr.sample_idx[0].tolist()) == list(range(10))
         np.testing.assert_array_equal(pyr.neighbors[0][:, 0], pyr.sample_idx[0])
 
     def test_config_errors(self):
-        pts = np.random.default_rng(32).normal(size=(20, 3))
+        pts = np.random.default_rng(32).normal(size=(1, 20, 3))
         with pytest.raises(ConfigError):
             build_scale_pyramid(pts, (8, 8), (2, 2))
         with pytest.raises(ConfigError):
@@ -182,12 +203,13 @@ class TestScalePyramid:
 
 class TestStackPack:
     def test_a_built_pyramid_is_a_pack_of_one(self):
-        pyr = build_scale_pyramid(random_cloud(np.random.default_rng(33), 40), (16, 8), (4, 4))
+        pyr = build_scale_pyramid(random_cloud(np.random.default_rng(33), 40)[None], (16, 8), (4, 4))[0]
         assert [o.tolist() for o in pyr.offsets] == [[0, 40], [0, 16], [0, 8]]
 
     def test_mismatched_packs_rejected(self):
         pts = random_cloud(np.random.default_rng(34), 32)
-        two, three = build_scale_pyramid(pts, (16, 8), (4, 4)), build_scale_pyramid(pts, (16, 8, 4), (4, 4, 2))
+        two = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
+        three = build_scale_pyramid(pts[None], (16, 8, 4), (4, 4, 2))[0]
         plan = mask_and_backproject(two, 0.5, np.random.default_rng(35))
         with pytest.raises(ShapeError, match="of one scale count, got \\[2, 3\\]"):
             stack_pack([two, three])
@@ -209,7 +231,7 @@ class TestFullSizeKernels:
     def test_pyramid_and_interpolation_byte_identical(self, kind):
         (cloud,) = gen_shapes([ShapeSpec(kind, 2048, jitter=0.01, seed=7)])
         pts = normalize_points(cloud.points)
-        pyr = build_scale_pyramid(pts, self.CFG.sizes, self.CFG.ks)
+        pyr = build_scale_pyramid(pts[None], self.CFG.sizes, self.CFG.ks)[0]
         assert self.CFG.sizes == (512, 256, 64) and self.CFG.ks == (16, 8, 8)
         sample_idx, neighbors, levels = pyramid_reference(
             pts, self.CFG.sizes, self.CFG.ks, fps_rowsum_reference, knn_argsort_reference
@@ -220,10 +242,10 @@ class TestFullSizeKernels:
             assert pyr.points[i + 1].tobytes() == levels[i + 1].tobytes()
 
         coarse, fine, k = pyr.points[3], pyr.points[2], self.CFG.interp_k
-        idx, weights = TokenPropagator.interpolation_weights(coarse, fine, k)
+        idx, weights = TokenPropagator.interpolation_weights(coarse[None], fine[None], k)
         ref_idx, ref_weights = interpolation_weights_reference(coarse, fine, k)
-        assert idx.tobytes() == ref_idx.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
+        assert idx[0].tobytes() == ref_idx.tobytes()
+        assert weights[0].tobytes() == ref_weights.tobytes()
 
 
 class TestMasking:
@@ -244,14 +266,14 @@ class TestMasking:
         rng = np.random.default_rng(40)
         for trial in range(20):
             pts = random_cloud(np.random.default_rng(trial), 96)
-            pyr = build_scale_pyramid(pts, (32, 16, 8), (6, 4, 3))
+            pyr = build_scale_pyramid(pts[None], (32, 16, 8), (6, 4, 3))[0]
             mu = [0.5, 0.6, 0.7, 0.8, 0.9][trial % 5]
             plan = mask_and_backproject(pyr, mu, rng)
             self.check_plan(pyr, plan, mu)
 
     def test_mu_zero_everything_visible(self):
         pts = random_cloud(np.random.default_rng(41), 64)
-        pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
+        pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
         plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
         for i in (1, 2):
             np.testing.assert_array_equal(plan.visible[i], np.arange(pyr.size_at(i)))
@@ -259,7 +281,7 @@ class TestMasking:
 
     def test_same_seed_same_plan(self):
         pts = random_cloud(np.random.default_rng(42), 64)
-        pyr = build_scale_pyramid(pts, (16, 8), (4, 4))
+        pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
         a = mask_and_backproject(pyr, 0.6, np.random.default_rng(7))
         b = mask_and_backproject(pyr, 0.6, np.random.default_rng(7))
         for i in (1, 2):
@@ -268,7 +290,7 @@ class TestMasking:
 
     def test_mu_domain(self):
         pts = random_cloud(np.random.default_rng(43), 32)
-        pyr = build_scale_pyramid(pts, (8,), (2,))
+        pyr = build_scale_pyramid(pts[None], (8,), (2,))[0]
         with pytest.raises(ShapeError):
             mask_and_backproject(pyr, 1.0, np.random.default_rng(0))
         with pytest.raises(ShapeError):
@@ -279,7 +301,7 @@ class TestGatherPatches:
     def test_index_and_subtract_oracle(self):
         rng = np.random.default_rng(50)
         pts = random_cloud(rng, 48)
-        pyr = build_scale_pyramid(pts, (12, 6), (4, 3))
+        pyr = build_scale_pyramid(pts[None], (12, 6), (4, 3))[0]
         for scale in (1, 2):
             got = gather_patches(pyr, scale, np.arange(pyr.size_at(scale)))
             idx = pyr.neighbors[scale - 1]
@@ -290,7 +312,7 @@ class TestGatherPatches:
     def test_subset_and_self_zero(self):
         rng = np.random.default_rng(51)
         pts = random_cloud(rng, 48)
-        pyr = build_scale_pyramid(pts, (12,), (4,))
+        pyr = build_scale_pyramid(pts[None], (12,), (4,))[0]
         subset = np.array([3, 7])
         got = gather_patches(pyr, 1, subset)
         assert got.shape == (2, 4, 3)
@@ -300,8 +322,8 @@ class TestGatherPatches:
     def test_translation_invariance(self):
         rng = np.random.default_rng(52)
         pts = random_cloud(rng, 48)
-        pyr1 = build_scale_pyramid(pts, (12,), (4,))
-        pyr2 = build_scale_pyramid(pts + np.array([3.0, -2.0, 1.0]), (12,), (4,))
+        pyr1 = build_scale_pyramid(pts[None], (12,), (4,))[0]
+        pyr2 = build_scale_pyramid((pts + np.array([3.0, -2.0, 1.0]))[None], (12,), (4,))[0]
         every = np.arange(12)
         np.testing.assert_allclose(
             gather_patches(pyr1, 1, every), gather_patches(pyr2, 1, every), atol=1e-12

@@ -30,7 +30,7 @@ from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mappi
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
 from pamr.geometry import build_scale_pyramid, fps, gather_patches, knn, mask_and_backproject, stack_pack
-from pamr.training import NO_GRAD_BUDGET, cloud_pyramid, cloud_pyramids, pack_size, pooled_features
+from pamr.training import NO_GRAD_BUDGET, cloud_pyramids, pack_size, pooled_features
 
 # To report a failing example, Hypothesis imports `hypothesis.extra._patching`,
 # whose libcst import warns (mypy_extensions' TypedDict is deprecated). Under
@@ -165,7 +165,7 @@ def test_knn_matches_full_sort_for_every_k(queries, refs):
     with np.errstate(over="ignore"):
         full = knn_reference(queries, refs, refs.shape[0])
         for k in range(1, refs.shape[0] + 1):
-            np.testing.assert_array_equal(knn(queries, refs, k), full[:, :k])
+            np.testing.assert_array_equal(knn(queries[None], refs[None], k)[0], full[:, :k])
 
 
 @SETTINGS
@@ -174,7 +174,7 @@ def test_fps_matches_exhaustive_max_min(points):
     with np.errstate(over="ignore"):
         full = fps_reference(points, points.shape[0])
         for m in range(1, points.shape[0] + 1):
-            np.testing.assert_array_equal(fps(points, m), full[:m])
+            np.testing.assert_array_equal(fps(points[None], m)[0], full[:m])
 
 
 @st.composite
@@ -215,7 +215,7 @@ def pyramid_args(draw):
 def test_pyramid_is_fps_and_knn_level_by_level(args):
     points, sizes, ks = args
     with np.errstate(over="ignore"):
-        pyr = build_scale_pyramid(points, sizes, ks)
+        pyr = build_scale_pyramid(points[None], sizes, ks)[0]
         sample_idx, neighbors, levels = pyramid_reference(
             points, sizes, ks, fps_reference, knn_reference
         )
@@ -250,7 +250,7 @@ def test_stack_pack_keeps_each_cloud_in_its_own_rows(config, n_clouds, seed):
     rng = np.random.default_rng(seed)
     # raw counts differ between clouds: loading a dataset does not resample to n_points
     raw = rng.integers(cfg.sizes[0], 2 * cfg.n_points, size=n_clouds)
-    pyramids = [cloud_pyramid(rng.normal(size=(n, 3)), cfg) for n in raw]
+    pyramids = cloud_pyramids([rng.normal(size=(n, 3)) for n in raw], cfg)
     plans = [mask_and_backproject(pyr, 0.6, rng) for pyr in pyramids]
     pyr, plan = stack_pack(pyramids, plans)
 
@@ -291,7 +291,7 @@ def test_pack_matches_its_clouds_one_at_a_time(config, zero_scale_head, n_clouds
     base = PACK_CONFIGS[config]
     cfg = ModelConfig(**{**base.as_dict(), "zero_scale_head": zero_scale_head})
     rng = np.random.default_rng(seed)
-    pyramids = [cloud_pyramid(rng.normal(size=(cfg.n_points, 3)), cfg) for _ in range(n_clouds)]
+    pyramids = cloud_pyramids([rng.normal(size=(cfg.n_points, 3)) for _ in range(n_clouds)], cfg)
     plans = [mask_and_backproject(pyr, 0.6, rng) for pyr in pyramids]
     model = MaskedAutoencoder(cfg, rng)
     params = model.param_dict()

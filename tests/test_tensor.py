@@ -287,7 +287,7 @@ class TestFusedOps:
     def test_attention(self, heads):
         rng = np.random.default_rng(12)
         arrays = [rng.normal(size=(7, 6)) for _ in range(3)]
-        self.check("attention", arrays, lambda op, q, k, v: op(q, k, v, heads))
+        self.check("attention", arrays, lambda op, q, k, v: op(q, k, v, heads, (0, 7)))
 
     @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
     def test_linear(self, shape):
@@ -310,7 +310,7 @@ class TestFusedOps:
     def test_single_token_attends_to_itself(self):
         rng = np.random.default_rng(15)
         q, k, v = (Tensor(rng.normal(size=(1, 8))) for _ in range(3))
-        np.testing.assert_array_equal(T.attention(q, k, v, 2).data, v.data)
+        np.testing.assert_array_equal(T.attention(q, k, v, 2, (0, 1)).data, v.data)
 
     def test_attention_weights_are_distributions(self):
         # with every value row equal, the output is that row scaled by each
@@ -318,14 +318,20 @@ class TestFusedOps:
         rng = np.random.default_rng(16)
         q, k = Tensor(rng.normal(size=(5, 8)) * 3.0), Tensor(rng.normal(size=(5, 8)) * 3.0)
         row = rng.normal(size=8)
-        out = T.attention(q, k, Tensor(np.tile(row, (5, 1))), 2).data
+        out = T.attention(q, k, Tensor(np.tile(row, (5, 1))), 2, (0, 5)).data
         np.testing.assert_allclose(out, np.tile(row, (5, 1)), rtol=1e-12)
+
+    @pytest.mark.parametrize("offsets", [(0, 2), (1, 3), (0, 2, 2, 3), (0, 3, 2, 3), ((0, 3),)])
+    def test_attention_offsets_must_rise_strictly_from_0_to_n(self, offsets):
+        q = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="segment offsets must rise strictly from 0 to 3"):
+            T.attention(q, q, q, 2, offsets)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), 4)
+            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), 4, (0, 3))
         with pytest.raises(ShapeError):
-            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))), 2)
+            T.attention(Tensor(np.ones((3, 6))), Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))), 2, (0, 3))
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.ones((3, 5))), Tensor(np.ones((4, 6))), Tensor(np.ones(6)))
         with pytest.raises(ShapeError):

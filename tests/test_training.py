@@ -18,7 +18,6 @@ from pamr.training import (
     AdamW,
     NO_GRAD_BUDGET,
     augment,
-    cloud_pyramid,
     cloud_pyramids,
     cross_entropy,
     few_shot_eval,
@@ -198,7 +197,7 @@ class TestModelInput:
         res = finetune_classify(clouds, TINY, self.CFG)
         assert n_pretrain == self.CFG.epochs * len(clouds)
         assert len(seen) - n_pretrain == self.CFG.epochs * res.train_idx.size
-        plain = [cloud_pyramid(c.points, TINY) for c in clouds]
+        plain = [_oracles.pyramid_of(c.points, TINY) for c in clouds]
         for pyr in seen:
             (ref,) = [
                 p for p in plain
@@ -245,7 +244,7 @@ class TestModelInput:
         assert stacks == [12, 12, 2, 5]
         monkeypatch.undo()
         for points, pyr in zip(clouds, pyramids):
-            alone = cloud_pyramid(points, DESK)
+            alone = _oracles.pyramid_of(points, DESK)
             for field in ("points", "sample_idx", "neighbors", "offsets"):
                 got, want = getattr(pyr, field), getattr(alone, field)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want], field
@@ -501,7 +500,7 @@ class TestFinetune:
         assert len(batches) == len(seen) == 1
         assert batches[0][0].size == 12 and batches[0][1] == 4
         train = [clouds[i] for i in res.train_idx[batches[0][0]]]
-        pyramids = [cloud_pyramid(c.points, DESK) for c in train]
+        pyramids = [_oracles.pyramid_of(c.points, DESK) for c in train]
         labels = np.array([c.label for c in train])
         clf = res.classifier
         for name, p in clf.param_dict().items():
@@ -527,7 +526,7 @@ class TestFinetune:
         )
         res = finetune_classify(clouds, TINY, cfg)
         train = [clouds[i] for i in res.train_idx]
-        feats = pooled_features(res.classifier, [cloud_pyramid(c.points, TINY) for c in train])
+        feats = pooled_features(res.classifier, [_oracles.pyramid_of(c.points, TINY) for c in train])
         with T.no_grad():
             logits = res.classifier.logits_from_features(T.constant(feats)).data
         labels = np.array([c.label for c in train])
@@ -621,16 +620,20 @@ class TestFewShot:
     def test_encodes_each_cloud_once_per_call_with_full_checkpoint(
         self, full_checkpoint, few_shot_clouds, encoder_checkpoint, monkeypatch
     ):
-        encoded = count_pyramid_builds(monkeypatch, few_shot_clouds)
+        built = count_pyramid_builds(monkeypatch, few_shot_clouds)
+        encoded, pool = [], pamr.training.pooled_features
+        monkeypatch.setattr(pamr.training, "pooled_features", lambda clf, p: encoded.extend(p) or pool(clf, p))
         pretrained = encoder_checkpoint if full_checkpoint else None
         few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained=pretrained)
         c = FEW_SHOT_CFG
         per_call = c.trials * c.n_way * (c.m_shot + c.test_per_class)
-        assert len(set(encoded)) < per_call  # the trials share clouds
-        if full_checkpoint:
-            assert len(encoded) == len(set(encoded))
-        else:
-            assert len(encoded) == per_call
+        assert len(set(built)) < per_call  # the trials share clouds
+        # one pyramid per drawn cloud per call, with or without a checkpoint,
+        # and every encode reads one of them
+        assert None not in built and len(built) == len(set(built))
+        assert len({id(pyr) for pyr in encoded}) == len(built)
+        # a trial whose encoder is partly its own random init re-encodes its clouds
+        assert len(encoded) == (len(built) if full_checkpoint else per_call)
 
     def test_protocol_shape_and_determinism(self):
         clouds = small_dataset(per_class=6)
@@ -658,7 +661,7 @@ class TestFewShot:
 
         clouds = small_dataset(per_class=1)
         clf = CloudClassifier(TINY, 4, (8,), np.random.default_rng(0))
-        feats = pooled_features(clf, [cloud_pyramid(c.points, TINY) for c in clouds])
+        feats = pooled_features(clf, [_oracles.pyramid_of(c.points, TINY) for c in clouds])
         assert feats.shape == (4, 2 * TINY.dims[-1])
         assert np.isfinite(feats).all()
 
