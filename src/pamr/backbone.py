@@ -74,7 +74,8 @@ class TransformerBlock(Module):
 
     def forward(self, x: Tensor, offsets: np.ndarray) -> Tensor:
         x = T.add(x, self.attn(self.ln1(x), offsets))
-        return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
+        ln, fc1, fc2 = self.ln2, self.fc1, self.fc2
+        return T.ffn(x, ln.scale, ln.shift, fc1.weight, fc1.bias, fc2.weight, fc2.bias)
 
 
 class HierarchicalEncoder(Module):

@@ -210,6 +210,9 @@ def op_gradient_suite(seed: int = 0, tol: float = 1e-4) -> dict[str, GradCheckRe
     # two segments of unequal length: a gradient may not cross between them
     q, k, v = any_((5, 6)), any_((5, 6)), any_((5, 6))
     run("attention", {"q": q, "k": k, "v": v}, lambda: T.attention(q, k, v, 2, (0, 2, 5)))
+    fs, fb, f1, fb1, f2, fb2 = any_((4,)), any_((4,)), any_((4, 8)), any_((8,)), any_((8, 4)), any_((4,))
+    ffn_params = {"x": x, "fs": fs, "fb": fb, "f1": f1, "fb1": fb1, "f2": f2, "fb2": fb2}
+    run("ffn", ffn_params, lambda: T.ffn(x, fs, fb, f1, fb1, f2, fb2))
 
     return reports
 

@@ -56,6 +56,7 @@ __all__ = [
     "layer_norm",
     "attention",
     "linear",
+    "ffn",
 ]
 
 _grad_enabled = True
@@ -480,17 +481,25 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), bwd, "sigmoid output")
 
 
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh(k0*(x + k1*x^3)) and the gelu 0.5*x*(1 + tanh(...)) of `x`."""
+    t = np.tanh(_GELU_K0 * (x + _GELU_K1 * (x * x * x)))
+    return t, 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Input gradient of gelu at `x`, given its tanh `t` and output gradient `g`."""
+    d_inner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * x * x)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+
+
 def gelu(a) -> Tensor:
     """tanh-form gelu: 0.5*x*(1 + tanh(k0*(x + k1*x^3)))."""
     a = as_tensor(a)
-    x = a.data
-    inner = _GELU_K0 * (x + _GELU_K1 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t, out = _gelu_parts(a.data)
 
     def bwd(g):
-        d_inner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * x * x)
-        return [(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))]
+        return [(a, _gelu_grad(g, a.data, t))]
 
     return _make(out, (a,), bwd, "gelu output")
 
@@ -627,13 +636,19 @@ def layer_norm(x, scale, shift) -> Tensor:
     out = normed * scale.data + shift.data
 
     def bwd(g):
-        return [
-            (x, _standardize_grad(g * scale.data, normed, denom)),
-            (scale, _unbroadcast(g * normed, scale.shape)),
-            (shift, _unbroadcast(g, shift.shape)),
-        ]
+        gx, gscale, gshift = _layer_norm_grads(g, normed, denom, scale.data)
+        return [(x, gx), (scale, gscale), (shift, gshift)]
 
     return _make(out, (x, scale, shift), bwd, "layer_norm output")
+
+
+def _layer_norm_grads(g: np.ndarray, normed: np.ndarray, denom: np.ndarray, scale: np.ndarray):
+    """Gradients of layer_norm's input, scale and shift given its output gradient `g`."""
+    return (
+        _standardize_grad(g * scale, normed, denom),
+        _unbroadcast(g * normed, scale.shape),
+        _unbroadcast(g, scale.shape),
+    )
 
 
 # -- fused layers ------------------------------------------------------------
@@ -664,13 +679,73 @@ def linear(x, weight, bias) -> Tensor:
     out = x.data @ weight.data + bias.data
 
     def bwd(g):
-        return [
-            (x, g @ weight.data.T),
-            (weight, _row_sum_product(x.data.reshape(-1, fan_in), g.reshape(-1, fan_out))),
-            (bias, _unbroadcast(g, bias.shape)),
-        ]
+        gx, gw, gb = _linear_grads(g, x.data, weight.data)
+        return [(x, gx), (weight, gw), (bias, gb)]
 
     return _make(out, (x, weight, bias), bwd, "linear output")
+
+
+def _linear_grads(g: np.ndarray, x: np.ndarray, weight: np.ndarray):
+    """Gradients of linear's input, weight and bias given its output gradient `g`."""
+    fan_in, fan_out = weight.shape
+    return (
+        g @ weight.T,
+        _row_sum_product(x.reshape(-1, fan_in), g.reshape(-1, fan_out)),
+        _unbroadcast(g, (fan_out,)),
+    )
+
+
+def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
+    """Pre-norm feed-forward with its residual, as one op:
+    x + linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2).
+
+    The forward runs the chain's arithmetic in its order and checks every
+    value the chain checked, so its output and its errors are the chain's.
+    The graph keeps `x`, the standardized rows with their denominators and
+    fc1's pre-activation; backward recomputes the layer-norm output, tanh and
+    the gelu output. It hands `x` the residual gradient before the layer-norm
+    one, in the order the chain's tape did, so every gradient is bitwise the
+    chain's.
+    """
+    parents = tuple(as_tensor(t) for t in (x, ln_scale, ln_shift, w1, b1, w2, b2))
+    x, ln_scale, ln_shift, w1, b1, w2, b2 = parents
+    c = x.shape[-1] if x.ndim else -1
+    h = w1.shape[-1] if w1.ndim else -1
+    shapes = tuple(t.shape for t in parents[1:])
+    if shapes != ((c,), (c,), (c, h), (h,), (h, c), (c,)):
+        raise ShapeError(
+            f"ffn needs (..., C) input and (C,), (C,), (C, H), (H,), (H, C), (C,) params: "
+            f"{x.shape}, {shapes}"
+        )
+    normed, denom = _standardize(x.data, "layer_norm")
+    ln = normed * ln_scale.data + ln_shift.data
+    _check_finite(ln, "layer_norm output")
+    pre = ln @ w1.data + b1.data
+    _check_finite(pre, "linear output")
+    _, act = _gelu_parts(pre)
+    _check_finite(act, "gelu output")
+    y = act @ w2.data + b2.data
+    _check_finite(y, "linear output")
+    out = x.data + y
+
+    def bwd(g):
+        t, act = _gelu_parts(pre)
+        g_act, g_w2, g_b2 = _linear_grads(g, act, w2.data)
+        ln = normed * ln_scale.data + ln_shift.data
+        g_ln, g_w1, g_b1 = _linear_grads(_gelu_grad(g_act, pre, t), ln, w1.data)
+        gx, g_scale, g_shift = _layer_norm_grads(g_ln, normed, denom, ln_scale.data)
+        return [
+            (x, g),
+            (w2, g_w2),
+            (b2, g_b2),
+            (w1, g_w1),
+            (b1, g_b1),
+            (ln_scale, g_scale),
+            (ln_shift, g_shift),
+            (x, gx),
+        ]
+
+    return _make(out, parents, bwd, "add output")
 
 
 # OpenBLAS runs a product of at most this many multiply-adds (M*N*K) on one thread

@@ -188,17 +188,20 @@ def _fit(
 
 
 # Token-channels, sum(sizes[s] * dims[s]) over the scales, of the clouds one
-# graph may hold. A desk-scale cloud (1,024; about 0.6 MiB of live graph)
-# goes four to a graph, and a default-config cloud (122,880; about 200 MiB)
-# alone, so packing costs peak memory little at either size.
-PACK_BUDGET = 4096
+# graph may hold. Traced with tracemalloc, a desk-scale cloud (1,024) holds
+# about 0.48 MiB of live graph after its forward, and a training pack of 8
+# peaks at 4.7 MiB over its loss forward and backward; a default-config
+# cloud (122,880) holds about 151 MiB and peaks at 224 MiB. So desk clouds go
+# eight to a graph, which amortizes the interpreter's per-op cost, and a
+# default-config cloud goes alone.
+PACK_BUDGET = 8192
 
 # The same for one pass that keeps no graph: a pyramid build or a frozen
 # encode. Traced with tracemalloc at the desk config, a frozen encode of 12
-# clouds peaks at 2.23 MiB, below the 2.56 MiB of one training pack of 4
-# (loss forward and backward), and 16 would peak at 2.97 MiB; a pyramid
-# build of 12 peaks at 0.96 MiB. A default-config cloud still goes alone.
-NO_GRAD_BUDGET = 3 * PACK_BUDGET
+# clouds peaks at 1.8 MiB and one of 16 at 2.4 MiB, both below one training
+# pack of 8; a pyramid build of 12 peaks at 0.93 MiB. It holds twelve desk
+# clouds or one default-config cloud.
+NO_GRAD_BUDGET = 12288
 
 
 def pack_size(cfg: ModelConfig, budget: int = PACK_BUDGET) -> int:

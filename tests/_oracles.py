@@ -30,8 +30,11 @@ cuts a stacked pyramid back into its clouds' pyramids.
 The `*_reference` layers rebuild each fused tensor op as the chain of
 elementary ops it replaces, so both the forward values (same arithmetic
 order, hence bitwise equal) and the gradients (same maths, different
-summation order) can be checked against it. `COMPOSITES` maps each fused
-op's name to its chain, for swapping into a whole model.
+summation order) can be checked against it. `ffn_chain_reference` is the
+pre-norm FFN as the earlier chain of five tape ops (`layer_norm`, `linear`,
+`gelu`, `linear`, `add`), whose gradients the fused op matches bitwise.
+`COMPOSITES` maps each fused op's name to its chain, for swapping into a
+whole model.
 """
 import struct
 
@@ -265,9 +268,14 @@ def linear_reference(x, weight, bias):
     return T.add(T.matmul(x, weight), bias)
 
 
+def ffn_chain_reference(x, ln_scale, ln_shift, w1, b1, w2, b2):
+    return T.add(x, T.linear(T.gelu(T.linear(T.layer_norm(x, ln_scale, ln_shift), w1, b1)), w2, b2))
+
+
 COMPOSITES = {
     "layer_norm": layer_norm_reference,
     "group_norm": group_norm_reference,
     "attention": attention_reference,
     "linear": linear_reference,
+    "ffn": ffn_chain_reference,
 }

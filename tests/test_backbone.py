@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from _oracles import COMPOSITES, chamfer_chain_reference, interpolation_weights_reference
+from _oracles import COMPOSITES, chamfer_chain_reference, ffn_chain_reference, interpolation_weights_reference
 
 from pamr import backbone
 from pamr import tensor as T
@@ -349,6 +349,31 @@ class TestMaskedAutoencoder:
         scale = max(np.max(np.abs(g)) for g in ref_grads.values())
         for name, g in grads.items():
             assert np.max(np.abs(g - ref_grads[name])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("n_clouds", [1, 3])
+    def test_fused_ffn_is_its_chain_bitwise_on_a_pack(self, monkeypatch, n_clouds):
+        # the loss and every parameter gradient of a pack, with the fused FFN
+        # and with its five-op chain, over blocks whose input has two consumers
+        cfg = ModelConfig(
+            n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2,
+            encoder_blocks=2, decoder_blocks=1, la_window=3, la_groups=4,
+        )
+        rng = np.random.default_rng(58)
+        pyramids = build_scale_pyramid(rng.normal(size=(n_clouds, 128, 3)), cfg.sizes, cfg.ks)
+        pyr, plan = stack_pack(pyramids, [mask_and_backproject(p, 0.6, rng) for p in pyramids])
+
+        def run():
+            model = MaskedAutoencoder(cfg, np.random.default_rng(59))
+            loss = model.loss(pyr, plan)
+            loss.backward()
+            return loss.item(), {n: p.grad for n, p in model.named_parameters()}
+
+        loss, grads = run()
+        monkeypatch.setattr(T, "ffn", ffn_chain_reference)
+        ref_loss, ref_grads = run()
+        assert loss == ref_loss
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
 
     def test_end_to_end_gradients_sampled(self):
         cfg = ModelConfig.tiny()

@@ -224,6 +224,17 @@ class TestGenData:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_config_n_points_below_64_exits_1_without_n_points_flag(self, tmp_path, cfg_file, capsys):
+        # the config's n_points (32) is the default points per cloud, and a
+        # shape needs at least 64
+        out = tmp_path / "d"
+        capsys.readouterr()
+        rc = main(["gen-data", "--config", cfg_file, "--out", str(out), "--kinds", "sphere", "--per-class", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: need at least 64 points per shape, got 32\n"
+        assert not out.exists()
+
     def test_echoes_resolved_config(self, tmp_path, cfg_file, capsys):
         rc = main(["gen-data", "--config", cfg_file, "--out", str(tmp_path / "d"),
                    "--kinds", "sphere", "--per-class", "1", "--n-points", "64"])

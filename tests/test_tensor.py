@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from _oracles import COMPOSITES
+from _oracles import COMPOSITES, ffn_chain_reference
 
 from pamr import tensor as T
 from pamr.errors import NonFiniteError, PamrError, ShapeError
@@ -336,6 +336,101 @@ class TestFusedOps:
             T.linear(Tensor(np.ones((3, 5))), Tensor(np.ones((4, 6))), Tensor(np.ones(6)))
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 6))), Tensor(np.ones(5)))
+
+
+class TestFusedFfn:
+    """The fused pre-norm FFN against the five-op chain it replaces: same
+    output, same gradients of its input and six parameters, and the same
+    error at the same stage, all bitwise."""
+
+    @staticmethod
+    def arrays(rng, lead, c, hidden):
+        return [
+            rng.normal(size=lead + (c,)) * 3.0,
+            rng.normal(size=c),
+            rng.normal(size=c),
+            rng.normal(size=(c, hidden)) * 0.5,
+            rng.normal(size=hidden),
+            rng.normal(size=(hidden, c)) * 0.5,
+            rng.normal(size=c),
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_output_and_gradients_equal_the_chain_bitwise(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        lead = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 4)))
+        c, hidden = int(rng.integers(2, 9)), int(rng.integers(1, 17))
+        arrays = self.arrays(rng, lead, c, hidden)
+        weight = rng.normal(size=lead + (c,))
+        results = []
+        for op in (T.ffn, ffn_chain_reference):
+            inputs = [T.param(a) for a in arrays]
+            out = op(*inputs)
+            T.tsum(T.mul(out, weight)).backward()
+            results.append((out.data, [t.grad for t in inputs]))
+        (got, got_grads), (ref, ref_grads) = results
+        np.testing.assert_array_equal(got, ref)
+        for g, r in zip(got_grads, ref_grads):
+            np.testing.assert_array_equal(g, r)
+
+    def big(self, c, value):
+        # alternating signs, so each row's products add up instead of cancelling
+        return np.where(np.arange(c) % 2 == 0, value, -value)
+
+    def overflow_case(self, stage):
+        rng = np.random.default_rng(210)
+        c, hidden = 6, 8
+        x, scale, shift, w1, b1, w2, b2 = self.arrays(rng, (4,), c, hidden)
+        if stage == "layer_norm variance":
+            x = x * 1e200
+        elif stage == "layer_norm output":
+            scale = np.full(c, 1.5e308)
+        elif stage == "fc1":
+            x = np.tile(self.big(c, 1.0), (4, 1))
+            scale, shift = np.ones(c), np.zeros(c)
+            w1 = np.tile(self.big(c, 1.5e308)[:, None], (1, hidden))
+        elif stage == "fc2":
+            w1, b1 = np.zeros((c, hidden)), np.full(hidden, 2.0)
+            w2 = np.full((hidden, c), 1.5e308)
+        else:  # the residual sum: equal features keep the variance at 0
+            x = np.full((4, c), 1e300)
+            w2, b2 = np.zeros((hidden, c)), np.full(c, np.finfo(np.float64).max)
+        return x, scale, shift, w1, b1, w2, b2
+
+    @pytest.mark.parametrize(
+        "stage, message",
+        [
+            ("layer_norm variance", "layer_norm variance"),
+            ("layer_norm output", "layer_norm output"),
+            ("fc1", "linear output"),
+            ("fc2", "linear output"),
+            ("add", "add output"),
+        ],
+    )
+    def test_overflow_raises_at_the_chains_stage(self, stage, message):
+        arrays = self.overflow_case(stage)
+        errors = []
+        for op in (T.ffn, ffn_chain_reference):
+            inputs = [T.param(a) for a in arrays]
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
+                op(*inputs)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == f"non-finite values in {message}"
+
+    def test_the_fc1_case_overflows_at_fc1(self, monkeypatch):
+        # fc1 and fc2 raise the same message: the chain never reaching gelu
+        # shows that the "fc1" case above stops at fc1
+        arrays = self.overflow_case("fc1")
+        monkeypatch.setattr(T, "gelu", lambda a: pytest.fail("gelu ran after fc1 overflowed"))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="linear output"):
+            ffn_chain_reference(*[T.param(a) for a in arrays])
+
+    def test_shape_errors(self):
+        x, scale, shift, w1, b1, w2, b2 = self.arrays(np.random.default_rng(211), (3,), 4, 8)
+        for bad in ([x, scale[:3], shift, w1, b1, w2, b2], [x, scale, shift, w1, b1[:7], w2, b2],
+                    [x, scale, shift, w1, b1, w2.T, b2], [x[:, :3], scale, shift, w1, b1, w2, b2]):
+            with pytest.raises(ShapeError):
+                T.ffn(*[Tensor(a) for a in bad])
 
 
 class TestGradientSuite:

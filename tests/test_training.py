@@ -272,9 +272,9 @@ class TestModelInput:
 
 
 class TestPackPlanner:
-    def test_budget_gives_one_default_cloud_and_four_desk_clouds_per_graph(self):
+    def test_budget_gives_one_default_cloud_and_eight_desk_clouds_per_graph(self):
         assert pack_size(ModelConfig()) == 1
-        assert pack_size(DESK) == 4
+        assert pack_size(DESK) == 8
 
     def test_no_grad_budget_gives_one_default_cloud_and_twelve_desk_clouds_per_pass(self):
         assert pack_size(ModelConfig(), NO_GRAD_BUDGET) == 1
@@ -291,7 +291,7 @@ class TestPackPlanner:
         clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(10)])
         cfg = TrainConfig(epochs=1, batch_size=10, warmup_epochs=0, seed=0, augment=False)
         pretrain_run(clouds, DESK, cfg)
-        assert packs == [4, 4, 2]
+        assert packs == [8, 2]
 
     def test_the_budget_is_no_setting(self):
         assert ModelConfig.field_names() == (
@@ -472,7 +472,7 @@ class TestFinetune:
         assert not any(alive)
 
     def test_packed_step_matches_per_cloud_oracle(self, monkeypatch):
-        """One unfrozen step on the desk model, three packs of four, against
+        """One unfrozen step on the desk model, packs of eight and four, against
         the cloud-by-cloud step it replaced."""
         clouds = gen_shapes([
             ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
@@ -498,7 +498,7 @@ class TestFinetune:
         monkeypatch.setattr(AdamW, "step", step_spy)
         res = finetune_classify(clouds, DESK, cfg)
         assert len(batches) == len(seen) == 1
-        assert batches[0][0].size == 12 and batches[0][1] == 4
+        assert batches[0][0].size == 12 and batches[0][1] == 8
         train = [clouds[i] for i in res.train_idx[batches[0][0]]]
         pyramids = [_oracles.pyramid_of(c.points, DESK) for c in train]
         labels = np.array([c.label for c in train])
