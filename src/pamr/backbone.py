@@ -54,6 +54,8 @@ class MultiHeadAttention(Module):
         self.heads = heads
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
+        # constant zero: a key bias adds one q.b to every score of a query, which softmax ignores
+        self.wk.bias = T.constant(self.wk.bias.data)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 

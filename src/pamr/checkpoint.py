@@ -15,6 +15,9 @@ Layout (all integers little-endian):
 
 Sorting plus fixed-width floats make save -> load -> save byte-identical.
 
+Entries of the deleted, untrainable `avg_bias`, `max_bias` and `attn.wk.bias`
+parameters (21 at the default config) are dropped on read, optimizer state too.
+
 Save and load stream entry by entry over a binary stream: `save_checkpoint`
 writes each array's own buffer into the temp file of an atomic write, and
 `load_checkpoint` reads each array from the file straight into its own
@@ -27,6 +30,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +47,7 @@ __all__ = ["CheckpointData", "save_checkpoint", "load_checkpoint", "apply_params
 
 MAGIC = b"PAMR1"
 VERSION = 1
+_RETIRED = re.compile(r"(^|\.)(gate_[ab]\.(avg|max)_bias|attn\.wk\.bias)$")  # names the reader drops
 
 
 @dataclass
@@ -208,6 +213,9 @@ def _read_checkpoint(stream: BinaryIO, size: int, origin: str) -> CheckpointData
             data.opt_v[name] = r.take_array(f"optimizer v of {name!r}")
     if r.left:
         raise CheckpointFormatError(f"{origin}: {r.left} trailing bytes")
+    for name in filter(_RETIRED.search, order):
+        for table in filter(None, (data.params, data.opt_m, data.opt_v)):
+            del table[name]
     return data
 
 

@@ -194,6 +194,11 @@ def _cmd_fewshot(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
 
 
 def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
+    stems = [Path(source).stem for source in args.inputs]  # each input's output names
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            first = args.inputs[stems.index(stem)]
+            raise ConfigError(f"inputs {first} and {args.inputs[i]} would both write {stem}.*.xyz")
     params = _load_pretrained(args, model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
     model = MaskedAutoencoder(model_cfg, rng)
@@ -203,7 +208,7 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
     pyramids = cloud_pyramids([c.points for c in clouds], model_cfg, names=args.inputs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for source, cloud, pyramid in zip(args.inputs, clouds, pyramids):
+    for stem, cloud, pyramid in zip(stems, clouds, pyramids):
         plan = mask_and_backproject(pyramid, train_cfg.mask_ratio, rng)
         with T.no_grad():
             rec = model.reconstruct(pyramid, plan)
@@ -214,7 +219,6 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
         rebuilt = np.concatenate(
             [truth_vis.reshape(-1, 3), pred_msk.reshape(-1, 3)], axis=0
         )
-        stem = Path(source).stem
         write_xyz(out / f"{stem}.original.xyz", PointCloud(pyramid.points[0], cloud.label))
         write_xyz(out / f"{stem}.masked.xyz", PointCloud(visible_fine, cloud.label))
         write_xyz(out / f"{stem}.reconstructed.xyz", PointCloud(rebuilt, cloud.label))

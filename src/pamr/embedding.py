@@ -52,7 +52,6 @@ class LocalAttentionGate(Module):
         channels: int,
         window: int,
         groups: int,
-        rng: np.random.Generator,
         avg_branch: bool = True,
         max_branch: bool = True,
     ):
@@ -60,30 +59,25 @@ class LocalAttentionGate(Module):
             raise ConfigError(f"window size must be odd and positive, got {window}")
         if groups < 1 or channels % groups != 0:
             raise ConfigError(f"{groups} groups do not divide {channels} channels")
-        del rng  # zero-initialized; kept for signature symmetry with other layers
         self.channels = channels
         self.groups = groups
         self.avg_branch = bool(avg_branch)
         self.max_branch = bool(max_branch)
         self.avg_kernel = T.param(np.zeros(window))
-        self.avg_bias = T.param(np.zeros(1))
         self.avg_scale = T.param(np.ones(channels))
         self.avg_shift = T.param(np.zeros(channels))
         self.max_kernel = T.param(np.zeros(window))
-        self.max_bias = T.param(np.zeros(1))
         self.max_scale = T.param(np.ones(channels))
         self.max_shift = T.param(np.zeros(channels))
 
     def _gate(self, x: Tensor, which: str) -> Tensor:
         if which == "avg":
             desc = T.tmean(x, axis=-1, keepdims=True)
-            kernel, bias = self.avg_kernel, self.avg_bias
-            scale, shift = self.avg_scale, self.avg_shift
+            kernel, scale, shift = self.avg_kernel, self.avg_scale, self.avg_shift
         else:
             desc = T.amax(x, axis=-1, keepdims=True)
-            kernel, bias = self.max_kernel, self.max_bias
-            scale, shift = self.max_scale, self.max_shift
-        h = T.conv1d_channel(desc, kernel, bias)
+            kernel, scale, shift = self.max_kernel, self.max_scale, self.max_shift
+        h = T.conv1d_channel(desc, kernel)
         h = T.group_norm(h, self.groups, scale, shift)
         return T.sigmoid(h)
 
@@ -129,10 +123,10 @@ class PatchTokenizer(Module):
         self.la_enabled = bool(la_enabled)
         if self.la_enabled:
             self.gate_a = LocalAttentionGate(
-                half, window, fit_groups(half, groups), rng, avg_branch, max_branch
+                half, window, fit_groups(half, groups), avg_branch, max_branch
             )
             self.gate_b = LocalAttentionGate(
-                dim, window, fit_groups(dim, groups), rng, avg_branch, max_branch
+                dim, window, fit_groups(dim, groups), avg_branch, max_branch
             )
 
     def forward(self, patches) -> Tensor:

@@ -190,8 +190,7 @@ def op_gradient_suite(seed: int = 0, tol: float = 1e-4) -> dict[str, GradCheckRe
 
     xc = any_((2, 6, 5))
     k = any_((3,))
-    kb = any_((1,))
-    run("conv1d_channel", {"xc": xc, "k": k, "kb": kb}, lambda: T.conv1d_channel(xc, k, kb))
+    run("conv1d_channel", {"xc": xc, "k": k}, lambda: T.conv1d_channel(xc, k))
 
     gs, gb = any_((6,)), any_((6,))
     run("group_norm", {"xc": xc, "gs": gs, "gb": gb}, lambda: T.group_norm(xc, 3, gs, gb))

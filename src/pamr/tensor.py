@@ -530,20 +530,18 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), bwd, "log_softmax output")
 
 
-def conv1d_channel(x, kernel, bias) -> Tensor:
+def conv1d_channel(x, kernel) -> Tensor:
     """Slide a 1-d kernel across the channel axis (axis -2) of `x`.
 
     `x` has shape (..., C, L); the kernel has odd length and the output is
     zero-padded back to C channels, so shape is preserved. E.g. the window-3
-    output at channel c is k0*x[c-1] + k1*x[c] + k2*x[c+1] + bias.
+    output at channel c is k0*x[c-1] + k1*x[c] + k2*x[c+1], with no bias.
     """
-    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim < 2:
         raise ShapeError(f"conv1d_channel needs (..., C, L) input, got {x.shape}")
     if kernel.ndim != 1 or kernel.shape[0] % 2 != 1:
         raise ShapeError(f"kernel must be 1-d with odd length, got {kernel.shape}")
-    if bias.size != 1:
-        raise ShapeError(f"bias must be a single scalar, got {bias.shape}")
     lam = kernel.shape[0]
     half = (lam - 1) // 2
     c = x.shape[-2]
@@ -553,7 +551,6 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
     out = np.zeros_like(x.data)
     for d in range(lam):
         out += kernel.data[d] * xp[..., d : d + c, :]
-    out += bias.data.reshape(())
 
     def bwd(g):
         dxp = np.zeros_like(xp)
@@ -562,13 +559,9 @@ def conv1d_channel(x, kernel, bias) -> Tensor:
             dxp[..., d : d + c, :] += kernel.data[d] * g
             dk[d] = (g * xp[..., d : d + c, :]).sum()
         dx = dxp[..., half : half + c, :]
-        return [
-            (x, np.ascontiguousarray(dx)),
-            (kernel, dk),
-            (bias, np.full_like(bias.data, g.sum())),
-        ]
+        return [(x, np.ascontiguousarray(dx)), (kernel, dk)]
 
-    return _make(out, (x, kernel, bias), bwd, "conv1d_channel output")
+    return _make(out, (x, kernel), bwd, "conv1d_channel output")
 
 
 def _standardize(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

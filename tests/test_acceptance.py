@@ -145,7 +145,7 @@ def test_channel_gate_contract():
     with criterion("acceptance 05 channel gate module"):
         rng = np.random.default_rng(5)
         x = T.constant(rng.normal(size=(4, 96, 32)))
-        gate = LocalAttentionGate(96, 5, 32, rng)
+        gate = LocalAttentionGate(96, 5, 32)
         out = gate(x)
         assert out.shape == x.shape
         # zero-initialized convolutions leave both sigmoids at 1/2, so the
@@ -157,7 +157,7 @@ def test_channel_gate_contract():
         total = wx.data + wy.data
         assert np.all(total > 0.0) and np.all(total < 2.0)
         for avg_on, max_on in ((True, True), (True, False), (False, True), (False, False)):
-            g = LocalAttentionGate(96, 5, 32, rng, avg_branch=avg_on, max_branch=max_on)
+            g = LocalAttentionGate(96, 5, 32, avg_branch=avg_on, max_branch=max_on)
             y = g(x)
             assert y.shape == x.shape
             if not avg_on and not max_on:

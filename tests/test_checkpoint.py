@@ -1,11 +1,12 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _oracles import SENTINEL, with_sentinel_as
 from pamr import tensor as T
-from pamr.backbone import MaskedAutoencoder
+from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.checkpoint import (
     apply_params,
     decode_checkpoint,
@@ -17,7 +18,7 @@ from pamr.config import ModelConfig, TrainConfig, model_fingerprint
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import CheckpointCompatibilityError, CheckpointFormatError
 from pamr.geometry import build_scale_pyramid, mask_and_backproject, normalize_points
-from pamr.training import AdamW, pretrain_run
+from pamr.training import AdamW, load_encoder_weights, pretrain_run
 
 TINY = ModelConfig.tiny()
 FP = "0123456789abcdef"
@@ -288,3 +289,67 @@ class TestModelIntegration:
         params[first] = np.zeros(np.array(params[first]).shape + (2,))
         with pytest.raises(CheckpointCompatibilityError, match="shape"):
             apply_params(model, params)
+
+
+class TestRetiredEntries:
+    """v1 files written before the untrainable gate biases and attention key
+    biases were deleted still load: the reader drops exactly those entries."""
+
+    CFG = replace(ModelConfig(), dims=(12, 24, 48))  # the default's blocks at small widths
+    LOOK_ALIKES = [
+        "old.attn.wk.weight",
+        "old.attn.wq.bias",
+        "old.gate_a.avg_kernel",
+        "encoder.tokenizer.gate_c.avg_bias",
+        "encoder.stages.0.0.xattn.wk.bias",
+        "encoder.tokenizer.gate_a.avg_bias.old",
+    ]
+
+    def old_payload(self, extra=()):
+        """A v1 payload of the model's parameters plus the retired and `extra`
+        names, with optimizer state, as the model, its arrays and the payload."""
+        model = MaskedAutoencoder(self.CFG, np.random.default_rng(0))
+        params = {n: p.data for n, p in model.param_dict().items()}
+        rng = np.random.default_rng(1)
+        old = dict(params)
+        for g in "ab":
+            for branch in ("avg", "max"):
+                old[f"encoder.tokenizer.gate_{g}.{branch}_bias"] = rng.normal(size=1) * 1e-17
+        for name in params:
+            if name.endswith("attn.wq.bias"):
+                old[name.replace(".wq.", ".wk.")] = rng.normal(size=params[name].shape) * 1e-17
+        retired = sorted(set(old) - set(params))
+        for name in extra:
+            old[name] = rng.normal(size=3)
+        m = {n: rng.normal(size=a.shape) for n, a in old.items()}
+        v = {n: rng.uniform(size=a.shape) for n, a in old.items()}
+        payload = encode_checkpoint(old, FP, 5, (11, m, v))
+        return model, retired, (params, m, v), payload
+
+    def test_decode_drops_exactly_the_retired_entries(self):
+        model, retired, (params, m, v), payload = self.old_payload()
+        assert len(retired) == 21
+        data = decode_checkpoint(payload)
+        for table, want in ((data.params, params), (data.opt_m, m), (data.opt_v, v)):
+            assert set(table) == set(params)
+            for name, arr in table.items():
+                assert arr.tobytes() == want[name].tobytes(), name
+        assert (data.fingerprint, data.step, data.opt_t) == (FP, 5, 11)
+
+    def test_result_loads_into_model_optimizer_and_classifier(self):
+        model, _, _, payload = self.old_payload()
+        data = decode_checkpoint(payload)
+        apply_params(model, data.params)
+        AdamW(model.param_dict(), lr=1e-3).load_state(data.opt_t, data.opt_m, data.opt_v)
+        clf = CloudClassifier(self.CFG, 3, (8,), np.random.default_rng(2))
+        n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
+        # the full count, so few-shot still encodes each cloud once per call
+        assert load_encoder_weights(clf, data.params) == n_encoder
+
+    @pytest.mark.parametrize("name", LOOK_ALIKES)
+    def test_look_alike_names_stay_and_are_rejected(self, name):
+        model, _, _, payload = self.old_payload(extra=[name])
+        data = decode_checkpoint(payload)
+        assert name in data.params and name in data.opt_m and name in data.opt_v
+        with pytest.raises(CheckpointCompatibilityError, match="extra"):
+            apply_params(model, data.params)

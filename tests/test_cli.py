@@ -483,6 +483,21 @@ class TestReconstructCommand:
         assert capsys.readouterr().err == f"error: {few} has 9 points, fewer than the first scale size 16\n"
         assert not out.exists()
 
+    def test_rejects_inputs_that_share_a_stem(self, tmp_path, cfg_file, dataset, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(pre)]) == 0
+        first, second = tmp_path / "a" / "x.xyz", tmp_path / "b" / "x.xyz"
+        for path, cloud in zip((first, second), sorted(Path(dataset).glob("*.xyz"))):
+            path.parent.mkdir()
+            path.write_bytes(cloud.read_bytes())
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["reconstruct", "--config", cfg_file, "--checkpoint", str(pre / "model.ckpt"),
+                   "--out", str(out), str(first), str(second)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: inputs {first} and {second} would both write x.*.xyz\n"
+        assert not out.exists()
+
 
 class TestCorruptCheckpoint:
     FS_CFG = TINY_CFG + "n_way = 2\nm_shot = 1\ntest_per_class = 2\ntrials = 1\n"

@@ -22,7 +22,7 @@ def randomize(module, rng, scale=0.1):
 class TestLocalAttentionGate:
     def test_shape_preserved_on_reference_dims(self):
         rng = np.random.default_rng(0)
-        gate = LocalAttentionGate(96, 5, 32, rng)
+        gate = LocalAttentionGate(96, 5, 32)
         x = Tensor(rng.normal(size=(4, 96, 16)))
         assert gate(x).shape == (4, 96, 16)
         x2 = Tensor(rng.normal(size=(96, 7)))
@@ -30,7 +30,7 @@ class TestLocalAttentionGate:
 
     def test_identity_at_zero_weights(self):
         rng = np.random.default_rng(1)
-        gate = LocalAttentionGate(8, 3, 4, rng)  # zero convs by construction
+        gate = LocalAttentionGate(8, 3, 4)  # zero convs by construction
         x = Tensor(rng.normal(size=(2, 8, 5)))
         out = gate(x)
         np.testing.assert_array_equal(out.data, x.data)
@@ -39,9 +39,8 @@ class TestLocalAttentionGate:
         np.testing.assert_array_equal(wy.data, np.full_like(wy.data, 0.5))
 
     def test_gate_range_with_random_weights(self):
-        rng = np.random.default_rng(2)
         for seed in range(5):
-            gate = LocalAttentionGate(16, 5, 4, rng)
+            gate = LocalAttentionGate(16, 5, 4)
             randomize(gate, np.random.default_rng(seed), scale=2.0)
             x = Tensor(np.random.default_rng(seed + 100).normal(size=(3, 16, 9)))
             wx, wy = gate.gates(x)
@@ -51,46 +50,44 @@ class TestLocalAttentionGate:
     def test_branch_toggles(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 8, 6)))
-        avg_only = LocalAttentionGate(8, 3, 4, rng, avg_branch=True, max_branch=False)
+        avg_only = LocalAttentionGate(8, 3, 4, avg_branch=True, max_branch=False)
         randomize(avg_only, np.random.default_rng(0))
         wx, wy = avg_only.gates(x)
         assert wy is None
         np.testing.assert_array_equal(avg_only(x).data, x.data * wx.data)
 
-        max_only = LocalAttentionGate(8, 3, 4, rng, avg_branch=False, max_branch=True)
+        max_only = LocalAttentionGate(8, 3, 4, avg_branch=False, max_branch=True)
         randomize(max_only, np.random.default_rng(0))
         wx2, wy2 = max_only.gates(x)
         assert wx2 is None
         np.testing.assert_array_equal(max_only(x).data, x.data * wy2.data)
 
-        neither = LocalAttentionGate(8, 3, 4, rng, avg_branch=False, max_branch=False)
+        neither = LocalAttentionGate(8, 3, 4, avg_branch=False, max_branch=False)
         np.testing.assert_array_equal(neither(x).data, np.zeros_like(x.data))
 
     def test_branches_see_different_descriptors(self):
         rng = np.random.default_rng(4)
-        gate = LocalAttentionGate(8, 3, 4, rng)
+        gate = LocalAttentionGate(8, 3, 4)
         randomize(gate, np.random.default_rng(5))
         # force both branches through identical params: gates still differ
-        for src, dst in [("avg_kernel", "max_kernel"), ("avg_bias", "max_bias"),
-                         ("avg_scale", "max_scale"), ("avg_shift", "max_shift")]:
+        for src, dst in [("avg_kernel", "max_kernel"), ("avg_scale", "max_scale"),
+                         ("avg_shift", "max_shift")]:
             getattr(gate, dst).data = getattr(gate, src).data.copy()
         x = Tensor(rng.normal(size=(8, 6)))
         wx, wy = gate.gates(x)
         assert not np.array_equal(wx.data, wy.data)
 
     def test_config_errors(self):
-        rng = np.random.default_rng(6)
         with pytest.raises(ConfigError):
-            LocalAttentionGate(8, 4, 4, rng)  # even window
+            LocalAttentionGate(8, 4, 4)  # even window
         with pytest.raises(ConfigError):
-            LocalAttentionGate(8, 3, 5, rng)  # 5 does not divide 8
-        gate = LocalAttentionGate(8, 3, 4, rng)
+            LocalAttentionGate(8, 3, 5)  # 5 does not divide 8
+        gate = LocalAttentionGate(8, 3, 4)
         with pytest.raises(ConfigError):
             gate(Tensor(np.ones((7, 4))))  # wrong channel count
 
     def test_gradients(self):
-        rng = np.random.default_rng(7)
-        gate = LocalAttentionGate(6, 3, 3, rng)
+        gate = LocalAttentionGate(6, 3, 3)
         randomize(gate, np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(2, 6, 5))
         w = np.random.default_rng(10).normal(size=(2, 6, 5))

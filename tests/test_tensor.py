@@ -212,19 +212,19 @@ class TestConvAndNorms:
     def test_conv_identity_kernel(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(2, 5, 4)))
-        out = T.conv1d_channel(x, Tensor([0.0, 1.0, 0.0]), Tensor([0.0]))
+        out = T.conv1d_channel(x, Tensor([0.0, 1.0, 0.0]))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_conv_zero_pads_channel_ends(self):
         x = Tensor(np.ones((3, 2)))
-        out = T.conv1d_channel(x, Tensor([1.0, 0.0, 0.0]), Tensor([0.0]))
+        out = T.conv1d_channel(x, Tensor([1.0, 0.0, 0.0]))
         # window reaches one channel below: channel 0 sees the zero pad
         np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
         np.testing.assert_array_equal(out.data[1:], np.ones((2, 2)))
 
     def test_conv_rejects_even_kernel(self):
         with pytest.raises(ShapeError):
-            T.conv1d_channel(Tensor(np.ones((3, 2))), Tensor([1.0, 2.0]), Tensor([0.0]))
+            T.conv1d_channel(Tensor(np.ones((3, 2))), Tensor([1.0, 2.0]))
 
     def test_group_norm_statistics(self):
         rng = np.random.default_rng(3)

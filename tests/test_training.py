@@ -514,9 +514,8 @@ class TestFinetune:
         ref, ref_acc = _oracles.per_cloud_step(np.arange(len(train)), loss_of)
         assert abs(res.rows[0].loss - ref) <= 1e-15 * abs(ref)
         assert res.rows[0].accuracy == ref_acc
-        scale = max(np.abs(p.grad).max() for p in clf.param_dict().values())
         for name, p in clf.param_dict().items():
-            assert np.abs(seen[0][name][1] - p.grad).max() <= 1e-12 * scale, name
+            assert np.abs(seen[0][name][1] - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
 
     def test_frozen_train_accuracy_matches_re_encoding(self):
         clouds = small_dataset(per_class=3)
