@@ -1,16 +1,18 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 A Tensor wraps an ndarray together with the closure that routes gradients
-back to its parents. Calling ``backward()`` on a scalar loss linearizes the
-recorded graph once (iterative topological order, no recursion) and replays
-it in reverse, accumulating gradients into every tensor that needs one.
+back to its parents. Every op output takes a creation number, and a node is
+always created after its parents, so ``backward()`` on a scalar loss is one
+walk that runs the newest node with a gradient first. A node that feeds
+several consumers sums their gradients newest consumer first.
 
-``backward()`` consumes the graph: each interior node drops its closure,
-its parent links and its gradient as soon as its closure has run, so the
-graph's memory is freed during the pass and an interior ``.grad`` reads
-None afterwards. Leaves (``requires_grad``) keep their gradients and
-accumulate them across graphs until ``zero_grad()``. Running backward()
-again through a consumed graph raises PamrError.
+``backward()`` consumes the graph: each interior node drops its closure and
+its gradient as soon as its closure has run, so the graph's memory is freed
+during the pass and an interior ``.grad`` reads None afterwards. A graph
+never backed holds nothing outside itself. Leaves (``requires_grad``) keep
+their gradients and accumulate them across graphs until ``zero_grad()``.
+A consumed node stays readable, and usable under ``no_grad``; backward() on
+a consumed root, or recording an op over a consumed node, raises PamrError.
 
 All values are float64 and must be finite; any operation that produces a
 NaN or infinity raises NonFiniteError at the point of creation rather than
@@ -19,6 +21,8 @@ participate in a loss read back as zeros.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -60,6 +64,7 @@ __all__ = [
 ]
 
 _grad_enabled = True
+_creation = itertools.count()
 
 # tanh-form gelu constants
 _GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
@@ -86,7 +91,7 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_bwd", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_grad", "_seq", "_bwd", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -94,7 +99,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]] | None = None
 
     # -- introspection ----------------------------------------------------
@@ -140,61 +144,42 @@ class Tensor:
         """Accumulate gradients into the leaves, releasing each node as it runs."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        order = _linearize(self)
-        self._grad = np.ones_like(self.data)
-        while order:
-            # popped only after every consumer has run, so nothing reads it again
-            node = order.pop()
-            if node._bwd is None:
-                continue
-            if node._grad is not None:
-                for parent, g in node._bwd(node._grad):
-                    if parent.requires_grad or parent._bwd is not None:
-                        if parent._grad is None:
-                            # a copy in the parent's own layout: `g` may alias
-                            # another node's buffer, and the layout keeps later
-                            # BLAS calls on the gradient bitwise stable
-                            buf = np.empty_like(parent.data)
-                            np.copyto(buf, g)
-                            parent._grad = buf
-                        else:
-                            parent._grad += g
+        if self._bwd is _consumed:
+            raise PamrError(_CONSUMED)
+        heap: list[tuple[int, Tensor]] = []
+        _receive(self, np.ones_like(self.data), heap)
+        while heap:
+            # newest first: every consumer of a node was created after it
+            node = heapq.heappop(heap)[1]
+            for parent, g in node._bwd(node._grad):
+                _receive(parent, g, heap)
             node._bwd = _consumed
-            node._parents = ()
             node._grad = None
+
+
+def _receive(node: Tensor, g: np.ndarray, heap: list[tuple[int, Tensor]]) -> None:
+    """Add `g` to the gradient of `node`, if it takes one; an interior node
+    joins the walk when its first gradient arrives."""
+    if node.requires_grad or node._bwd is not None:
+        if node._grad is None:
+            # a copy in the node's own layout: `g` may alias another node's
+            # buffer, and the layout keeps later BLAS calls on the gradient
+            # bitwise stable
+            buf = np.empty_like(node.data)
+            np.copyto(buf, g)
+            node._grad = buf
+            if node._bwd is not None:
+                heapq.heappush(heap, (-node._seq, node))
+        else:
+            node._grad += g
 
 
 _CONSUMED = "backward() through a graph that an earlier backward() consumed; run the forward pass again"
 
 
 def _consumed(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
-    """Closure left on a released node; _linearize refuses graphs holding one."""
+    """Closure left on a released node: the walk raises if it reaches one."""
     raise PamrError(_CONSUMED)
-
-
-def _linearize(root: Tensor) -> list[Tensor]:
-    """Topological order with parents before consumers; visits each node once.
-
-    Raises before any gradient moves when the graph holds a consumed node.
-    """
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        if node._bwd is _consumed:
-            raise PamrError(_CONSUMED)
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
 
 
 def as_tensor(x) -> Tensor:
@@ -213,12 +198,14 @@ def _make(
     out.data = data
     out.requires_grad = False
     out._grad = None
-    if _grad_enabled and any(p.requires_grad or p._bwd is not None for p in parents):
-        out._parents = tuple(parents)
-        out._bwd = bwd
-    else:
-        out._parents = ()
-        out._bwd = None
+    out._seq = next(_creation)
+    out._bwd = None
+    if _grad_enabled:
+        for p in parents:
+            if p._bwd is _consumed:
+                raise PamrError(_CONSUMED)
+            if p.requires_grad or p._bwd is not None:
+                out._bwd = bwd
     return out
 
 

@@ -71,7 +71,7 @@ class TestBackwardBasics:
         x = T.param([1.0, 2.0])
         with T.no_grad():
             y = T.mul(x, x)
-        assert y._bwd is None and y._parents == ()
+        assert y._bwd is None
 
     def test_shared_subgraph_fan_out(self):
         x = T.param([1.5])
@@ -79,6 +79,24 @@ class TestBackwardBasics:
         loss = T.add(T.tsum(h), T.tsum(T.mul(h, 3.0)))  # 4*x^2
         loss.backward()
         np.testing.assert_allclose(x.grad, [12.0])
+
+    def test_backward_on_a_root_without_a_graph(self):
+        p = T.param(3.0)
+        T.mul(p, 5.0).backward()
+        p.backward()  # d(p)/dp = 1 adds to the 5 already there
+        assert p.grad == 6.0
+        c = T.constant(2.0)
+        c.backward()
+        assert c.grad is None
+
+    def test_consumers_sum_newest_first(self):
+        # 0.1, 0.2 and 0.3 sum to different doubles in different orders
+        assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+        x = T.param([1.0])
+        h = T.mul(x, 1.0)  # interior, so x.grad is h's summed gradient
+        c1, c2, c3 = T.mul(h, 0.1), T.mul(h, 0.2), T.mul(h, 0.3)
+        T.tsum(T.add(T.add(c1, c2), c3)).backward()
+        assert x.grad[0] == (0.3 + 0.2) + 0.1
 
 
 class TestGraphRelease:
@@ -99,7 +117,7 @@ class TestGraphRelease:
         h = T.mul(x, x)
         T.tsum(h).backward()
         assert h.grad is None
-        assert h._parents == ()
+        assert h._bwd is T._consumed
         np.testing.assert_array_equal(h.data, [4.0])  # forward values stay readable
 
     def test_leaf_sums_two_graphs(self):
@@ -128,6 +146,37 @@ class TestGraphRelease:
             T.tsum(T.add(T.mul(y, 4.0), h)).backward()
         np.testing.assert_array_equal(x.grad, before)
         assert np.all(y.grad == 0.0)
+
+    def test_consumed_node_stays_usable_under_no_grad(self):
+        x = T.param([2.0, -1.0])
+        h = T.mul(x, x)
+        T.tsum(h).backward()
+        with T.no_grad():
+            y = T.mul(h, 3.0)
+        np.testing.assert_array_equal(h.data, [4.0, 1.0])
+        np.testing.assert_array_equal(y.data, [12.0, 3.0])
+        assert y._bwd is None
+
+    def test_second_graph_over_a_shared_node_raises(self):
+        x, y = T.param([2.0]), T.param([1.0])
+        h = T.mul(x, x)
+        first = T.tsum(T.mul(h, 2.0))
+        second = T.tsum(T.add(T.mul(y, 4.0), h))  # recorded before h is consumed
+        first.backward()
+        before = x.grad.copy()
+        with pytest.raises(PamrError, match="consumed"):
+            second.backward()
+        # the walk stops at h; y may already hold its share of the second graph
+        np.testing.assert_array_equal(x.grad, before)
+
+    def test_graph_dropped_without_backward_is_freed(self):
+        x = T.param(np.arange(4.0))
+        h = T.mul(x, x)
+        loss = T.tsum(T.mul(h, 3.0))
+        dead_node, dead_loss = weakref.ref(h), weakref.ref(loss)
+        del h, loss
+        assert dead_node() is None and dead_loss() is None
+        assert np.all(x.grad == 0.0)
 
 
 class TestPointwiseValues:
