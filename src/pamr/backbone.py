@@ -26,9 +26,9 @@ from .errors import ConfigError, ShapeError
 from .geometry import (
     MaskPlan,
     ScalePyramid,
-    _knn,
     chamfer_l2_batched,
     gather_patches,
+    knn,
     mask_and_backproject,
     visible_positions,
 )
@@ -162,7 +162,7 @@ class TokenPropagator(Module):
         convex per fine point; the pair forward() mixes tokens with. Stacks of
         clouds, (C, R, 3) coarse and (C, Q, 3) fine, give (C, Q, k) of each."""
         k_eff = min(k, coarse_coords.shape[1])
-        idx, d2 = _knn(fine_coords, coarse_coords, k_eff)
+        idx, d2 = knn(fine_coords, coarse_coords, k_eff)
         dist = np.maximum(np.sqrt(np.take_along_axis(d2, idx, -1)), 1e-8)
         inv = 1.0 / dist
         return idx, inv / inv.sum(axis=-1, keepdims=True)

@@ -128,7 +128,7 @@ def _sq_dists(q, r, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
 _SORT_ALL_MAX = 32
 
 
-def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
+def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the k nearest reference points for each query, nearest first.
 
     Squared euclidean distance; equal distances resolve toward the lower
@@ -137,13 +137,9 @@ def knn(queries: np.ndarray, refs: np.ndarray, k: int) -> np.ndarray:
     candidates that can reach the first k are sorted: the m smallest entries
     of every row, where m is the largest per-row count of distances up to
     that row's k-th smallest. Stacks of (C, Q, 3) queries and (C, R, 3)
-    refs give (C, Q, k): each cloud's queries against its own refs.
+    refs give (C, Q, k) indices, each cloud's queries against its own refs,
+    and the (C, Q, R) squared distances they were picked from.
     """
-    return _knn(queries, refs, k)[0]
-
-
-def _knn(queries: np.ndarray, refs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`knn`'s indices and the (C, Q, R) squared distances it selected them from."""
     q = _check_points(queries, "queries", "(C, N, 3)")
     r = _check_points(refs, "refs", "(C, N, 3)")
     if q.shape[0] != r.shape[0]:
@@ -232,7 +228,7 @@ def build_scale_pyramid(
         idx = fps(below, size)
         # each cloud's picks, looked up among all clouds' rows
         centers = np.take(below.reshape(-1, 3), idx + np.arange(0, c * avail, avail)[:, None], axis=0)
-        neighbors.append(knn(centers, below, k))
+        neighbors.append(knn(centers, below, k)[0])
         sample_idx.append(idx)
         levels.append(centers)
     offsets = [np.array([0, lv.shape[1]]) for lv in levels]

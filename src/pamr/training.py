@@ -356,7 +356,8 @@ def finetune_classify(
     `pretrained` maps parameter names to arrays (an autoencoder checkpoint);
     every name with an encoder prefix that exists in the classifier is
     copied in. With `freeze_backbone` only the head trains, on cached
-    features; otherwise gradients flow through the whole encoder.
+    features; otherwise gradients flow through the whole encoder. Either
+    way one pass encodes every cloud, and both accuracies read its rows.
     """
     if not clouds or any(c.label is None for c in clouds):
         raise ConfigError("fine-tuning needs a label on every cloud")
@@ -374,8 +375,8 @@ def finetune_classify(
     rows: list[MetricsRow] = []
 
     if train_cfg.freeze_backbone:
-        train_feats = pooled_features(clf, train_pyrs)
-        _fit_frozen_head(clf, train_feats, train_labels, train_cfg, rng, rows)
+        feats = pooled_features(clf, pyramids)
+        _fit_frozen_head(clf, feats[train_idx], train_labels, train_cfg, rng, rows)
     else:
 
         def loss_of(items: np.ndarray):
@@ -386,13 +387,10 @@ def finetune_classify(
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
         size = pack_size(model_cfg)
         _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_pack(b, size, loss_of), rows)
-        train_feats = pooled_features(clf, train_pyrs)
+        feats = pooled_features(clf, pyramids)
 
-    train_acc = _accuracy(clf, train_feats, train_labels)
-    hold_acc = float("nan")
-    if hold_idx.size:
-        hold_feats = pooled_features(clf, [pyramids[i] for i in hold_idx])
-        hold_acc = _accuracy(clf, hold_feats, labels[hold_idx])
+    train_acc = _accuracy(clf, feats[train_idx], train_labels)
+    hold_acc = _accuracy(clf, feats[hold_idx], labels[hold_idx]) if hold_idx.size else float("nan")
     return FinetuneResult(clf, train_acc, hold_acc, rows, train_idx, hold_idx)
 
 

@@ -81,7 +81,7 @@ def test_sampling_matches_bruteforce_references():
             k = int(rng.integers(1, r + 1))
             refs = rng.normal(size=(r, 3))
             queries = rng.normal(size=(q, 3))
-            assert np.array_equal(knn(queries[None], refs[None], k)[0], knn_reference(queries, refs, k))
+            assert np.array_equal(knn(queries[None], refs[None], k)[0][0], knn_reference(queries, refs, k))
 
 
 def test_gradient_suite_and_pipeline_loss():

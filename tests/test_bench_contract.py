@@ -6,6 +6,8 @@ benchmark run. This reads that list (without editing it) and resolves each
 name the same way, so deleting or renaming a traced name fails here first.
 `perfbench/child.py` drives pamr untraced as well (`save_dataset_dir`,
 `state_arrays`, `write_metrics`, ...); one toy run of each kind covers those.
+`perfbench/selftest.py`'s tracer check runs here too, so a pamr module that
+stops importing a traced name (as `pamr.backbone` does `knn`) fails Tier-1.
 """
 import importlib
 import importlib.util
@@ -52,3 +54,9 @@ def test_benchmark_run_passes_its_checks(tmp_path, monkeypatch, workload):
     run.setup()
     rec = run.timed_call()
     assert rec["digest"] and rec["errors"] == []
+
+
+def test_tracer_wraps_from_imports_and_restores_them(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # selftest.py imports `run`, which imports `tracer`
+    selftest = _load("perfbench_selftest", PERFBENCH / "selftest.py")
+    selftest.check_tracer_restores()  # asserts `pamr.backbone.knn` is wrapped, then restored

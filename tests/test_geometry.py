@@ -119,21 +119,21 @@ class TestKNN:
             k = int(rng.integers(1, r + 1))
             refs = random_cloud(rng, r)
             queries = random_cloud(rng, q)
-            np.testing.assert_array_equal(knn(queries[None], refs[None], k)[0], knn_reference(queries, refs, k))
+            np.testing.assert_array_equal(knn(queries[None], refs[None], k)[0][0], knn_reference(queries, refs, k))
 
     def test_self_query_returns_itself_first(self):
         rng = np.random.default_rng(21)
         refs = random_cloud(rng, 12)
-        out = knn(refs[None, [4]], refs[None], 3)[0]
+        out = knn(refs[None, [4]], refs[None], 3)[0][0]
         assert out[0, 0] == 4
 
     def test_hand_case(self):
-        out = knn(np.zeros((1, 1, 3)), np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float), 2)[0]
+        out = knn(np.zeros((1, 1, 3)), np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float), 2)[0][0]
         np.testing.assert_array_equal(out, [[0, 1]])
 
     def test_tie_breaks_to_lower_index(self):
         refs = np.array([[1, 0, 0], [-1, 0, 0], [2, 0, 0]], dtype=float)
-        out = knn(np.zeros((1, 1, 3)), refs[None], 2)[0]
+        out = knn(np.zeros((1, 1, 3)), refs[None], 2)[0][0]
         np.testing.assert_array_equal(out, [[0, 1]])
 
     def test_k_too_large(self):

@@ -165,7 +165,16 @@ def test_knn_matches_full_sort_for_every_k(queries, refs):
     with np.errstate(over="ignore"):
         full = knn_reference(queries, refs, refs.shape[0])
         for k in range(1, refs.shape[0] + 1):
-            np.testing.assert_array_equal(knn(queries[None], refs[None], k)[0], full[:, :k])
+            idx, d2 = knn(queries[None], refs[None], k)
+            np.testing.assert_array_equal(idx[0], full[:, :k])
+            picked = np.take_along_axis(d2, idx, -1)
+            assert np.all(picked[..., 1:] >= picked[..., :-1])  # not `diff`: inf - inf is nan
+    # the distances knn picked from are, bit for bit, Python's (dx*dx + dy*dy) + dz*dz
+    expected = [
+        [(qx - rx) * (qx - rx) + (qy - ry) * (qy - ry) + (qz - rz) * (qz - rz) for rx, ry, rz in refs.tolist()]
+        for qx, qy, qz in queries.tolist()
+    ]
+    np.testing.assert_array_equal(d2[0].view(np.int64), np.array(expected).view(np.int64))
 
 
 @SETTINGS
@@ -193,7 +202,7 @@ def test_stacked_fps_and_knn_match_the_references_cloud_by_cloud(stacks, data):
     m = data.draw(st.integers(1, refs.shape[1]))
     k = data.draw(st.integers(1, refs.shape[1]))
     with np.errstate(over="ignore"):
-        sel, near = fps(refs, m), knn(queries, refs, k)
+        sel, near = fps(refs, m), knn(queries, refs, k)[0]
         assert sel.shape == (refs.shape[0], m) and near.shape == queries.shape[:2] + (k,)
         for c in range(refs.shape[0]):
             np.testing.assert_array_equal(sel[c], fps_reference(refs[c], m))
