@@ -169,22 +169,38 @@ class MetricsRow:
 
 
 def _fit(
-    opt: AdamW, n: int, cfg: TrainConfig, rng, batch_loss, rows: list, on_epoch_end=None
+    opt: AdamW, n: int, cfg: TrainConfig, rng, draw, pack_loss, size: int, rows: list, on_epoch_end=None
 ) -> None:
-    """The training schedule over items 0..n-1: per epoch the scheduled lr and
-    a shuffle, per batch one optimizer step. `batch_loss(batch)` runs forward
-    and backward over the item indices and returns (loss, accuracy or None);
-    each step appends a MetricsRow, so the step number is `len(rows)`."""
+    """The one training step, over items 0..n-1. Per epoch: the scheduled lr
+    and a shuffle. Per batch: `drawn = draw(batch)` makes every random draw of
+    the step, in batch order. `pack_loss(drawn[p : p + size])` then gives a
+    pack's mean loss and per-item hits (or None) and draws nothing; scaled by
+    the pack's share of the batch, the loss is backed before the next pack
+    runs. One optimizer step follows and appends a MetricsRow, so the step
+    number is `len(rows)`."""
     for epoch in range(cfg.epochs):
         opt.lr = lr_at(epoch, cfg)
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
+            drawn = draw(order[lo : lo + cfg.batch_size])
             opt.zero_grad()
-            loss, acc = batch_loss(order[lo : lo + cfg.batch_size])
+            total, hits = 0.0, []
+            for p in range(0, len(drawn), size):
+                pack = drawn[p : p + size]
+                loss, hit = pack_loss(pack)
+                T.mul(loss, len(pack) / len(drawn)).backward()
+                total += loss.item() * len(pack)
+                hits.append(hit)
             opt.step()
-            rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, loss, acc))
+            acc = None if hits[0] is None else float(np.mean(np.concatenate(hits)))
+            rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, total / len(drawn), acc))
         if on_epoch_end is not None:
             on_epoch_end(epoch)
+
+
+def _scored(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Mean cross-entropy of (B, K) logits, and whether each item was classified right."""
+    return cross_entropy(logits, labels), np.argmax(logits.data, axis=1) == labels
 
 
 # Token-channels, sum(sizes[s] * dims[s]) over the scales, of the clouds one
@@ -208,22 +224,6 @@ def pack_size(cfg: ModelConfig, budget: int = PACK_BUDGET) -> int:
     """Clouds per pack under `budget`, at least one; depends on the
     architecture only, never on a mask draw."""
     return max(1, budget // sum(n * d for n, d in zip(cfg.sizes, cfg.dims)))
-
-
-def _per_pack(batch: np.ndarray, size: int, loss_of):
-    """Forward and backward `size` items at a time, each pack's mean loss
-    scaled by its share of the batch, so one pack's graph is alive at once.
-    `loss_of(items)` gives the pack's mean loss and whether each item was
-    classified right (or None); returns the batch's mean loss and accuracy
-    (or None)."""
-    total, hits = 0.0, []
-    for lo in range(0, batch.size, size):
-        items = batch[lo : lo + size]
-        loss, hit = loss_of(items)
-        T.mul(loss, items.size / batch.size).backward()
-        total += loss.item() * items.size
-        hits.append(hit)
-    return total / batch.size, None if hits[0] is None else float(np.mean(np.concatenate(hits)))
 
 
 @dataclass
@@ -259,13 +259,15 @@ def pretrain_run(
     result = PretrainResult(model, opt)
     pyramids = cloud_pyramids([c.points for c in clouds], model_cfg)
 
-    def loss_of(items: np.ndarray):
-        # every draw in batch order before the forward, which draws nothing,
-        # so no augmentation or mask plan depends on the pack size
-        pyrs, plans = [], []
-        for ci in items:
-            pyrs.append(augment(pyramids[ci], rng, train_cfg))
-            plans.append(mask_and_backproject(pyrs[-1], train_cfg.mask_ratio, rng))
+    def draw(batch: np.ndarray) -> list:
+        drawn = []  # (augmented pyramid, mask plan) per cloud
+        for ci in batch:
+            pyr = augment(pyramids[ci], rng, train_cfg)
+            drawn.append((pyr, mask_and_backproject(pyr, train_cfg.mask_ratio, rng)))
+        return drawn
+
+    def pack_loss(pack: list):
+        pyrs, plans = zip(*pack)
         return model.loss(*stack_pack(pyrs, plans)), None
 
     def on_epoch_end(epoch: int) -> None:
@@ -275,9 +277,7 @@ def pretrain_run(
 
     size = pack_size(model_cfg)
     try:
-        _fit(
-            opt, len(clouds), train_cfg, rng, lambda b: _per_pack(b, size, loss_of), result.rows, on_epoch_end
-        )
+        _fit(opt, len(clouds), train_cfg, rng, draw, pack_loss, size, result.rows, on_epoch_end)
     except PamrError:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
@@ -326,17 +326,15 @@ class FinetuneResult:
 def _fit_frozen_head(
     clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
 ) -> None:
-    """Train only the head, one (B, K) graph per batch, on the frozen encoder's features."""
+    """Train only the head on the frozen encoder's features. A step draws nothing,
+    so `draw` passes the index array through, and a batch is one (B, K) pack."""
     head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
     opt = AdamW(head, train_cfg.base_lr, train_cfg.weight_decay)
 
-    def batch_loss(batch: np.ndarray):
-        logits = clf.logits_from_features(T.constant(feats[batch]))
-        loss = cross_entropy(logits, labels[batch])
-        loss.backward()
-        return loss.item(), float(np.mean(np.argmax(logits.data, axis=1) == labels[batch]))
+    def pack_loss(batch: np.ndarray):
+        return _scored(clf.logits_from_features(T.constant(feats[batch])), labels[batch])
 
-    _fit(opt, labels.size, train_cfg, rng, batch_loss, rows)
+    _fit(opt, labels.size, train_cfg, rng, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
 
 
 def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -379,14 +377,15 @@ def finetune_classify(
         _fit_frozen_head(clf, feats[train_idx], train_labels, train_cfg, rng, rows)
     else:
 
-        def loss_of(items: np.ndarray):
-            logits = clf.logits(stack_pack([augment(train_pyrs[i], rng, train_cfg) for i in items])[0])
-            hits = np.argmax(logits.data, axis=1) == train_labels[items]
-            return cross_entropy(logits, train_labels[items]), hits
+        def draw(batch: np.ndarray) -> list:
+            return [(augment(train_pyrs[i], rng, train_cfg), train_labels[i]) for i in batch]
+
+        def pack_loss(pack: list):
+            pyrs, pack_labels = zip(*pack)
+            return _scored(clf.logits(stack_pack(pyrs)[0]), np.array(pack_labels))
 
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        size = pack_size(model_cfg)
-        _fit(opt, train_idx.size, train_cfg, rng, lambda b: _per_pack(b, size, loss_of), rows)
+        _fit(opt, train_idx.size, train_cfg, rng, draw, pack_loss, pack_size(model_cfg), rows)
         feats = pooled_features(clf, pyramids)
 
     train_acc = _accuracy(clf, feats[train_idx], train_labels)

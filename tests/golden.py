@@ -11,10 +11,11 @@ file with `--write` and says which digests moved and why.
 The matrix runs the `pamr` commands in-process on three architectures: the
 quick config (two scales on 80- and 64-point clouds), the acceptance-07 desk
 architecture at reduced size and a three-scale config. Every dataset mixes
-two point counts, so pyramids are built both in stacks and alone. One
-forward and backward of the default config pins its loss and gradients. Digests
-hold on one software and hardware stack only; the file records it, and the
-test skips on another.
+two point counts, so pyramids are built both in stacks and alone. The quick
+config also pretrains with `zero_scale_head = true`. One forward and backward
+of the default config pins its loss and gradients. Digests hold on one
+software and hardware stack only; the file records it, and the test skips on
+another.
 """
 from __future__ import annotations
 
@@ -188,6 +189,11 @@ def run_matrix(root: Path) -> dict[str, str]:
                                     base / "rec", *inputs])
         collect(f"{name}/rec", base / "rec")
     quick = root / "quick"
+    zero = quick / "zero_head.cfg"
+    zero.write_text((quick / "augment_on.cfg").read_text() + "zero_scale_head = true\n")
+    run("quick/pretrain-zero-head", ["pretrain", "--config", zero, "--data", quick / "data", "--out",
+                                     quick / "pre_zero"])
+    collect("quick/pre_zero", quick / "pre_zero")
     run("quick/ablate", ["ablate", "--axis", "la-branches", "--config", quick / "augment_off.cfg", "--data",
                          quick / "data", "--out", quick / "ablate.csv"])
     digests["quick/ablate.csv"] = _sha((quick / "ablate.csv").read_bytes())

@@ -1,5 +1,5 @@
-"""The runtime needs the standard library and numpy, nothing else, and
-README's library layout names every module."""
+"""The runtime needs the standard library and numpy, nothing else, every
+import is used, and README's library layout names every module."""
 import ast
 import re
 import sys
@@ -42,3 +42,26 @@ def test_readme_layout_has_one_row_per_module():
     rows = re.findall(r"^\| `pamr\.(\w+)` \|", table, flags=re.M)
     modules = [p.stem for p in (ROOT / "src" / "pamr").glob("*.py") if p.stem != "__init__"]
     assert sorted(rows) == sorted(modules)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name an import in `path` binds that the module never reads: not
+    as a name, not as an attribute's base, and not listed in `__all__`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_sources_import_no_name_they_never_use():
+    sources = sorted((ROOT / "src" / "pamr").glob("*.py"))
+    unused = {p.name: unused_imports(p) for p in sources}
+    assert {name: names for name, names in unused.items() if names} == {}

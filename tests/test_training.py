@@ -293,6 +293,39 @@ class TestPackPlanner:
         pretrain_run(clouds, DESK, cfg)
         assert packs == [8, 2]
 
+    @pytest.mark.parametrize("protocol", [pretrain_run, finetune_classify])
+    def test_a_step_makes_every_draw_before_its_first_forward(self, protocol, monkeypatch):
+        """Batches of 16 desk clouds (12 training clouds when fine-tuning) in
+        packs of 8, with augmentation: each step logs every augment and mask
+        draw, then its two pack forwards, then its optimizer step."""
+        events = []
+
+        def logged(event, fn):
+            def spy(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(pamr.training, "augment", logged("augment", augment))
+        mask = pamr.training.mask_and_backproject
+        monkeypatch.setattr(pamr.training, "mask_and_backproject", logged("mask", mask))
+        monkeypatch.setattr(MaskedAutoencoder, "loss", logged("forward", MaskedAutoencoder.loss))
+        monkeypatch.setattr(CloudClassifier, "logits", logged("forward", CloudClassifier.logits))
+        monkeypatch.setattr(AdamW, "step", logged("step", AdamW.step))
+        clouds = gen_shapes([
+            ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
+            for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
+            for j in range(4)
+        ])
+        cfg = TrainConfig(
+            epochs=2, batch_size=16, warmup_epochs=0, seed=3, augment=True, head_hidden=(16,),
+            holdout_fraction=0.25,
+        )
+        protocol(clouds, DESK, cfg)
+        draws = ["augment", "mask"] * 16 if protocol is pretrain_run else ["augment"] * 12
+        assert events == (draws + ["forward", "forward", "step"]) * cfg.epochs
+
     def test_the_budget_is_no_setting(self):
         assert ModelConfig.field_names() == (
             "n_points", "sizes", "ks", "dims", "heads", "encoder_blocks", "decoder_blocks",
@@ -483,23 +516,32 @@ class TestFinetune:
             epochs=1, batch_size=16, base_lr=1e-3, weight_decay=0.0, warmup_epochs=0, seed=3,
             augment=False, head_hidden=(64,), holdout_fraction=0.25,
         )
-        batches, seen = [], []
-        per_pack, step = pamr.training._per_pack, AdamW.step
+        batches, packs, seen = [], [], []
+        fit, logits, step = pamr.training._fit, CloudClassifier.logits, AdamW.step
 
-        def per_pack_spy(batch, size, loss_of):
-            batches.append((batch, size))
-            return per_pack(batch, size, loss_of)
+        def fit_spy(opt, n, cfg, rng, draw, *rest):
+            def draw_spy(batch):
+                batches.append(batch)
+                return draw(batch)
+
+            return fit(opt, n, cfg, rng, draw_spy, *rest)
+
+        def logits_spy(clf, pyramid):
+            packs.append(pyramid.offsets[0].size - 1)
+            return logits(clf, pyramid)
 
         def step_spy(opt):
             seen.append({n: (p.data.copy(), p.grad.copy()) for n, p in opt.params.items()})
             step(opt)
 
-        monkeypatch.setattr(pamr.training, "_per_pack", per_pack_spy)
+        monkeypatch.setattr(pamr.training, "_fit", fit_spy)
+        monkeypatch.setattr(CloudClassifier, "logits", logits_spy)
         monkeypatch.setattr(AdamW, "step", step_spy)
         res = finetune_classify(clouds, DESK, cfg)
+        monkeypatch.undo()
         assert len(batches) == len(seen) == 1
-        assert batches[0][0].size == 12 and batches[0][1] == 8
-        train = [clouds[i] for i in res.train_idx[batches[0][0]]]
+        assert batches[0].size == 12 and packs == [8, 4]
+        train = [clouds[i] for i in res.train_idx[batches[0]]]
         pyramids = [_oracles.pyramid_of(c.points, DESK) for c in train]
         labels = np.array([c.label for c in train])
         clf = res.classifier
