@@ -194,6 +194,17 @@ def run_matrix(root: Path) -> dict[str, str]:
     run("quick/pretrain-zero-head", ["pretrain", "--config", zero, "--data", quick / "data", "--out",
                                      quick / "pre_zero"])
     collect("quick/pre_zero", quick / "pre_zero")
+    # batch sizes that are not powers of two: uneven packs (8 + 4) when
+    # pretraining, and a frozen head whose reported loss is (l * 7) / 7
+    desk = root / "desk"
+    for key, cfg_name, batch, command, extra in (
+        ("desk/pre_b12", "augment_on.cfg", 12, "pretrain", []),
+        ("desk/ft_frozen_b7", "frozen.cfg", 7, "finetune", ["--checkpoint", desk / "pre_off" / "model.ckpt"]),
+    ):
+        cfg = desk / f"{key.split('/')[1]}.cfg"
+        cfg.write_text((desk / cfg_name).read_text().replace("batch_size = 16", f"batch_size = {batch}"))
+        run(key, [command, "--config", cfg, "--data", desk / "data", "--out", root / key, *extra])
+        collect(key, root / key)
     run("quick/ablate", ["ablate", "--axis", "la-branches", "--config", quick / "augment_off.cfg", "--data",
                          quick / "data", "--out", quick / "ablate.csv"])
     digests["quick/ablate.csv"] = _sha((quick / "ablate.csv").read_bytes())
