@@ -10,6 +10,7 @@ from .errors import (
     PamrError,
     PointCloudParseError,
     ShapeError,
+    WorkerError,
 )
 from .tensor import Tensor
 
@@ -26,5 +27,6 @@ __all__ = [
     "PointCloudParseError",
     "CheckpointFormatError",
     "CheckpointCompatibilityError",
+    "WorkerError",
     "__version__",
 ]

@@ -39,3 +39,7 @@ class CheckpointFormatError(PamrError):
 
 class CheckpointCompatibilityError(PamrError):
     """A checkpoint was produced under a configuration this model rejects."""
+
+
+class WorkerError(PamrError):
+    """A training worker process exited before it returned its pack."""

@@ -140,6 +140,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` to this leaf's gradient by backward()'s own rule, so a
+        graph's leaf gradient backed elsewhere adds in bitwise as if that
+        walk had run here."""
+        _receive(self, g, [])
+
     def backward(self) -> None:
         """Accumulate gradients into the leaves, releasing each node as it runs."""
         if self.data.size != 1:

@@ -7,6 +7,8 @@ so a rerun with the same config reproduces the loss series bitwise.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,38 +171,98 @@ class MetricsRow:
 
 
 def _fit(
-    opt: AdamW, n: int, cfg: TrainConfig, rng, draw, pack_loss, size: int, rows: list, on_epoch_end=None
+    model, opt: AdamW, n: int, cfg: TrainConfig, rng, draw, pack_loss, size: int, rows: list,
+    on_epoch_end=None, workers: int | None = None,
 ) -> None:
     """The one training step, over items 0..n-1. Per epoch: the scheduled lr
     and a shuffle. Per batch: `drawn = draw(batch)` makes every random draw of
-    the step, in batch order. `pack_loss(drawn[p : p + size])` then gives a
-    pack's mean loss and per-item hits (or None) and draws nothing; scaled by
-    the pack's share of the batch, the loss is backed before the next pack
-    runs. One optimizer step follows and appends a MetricsRow, so the step
-    number is `len(rows)`."""
-    for epoch in range(cfg.epochs):
-        opt.lr = lr_at(epoch, cfg)
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            drawn = draw(order[lo : lo + cfg.batch_size])
-            opt.zero_grad()
-            total, hits = 0.0, []
-            for p in range(0, len(drawn), size):
-                pack = drawn[p : p + size]
-                loss, hit = pack_loss(pack)
-                T.mul(loss, len(pack) / len(drawn)).backward()
-                total += loss.item() * len(pack)
-                hits.append(hit)
-            opt.step()
-            acc = None if hits[0] is None else float(np.mean(np.concatenate(hits)))
-            rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, total / len(drawn), acc))
-        if on_epoch_end is not None:
-            on_epoch_end(epoch)
+    the step, in batch order. `pack_loss(model, drawn[p : p + size])` then
+    gives a pack's mean loss and per-item hits (or None) and draws nothing;
+    scaled by the pack's share of the batch, the loss is backed into `opt`'s
+    parameters. One optimizer step follows and appends a MetricsRow, so the
+    step number is `len(rows)`.
+
+    Pack 0 runs here; packs 1.. run in `workers` worker processes (by default
+    `_auto_workers`; tests pass a count; see `pamr.pool`), each backing its
+    pack into its own copy of `model`. Their losses, hits and leaf gradients
+    are then added here in pack order by backward()'s own rule. Every
+    parameter takes one gradient per graph, so each pack adds the same array
+    either way, and every output is bitwise the same at any worker count."""
+    packs = -(-min(cfg.batch_size, n) // size)
+    workers = min(_auto_workers(size, packs) if workers is None else workers, packs - 1)
+    if workers:
+        from .pool import pack_pool  # here: a run that starts no worker never loads the pool
+    with pack_pool(workers, model, pack_loss, list(opt.params)) if workers else nullcontext() as pool:
+        leaves = list(opt.params.values())
+        for epoch in range(cfg.epochs):
+            opt.lr = lr_at(epoch, cfg)
+            order = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                drawn = draw(order[lo : lo + cfg.batch_size])
+                opt.zero_grad()
+                packs = [drawn[p : p + size] for p in range(0, len(drawn), size)]
+                shares = [len(pack) / len(drawn) for pack in packs]
+                sent = pool.send(workers, [p.data for p in leaves], packs[1:], shares[1:]) if pool else []
+                results = []  # (loss value, hits) per pack, in pack order
+                try:
+                    for pack, share in zip(packs[: len(packs) - len(sent)], shares):
+                        results.append(_back_pack(model, pack_loss, pack, share))
+                except BaseException:
+                    if sent:
+                        pool.discard(sent)
+                    raise
+                for value, hit, grads in pool.gather(sent) if sent else []:
+                    for p, g in zip(leaves, grads):
+                        if g is not None:
+                            p.accumulate_grad(g)
+                    results.append((value, hit))
+                total = 0.0
+                for pack, (value, _) in zip(packs, results):
+                    total += value * len(pack)
+                opt.step()
+                hits = [hit for _, hit in results]
+                acc = None if hits[0] is None else float(np.mean(np.concatenate(hits)))
+                rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, total / len(drawn), acc))
+            if on_epoch_end is not None:
+                on_epoch_end(epoch)
+
+
+def _back_pack(model, pack_loss, pack: list, share: float) -> tuple[float, np.ndarray | None]:
+    """One pack's forward, and its loss backed at the pack's share of the
+    batch; returns the loss value and the hits."""
+    loss, hit = pack_loss(model, pack)
+    T.mul(loss, share).backward()
+    return loss.item(), hit
+
+
+def _auto_workers(size: int, packs: int) -> int:
+    """Worker processes for a batch of `packs` packs of up to `size` clouds:
+    one per CPU this process may run on, besides its own, and one per pack
+    after the first. Never from a config value or an input."""
+    # A default-config cloud (pack_size 1) stays in-process: its staged
+    # gradient is about 112 MiB, and receiving it from a worker would break
+    # pretrain-full's 10% peak-RSS bound (each worker also holds a model copy).
+    if size < 2 or not hasattr(os, "sched_getaffinity"):
+        return 0
+    return min(len(os.sched_getaffinity(0)) - 1, packs - 1)
 
 
 def _scored(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy of (B, K) logits, and whether each item was classified right."""
     return cross_entropy(logits, labels), np.argmax(logits.data, axis=1) == labels
+
+
+# The pack losses a worker runs: module-level, so a call can send them by name.
+def _reconstruction_loss(model: MaskedAutoencoder, pack: list):
+    """A pretraining pack's mean loss over its (augmented pyramid, mask plan) pairs."""
+    pyrs, plans = zip(*pack)
+    return model.loss(*stack_pack(pyrs, plans)), None
+
+
+def _classification_loss(clf: CloudClassifier, pack: list):
+    """A fine-tuning pack's mean cross-entropy and hits over its (pyramid, label) pairs."""
+    pyrs, labels = zip(*pack)
+    return _scored(clf.logits(stack_pack(pyrs)[0]), np.array(labels))
 
 
 # Token-channels, sum(sizes[s] * dims[s]) over the scales, of the clouds one
@@ -266,10 +328,6 @@ def pretrain_run(
             drawn.append((pyr, mask_and_backproject(pyr, train_cfg.mask_ratio, rng)))
         return drawn
 
-    def pack_loss(pack: list):
-        pyrs, plans = zip(*pack)
-        return model.loss(*stack_pack(pyrs, plans)), None
-
     def on_epoch_end(epoch: int) -> None:
         every, done = train_cfg.checkpoint_every, epoch + 1
         if on_checkpoint is not None and every and done % every == 0 and done < train_cfg.epochs:
@@ -277,7 +335,10 @@ def pretrain_run(
 
     size = pack_size(model_cfg)
     try:
-        _fit(opt, len(clouds), train_cfg, rng, draw, pack_loss, size, result.rows, on_epoch_end)
+        _fit(
+            model, opt, len(clouds), train_cfg, rng, draw, _reconstruction_loss, size, result.rows,
+            on_epoch_end,
+        )
     except PamrError:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
@@ -331,10 +392,10 @@ def _fit_frozen_head(
     head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
     opt = AdamW(head, train_cfg.base_lr, train_cfg.weight_decay)
 
-    def pack_loss(batch: np.ndarray):
+    def pack_loss(clf: CloudClassifier, batch: np.ndarray):
         return _scored(clf.logits_from_features(T.constant(feats[batch])), labels[batch])
 
-    _fit(opt, labels.size, train_cfg, rng, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
+    _fit(clf, opt, labels.size, train_cfg, rng, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
 
 
 def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -380,12 +441,8 @@ def finetune_classify(
         def draw(batch: np.ndarray) -> list:
             return [(augment(train_pyrs[i], rng, train_cfg), train_labels[i]) for i in batch]
 
-        def pack_loss(pack: list):
-            pyrs, pack_labels = zip(*pack)
-            return _scored(clf.logits(stack_pack(pyrs)[0]), np.array(pack_labels))
-
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        _fit(opt, train_idx.size, train_cfg, rng, draw, pack_loss, pack_size(model_cfg), rows)
+        _fit(clf, opt, train_idx.size, train_cfg, rng, draw, _classification_loss, pack_size(model_cfg), rows)
         feats = pooled_features(clf, pyramids)
 
     train_acc = _accuracy(clf, feats[train_idx], train_labels)

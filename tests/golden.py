@@ -12,10 +12,11 @@ The matrix runs the `pamr` commands in-process on three architectures: the
 quick config (two scales on 80- and 64-point clouds), the acceptance-07 desk
 architecture at reduced size and a three-scale config. Every dataset mixes
 two point counts, so pyramids are built both in stacks and alone. The quick
-config also pretrains with `zero_scale_head = true`. One forward and backward
-of the default config pins its loss and gradients. Digests hold on one
-software and hardware stack only; the file records it, and the test skips on
-another.
+config also pretrains with `zero_scale_head = true`, and the desk config
+pretrains at batch size 12 (packs of 8 and 4) and fits a frozen head at
+batch size 7. One forward and backward of the default config pins its loss
+and gradients. Digests hold on one software and hardware stack only; the
+file records it, and the test skips on another.
 """
 from __future__ import annotations
 

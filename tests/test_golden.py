@@ -1,12 +1,14 @@
 """The golden digests of `tests/golden.json` against this tree (see `golden.py`)."""
 import json
+from functools import partial
 
 import pytest
 
 import golden
+import pamr.training
 
 
-def test_outputs_match_golden_digests(tmp_path):
+def check_golden(tmp_path):
     recorded = json.loads(golden.GOLDEN.read_text())
     here = golden.stack()
     other = {k: (recorded["stack"].get(k), v) for k, v in here.items() if recorded["stack"].get(k) != v}
@@ -14,3 +16,14 @@ def test_outputs_match_golden_digests(tmp_path):
         pytest.skip(f"digests recorded on another stack (recorded, here): {other}")
     moved = golden.moved(recorded["digests"], golden.run_matrix(tmp_path))
     assert not moved, f"{len(moved)} of {len(recorded['digests'])} digests moved: {moved}"
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    check_golden(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "one worker"])
+def test_outputs_match_golden_digests_at_a_fixed_worker_count(workers, tmp_path, monkeypatch):
+    """Packs 1.. of every multi-pack batch on `workers` worker processes, whatever the CPU count."""
+    monkeypatch.setattr(pamr.training, "_fit", partial(pamr.training._fit, workers=workers))
+    check_golden(tmp_path)

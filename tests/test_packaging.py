@@ -1,7 +1,9 @@
 """The runtime needs the standard library and numpy, nothing else, every
 import is used, and README's library layout names every module."""
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,13 @@ def test_sources_import_no_name_they_never_use():
     sources = sorted((ROOT / "src" / "pamr").glob("*.py"))
     unused = {p.name: unused_imports(p) for p in sources}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    """The pack pool imports it when it starts, so a run that never starts one does not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pamr.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

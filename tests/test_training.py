@@ -1,5 +1,15 @@
+import collections
 import math
+import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +18,12 @@ from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
-from pamr.errors import ConfigError, NonFiniteError
-from pamr.geometry import PointCloud, ScalePyramid, normalize_points
+from pamr.errors import ConfigError, NonFiniteError, PamrError, WorkerError
+from pamr.geometry import PointCloud, ScalePyramid, mask_and_backproject, normalize_points
+from pamr.metrics import format_metrics
 from pamr.tensor import Tensor
 import _oracles
+import pamr.pool
 import pamr.training
 from pamr.cli import _build_parser
 from pamr.training import (
@@ -46,6 +58,30 @@ def small_dataset(per_class=4, n_points=64, jitter=0.02):
         for j in range(per_class)
     ]
     return gen_shapes(specs)
+
+
+def desk_clouds(per_kind: int) -> list[PointCloud]:
+    """Desk-scale clouds of 128 points, `per_kind` of each of four labeled kinds."""
+    return gen_shapes([
+        ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
+        for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
+        for j in range(per_kind)
+    ])
+
+
+_FIT = pamr.training._fit
+
+
+def fit_with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
+    """Run every training step with packs 1.. on `workers` worker processes
+    (0: all in this process), and record each call's optimizer in `opts`."""
+
+    def fit_at(model, opt, *args, **kwargs):
+        if opts is not None:
+            opts.append(opt)
+        return _FIT(model, opt, *args, **kwargs, workers=workers)
+
+    monkeypatch.setattr(pamr.training, "_fit", fit_at)
 
 
 class TestAdamW:
@@ -271,6 +307,38 @@ class TestModelInput:
         assert built == []
 
 
+def step_events(protocol, monkeypatch, workers: int):
+    """Two epochs of `protocol` on 16 desk clouds in batches of 16, with
+    augmentation, at `workers` worker processes. Returns one step's draws,
+    the events logged in this process (draws, pack forwards, packs handed to
+    the pool, optimizer steps) and the epoch count."""
+    events = []
+
+    def logged(event, fn):
+        def spy(*args, **kwargs):
+            events.append(event)
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(pamr.training, "augment", logged("augment", augment))
+    mask = pamr.training.mask_and_backproject
+    monkeypatch.setattr(pamr.training, "mask_and_backproject", logged("mask", mask))
+    monkeypatch.setattr(MaskedAutoencoder, "loss", logged("forward", MaskedAutoencoder.loss))
+    monkeypatch.setattr(CloudClassifier, "logits", logged("forward", CloudClassifier.logits))
+    monkeypatch.setattr(AdamW, "step", logged("step", AdamW.step))
+    pool = pamr.pool._POOL
+    monkeypatch.setattr(pool, "send", logged("send", pool.send))
+    fit_with_workers(monkeypatch, workers)
+    cfg = TrainConfig(
+        epochs=2, batch_size=16, warmup_epochs=0, seed=3, augment=True, head_hidden=(16,),
+        holdout_fraction=0.25,
+    )
+    protocol(desk_clouds(4), DESK, cfg)
+    draws = ["augment", "mask"] * 16 if protocol is pretrain_run else ["augment"] * 12
+    return draws, events, cfg.epochs
+
+
 class TestPackPlanner:
     def test_budget_gives_one_default_cloud_and_eight_desk_clouds_per_graph(self):
         assert pack_size(ModelConfig()) == 1
@@ -288,6 +356,7 @@ class TestPackPlanner:
             return loss(model, pyr, plan)
 
         monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
+        fit_with_workers(monkeypatch, 0)  # the spy sees the forwards of this process only
         clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(10)])
         cfg = TrainConfig(epochs=1, batch_size=10, warmup_epochs=0, seed=0, augment=False)
         pretrain_run(clouds, DESK, cfg)
@@ -298,33 +367,8 @@ class TestPackPlanner:
         """Batches of 16 desk clouds (12 training clouds when fine-tuning) in
         packs of 8, with augmentation: each step logs every augment and mask
         draw, then its two pack forwards, then its optimizer step."""
-        events = []
-
-        def logged(event, fn):
-            def spy(*args, **kwargs):
-                events.append(event)
-                return fn(*args, **kwargs)
-
-            return spy
-
-        monkeypatch.setattr(pamr.training, "augment", logged("augment", augment))
-        mask = pamr.training.mask_and_backproject
-        monkeypatch.setattr(pamr.training, "mask_and_backproject", logged("mask", mask))
-        monkeypatch.setattr(MaskedAutoencoder, "loss", logged("forward", MaskedAutoencoder.loss))
-        monkeypatch.setattr(CloudClassifier, "logits", logged("forward", CloudClassifier.logits))
-        monkeypatch.setattr(AdamW, "step", logged("step", AdamW.step))
-        clouds = gen_shapes([
-            ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
-            for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
-            for j in range(4)
-        ])
-        cfg = TrainConfig(
-            epochs=2, batch_size=16, warmup_epochs=0, seed=3, augment=True, head_hidden=(16,),
-            holdout_fraction=0.25,
-        )
-        protocol(clouds, DESK, cfg)
-        draws = ["augment", "mask"] * 16 if protocol is pretrain_run else ["augment"] * 12
-        assert events == (draws + ["forward", "forward", "step"]) * cfg.epochs
+        draws, events, epochs = step_events(protocol, monkeypatch, workers=0)
+        assert events == (draws + ["forward", "forward", "step"]) * epochs
 
     def test_the_budget_is_no_setting(self):
         assert ModelConfig.field_names() == (
@@ -507,24 +551,21 @@ class TestFinetune:
     def test_packed_step_matches_per_cloud_oracle(self, monkeypatch):
         """One unfrozen step on the desk model, packs of eight and four, against
         the cloud-by-cloud step it replaced."""
-        clouds = gen_shapes([
-            ShapeSpec(kind, 128, 0.01, seed=1000 * i + j, label=i)
-            for i, kind in enumerate(("sphere", "cube", "torus", "cylinder"))
-            for j in range(4)
-        ])
+        clouds = desk_clouds(4)
         cfg = TrainConfig(
             epochs=1, batch_size=16, base_lr=1e-3, weight_decay=0.0, warmup_epochs=0, seed=3,
             augment=False, head_hidden=(64,), holdout_fraction=0.25,
         )
         batches, packs, seen = [], [], []
+        fit_with_workers(monkeypatch, 0)  # the spies see the packs of this process only
         fit, logits, step = pamr.training._fit, CloudClassifier.logits, AdamW.step
 
-        def fit_spy(opt, n, cfg, rng, draw, *rest):
+        def fit_spy(model, opt, n, cfg, rng, draw, *rest):
             def draw_spy(batch):
                 batches.append(batch)
                 return draw(batch)
 
-            return fit(opt, n, cfg, rng, draw_spy, *rest)
+            return fit(model, opt, n, cfg, rng, draw_spy, *rest)
 
         def logits_spy(clf, pyramid):
             packs.append(pyramid.offsets[0].size - 1)
@@ -724,3 +765,380 @@ class TestEntryPointsValidate:
         with pytest.raises(ConfigError, match=match):
             cfg = TrainConfig(**{**dict(epochs=1, batch_size=4, warmup_epochs=0, augment=False), **setting})
             run(small_dataset(per_class=1), TINY, cfg)
+
+
+# -- the pack pool -------------------------------------------------------------
+#
+# A worker imports a pack loss by its module and name, so the pack losses the
+# tests hand the pool live here, at module level.
+
+_RECONSTRUCTION_LOSS = pamr.training._reconstruction_loss
+
+
+def _exits_in_a_worker(model, pack):
+    """A pretraining pack loss that kills the worker process it runs in."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _RECONSTRUCTION_LOSS(model, pack)
+
+
+def _fails_on_a_workers_second_pack(model, pack):
+    """A pretraining pack loss that raises on the second pack a worker runs for one call."""
+    if multiprocessing.parent_process() is not None:
+        model.packs_run = getattr(model, "packs_run", 0) + 1
+        if model.packs_run == 2:
+            raise NonFiniteError("non-finite values in a worker's second pack")
+    return _RECONSTRUCTION_LOSS(model, pack)
+
+
+def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> AdamW:
+    """One step over `items` (pyramid, mask plan) pairs, in order, in desk
+    packs of eight; returns the optimizer."""
+    rng = np.random.default_rng(0)
+    model = MaskedAutoencoder(DESK, rng)
+    opt = AdamW(model.param_dict(), 1e-3)
+    cfg = TrainConfig(epochs=1, batch_size=len(items), warmup_epochs=0)
+    draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
+    pamr.training._fit(model, opt, len(items), cfg, rng, draw, pack_loss, 8, [], workers=workers)
+    return opt
+
+
+def desk_items(bad: dict[int, str]) -> list:
+    """24 (pyramid, mask plan) pairs, three desk packs of eight. In each pack
+    `bad` names, its fourth cloud is made to fail: "mask" draws no masked
+    center (a ConfigError), "nan" makes its points NaN (a NonFiniteError)."""
+    rng = np.random.default_rng(1)
+    items = []
+    for i, pyr in enumerate(cloud_pyramids([c.points for c in desk_clouds(6)], DESK)):
+        fault = bad.get(i // 8) if i % 8 == 3 else None
+        if fault == "nan":
+            pyr = replace(pyr, points=[p * np.nan for p in pyr.points])
+        items.append((pyr, mask_and_backproject(pyr, 0.0 if fault == "mask" else 0.6, rng)))
+    return items
+
+
+def failure(fn) -> tuple[type, str]:
+    with pytest.raises(PamrError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def same_bits(a: AdamW, b: AdamW) -> bool:
+    """Every parameter and AdamW's m, v and t are identical."""
+    if a.t != b.t or list(a.params) != list(b.params):
+        return False
+    arrays = lambda opt, name: (opt.params[name].data, opt.m[name], opt.v[name])  # noqa: E731
+    pairs = (zip(arrays(a, name), arrays(b, name)) for name in a.params)
+    return all(x.tobytes() == y.tobytes() for pair in pairs for x, y in pair)
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether `pid` runs; a zombie waiting for its parent has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def group_alive(pgid: int) -> bool:
+    """Whether any process of the process group `pgid` is left."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(pamr.training.__file__).resolve().parents[1]))
+
+
+DESK_CFG = """
+n_points = 128
+sizes = 32,16
+ks = 8,8
+dims = 16,32
+heads = 2
+encoder_blocks = 1
+decoder_blocks = 1
+la_window = 3
+la_groups = 4
+epochs = 1
+batch_size = 16
+warmup_epochs = 0
+"""
+
+# `pamr pretrain ...` with packs 1.. on one worker, whatever the CPU count
+CLI_ONE_WORKER = """
+import sys
+from functools import partial
+import pamr.training
+from pamr.cli import main
+
+if __name__ == "__main__":
+    pamr.training._fit = partial(pamr.training._fit, workers=1)
+    sys.exit(main(sys.argv[1:]))
+"""
+
+# the same, with a pack loss that kills the worker running it; a worker
+# imports this script as its main module, so the loss is found there
+CLI_WORKER_EXITS = """
+import multiprocessing
+import os
+import sys
+from functools import partial
+import pamr.training
+from pamr.cli import main
+
+LOSS = pamr.training._reconstruction_loss
+
+
+def exits_in_a_worker(model, pack):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return LOSS(model, pack)
+
+
+if __name__ == "__main__":
+    pamr.training._reconstruction_loss = exits_in_a_worker
+    pamr.training._fit = partial(pamr.training._fit, workers=1)
+    sys.exit(main(sys.argv[1:]))
+"""
+
+# one desk pretraining batch of 16 clouds: two packs
+DESK_BATCH = """
+import sys
+import time
+from functools import partial
+import pamr.training as tr
+from pamr.config import ModelConfig, TrainConfig
+from pamr.data import ShapeSpec, gen_shapes
+
+desk = ModelConfig(n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2, encoder_blocks=1,
+                   decoder_blocks=1, la_window=3, la_groups=4)
+clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(16)])
+cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0)
+"""
+
+# the batch on one worker, then the worker's pid, then a long wait
+HOLDS_A_WORKER = DESK_BATCH + """
+from pamr import pool
+tr._fit = partial(tr._fit, workers=1)
+tr.pretrain_run(clouds, desk, cfg)
+print(*(p.pid for p in pool._POOL.procs), flush=True)
+time.sleep(300)
+"""
+
+# the batch with the worker count left to the CPU affinity, cut to one CPU
+ON_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + DESK_BATCH + """
+tr.pretrain_run(clouds, desk, cfg)
+print("pamr.pool" in sys.modules, "multiprocessing" in sys.modules)
+"""
+
+# desk pretraining in batches of 32 (four packs) on more workers than CPUs,
+# against the same call in-process
+MORE_WORKERS_THAN_CPUS = """
+import os
+from functools import partial
+import pamr.training as tr
+from pamr import pool
+from pamr.config import ModelConfig, TrainConfig
+from pamr.data import ShapeSpec, gen_shapes
+
+desk = ModelConfig(n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2, encoder_blocks=1,
+                   decoder_blocks=1, la_window=3, la_groups=4)
+kinds = ("sphere", "cube", "torus")
+clouds = gen_shapes([ShapeSpec(k, 128, 0.01, seed=s, label=0) for s in range(12) for k in kinds])
+cfg = TrainConfig(epochs=2, batch_size=32, warmup_epochs=1, seed=4, augment=True)
+fit, runs = tr._fit, []
+for workers in (0, len(os.sched_getaffinity(0)) + 1):
+    tr._fit = partial(fit, workers=workers)
+    res = tr.pretrain_run(clouds, desk, cfg)
+    runs.append([res.losses, [p.data.tobytes() for p in res.model.parameters()], res.optimizer.t])
+print(len(pool._POOL.procs), runs[0] == runs[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool sizes itself by CPU affinity")
+class TestPackPool:
+    """Packs 1.. of a batch on worker processes: the same bits as in-process,
+    errors that cross unchanged, and no process left behind."""
+
+    @pytest.mark.parametrize("net", ["autoencoder", "zero-head autoencoder", "classifier"])
+    def test_every_parameter_takes_one_gradient_per_graph(self, net, monkeypatch):
+        """What the bitwise commit rests on: a worker's leaf gradient is the
+        one array its pack's walk handed the leaf, so adding it here is the
+        addition the in-process walk makes. Over one 2-cloud desk pack."""
+        rng = np.random.default_rng(0)
+        pyrs = cloud_pyramids([c.points for c in desk_clouds(1)[:2]], DESK)
+        if net == "classifier":
+            model = CloudClassifier(DESK, 4, (16,), rng)
+            loss, _ = pamr.training._classification_loss(model, list(zip(pyrs, [0, 1])))
+        else:
+            model = MaskedAutoencoder(replace(DESK, zero_scale_head=net.startswith("zero")), rng)
+            plans = [mask_and_backproject(p, 0.6, rng) for p in pyrs]
+            loss, _ = _RECONSTRUCTION_LOSS(model, list(zip(pyrs, plans)))
+        counts, receive = collections.Counter(), T._receive
+
+        def counting(node, g, heap):
+            if node.requires_grad:
+                counts[id(node)] += 1
+            receive(node, g, heap)
+
+        monkeypatch.setattr(T, "_receive", counting)
+        loss.backward()
+        params = model.param_dict()
+        assert len(params) == {"autoencoder": 86, "zero-head autoencoder": 88, "classifier": 66}[net]
+        assert {name: counts[id(p)] for name, p in params.items()} == dict.fromkeys(params, 1)
+
+    @pytest.mark.parametrize("protocol", [pretrain_run, finetune_classify])
+    def test_the_pool_gives_the_in_process_bits(self, protocol, monkeypatch):
+        """Batches of 12 desk clouds in packs of 8 and 4 (and a last batch of
+        8 in one pack when pretraining), augmented, over two epochs."""
+        cfg = TrainConfig(
+            epochs=2, batch_size=12, warmup_epochs=1, seed=3, augment=True, head_hidden=(16,),
+            holdout_fraction=0.25,
+        )
+        runs = []
+        for workers in (0, 1):
+            opts = []
+            fit_with_workers(monkeypatch, workers, opts)
+            runs.append((format_metrics(protocol(desk_clouds(8), DESK, cfg).rows), opts[0]))
+        assert pamr.pool._POOL.procs
+        (rows, opt), (pool_rows, pool_opt) = runs
+        assert opt.t == len(rows.splitlines()) - 1 == (6 if protocol is pretrain_run else 4)
+        assert pool_rows == rows
+        assert same_bits(pool_opt, opt)
+
+    def test_more_workers_than_cpus_give_the_in_process_bits(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", MORE_WORKERS_THAN_CPUS], env=src_env(), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len(os.sched_getaffinity(0)) + 1), "True"]
+
+    def test_the_worker_count_comes_from_cpu_affinity_and_packs_only(self, monkeypatch):
+        auto = pamr.training._auto_workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [auto(8, packs) for packs in (1, 2, 3, 8)] == [0, 1, 2, 3]
+        assert auto(1, 4) == 0  # a default-config cloud goes alone and stays in-process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
+        assert auto(8, 8) == 0
+
+    def test_one_cpu_starts_no_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", ON_ONE_CPU], env=src_env(), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_a_frozen_head_batch_is_one_pack_and_never_reaches_the_pool(self, monkeypatch):
+        monkeypatch.setattr(pamr.pool, "pack_pool", lambda *a: pytest.fail("the pool was loaded"))
+        fit_with_workers(monkeypatch, 1)
+        cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, freeze_backbone=True, head_hidden=(16,))
+        assert finetune_classify(desk_clouds(8), DESK, cfg).rows
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{1: "mask"}, {2: "nan"}, {1: "mask", 2: "nan"}, {0: "nan", 1: "mask"}],
+        ids=["pack 1", "pack 2", "packs 1 and 2", "packs 0 and 1"],
+    )
+    def test_a_packs_error_crosses_unchanged_and_the_earliest_pack_wins(self, bad):
+        """A real ConfigError or NonFiniteError raised in a worker's pack is
+        raised here as the same class with the same message, and of two
+        failed packs the earlier one's error is raised, as in-process. The
+        pool stays in step: the next call gives the in-process bits."""
+        items = desk_items(bad)
+        want = failure(lambda: fit_items(items, workers=0))
+        assert want[0] is (ConfigError if min(bad.items())[1] == "mask" else NonFiniteError)
+        assert failure(lambda: fit_items(items, workers=2)) == want
+        clean = desk_items({})
+        assert same_bits(fit_items(clean, workers=2), fit_items(clean, workers=0))
+
+    def test_a_worker_that_dies_is_a_worker_error_and_the_pool_restarts(self):
+        items = desk_items({})
+        with pytest.raises(WorkerError, match="^a training worker exited before it returned its pack$"):
+            fit_items(items, workers=1, pack_loss=_exits_in_a_worker)
+        assert pamr.pool._POOL.procs == []
+        assert same_bits(fit_items(items, workers=1), fit_items(items, workers=0))
+
+    def test_a_workers_error_aborts_pretraining_at_the_last_completed_step(self, monkeypatch):
+        fit_with_workers(monkeypatch, 1)
+        monkeypatch.setattr(pamr.training, "_reconstruction_loss", _fails_on_a_workers_second_pack)
+        saved = []
+        cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
+        with pytest.raises(NonFiniteError, match="^non-finite values in a worker's second pack$"):
+            pretrain_run(desk_clouds(8), DESK, cfg, on_checkpoint=lambda m, o, *at: saved.append((*at, o.t)))
+        assert saved == [(1, "aborted", 1)]
+
+    @pytest.mark.parametrize("protocol", [pretrain_run, finetune_classify])
+    def test_a_step_sends_its_packs_only_after_every_draw(self, protocol, monkeypatch):
+        """As in-process, but pack 2 goes to the pool before pack 1's forward here."""
+        draws, events, epochs = step_events(protocol, monkeypatch, workers=1)
+        assert events == (draws + ["send", "forward", "step"]) * epochs
+
+    def test_a_dead_worker_is_one_error_line_and_exit_code_1(self, tmp_path):
+        data, out, cfg = tmp_path / "data", tmp_path / "out", tmp_path / "desk.cfg"
+        script = tmp_path / "run.py"
+        cfg.write_text(DESK_CFG)
+        script.write_text(CLI_WORKER_EXITS)
+        from pamr.cli import main
+
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--per-class", "8"]) == 0
+        proc = subprocess.run(
+            [sys.executable, str(script), "pretrain", "--config", cfg, "--data", data, "--out", out],
+            env=src_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: a training worker exited before it returned its pack\n"
+        assert "Traceback" not in proc.stdout
+        assert (out / "model_aborted.ckpt").is_file()
+
+    def test_pamr_pretrain_leaves_no_process_behind(self, tmp_path):
+        data, cfg = tmp_path / "data", tmp_path / "desk.cfg"
+        cfg.write_text(DESK_CFG)
+        from pamr.cli import main
+
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--per-class", "8"]) == 0
+        argv = ["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "out")]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CLI_ONE_WORKER, *argv], env=src_env(), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert wait_until(lambda: not group_alive(proc.pid), 10)
+        finally:
+            if group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+    def test_a_killed_parents_worker_exits(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", HOLDS_A_WORKER], env=src_env(), start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 300)
+            pids = [int(pid) for pid in proc.stdout.readline().split()] if ready else []
+            assert len(pids) == 1, proc.stderr.read() if proc.poll() is not None else pids
+            assert pid_alive(pids[0])
+            proc.kill()
+            proc.wait(timeout=10)
+            assert wait_until(lambda: not pid_alive(pids[0]), 10)
+        finally:
+            proc.stdout.close()
+            proc.stderr.close()
+            if group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
