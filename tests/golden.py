@@ -14,9 +14,11 @@ architecture at reduced size and a three-scale config. Every dataset mixes
 two point counts, so pyramids are built both in stacks and alone. The quick
 config also pretrains with `zero_scale_head = true`, and the desk config
 pretrains at batch size 12 (packs of 8 and 4) and fits a frozen head at
-batch size 7. One forward and backward of the default config pins its loss
-and gradients. Digests hold on one software and hardware stack only; the
-file records it, and the test skips on another.
+batch size 7, and runs few-shot (30 test clouds a trial) on a two-block
+encoder whose checkpoint covers only the first block. One forward and
+backward of the default config pins its loss and gradients. Digests hold
+on one software and hardware stack only; the file records it, and the test
+skips on another.
 """
 from __future__ import annotations
 
@@ -206,6 +208,18 @@ def run_matrix(root: Path) -> dict[str, str]:
         cfg.write_text((desk / cfg_name).read_text().replace("batch_size = 16", f"batch_size = {batch}"))
         run(key, [command, "--config", cfg, "--data", desk / "data", "--out", root / key, *extra])
         collect(key, root / key)
+    # a checkpoint that covers only part of the encoder: every trial keeps
+    # its own random init of the second block and encodes its own clouds
+    partial = desk / "blocks2.cfg"
+    text = (desk / "augment_off.cfg").read_text()
+    for old, new in (("encoder_blocks = 1", "encoder_blocks = 2"), ("m_shot = 2", "m_shot = 3"),
+                     ("test_per_class = 2", "test_per_class = 15")):
+        text = text.replace(old, new)
+    partial.write_text(text)
+    run("desk/fewshot-partial", ["fewshot", "--config", partial, "--data", desk / "data", "--out",
+                                 desk / "fs_partial", "--checkpoint", desk / "pre_off" / "model.ckpt",
+                                 "--allow-mismatch"])
+    collect("desk/fs_partial", desk / "fs_partial")
     run("quick/ablate", ["ablate", "--axis", "la-branches", "--config", quick / "augment_off.cfg", "--data",
                          quick / "data", "--out", quick / "ablate.csv"])
     digests["quick/ablate.csv"] = _sha((quick / "ablate.csv").read_bytes())
