@@ -43,6 +43,7 @@ __all__ = [
     "HierarchicalDecoder",
     "MaskedAutoencoder",
     "CloudClassifier",
+    "head_logits",
     "pretrain_loss",
 ]
 
@@ -297,11 +298,15 @@ class CloudClassifier(Module):
         # cloud i's max row, then its mean row
         return T.reshape(T.index_select(pooled, np.arange(2 * b).reshape(2, b).T), (b, 2 * c))
 
-    def logits_from_features(self, feats: Tensor) -> Tensor:
-        h = feats
-        for layer in self.head[:-1]:
-            h = T.gelu(layer(h))
-        return self.head[-1](h)
-
     def logits(self, pyr: ScalePyramid) -> Tensor:
-        return self.logits_from_features(self.features(pyr))
+        return head_logits(self.head, self.features(pyr))
+
+
+def head_logits(head: list[Linear], feats: Tensor) -> Tensor:
+    """(B, K) logits of a classifier head, its layers with GELU between them,
+    on (B, 2*C_S) pooled features. A function of the head alone, so a head
+    can train on cached features without its encoder."""
+    h = feats
+    for layer in head[:-1]:
+        h = T.gelu(layer(h))
+    return head[-1](h)

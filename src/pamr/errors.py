@@ -42,4 +42,4 @@ class CheckpointCompatibilityError(PamrError):
 
 
 class WorkerError(PamrError):
-    """A training worker process exited before it returned its pack."""
+    """A pool worker process exited before it returned its pack or job."""

@@ -1,10 +1,13 @@
-"""Worker processes that run training packs, for `training._fit`.
+"""Worker processes that run training packs and stateless jobs.
 
 A batch's packs share no graph, so a worker can back a pack into its own
 copy of the model: that copy's leaf gradients are the pack's gradient, which
-the caller adds to its own leaves in pack order by backward()'s rule. The
-pool is imported, and its workers started, only when a batch first runs on
-more than one process.
+the caller adds to its own leaves in pack order by backward()'s rule
+(`pack_pool`, for `training._fit`). A job is `fn(arg, item)` for one item of
+a list, such as a pyramid build, a no-grad encode or a few-shot head fit; it
+reads nothing else and returns its value (`run_jobs`). The pool is imported,
+and its workers started, only when a call first runs on more than one
+process.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from contextlib import contextmanager
 from .errors import PamrError, WorkerError
 from .training import _back_pack
 
-__all__ = ["pack_pool"]
+__all__ = ["pack_pool", "run_jobs"]
 
 
 @functools.cache
@@ -58,7 +61,8 @@ def _set_blas_threads(n: int) -> int | None:
 
 
 class _PackPool:
-    """Worker processes that back packs into their own copy of a model.
+    """Worker processes that back packs into their own copy of a model, or
+    run jobs.
 
     Workers start on first use and serve every later call of the process, so
     repeated calls pay the start-up once. A call sends its model once; a step
@@ -73,14 +77,15 @@ class _PackPool:
         self.conns: list = []
 
     def load(self, workers: int, model, pack_loss, names: list[str]) -> None:
-        """Start workers up to `workers`, and send the first `workers` the
-        model, the pack loss and the names of the parameters to train."""
-        if len(self.conns) < workers:
-            self._grow(workers)
+        """Send the first `workers` workers the model, the pack loss and the
+        names of the parameters to train."""
         for conn in self.conns[:workers]:
             self._io(conn.send, ("model", model, pack_loss, names))
 
-    def _grow(self, workers: int) -> None:
+    def grow(self, workers: int) -> None:
+        """Start workers until there are `workers`."""
+        if len(self.conns) >= workers:
+            return
         import multiprocessing
 
         # forkserver: workers fork from a fresh single-threaded server that
@@ -91,7 +96,7 @@ class _PackPool:
             atexit.register(self.close)
         while len(self.conns) < workers:
             here, there = ctx.Pipe()
-            proc = ctx.Process(target=_serve_packs, args=(there,), name="pamr-pack-worker", daemon=True)
+            proc = ctx.Process(target=_serve, args=(there,), name="pamr-pack-worker", daemon=True)
             proc.start()
             there.close()  # the worker holds the only other end: its death reads as EOF here
             self.procs.append(proc)
@@ -108,11 +113,7 @@ class _PackPool:
 
     def gather(self, sent: list) -> list:
         """(loss value, hits, leaf gradients) of each pack sent, in pack order."""
-        replies = [self._io(conn.recv) for conn in sent]
-        for reply in replies:
-            if isinstance(reply, PamrError):
-                raise reply  # the earliest failed pack wins
-        return replies
+        return _raise_first([self._io(conn.recv) for conn in sent])
 
     def discard(self, sent: list) -> None:
         """Read and drop the replies of the packs sent."""
@@ -121,12 +122,12 @@ class _PackPool:
         except PamrError:
             pass
 
-    def _io(self, fn, *args):
+    def _io(self, fn, *args, what: str = "a training worker exited before it returned its pack"):
         try:
             return fn(*args)
         except (EOFError, OSError):
             self.close()
-            raise WorkerError("a training worker exited before it returned its pack") from None
+            raise WorkerError(what) from None
 
     def close(self) -> None:
         """Close every pipe, so each worker reads EOF and exits, then reap them."""
@@ -145,10 +146,17 @@ class _PackPool:
 _POOL = _PackPool()  # one per process, so that repeated calls reuse its workers
 
 
+def _raise_first(replies: list) -> list:
+    """`replies`, unless one is a PamrError: then the earliest of them is raised."""
+    for reply in replies:
+        if isinstance(reply, PamrError):
+            raise reply
+    return replies
+
+
 @contextmanager
-def pack_pool(workers: int, model, pack_loss, names: list[str]):
-    """The process's pool, its first `workers` workers loaded with `model`,
-    `pack_loss` and the names of the parameters to train; or None while
+def _held(workers: int):
+    """The process's pool with at least `workers` workers, or None while
     another thread's call holds it (in-process gives the same bits). Until
     the call ends, this process runs BLAS on one thread: the workers fill the
     other CPUs, and its BLAS threads would only contend with them."""
@@ -157,7 +165,7 @@ def pack_pool(workers: int, model, pack_loss, names: list[str]):
         return
     threads = _set_blas_threads(1)
     try:
-        _POOL.load(workers, model, pack_loss, names)
+        _POOL.grow(workers)
         yield _POOL
     finally:
         _POOL.lock.release()
@@ -165,10 +173,47 @@ def pack_pool(workers: int, model, pack_loss, names: list[str]):
             _set_blas_threads(threads)
 
 
-def _serve_packs(conn) -> None:
+@contextmanager
+def pack_pool(workers: int, model, pack_loss, names: list[str]):
+    """The process's pool, its first `workers` workers loaded with `model`,
+    `pack_loss` and the names of the parameters to train; or None while
+    another thread's call holds it."""
+    with _held(workers) as pool:
+        if pool is not None:
+            pool.load(workers, model, pack_loss, names)
+        yield pool
+
+
+def run_jobs(workers: int, fn, arg, items: list) -> list:
+    """[fn(arg, item) for item in items] on this process and up to `workers`
+    workers: item j runs here when j % (w + 1) == 0 and on worker
+    j % (w + 1) - 1 otherwise, for the w workers used. `fn` must be a
+    module-level function; each worker used is sent `arg` once and its items.
+    A PamrError of any item is raised after every reply is read, the earliest
+    item's first; a worker that dies is a WorkerError, and the pool closes.
+    While another thread's call holds the pool, every item runs here."""
+    with _held(workers) as pool:
+        used = pool.conns[: min(workers, len(items) - 1)] if pool else []
+        slots, lost = len(used) + 1, "a worker exited before it returned its job"
+        for w, conn in enumerate(used):
+            pool._io(conn.send, ("jobs", fn, arg, items[w + 1 :: slots]), what=lost)
+        results: list = [None] * len(items)
+        try:
+            for j in range(0, len(items), slots):
+                results[j] = fn(arg, items[j])
+        except PamrError as e:
+            results[j] = e  # the items after it here cannot be earlier failures
+        finally:  # read every reply, so the pool stays in step
+            for w, conn in enumerate(used):
+                for j in range(w + 1, len(items), slots):
+                    results[j] = pool._io(conn.recv, what=lost)
+        return _raise_first(results)
+
+
+def _serve(conn) -> None:
     """A pool worker: load each call's model, then per step the parameters,
-    and back each pack into this copy alone. Exits when the parent's end
-    closes, the parent's exit included."""
+    and back each pack into this copy alone; or run a call's jobs. Exits when
+    the parent's end closes, the parent's exit included."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; EOF ends this loop
@@ -183,18 +228,29 @@ def _serve_packs(conn) -> None:
             params = model.param_dict()
             leaves = [params[name] for name in names]
             continue
-        _, arrays, jobs = message
-        for p, a in zip(leaves, arrays):
-            p.data = a
-        for pack, share in jobs:
-            for p in leaves:
-                p.zero_grad()
+        if message[0] == "jobs":
+            _, fn, arg, items = message
+            runs = [functools.partial(fn, arg, item) for item in items]
+        else:
+            _, arrays, jobs = message
+            for p, a in zip(leaves, arrays):
+                p.data = a
+            runs = [functools.partial(_back_in_copy, model, pack_loss, leaves, *job) for job in jobs]
+        for run in runs:
             try:
-                value, hit = _back_pack(model, pack_loss, pack, share)
-                reply = (value, hit, [p._grad for p in leaves])  # None: no gradient reached it
+                reply = run()
             except PamrError as e:
                 reply = e
             try:
                 conn.send(reply)
             except OSError:  # the parent is gone
                 return
+
+
+def _back_in_copy(model, pack_loss, leaves: list, pack: list, share: float) -> tuple:
+    """One pack backed into this process's model copy alone: its loss value,
+    its hits and each leaf's gradient (None: no gradient reached it)."""
+    for p in leaves:
+        p.zero_grad()
+    value, hit = _back_pack(model, pack_loss, pack, share)
+    return value, hit, [p._grad for p in leaves]

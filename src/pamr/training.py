@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import CloudClassifier, MaskedAutoencoder
+from .backbone import CloudClassifier, MaskedAutoencoder, head_logits
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NonFiniteError, PamrError
 from .geometry import PointCloud, ScalePyramid, build_scale_pyramid
@@ -117,22 +117,22 @@ def _check_point_counts(clouds: list[np.ndarray], model_cfg: ModelConfig, names=
 def cloud_pyramids(clouds: list[np.ndarray], model_cfg: ModelConfig, names=None) -> list[ScalePyramid]:
     """The model input for each raw cloud, in the order given: the
     ScalePyramid of its normalized points. Clouds of one point count are
-    stacked and built in lock-step, a no-grad pack at a time; each gets the
-    pyramid it would get alone. A cloud with fewer points than the first
-    scale size is a ConfigError, before any pyramid is built, that names it
-    by `names[i]` or else by its position."""
+    stacked and built in lock-step, a no-grad pack at a time (spread over
+    the pool, see `_spread`); each gets the pyramid it would get alone. A
+    cloud with fewer points than the first scale size is a ConfigError,
+    before any pyramid is built, that names it by `names[i]` or else by its
+    position."""
     _check_point_counts(clouds, model_cfg, names)
     groups: dict[int, list[int]] = {}  # point count -> positions
     for i, points in enumerate(clouds):
         groups.setdefault(len(points), []).append(i)
     size = pack_size(model_cfg, NO_GRAD_BUDGET)
+    chunks = [members[lo : lo + size] for members in groups.values() for lo in range(0, len(members), size)]
+    built = _spread(size, _build_stack, model_cfg, [[clouds[i] for i in chunk] for chunk in chunks])
     pyramids: list = [None] * len(clouds)
-    for members in groups.values():
-        for lo in range(0, len(members), size):
-            chunk = members[lo : lo + size]
-            stack = np.stack([normalize_points(clouds[i]) for i in chunk])
-            for i, pyr in zip(chunk, build_scale_pyramid(stack, model_cfg.sizes, model_cfg.ks)):
-                pyramids[i] = pyr
+    for chunk, pyrs in zip(chunks, built):
+        for i, pyr in zip(chunk, pyrs):
+            pyramids[i] = pyr
     return pyramids
 
 
@@ -170,33 +170,40 @@ class MetricsRow:
     accuracy: float | None = None
 
 
+def _epoch_orders(rng, n: int, epochs: int):
+    """Each epoch's shuffle of items 0..n-1, drawn from `rng` when the
+    iteration reaches its epoch."""
+    for _ in range(epochs):
+        yield rng.permutation(n)
+
+
 def _fit(
-    model, opt: AdamW, n: int, cfg: TrainConfig, rng, draw, pack_loss, size: int, rows: list,
-    on_epoch_end=None, workers: int | None = None,
+    model, opt: AdamW, n: int, cfg: TrainConfig, orders, draw, pack_loss, size: int, rows: list,
+    on_epoch_end=None,
 ) -> None:
     """The one training step, over items 0..n-1. Per epoch: the scheduled lr
-    and a shuffle. Per batch: `drawn = draw(batch)` makes every random draw of
-    the step, in batch order. `pack_loss(model, drawn[p : p + size])` then
-    gives a pack's mean loss and per-item hits (or None) and draws nothing;
-    scaled by the pack's share of the batch, the loss is backed into `opt`'s
-    parameters. One optimizer step follows and appends a MetricsRow, so the
-    step number is `len(rows)`.
+    and the next of `orders`, the epoch's shuffle (`_epoch_orders`: a lazy
+    one draws as each epoch starts, a list was drawn before). Per batch:
+    `drawn = draw(batch)` makes every random draw of the step, in batch
+    order. `pack_loss(model, drawn[p : p + size])` then gives a pack's mean
+    loss and per-item hits (or None) and draws nothing; scaled by the pack's
+    share of the batch, the loss is backed into `opt`'s parameters. One
+    optimizer step follows and appends a MetricsRow, so the step number is
+    `len(rows)`.
 
-    Pack 0 runs here; packs 1.. run in `workers` worker processes (by default
-    `_auto_workers`; tests pass a count; see `pamr.pool`), each backing its
-    pack into its own copy of `model`. Their losses, hits and leaf gradients
-    are then added here in pack order by backward()'s own rule. Every
-    parameter takes one gradient per graph, so each pack adds the same array
-    either way, and every output is bitwise the same at any worker count."""
-    packs = -(-min(cfg.batch_size, n) // size)
-    workers = min(_auto_workers(size, packs) if workers is None else workers, packs - 1)
+    Pack 0 runs here; packs 1.. run in `_auto_workers` worker processes (see
+    `pamr.pool`), each backing its pack into its own copy of `model`. Their
+    losses, hits and leaf gradients are then added here in pack order by
+    backward()'s own rule. Every parameter takes one gradient per graph, so
+    each pack adds the same array either way, and every output is bitwise
+    the same at any worker count."""
+    workers = _auto_workers(size, -(-min(cfg.batch_size, n) // size))
     if workers:
         from .pool import pack_pool  # here: a run that starts no worker never loads the pool
     with pack_pool(workers, model, pack_loss, list(opt.params)) if workers else nullcontext() as pool:
         leaves = list(opt.params.values())
-        for epoch in range(cfg.epochs):
+        for epoch, order in enumerate(orders):
             opt.lr = lr_at(epoch, cfg)
-            order = rng.permutation(n)
             for lo in range(0, n, cfg.batch_size):
                 drawn = draw(order[lo : lo + cfg.batch_size])
                 opt.zero_grad()
@@ -236,15 +243,49 @@ def _back_pack(model, pack_loss, pack: list, share: float) -> tuple[float, np.nd
 
 
 def _auto_workers(size: int, packs: int) -> int:
-    """Worker processes for a batch of `packs` packs of up to `size` clouds:
+    """Worker processes for `packs` packs (or jobs) of up to `size` clouds:
     one per CPU this process may run on, besides its own, and one per pack
-    after the first. Never from a config value or an input."""
+    after the first. Never from a config value or an input. Every use of the
+    pool takes its count from here."""
     # A default-config cloud (pack_size 1) stays in-process: its staged
     # gradient is about 112 MiB, and receiving it from a worker would break
     # pretrain-full's 10% peak-RSS bound (each worker also holds a model copy).
     if size < 2 or not hasattr(os, "sched_getaffinity"):
         return 0
     return min(len(os.sched_getaffinity(0)) - 1, packs - 1)
+
+
+def _spread(size: int, fn, arg, items: list) -> list:
+    """[fn(arg, item) for item in items], in order: `fn` is a module-level
+    function of `arg` and one item, which reads nothing else, so the items
+    can run on `_auto_workers(size, len(items))` workers of `pamr.pool`
+    besides this process (`pool.run_jobs`) with the same results."""
+    workers = _auto_workers(size, len(items)) if len(items) > 1 else 0
+    if not workers:
+        return [fn(arg, item) for item in items]
+    from .pool import run_jobs
+
+    return run_jobs(workers, fn, arg, items)
+
+
+# The jobs `_spread` hands out: module-level, so a call can send them by name.
+def _build_stack(cfg: ModelConfig, clouds: list[np.ndarray]) -> list[ScalePyramid]:
+    """The pyramids of raw clouds of one point count, normalized, stacked and built in lock-step."""
+    return build_scale_pyramid(np.stack([normalize_points(p) for p in clouds]), cfg.sizes, cfg.ks)
+
+
+def _encode(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
+    """The frozen-encoder feature rows of one no-grad pack of pyramids."""
+    with T.no_grad():
+        return clf.features(stack_pack(pyramids)[0]).data
+
+
+def _head_accuracy(train_cfg: TrainConfig, job: tuple) -> float:
+    """One few-shot trial's head, fit on its train features in its pre-drawn
+    epoch orders; its accuracy on its test features."""
+    head, train_feats, train_labels, test_feats, test_labels, orders = job
+    _fit_frozen_head(head, train_feats, train_labels, train_cfg, orders, [])
+    return _accuracy(head, test_feats, test_labels)
 
 
 def _scored(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -333,11 +374,11 @@ def pretrain_run(
         if on_checkpoint is not None and every and done % every == 0 and done < train_cfg.epochs:
             on_checkpoint(model, opt, len(result.rows), f"epoch{done:04d}")
 
-    size = pack_size(model_cfg)
+    orders = _epoch_orders(rng, len(clouds), train_cfg.epochs)
     try:
         _fit(
-            model, opt, len(clouds), train_cfg, rng, draw, _reconstruction_loss, size, result.rows,
-            on_epoch_end,
+            model, opt, len(clouds), train_cfg, orders, draw, _reconstruction_loss, pack_size(model_cfg),
+            result.rows, on_epoch_end,
         )
     except PamrError:
         # parameters still hold the last completed step
@@ -366,12 +407,10 @@ def _stratified_split(
 
 def pooled_features(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
     """Frozen-backbone feature matrix (n, 2*C_S), one row per pyramid, encoded
-    a no-grad pack at a time."""
+    a no-grad pack at a time (spread over the pool, see `_spread`)."""
     size = pack_size(clf.cfg, NO_GRAD_BUDGET)
-    with T.no_grad():
-        packs = (stack_pack(pyramids[lo : lo + size])[0] for lo in range(0, len(pyramids), size))
-        rows = [clf.features(pack).data for pack in packs]
-    return np.concatenate(rows, axis=0)
+    packs = [pyramids[lo : lo + size] for lo in range(0, len(pyramids), size)]
+    return np.concatenate(_spread(size, _encode, clf, packs), axis=0)
 
 
 @dataclass
@@ -385,22 +424,24 @@ class FinetuneResult:
 
 
 def _fit_frozen_head(
-    clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, rng, rows: list
+    head: list, feats: np.ndarray, labels: np.ndarray, train_cfg: TrainConfig, orders: list, rows: list
 ) -> None:
-    """Train only the head on the frozen encoder's features. A step draws nothing,
-    so `draw` passes the index array through, and a batch is one (B, K) pack."""
-    head = {name: p for name, p in clf.named_parameters() if name.startswith("head.")}
-    opt = AdamW(head, train_cfg.base_lr, train_cfg.weight_decay)
+    """Train only a classifier's head (`CloudClassifier.head`) on the frozen
+    encoder's features, in the epoch orders drawn before. A step draws
+    nothing, so `draw` passes the index array through, and a batch is one
+    (B, K) pack."""
+    params = {f"head.{i}.{name}": p for i, layer in enumerate(head) for name, p in layer.named_parameters()}
+    opt = AdamW(params, train_cfg.base_lr, train_cfg.weight_decay)
 
-    def pack_loss(clf: CloudClassifier, batch: np.ndarray):
-        return _scored(clf.logits_from_features(T.constant(feats[batch])), labels[batch])
+    def pack_loss(head: list, batch: np.ndarray):
+        return _scored(head_logits(head, T.constant(feats[batch])), labels[batch])
 
-    _fit(clf, opt, labels.size, train_cfg, rng, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
+    _fit(head, opt, labels.size, train_cfg, orders, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
 
 
-def _accuracy(clf: CloudClassifier, feats: np.ndarray, labels: np.ndarray) -> float:
+def _accuracy(head: list, feats: np.ndarray, labels: np.ndarray) -> float:
     with T.no_grad():
-        logits = clf.logits_from_features(T.constant(feats)).data
+        logits = head_logits(head, T.constant(feats)).data
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -433,20 +474,21 @@ def finetune_classify(
     train_pyrs, train_labels = [pyramids[i] for i in train_idx], labels[train_idx]
     rows: list[MetricsRow] = []
 
+    orders = _epoch_orders(rng, train_idx.size, train_cfg.epochs)
     if train_cfg.freeze_backbone:
         feats = pooled_features(clf, pyramids)
-        _fit_frozen_head(clf, feats[train_idx], train_labels, train_cfg, rng, rows)
+        _fit_frozen_head(clf.head, feats[train_idx], train_labels, train_cfg, list(orders), rows)
     else:
 
         def draw(batch: np.ndarray) -> list:
             return [(augment(train_pyrs[i], rng, train_cfg), train_labels[i]) for i in batch]
 
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        _fit(clf, opt, train_idx.size, train_cfg, rng, draw, _classification_loss, pack_size(model_cfg), rows)
+        _fit(clf, opt, train_idx.size, train_cfg, orders, draw, _classification_loss, pack_size(model_cfg), rows)
         feats = pooled_features(clf, pyramids)
 
-    train_acc = _accuracy(clf, feats[train_idx], train_labels)
-    hold_acc = _accuracy(clf, feats[hold_idx], labels[hold_idx]) if hold_idx.size else float("nan")
+    train_acc = _accuracy(clf.head, feats[train_idx], train_labels)
+    hold_acc = _accuracy(clf.head, feats[hold_idx], labels[hold_idx]) if hold_idx.size else float("nan")
     return FinetuneResult(clf, train_acc, hold_acc, rows, train_idx, hold_idx)
 
 
@@ -484,51 +526,69 @@ def few_shot_eval(
     each of n sampled classes (frozen backbone) and test on `test_per_class`
     held-out examples per class.
 
+    The trials run in waves of `_auto_workers` + 1. A wave first makes every
+    draw of its trials, trial by trial: the class choice, a shuffle of each
+    chosen class, the classifier init and the head fit's epoch orders. No draw depends on a
+    computed value, so these are the draws of one trial at a time. It then
+    builds and encodes its clouds, and fits each trial's head as one job
+    (`_spread`): its first trial here, the others in `pamr.pool`'s workers.
+
     Each drawn cloud's pyramid is built once per call. When `pretrained`
     covers every encoder parameter, each trial's encoder is the same, so
     each cloud is encoded at most once per call and its features are reused
     by later trials. Otherwise the encoder keeps some of its per-trial random
     init and every trial encodes its own clouds."""
-    n, m = train_cfg.n_way, train_cfg.m_shot
+    n, m, k = train_cfg.n_way, train_cfg.m_shot, train_cfg.test_per_class
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):
         if c.label is None:
             raise ConfigError("few-shot needs a label on every cloud")
         per_class.setdefault(c.label, []).append(i)
     _check_point_counts([c.points for c in clouds], model_cfg)
-    need = m + train_cfg.test_per_class
+    need = m + k
     eligible = [cls for cls, idx in per_class.items() if len(idx) >= need]
     if len(eligible) < n:
         raise ConfigError(
             f"need {n} classes with at least {need} clouds each, have {len(eligible)}"
         )
     rng = np.random.default_rng(train_cfg.seed)
-    accs: list[float] = []
-    feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
-    pyramids: dict[int, ScalePyramid] = {}  # cloud index -> its pyramid
-    for _ in range(train_cfg.trials):
+
+    def draw_trial() -> tuple:
         classes = rng.choice(np.array(sorted(eligible)), size=n, replace=False)
         train_set: list[int] = []
         test_set: list[int] = []
-        remap = {int(cls): j for j, cls in enumerate(classes)}
         for cls in classes:
-            pool = np.array(per_class[int(cls)])
-            pool = pool[rng.permutation(pool.size)]
-            train_set.extend(pool[:m].tolist())
-            test_set.extend(pool[m : m + train_cfg.test_per_class].tolist())
+            members = np.array(per_class[int(cls)])
+            members = members[rng.permutation(members.size)]
+            train_set.extend(members[:m].tolist())
+            test_set.extend(members[m:need].tolist())
         # built every trial: its init draws from rng, and the draws after it depend on that
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
         n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
-        if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
-            feats = {}  # part of this trial's encoder is its own random init
-        todo = sorted(set(train_set + test_set) - feats.keys())  # in dataset order
-        new = [i for i in todo if i not in pyramids]
+        own = pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder
+        orders = list(_epoch_orders(rng, len(train_set), train_cfg.epochs))
+        remap = {int(cls): j for j, cls in enumerate(classes)}
+        labels = [np.array([remap[clouds[i].label] for i in s], dtype=np.int64) for s in (train_set, test_set)]
+        return train_set, test_set, labels, clf, own, orders
+
+    size = pack_size(model_cfg, NO_GRAD_BUDGET)
+    wave = _auto_workers(size, train_cfg.trials) + 1
+    accs: list[float] = []
+    feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
+    pyramids: dict[int, ScalePyramid] = {}  # cloud index -> its pyramid
+    for lo in range(0, train_cfg.trials, wave):
+        trials = [draw_trial() for _ in range(min(wave, train_cfg.trials - lo))]
+        new = sorted({i for t in trials for i in t[0] + t[1]} - pyramids.keys())  # in dataset order
         pyramids.update(zip(new, cloud_pyramids([clouds[i].points for i in new], model_cfg)))
-        if todo:
-            feats.update(zip(todo, pooled_features(clf, [pyramids[i] for i in todo])))
-        tr_labels = np.array([remap[clouds[i].label] for i in train_set], dtype=np.int64)
-        te_labels = np.array([remap[clouds[i].label] for i in test_set], dtype=np.int64)
-        _fit_frozen_head(clf, np.stack([feats[i] for i in train_set]), tr_labels, train_cfg, rng, [])
-        accs.append(_accuracy(clf, np.stack([feats[i] for i in test_set]), te_labels))
+        jobs = []
+        for train_set, test_set, (tr_labels, te_labels), clf, own, orders in trials:
+            if own:
+                feats = {}  # part of this trial's encoder is its own random init
+            todo = sorted(set(train_set + test_set) - feats.keys())
+            if todo:
+                feats.update(zip(todo, pooled_features(clf, [pyramids[i] for i in todo])))
+            train_feats, test_feats = (np.stack([feats[i] for i in s]) for s in (train_set, test_set))
+            jobs.append((clf.head, train_feats, tr_labels, test_feats, te_labels, orders))
+        accs.extend(_spread(size, _head_accuracy, train_cfg, jobs))
     arr = np.array(accs)
     return FewShotResult(float(arr.mean()), float(arr.std()), accs)

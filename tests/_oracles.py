@@ -188,9 +188,10 @@ def few_shot_reference(clouds, model_cfg, train_cfg, pretrained=None) -> list[fl
         if pretrained is not None:
             load_encoder_weights(clf, pretrained)
         train_feats = pooled_features(clf, [pyramid_of(clouds[i].points, model_cfg) for i in train_set])
-        _fit_frozen_head(clf, train_feats, np.array(tr_labels), train_cfg, rng, [])
+        orders = [rng.permutation(len(train_set)) for _ in range(train_cfg.epochs)]
+        _fit_frozen_head(clf.head, train_feats, np.array(tr_labels), train_cfg, orders, [])
         test_feats = pooled_features(clf, [pyramid_of(clouds[i].points, model_cfg) for i in test_set])
-        accs.append(_accuracy(clf, test_feats, np.array(te_labels)))
+        accs.append(_accuracy(clf.head, test_feats, np.array(te_labels)))
     return accs
 
 

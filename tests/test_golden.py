@@ -1,6 +1,5 @@
 """The golden digests of `tests/golden.json` against this tree (see `golden.py`)."""
 import json
-from functools import partial
 
 import pytest
 
@@ -24,6 +23,8 @@ def test_outputs_match_golden_digests(tmp_path):
 
 @pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "one worker"])
 def test_outputs_match_golden_digests_at_a_fixed_worker_count(workers, tmp_path, monkeypatch):
-    """Packs 1.. of every multi-pack batch on `workers` worker processes, whatever the CPU count."""
-    monkeypatch.setattr(pamr.training, "_fit", partial(pamr.training._fit, workers=workers))
+    """Every use of the pool on `workers` worker processes, whatever the CPU
+    count: packs 1.. of every multi-pack batch, pyramid builds, encodes and
+    few-shot head fits."""
+    monkeypatch.setattr(pamr.training, "_auto_workers", lambda size, packs: min(workers, packs - 1))
     check_golden(tmp_path)

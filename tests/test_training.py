@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from pamr import tensor as T
-from pamr.backbone import CloudClassifier, MaskedAutoencoder
+from pamr.backbone import CloudClassifier, MaskedAutoencoder, head_logits
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
-from pamr.errors import ConfigError, NonFiniteError, PamrError, WorkerError
+from pamr.errors import ConfigError, NonFiniteError, PamrError, ShapeError, WorkerError
 from pamr.geometry import PointCloud, ScalePyramid, mask_and_backproject, normalize_points
 from pamr.metrics import format_metrics
 from pamr.tensor import Tensor
@@ -72,16 +72,19 @@ def desk_clouds(per_kind: int) -> list[PointCloud]:
 _FIT = pamr.training._fit
 
 
-def fit_with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
-    """Run every training step with packs 1.. on `workers` worker processes
-    (0: all in this process), and record each call's optimizer in `opts`."""
+def fixed_workers(workers: int):
+    """`_auto_workers` at a fixed count: `workers`, or one per pack or job after the first if fewer."""
+    return lambda size, packs: min(workers, packs - 1)
 
-    def fit_at(model, opt, *args, **kwargs):
-        if opts is not None:
-            opts.append(opt)
-        return _FIT(model, opt, *args, **kwargs, workers=workers)
 
-    monkeypatch.setattr(pamr.training, "_fit", fit_at)
+def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
+    """Run every use of the pool on `workers` worker processes (0: all in
+    this process): packs 1.. of every training batch, pyramid builds,
+    encodes and few-shot head fits. Record each training call's optimizer
+    in `opts`."""
+    monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+    if opts is not None:
+        monkeypatch.setattr(pamr.training, "_fit", lambda model, opt, *a: opts.append(opt) or _FIT(model, opt, *a))
 
 
 class TestAdamW:
@@ -276,6 +279,7 @@ class TestModelInput:
             return build(points, sizes, ks)
 
         monkeypatch.setattr(pamr.training, "build_scale_pyramid", spy)
+        with_workers(monkeypatch, 0)  # the spy sees the builds of this process only
         pyramids = cloud_pyramids(clouds, DESK)
         assert stacks == [12, 12, 2, 5]
         monkeypatch.undo()
@@ -329,7 +333,7 @@ def step_events(protocol, monkeypatch, workers: int):
     monkeypatch.setattr(AdamW, "step", logged("step", AdamW.step))
     pool = pamr.pool._POOL
     monkeypatch.setattr(pool, "send", logged("send", pool.send))
-    fit_with_workers(monkeypatch, workers)
+    with_workers(monkeypatch, workers)
     cfg = TrainConfig(
         epochs=2, batch_size=16, warmup_epochs=0, seed=3, augment=True, head_hidden=(16,),
         holdout_fraction=0.25,
@@ -356,7 +360,7 @@ class TestPackPlanner:
             return loss(model, pyr, plan)
 
         monkeypatch.setattr(MaskedAutoencoder, "loss", loss_spy)
-        fit_with_workers(monkeypatch, 0)  # the spy sees the forwards of this process only
+        with_workers(monkeypatch, 0)  # the spy sees the forwards of this process only
         clouds = gen_shapes([ShapeSpec("sphere", 128, 0.01, seed=s, label=0) for s in range(10)])
         cfg = TrainConfig(epochs=1, batch_size=10, warmup_epochs=0, seed=0, augment=False)
         pretrain_run(clouds, DESK, cfg)
@@ -557,7 +561,7 @@ class TestFinetune:
             augment=False, head_hidden=(64,), holdout_fraction=0.25,
         )
         batches, packs, seen = [], [], []
-        fit_with_workers(monkeypatch, 0)  # the spies see the packs of this process only
+        with_workers(monkeypatch, 0)  # the spies see the packs of this process only
         fit, logits, step = pamr.training._fit, CloudClassifier.logits, AdamW.step
 
         def fit_spy(model, opt, n, cfg, rng, draw, *rest):
@@ -610,7 +614,7 @@ class TestFinetune:
         train = [clouds[i] for i in res.train_idx]
         feats = pooled_features(res.classifier, [_oracles.pyramid_of(c.points, TINY) for c in train])
         with T.no_grad():
-            logits = res.classifier.logits_from_features(T.constant(feats)).data
+            logits = head_logits(res.classifier.head, T.constant(feats)).data
         labels = np.array([c.label for c in train])
         assert res.train_accuracy == float(np.mean(np.argmax(logits, axis=1) == labels))
 
@@ -666,17 +670,48 @@ def record_head_features(monkeypatch, module) -> list:
     seen = []
     fit, accuracy = module._fit_frozen_head, module._accuracy
 
-    def fit_spy(clf, feats, *args):
+    def fit_spy(head, feats, *args):
         seen.append(feats.tobytes())
-        return fit(clf, feats, *args)
+        return fit(head, feats, *args)
 
-    def accuracy_spy(clf, feats, labels):
+    def accuracy_spy(head, feats, labels):
         seen.append(feats.tobytes())
-        return accuracy(clf, feats, labels)
+        return accuracy(head, feats, labels)
 
     monkeypatch.setattr(module, "_fit_frozen_head", fit_spy)
     monkeypatch.setattr(module, "_accuracy", accuracy_spy)
     return seen
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class LoggedGenerator:
+    """A numpy Generator that logs each draw as (method, its size or first argument)."""
+
+    def __init__(self, seed, log: list):
+        self._rng, self._log = _DEFAULT_RNG(seed), log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self._log.append((name, kwargs["size"] if "size" in kwargs else args[0] if args else None))
+            return method(*args, **kwargs)
+
+        return logged
+
+
+def log_draws(monkeypatch, log: list) -> None:
+    """Log in `log` every draw of every generator made from here on."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: LoggedGenerator(seed, log))
+
+
+def init_draws(model_cfg: ModelConfig, n_classes: int, head_hidden: tuple) -> list:
+    """The draws a CloudClassifier's init makes."""
+    log = []
+    CloudClassifier(model_cfg, n_classes, head_hidden, LoggedGenerator(0, log))
+    return log
 
 
 class TestFewShot:
@@ -690,6 +725,7 @@ class TestFewShot:
         if weights == "partial":
             # a randomly initialised entry, so the trials' encoders differ
             del pretrained["encoder.stages.0.0.fc1.weight"]
+        with_workers(monkeypatch, 0)  # the spies see the head fits of this process only
         got_feats = record_head_features(monkeypatch, pamr.training)
         ref_feats = record_head_features(monkeypatch, _oracles)
         got = few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG, pretrained=pretrained)
@@ -716,6 +752,50 @@ class TestFewShot:
         assert len({id(pyr) for pyr in encoded}) == len(built)
         # a trial whose encoder is partly its own random init re-encodes its clouds
         assert len(encoded) == (len(built) if full_checkpoint else per_call)
+
+    @pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "one worker"])
+    def test_draws_come_in_the_order_of_one_trial_at_a_time(self, workers, few_shot_clouds, monkeypatch):
+        """Per trial: the class choice, one shuffle per chosen class, the
+        classifier init, then the head fit's epoch orders, and trial after
+        trial, as when each trial ran alone. A wave of `workers` + 1 trials
+        makes all its draws, then encodes each trial's clouds (no checkpoint:
+        every trial encodes its own), then fits its heads."""
+        c = FEW_SHOT_CFG
+        events = []
+        with_workers(monkeypatch, workers)
+        encode, spread = pamr.training.pooled_features, pamr.training._spread
+
+        def spread_spy(size, fn, arg, items):
+            if fn is pamr.training._head_accuracy:
+                events.append(("fits", len(items)))
+            return spread(size, fn, arg, items)
+
+        monkeypatch.setattr(pamr.training, "pooled_features", lambda *a: events.append("encode") or encode(*a))
+        monkeypatch.setattr(pamr.training, "_spread", spread_spy)
+        draws = (
+            [("choice", c.n_way)] + [("permutation", 5)] * c.n_way + init_draws(TINY, c.n_way, c.head_hidden)
+            + [("permutation", c.n_way * c.m_shot)] * c.epochs
+        )
+        log_draws(monkeypatch, events)
+        few_shot_eval(few_shot_clouds, TINY, c)
+        assert [e for e in events if e != "encode" and e[0] != "fits"] == draws * c.trials
+        wave = workers + 1
+        assert events == (draws * wave + ["encode"] * wave + [("fits", wave)]) * (c.trials // wave)
+
+    def test_a_frozen_head_fit_draws_its_epoch_orders_and_nothing_else(self, monkeypatch):
+        """Frozen fine-tuning: the classifier init, the split's per-class
+        shuffles, then one shuffle of the training items per epoch."""
+        clouds = small_dataset(per_class=3)
+        cfg = TrainConfig(
+            epochs=4, batch_size=4, warmup_epochs=0, seed=6, augment=False, head_hidden=(8,),
+            freeze_backbone=True, holdout_fraction=0.34,
+        )
+        log = []
+        log_draws(monkeypatch, log)
+        res = finetune_classify(clouds, TINY, cfg)
+        assert res.train_idx.size == 8
+        split = [("permutation", 3)] * 4
+        assert log == init_draws(TINY, 4, (8,)) + split + [("permutation", 8)] * cfg.epochs
 
     def test_protocol_shape_and_determinism(self):
         clouds = small_dataset(per_class=6)
@@ -793,13 +873,15 @@ def _fails_on_a_workers_second_pack(model, pack):
 
 def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> AdamW:
     """One step over `items` (pyramid, mask plan) pairs, in order, in desk
-    packs of eight; returns the optimizer."""
+    packs of eight, with packs 1.. on `workers` workers; returns the optimizer."""
     rng = np.random.default_rng(0)
     model = MaskedAutoencoder(DESK, rng)
     opt = AdamW(model.param_dict(), 1e-3)
     cfg = TrainConfig(epochs=1, batch_size=len(items), warmup_epochs=0)
     draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
-    pamr.training._fit(model, opt, len(items), cfg, rng, draw, pack_loss, 8, [], workers=workers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+        pamr.training._fit(model, opt, len(items), cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
 
 
@@ -878,15 +960,14 @@ batch_size = 16
 warmup_epochs = 0
 """
 
-# `pamr pretrain ...` with packs 1.. on one worker, whatever the CPU count
+# `pamr pretrain ...` with every use of the pool on one worker, whatever the CPU count
 CLI_ONE_WORKER = """
 import sys
-from functools import partial
 import pamr.training
 from pamr.cli import main
 
 if __name__ == "__main__":
-    pamr.training._fit = partial(pamr.training._fit, workers=1)
+    pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -896,7 +977,6 @@ CLI_WORKER_EXITS = """
 import multiprocessing
 import os
 import sys
-from functools import partial
 import pamr.training
 from pamr.cli import main
 
@@ -911,7 +991,7 @@ def exits_in_a_worker(model, pack):
 
 if __name__ == "__main__":
     pamr.training._reconstruction_loss = exits_in_a_worker
-    pamr.training._fit = partial(pamr.training._fit, workers=1)
+    pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -919,7 +999,6 @@ if __name__ == "__main__":
 DESK_BATCH = """
 import sys
 import time
-from functools import partial
 import pamr.training as tr
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
@@ -933,7 +1012,7 @@ cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0)
 # the batch on one worker, then the worker's pid, then a long wait
 HOLDS_A_WORKER = DESK_BATCH + """
 from pamr import pool
-tr._fit = partial(tr._fit, workers=1)
+tr._auto_workers = lambda size, packs: min(1, packs - 1)
 tr.pretrain_run(clouds, desk, cfg)
 print(*(p.pid for p in pool._POOL.procs), flush=True)
 time.sleep(300)
@@ -945,11 +1024,10 @@ tr.pretrain_run(clouds, desk, cfg)
 print("pamr.pool" in sys.modules, "multiprocessing" in sys.modules)
 """
 
-# desk pretraining in batches of 32 (four packs) on more workers than CPUs,
-# against the same call in-process
+# desk pretraining in batches of 32 (four packs), then few-shot over five
+# trials, on more workers than CPUs, against the same calls in-process
 MORE_WORKERS_THAN_CPUS = """
 import os
-from functools import partial
 import pamr.training as tr
 from pamr import pool
 from pamr.config import ModelConfig, TrainConfig
@@ -958,13 +1036,16 @@ from pamr.data import ShapeSpec, gen_shapes
 desk = ModelConfig(n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2, encoder_blocks=1,
                    decoder_blocks=1, la_window=3, la_groups=4)
 kinds = ("sphere", "cube", "torus")
-clouds = gen_shapes([ShapeSpec(k, 128, 0.01, seed=s, label=0) for s in range(12) for k in kinds])
+clouds = gen_shapes([ShapeSpec(k, 128, 0.01, seed=s, label=i) for s in range(12) for i, k in enumerate(kinds)])
 cfg = TrainConfig(epochs=2, batch_size=32, warmup_epochs=1, seed=4, augment=True)
-fit, runs = tr._fit, []
+few = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, seed=4, head_hidden=(16,), n_way=2, m_shot=3,
+                  test_per_class=5, trials=5)
+runs = []
 for workers in (0, len(os.sched_getaffinity(0)) + 1):
-    tr._fit = partial(fit, workers=workers)
+    tr._auto_workers = lambda size, packs: min(workers, packs - 1)
     res = tr.pretrain_run(clouds, desk, cfg)
     runs.append([res.losses, [p.data.tobytes() for p in res.model.parameters()], res.optimizer.t])
+    runs[-1].append(tr.few_shot_eval(clouds, desk, few).per_trial)
 print(len(pool._POOL.procs), runs[0] == runs[1])
 """
 
@@ -1012,7 +1093,7 @@ class TestPackPool:
         runs = []
         for workers in (0, 1):
             opts = []
-            fit_with_workers(monkeypatch, workers, opts)
+            with_workers(monkeypatch, workers, opts)
             runs.append((format_metrics(protocol(desk_clouds(8), DESK, cfg).rows), opts[0]))
         assert pamr.pool._POOL.procs
         (rows, opt), (pool_rows, pool_opt) = runs
@@ -1045,7 +1126,7 @@ class TestPackPool:
 
     def test_a_frozen_head_batch_is_one_pack_and_never_reaches_the_pool(self, monkeypatch):
         monkeypatch.setattr(pamr.pool, "pack_pool", lambda *a: pytest.fail("the pool was loaded"))
-        fit_with_workers(monkeypatch, 1)
+        with_workers(monkeypatch, 1)
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, freeze_backbone=True, head_hidden=(16,))
         assert finetune_classify(desk_clouds(8), DESK, cfg).rows
 
@@ -1074,7 +1155,7 @@ class TestPackPool:
         assert same_bits(fit_items(items, workers=1), fit_items(items, workers=0))
 
     def test_a_workers_error_aborts_pretraining_at_the_last_completed_step(self, monkeypatch):
-        fit_with_workers(monkeypatch, 1)
+        with_workers(monkeypatch, 1)
         monkeypatch.setattr(pamr.training, "_reconstruction_loss", _fails_on_a_workers_second_pack)
         saved = []
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
@@ -1142,3 +1223,162 @@ class TestPackPool:
             proc.stderr.close()
             if group_alive(proc.pid):
                 os.killpg(proc.pid, signal.SIGKILL)
+
+
+# -- jobs on the pool ----------------------------------------------------------
+
+
+def _exits_in_a_worker_job(arg, item):
+    """A job that kills the worker process it runs in."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return item
+
+
+def _head_accuracy_and_pool_use(train_cfg, job):
+    """The few-shot head job, with every worker count this process asked
+    `_auto_workers` for while it ran, the workers it then had, and whether it
+    ran in a worker."""
+    asked, auto = [], pamr.training._auto_workers
+    pamr.training._auto_workers = lambda *a: asked.append(auto(*a)) or asked[-1]
+    try:
+        accuracy = pamr.training._head_accuracy(train_cfg, job)
+    finally:
+        pamr.training._auto_workers = auto
+    return accuracy, asked, len(pamr.pool._POOL.procs), multiprocessing.parent_process() is not None
+
+
+def mixed_desk_points() -> list[np.ndarray]:
+    """40 clouds of 128 points and 5 of 100, interleaved: five no-grad packs (12, 12, 12, 4 and 5)."""
+    rng = np.random.default_rng(3)
+    return [rng.normal(size=(100 if i % 9 == 8 else 128, 3)) for i in range(45)]
+
+
+def pyramid_bytes(pyramids: list) -> list:
+    """Every array of every pyramid, with its dtype and shape."""
+    fields = ("points", "sample_idx", "neighbors", "offsets")
+    return [[(a.dtype.str, a.shape, a.tobytes()) for a in getattr(p, f)] for p in pyramids for f in fields]
+
+
+def bad_chunks(bad: dict[int, str]) -> list:
+    """Seven chunks of two desk clouds each. Chunk j in `bad` fails: "small"
+    cuts its clouds to 20 + j points (a ConfigError that names the count),
+    "nan" makes its points NaN (a ShapeError)."""
+    points = [c.points for c in desk_clouds(4)]
+    chunks = [points[2 * j : 2 * j + 2] for j in range(7)]
+    for j, fault in bad.items():
+        chunks[j] = [p[: 20 + j] if fault == "small" else p * np.nan for p in chunks[j]]
+    return chunks
+
+
+DESK_FEW_SHOT_CFG = TrainConfig(
+    epochs=3, batch_size=4, base_lr=5e-3, warmup_epochs=1, seed=4, augment=False, head_hidden=(16,),
+    n_way=2, m_shot=3, trials=5, test_per_class=5,
+)
+
+
+@pytest.fixture
+def many_workers():
+    """More workers than CPUs; the pool is closed after the test."""
+    yield len(os.sched_getaffinity(0)) + 1
+    pamr.pool._POOL.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool sizes itself by CPU affinity")
+class TestJobPool:
+    """Pyramid builds, encodes and few-shot head fits on worker processes:
+    the in-process bits at any worker count, errors that cross unchanged,
+    and no pool inside a worker."""
+
+    def test_pyramids_are_the_in_process_ones_at_any_worker_count(self, many_workers, monkeypatch):
+        points = mixed_desk_points()
+        runs = []
+        for workers in (0, 1, many_workers):
+            with_workers(monkeypatch, workers)
+            runs.append(pyramid_bytes(cloud_pyramids(points, DESK)))
+        assert len(pamr.pool._POOL.procs) == min(many_workers, 4)  # five packs: one here, the others on workers
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_pooled_features_are_the_in_process_ones_at_any_worker_count(self, many_workers, monkeypatch):
+        pyramids = [_oracles.pyramid_of(p, DESK) for p in mixed_desk_points()]
+        clf = CloudClassifier(DESK, 3, (16,), np.random.default_rng(1))
+        runs = []
+        for workers in (0, 1, many_workers):
+            with_workers(monkeypatch, workers)
+            runs.append(pooled_features(clf, pyramids).tobytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("weights", ["full", "partial", "none"])
+    def test_few_shot_is_the_in_process_result_at_any_worker_count(self, weights, many_workers, monkeypatch):
+        """Desk clouds, 16 per trial (two no-grad packs), five trials: every
+        head job (its head, features, labels and epoch orders) and every
+        accuracy is bitwise the in-process one."""
+        clouds = desk_clouds(8)
+        pretrained = None
+        if weights != "none":
+            cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=2, augment=False)
+            pretrained = {name: p.data for name, p in pretrain_run(clouds, DESK, cfg).model.named_parameters()}
+        if weights == "partial":
+            del pretrained["encoder.stages.0.0.fc1.weight"]
+        spread, runs = pamr.training._spread, []
+
+        def spread_spy(size, fn, arg, items):
+            if fn is pamr.training._head_accuracy:
+                for head, *arrays in items:
+                    jobs.append([p.data.tobytes() for layer in head for p in layer.parameters()])
+                    jobs.append([a.tobytes() for a in arrays[:-1]] + [o.tobytes() for o in arrays[-1]])
+            return spread(size, fn, arg, items)
+
+        monkeypatch.setattr(pamr.training, "_spread", spread_spy)
+        for workers in (0, 1, many_workers):
+            jobs = []
+            with_workers(monkeypatch, workers)
+            runs.append((few_shot_eval(clouds, DESK, DESK_FEW_SHOT_CFG, pretrained).per_trial, jobs))
+        assert len(runs[0][1]) == 2 * DESK_FEW_SHOT_CFG.trials
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{4: "nan"}, {2: "small", 4: "small"}, {3: "nan", 5: "small"}, {1: "small", 3: "small"}, {0: "nan", 1: "small"}],
+        ids=["a worker's", "two workers'", "here before a worker's", "a worker's before here", "here first"],
+    )
+    def test_a_jobs_error_crosses_unchanged_and_the_earliest_item_wins(self, bad):
+        """Seven pyramid-build jobs on two workers and here (items 0, 3, 6
+        here, 1 and 4 on one worker, 2 and 5 on the other). A real error
+        raised in any job is raised here as the same class with the same
+        message, the earliest item's, after every reply is read; the next
+        call gives the in-process bits."""
+        build = pamr.training._build_stack
+        chunks = bad_chunks(bad)
+        want = failure(lambda: [build(DESK, chunk) for chunk in chunks])
+        assert want[0] is (ConfigError if min(bad.items())[1] == "small" else ShapeError)
+        assert failure(lambda: pamr.pool.run_jobs(2, build, DESK, chunks)) == want
+        assert not any(conn.poll() for conn in pamr.pool._POOL.conns)  # no reply is left unread
+        clean = bad_chunks({})
+        got = pamr.pool.run_jobs(2, build, DESK, clean)
+        assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
+
+    def test_a_worker_that_dies_mid_job_is_a_worker_error_and_the_pool_restarts(self):
+        with pytest.raises(WorkerError, match="^a worker exited before it returned its job$"):
+            pamr.pool.run_jobs(1, _exits_in_a_worker_job, None, [0, 1, 2, 3])
+        assert pamr.pool._POOL.procs == []
+        build, clean = pamr.training._build_stack, bad_chunks({})
+        got = pamr.pool.run_jobs(1, build, DESK, clean)
+        assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
+
+    def test_a_head_fit_in_a_worker_starts_no_pool_of_its_own(self):
+        """Two head jobs, each fit over three batches an epoch: the second
+        runs in a worker, which asks for no worker of its own and starts none."""
+        rng = np.random.default_rng(2)
+        cfg = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, head_hidden=(16,))
+
+        def job():
+            head = CloudClassifier(DESK, 2, (16,), rng).head
+            orders = [rng.permutation(12) for _ in range(cfg.epochs)]
+            return head, rng.normal(size=(12, 64)), np.arange(12) % 2, rng.normal(size=(6, 64)), np.arange(6) % 2, orders
+
+        jobs = [job(), job()]
+        here, there = pamr.pool.run_jobs(1, _head_accuracy_and_pool_use, cfg, jobs)
+        assert here[1:] == ([0], len(pamr.pool._POOL.procs), False)
+        assert there[1:] == ([0], 0, True)
+        assert there[0] == pamr.training._head_accuracy(cfg, jobs[1])  # its head is still untrained here
