@@ -528,24 +528,25 @@ def few_shot_eval(
 
     The trials run in waves of `_auto_workers` + 1. A wave first makes every
     draw of its trials, trial by trial: the class choice, a shuffle of each
-    chosen class, the classifier init and the head fit's epoch orders. No draw depends on a
-    computed value, so these are the draws of one trial at a time. It then
-    builds and encodes its clouds, and fits each trial's head as one job
-    (`_spread`): its first trial here, the others in `pamr.pool`'s workers.
+    chosen class, the classifier init and the head fit's epoch orders. No
+    draw depends on a computed value, so these are the draws of one trial at
+    a time. It then builds and encodes its clouds, and fits each trial's
+    head as one job (`_spread`): its first trial here, the others in
+    `pamr.pool`'s workers.
 
     Each drawn cloud's pyramid is built once per call. When `pretrained`
     covers every encoder parameter, each trial's encoder is the same, so
     each cloud is encoded at most once per call and its features are reused
     by later trials. Otherwise the encoder keeps some of its per-trial random
     init and every trial encodes its own clouds."""
-    n, m, k = train_cfg.n_way, train_cfg.m_shot, train_cfg.test_per_class
+    n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):
         if c.label is None:
             raise ConfigError("few-shot needs a label on every cloud")
         per_class.setdefault(c.label, []).append(i)
     _check_point_counts([c.points for c in clouds], model_cfg)
-    need = m + k
+    need = m + train_cfg.test_per_class
     eligible = [cls for cls, idx in per_class.items() if len(idx) >= need]
     if len(eligible) < n:
         raise ConfigError(

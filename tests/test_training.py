@@ -564,12 +564,12 @@ class TestFinetune:
         with_workers(monkeypatch, 0)  # the spies see the packs of this process only
         fit, logits, step = pamr.training._fit, CloudClassifier.logits, AdamW.step
 
-        def fit_spy(model, opt, n, cfg, rng, draw, *rest):
+        def fit_spy(model, opt, n, cfg, orders, draw, *rest):
             def draw_spy(batch):
                 batches.append(batch)
                 return draw(batch)
 
-            return fit(model, opt, n, cfg, rng, draw_spy, *rest)
+            return fit(model, opt, n, cfg, orders, draw_spy, *rest)
 
         def logits_spy(clf, pyramid):
             packs.append(pyramid.offsets[0].size - 1)
@@ -1235,6 +1235,11 @@ def _exits_in_a_worker_job(arg, item):
     return item
 
 
+def _in_a_worker(arg, item) -> bool:
+    """A job that says whether it ran in a worker process."""
+    return multiprocessing.parent_process() is not None
+
+
 def _head_accuracy_and_pool_use(train_cfg, job):
     """The few-shot head job, with every worker count this process asked
     `_auto_workers` for while it ran, the workers it then had, and whether it
@@ -1339,7 +1344,10 @@ class TestJobPool:
 
     @pytest.mark.parametrize(
         "bad",
-        [{4: "nan"}, {2: "small", 4: "small"}, {3: "nan", 5: "small"}, {1: "small", 3: "small"}, {0: "nan", 1: "small"}],
+        [
+            {4: "nan"}, {2: "small", 4: "small"}, {3: "nan", 5: "small"}, {1: "small", 3: "small"},
+            {0: "nan", 1: "small"},
+        ],
         ids=["a worker's", "two workers'", "here before a worker's", "a worker's before here", "here first"],
     )
     def test_a_jobs_error_crosses_unchanged_and_the_earliest_item_wins(self, bad):
@@ -1366,6 +1374,11 @@ class TestJobPool:
         got = pamr.pool.run_jobs(1, build, DESK, clean)
         assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
 
+    def test_a_call_runs_every_job_here_while_another_holds_the_pool(self):
+        assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False, True, False, True]
+        with pamr.pool._POOL.lock:
+            assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False] * 4
+
     def test_a_head_fit_in_a_worker_starts_no_pool_of_its_own(self):
         """Two head jobs, each fit over three batches an epoch: the second
         runs in a worker, which asks for no worker of its own and starts none."""
@@ -1375,7 +1388,8 @@ class TestJobPool:
         def job():
             head = CloudClassifier(DESK, 2, (16,), rng).head
             orders = [rng.permutation(12) for _ in range(cfg.epochs)]
-            return head, rng.normal(size=(12, 64)), np.arange(12) % 2, rng.normal(size=(6, 64)), np.arange(6) % 2, orders
+            train, test = rng.normal(size=(12, 64)), rng.normal(size=(6, 64))
+            return head, train, np.arange(12) % 2, test, np.arange(6) % 2, orders
 
         jobs = [job(), job()]
         here, there = pamr.pool.run_jobs(1, _head_accuracy_and_pool_use, cfg, jobs)
