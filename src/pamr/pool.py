@@ -5,9 +5,9 @@ copy of the model: that copy's leaf gradients are the pack's gradient, which
 the caller adds to its own leaves in pack order by backward()'s rule
 (`pack_pool`, for `training._fit`). A job is `fn(arg, item)` for one item of
 a list, such as a pyramid build, a no-grad encode or a few-shot head fit; it
-reads nothing else and returns its value (`run_jobs`). The pool is imported,
-and its workers started, only when a call first runs on more than one
-process.
+reads nothing else and returns its value (`run_jobs`). The pool is imported
+only when a call could run on more than one process, and its workers start
+only when one first does.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from .errors import PamrError, WorkerError
 from .training import _back_pack
 
-__all__ = ["pack_pool", "run_jobs"]
+__all__ = ["pack_pool", "run_jobs", "started"]
 
 
 @functools.cache
@@ -122,12 +122,12 @@ class _PackPool:
         except PamrError:
             pass
 
-    def _io(self, fn, *args, what: str = "a training worker exited before it returned its pack"):
+    def _io(self, fn, *args):
         try:
             return fn(*args)
         except (EOFError, OSError):
             self.close()
-            raise WorkerError(what) from None
+            raise WorkerError("a pool worker exited before it returned its work") from None
 
     def close(self) -> None:
         """Close every pipe, so each worker reads EOF and exits, then reap them."""
@@ -184,6 +184,11 @@ def pack_pool(workers: int, model, pack_loss, names: list[str]):
         yield pool
 
 
+def started() -> bool:
+    """Whether this process's pool has workers running."""
+    return bool(_POOL.conns)
+
+
 def run_jobs(workers: int, fn, arg, items: list) -> list:
     """[fn(arg, item) for item in items] on this process and up to `workers`
     workers: item j runs here when j % (w + 1) == 0 and on worker
@@ -194,9 +199,9 @@ def run_jobs(workers: int, fn, arg, items: list) -> list:
     While another thread's call holds the pool, every item runs here."""
     with _held(workers) as pool:
         used = pool.conns[: min(workers, len(items) - 1)] if pool else []
-        slots, lost = len(used) + 1, "a worker exited before it returned its job"
+        slots = len(used) + 1
         for w, conn in enumerate(used):
-            pool._io(conn.send, ("jobs", fn, arg, items[w + 1 :: slots]), what=lost)
+            pool._io(conn.send, ("jobs", fn, arg, items[w + 1 :: slots]))
         results: list = [None] * len(items)
         try:
             for j in range(0, len(items), slots):
@@ -206,7 +211,7 @@ def run_jobs(workers: int, fn, arg, items: list) -> list:
         finally:  # read every reply, so the pool stays in step
             for w, conn in enumerate(used):
                 for j in range(w + 1, len(items), slots):
-                    results[j] = pool._io(conn.recv, what=lost)
+                    results[j] = pool._io(conn.recv)
         return _raise_first(results)
 
 

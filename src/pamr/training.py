@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -255,17 +256,34 @@ def _auto_workers(size: int, packs: int) -> int:
     return min(len(os.sched_getaffinity(0)) - 1, packs - 1)
 
 
+# Starting the pool (a forkserver and a worker, and their exit) costs a
+# process about 0.16 s of wall time on a 2-vCPU host. `_spread` starts it
+# only once the process has run this much work it could have spread, unless
+# a training call already has: a one-shot desk command (under 0.2 s of such
+# work) never starts one, and no process loses more than a sixth of the
+# work it ran before the start.
+_SPREAD_AFTER_S = 1.0
+_unspread_s = 0.0  # the work this process ran in `_spread` instead of spreading it
+
+
 def _spread(size: int, fn, arg, items: list) -> list:
     """[fn(arg, item) for item in items], in order: `fn` is a module-level
     function of `arg` and one item, which reads nothing else, so the items
     can run on `_auto_workers(size, len(items))` workers of `pamr.pool`
-    besides this process (`pool.run_jobs`) with the same results."""
+    besides this process (`pool.run_jobs`) with the same results, once the
+    pool runs or the work has paid for its start."""
+    global _unspread_s
     workers = _auto_workers(size, len(items)) if len(items) > 1 else 0
-    if not workers:
-        return [fn(arg, item) for item in items]
-    from .pool import run_jobs
+    if workers:
+        from . import pool
 
-    return run_jobs(workers, fn, arg, items)
+        if pool.started() or _unspread_s >= _SPREAD_AFTER_S:
+            return pool.run_jobs(workers, fn, arg, items)
+    start = time.perf_counter()
+    results = [fn(arg, item) for item in items]
+    if workers:
+        _unspread_s += time.perf_counter() - start
+    return results
 
 
 # The jobs `_spread` hands out: module-level, so a call can send them by name.
@@ -573,6 +591,8 @@ def few_shot_eval(
         return train_set, test_set, labels, clf, own, orders
 
     size = pack_size(model_cfg, NO_GRAD_BUDGET)
+    # a wave holds a whole classifier (encoder included) per trial, so a
+    # default-config run, whose no-grad pack is one cloud, keeps one at a time
     wave = _auto_workers(size, train_cfg.trials) + 1
     accs: list[float] = []
     feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row

@@ -25,6 +25,7 @@ def test_outputs_match_golden_digests(tmp_path):
 def test_outputs_match_golden_digests_at_a_fixed_worker_count(workers, tmp_path, monkeypatch):
     """Every use of the pool on `workers` worker processes, whatever the CPU
     count: packs 1.. of every multi-pack batch, pyramid builds, encodes and
-    few-shot head fits."""
+    few-shot head fits, the jobs from the first call on."""
     monkeypatch.setattr(pamr.training, "_auto_workers", lambda size, packs: min(workers, packs - 1))
+    monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 0.0)
     check_golden(tmp_path)

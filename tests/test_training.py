@@ -80,9 +80,10 @@ def fixed_workers(workers: int):
 def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
     """Run every use of the pool on `workers` worker processes (0: all in
     this process): packs 1.. of every training batch, pyramid builds,
-    encodes and few-shot head fits. Record each training call's optimizer
-    in `opts`."""
+    encodes and few-shot head fits, the jobs from the first call on. Record
+    each training call's optimizer in `opts`."""
     monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+    monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 0.0)
     if opts is not None:
         monkeypatch.setattr(pamr.training, "_fit", lambda model, opt, *a: opts.append(opt) or _FIT(model, opt, *a))
 
@@ -1041,6 +1042,7 @@ cfg = TrainConfig(epochs=2, batch_size=32, warmup_epochs=1, seed=4, augment=True
 few = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, seed=4, head_hidden=(16,), n_way=2, m_shot=3,
                   test_per_class=5, trials=5)
 runs = []
+tr._SPREAD_AFTER_S = 0.0
 for workers in (0, len(os.sched_getaffinity(0)) + 1):
     tr._auto_workers = lambda size, packs: min(workers, packs - 1)
     res = tr.pretrain_run(clouds, desk, cfg)
@@ -1149,7 +1151,7 @@ class TestPackPool:
 
     def test_a_worker_that_dies_is_a_worker_error_and_the_pool_restarts(self):
         items = desk_items({})
-        with pytest.raises(WorkerError, match="^a training worker exited before it returned its pack$"):
+        with pytest.raises(WorkerError, match="^a pool worker exited before it returned its work$"):
             fit_items(items, workers=1, pack_loss=_exits_in_a_worker)
         assert pamr.pool._POOL.procs == []
         assert same_bits(fit_items(items, workers=1), fit_items(items, workers=0))
@@ -1182,7 +1184,7 @@ class TestPackPool:
             env=src_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: a training worker exited before it returned its pack\n"
+        assert proc.stderr == "error: a pool worker exited before it returned its work\n"
         assert "Traceback" not in proc.stdout
         assert (out / "model_aborted.ckpt").is_file()
 
@@ -1237,6 +1239,12 @@ def _exits_in_a_worker_job(arg, item):
 
 def _in_a_worker(arg, item) -> bool:
     """A job that says whether it ran in a worker process."""
+    return multiprocessing.parent_process() is not None
+
+
+def _in_a_worker_after(seconds, item) -> bool:
+    """A job that sleeps `seconds`, then says whether it ran in a worker process."""
+    time.sleep(seconds)
     return multiprocessing.parent_process() is not None
 
 
@@ -1367,7 +1375,7 @@ class TestJobPool:
         assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
 
     def test_a_worker_that_dies_mid_job_is_a_worker_error_and_the_pool_restarts(self):
-        with pytest.raises(WorkerError, match="^a worker exited before it returned its job$"):
+        with pytest.raises(WorkerError, match="^a pool worker exited before it returned its work$"):
             pamr.pool.run_jobs(1, _exits_in_a_worker_job, None, [0, 1, 2, 3])
         assert pamr.pool._POOL.procs == []
         build, clean = pamr.training._build_stack, bad_chunks({})
@@ -1378,6 +1386,30 @@ class TestJobPool:
         assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False, True, False, True]
         with pamr.pool._POOL.lock:
             assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False] * 4
+
+    def test_jobs_run_here_until_their_time_pays_for_the_pool(self, monkeypatch):
+        """While the pool is down, `_spread` runs its jobs here and adds up
+        their time; once that reaches `_SPREAD_AFTER_S` it starts the pool.
+        A running pool is used at once. Work that could not spread, one item
+        or no worker, adds nothing."""
+        spread = pamr.training._spread
+        pamr.pool._POOL.close()
+        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 0.05)
+        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
+        assert spread(2, _in_a_worker_after, 0.01, [0]) == [False]
+        assert pamr.training._unspread_s == 0.0
+        assert spread(2, _in_a_worker_after, 0.03, range(2)) == [False, False]
+        assert pamr.training._unspread_s >= 0.05 and not pamr.pool.started()
+        assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
+        assert pamr.pool.started()
+        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", float("inf"))
+        assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
+        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(0))
+        pamr.pool._POOL.close()
+        assert spread(2, _in_a_worker_after, 0.01, range(2)) == [False, False]
+        assert pamr.training._unspread_s == 0.0 and not pamr.pool.started()
 
     def test_a_head_fit_in_a_worker_starts_no_pool_of_its_own(self):
         """Two head jobs, each fit over three batches an epoch: the second
