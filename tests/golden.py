@@ -15,7 +15,8 @@ two point counts, so pyramids are built both in stacks and alone. The quick
 config also pretrains with `zero_scale_head = true`, and the desk config
 pretrains at batch size 12 (packs of 8 and 4) and fits a frozen head at
 batch size 7, and runs few-shot (30 test clouds a trial) on a two-block
-encoder whose checkpoint covers only the first block. One forward and
+encoder whose checkpoint covers only the first block, and once more on
+its own checkpoint with heads trained long enough to move. One forward and
 backward of the default config pins its loss and gradients. Digests hold
 on one software and hardware stack only; the file records it, and the test
 skips on another.
@@ -220,6 +221,17 @@ def run_matrix(root: Path) -> dict[str, str]:
                                  desk / "fs_partial", "--checkpoint", desk / "pre_off" / "model.ckpt",
                                  "--allow-mismatch"])
     collect("desk/fs_partial", desk / "fs_partial")
+    # heads that move: at the shared `epochs = 3` and `base_lr = 0.001` every
+    # desk trial scores 0.5, which would pin next to nothing of the head fits
+    moving = desk / "fs_moving.cfg"
+    text = (desk / "augment_off.cfg").read_text()
+    for old, new in (("epochs = 3", "epochs = 20"), ("base_lr = 0.001", "base_lr = 0.02"),
+                     ("test_per_class = 2", "test_per_class = 6")):
+        text = text.replace(old, new)
+    moving.write_text(text)
+    run("desk/fewshot-moving", ["fewshot", "--config", moving, "--data", desk / "data", "--out",
+                                desk / "fs_moving", "--checkpoint", desk / "pre_off" / "model.ckpt"])
+    collect("desk/fs_moving", desk / "fs_moving")
     run("quick/ablate", ["ablate", "--axis", "la-branches", "--config", quick / "augment_off.cfg", "--data",
                          quick / "data", "--out", quick / "ablate.csv"])
     digests["quick/ablate.csv"] = _sha((quick / "ablate.csv").read_bytes())
