@@ -42,9 +42,8 @@ class LocalAttentionGate(Module):
     Each branch pools over the trailing (neighbor) axis, convolves the
     resulting C-vector across channels with a window of odd size, group
     normalizes, and squashes through a sigmoid. The branch gates are summed,
-    so the total gate lies in (0, 2). Branches can be disabled individually;
-    with both off the output is identically zero (callers that want "module
-    removed" semantics bypass the module instead).
+    so the total gate lies in (0, 2). Either branch can be disabled, not
+    both (a ConfigError): a model without the gate bypasses the module.
     """
 
     def __init__(
@@ -59,6 +58,8 @@ class LocalAttentionGate(Module):
             raise ConfigError(f"window size must be odd and positive, got {window}")
         if groups < 1 or channels % groups != 0:
             raise ConfigError(f"{groups} groups do not divide {channels} channels")
+        if not (avg_branch or max_branch):
+            raise ConfigError("the gate needs its average or its max branch")
         self.channels = channels
         self.groups = groups
         self.avg_branch = bool(avg_branch)
@@ -91,8 +92,6 @@ class LocalAttentionGate(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         wx, wy = self.gates(x)
-        if wx is None and wy is None:
-            return T.mul(x, 0.0)
         gate = wx if wy is None else wy if wx is None else T.add(wx, wy)
         return T.mul(x, gate)
 

@@ -1,26 +1,24 @@
-"""Worker processes that run training packs and stateless jobs.
+"""Worker processes that run jobs.
 
-A batch's packs share no graph, so a worker can back a pack into its own
-copy of the model: that copy's leaf gradients are the pack's gradient, which
-the caller adds to its own leaves in pack order by backward()'s rule
-(`pack_pool`, for `training._fit`). A job is `fn(arg, item)` for one item of
-a list, such as a pyramid build, a no-grad encode or a few-shot head fit; it
-reads nothing else and returns its value (`run_jobs`). The pool is imported
-only when a call could run on more than one process, and its workers start
-only when one first does.
+A job is `fn(arg, item)` for one item of a list: a pyramid build, a no-grad
+encode, a few-shot head fit or a training pack's gradient. It reads nothing
+but `arg` and its item and returns its value, so it gives the same value on
+any process. A call's `Session` sends each worker `fn` and `arg` once, on that
+worker's first use, and then lists of items. The pool is imported only when
+a call could run on more than one process, and its workers start only when
+one first does.
 """
 from __future__ import annotations
 
 import atexit
 import functools
+import itertools
 import os
 import threading
-from contextlib import contextmanager
 
 from .errors import PamrError, WorkerError
-from .training import _back_pack
 
-__all__ = ["pack_pool", "run_jobs", "started"]
+__all__ = ["Session", "started"]
 
 
 @functools.cache
@@ -60,27 +58,20 @@ def _set_blas_threads(n: int) -> int | None:
     return old
 
 
-class _PackPool:
-    """Worker processes that back packs into their own copy of a model, or
-    run jobs.
+class _Pool:
+    """Worker processes that run the jobs of one session at a time.
 
     Workers start on first use and serve every later call of the process, so
-    repeated calls pay the start-up once. A call sends its model once; a step
-    sends the parameters once per worker, and its packs round-robin. Replies
-    come back in pack order. A worker's PamrError comes back as its reply and
-    is raised after every reply of the step is read, so the pool stays in
+    repeated calls pay the start-up once. Each remembers the session whose
+    `fn` and `arg` it holds. A worker's PamrError comes back as its reply and
+    is raised after every reply of the run is read, so the pool stays in
     step; a worker that dies is a WorkerError, and the pool closes."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.procs: list = []
         self.conns: list = []
-
-    def load(self, workers: int, model, pack_loss, names: list[str]) -> None:
-        """Send the first `workers` workers the model, the pack loss and the
-        names of the parameters to train."""
-        for conn in self.conns[:workers]:
-            self._io(conn.send, ("model", model, pack_loss, names))
+        self.keys: list = []  # per worker, the key of the session it holds
 
     def grow(self, workers: int) -> None:
         """Start workers until there are `workers`."""
@@ -96,31 +87,36 @@ class _PackPool:
             atexit.register(self.close)
         while len(self.conns) < workers:
             here, there = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(there,), name="pamr-pack-worker", daemon=True)
+            proc = ctx.Process(target=_serve, args=(there,), name="pamr-pool-worker", daemon=True)
             proc.start()
             there.close()  # the worker holds the only other end: its death reads as EOF here
             self.procs.append(proc)
             self.conns.append(here)
+            self.keys.append(None)
 
-    def send(self, workers: int, arrays: list, packs: list, shares: list) -> list:
-        """Hand `packs` with their batch shares round-robin to the first
-        `workers` workers, each with the parameter `arrays`; returns the pipe
-        each pack's reply comes on, in pack order."""
-        used = self.conns[: min(workers, len(packs))]
-        for w, conn in enumerate(used):
-            self._io(conn.send, ("step", arrays, list(zip(packs[w :: len(used)], shares[w :: len(used)]))))
-        return [used[j % len(used)] for j in range(len(packs))]
+    def send(self, w: int, session: Session, items: list) -> None:
+        """Hand worker `w` items of `session`, with its `fn` and `arg` unless it holds them."""
+        job = None if self.keys[w] == session.key else session.job
+        self._io(self.conns[w].send, (job, items))
+        self.keys[w] = session.key
 
-    def gather(self, sent: list) -> list:
-        """(loss value, hits, leaf gradients) of each pack sent, in pack order."""
-        return _raise_first([self._io(conn.recv) for conn in sent])
-
-    def discard(self, sent: list) -> None:
-        """Read and drop the replies of the packs sent."""
+    def run(self, session: Session, items: list, here) -> list:
+        """`session.run` on `used` workers (at least one): the first
+        ceil(n / (used + 1)) items here, the rest round-robin on the workers."""
+        used = min(session.workers, len(items) - 1)
+        self.grow(used)
+        mine = -(-len(items) // (used + 1))
+        for w in range(used):
+            self.send(w, session, items[mine + w :: used])
+        results: list = []
         try:
-            self.gather(sent)
-        except PamrError:
-            pass
+            for item in items[:mine]:
+                results.append(here(item))
+        except PamrError as e:
+            results.append(e)  # the items after it here cannot be earlier failures
+        finally:  # read every reply, so the pool stays in step
+            results += [self._io(self.conns[(j - mine) % used].recv) for j in range(mine, len(items))]
+        return _raise_first(results)
 
     def _io(self, fn, *args):
         try:
@@ -139,11 +135,12 @@ class _PackPool:
                 proc.kill()
                 proc.join()
             proc.close()
-        self.procs, self.conns = [], []
+        self.procs, self.conns, self.keys = [], [], []
         atexit.unregister(self.close)
 
 
-_POOL = _PackPool()  # one per process, so that repeated calls reuse its workers
+_POOL = _Pool()  # one per process, so that repeated calls reuse its workers
+_KEYS = itertools.count()
 
 
 def _raise_first(replies: list) -> list:
@@ -154,34 +151,32 @@ def _raise_first(replies: list) -> list:
     return replies
 
 
-@contextmanager
-def _held(workers: int):
-    """The process's pool with at least `workers` workers, or None while
-    another thread's call holds it (in-process gives the same bits). Until
-    the call ends, this process runs BLAS on one thread: the workers fill the
-    other CPUs, and its BLAS threads would only contend with them."""
-    if not _POOL.lock.acquire(blocking=False):
-        yield None
-        return
-    threads = _set_blas_threads(1)
-    try:
-        _POOL.grow(workers)
-        yield _POOL
-    finally:
-        _POOL.lock.release()
-        if threads is not None:
-            _set_blas_threads(threads)
+class Session:
+    """One call's jobs `fn(arg, item)` on up to `workers` workers. `fn` must
+    be a module-level function; each worker is sent `fn` and `arg` once, on
+    its first use by this session, however many runs follow."""
 
+    def __init__(self, workers: int, fn, arg):
+        self.workers, self.job, self.key = workers, (fn, arg), next(_KEYS)
 
-@contextmanager
-def pack_pool(workers: int, model, pack_loss, names: list[str]):
-    """The process's pool, its first `workers` workers loaded with `model`,
-    `pack_loss` and the names of the parameters to train; or None while
-    another thread's call holds it."""
-    with _held(workers) as pool:
-        if pool is not None:
-            pool.load(workers, model, pack_loss, names)
-        yield pool
+    def run(self, items: list, here) -> list:
+        """[fn(arg, item) for item in items], where this process runs its
+        share, the first ceil(n / (w + 1)) items for the w workers used,
+        through `here(item)` instead; a worker runs fn(arg, item). The
+        replies are read in item order. A PamrError of any item is raised
+        after every reply is read, the earliest item's first. While another
+        thread's run holds the pool, or for one item, every item runs here.
+        Until the run ends, this process runs BLAS on one thread: the workers
+        fill the other CPUs, and its BLAS threads would only contend with them."""
+        if len(items) < 2 or not _POOL.lock.acquire(blocking=False):
+            return [here(item) for item in items]
+        threads = _set_blas_threads(1)
+        try:
+            return _POOL.run(self, items, here)
+        finally:
+            _POOL.lock.release()
+            if threads is not None:
+                _set_blas_threads(threads)
 
 
 def started() -> bool:
@@ -189,73 +184,27 @@ def started() -> bool:
     return bool(_POOL.conns)
 
 
-def run_jobs(workers: int, fn, arg, items: list) -> list:
-    """[fn(arg, item) for item in items] on this process and up to `workers`
-    workers: item j runs here when j % (w + 1) == 0 and on worker
-    j % (w + 1) - 1 otherwise, for the w workers used. `fn` must be a
-    module-level function; each worker used is sent `arg` once and its items.
-    A PamrError of any item is raised after every reply is read, the earliest
-    item's first; a worker that dies is a WorkerError, and the pool closes.
-    While another thread's call holds the pool, every item runs here."""
-    with _held(workers) as pool:
-        used = pool.conns[: min(workers, len(items) - 1)] if pool else []
-        slots = len(used) + 1
-        for w, conn in enumerate(used):
-            pool._io(conn.send, ("jobs", fn, arg, items[w + 1 :: slots]))
-        results: list = [None] * len(items)
-        try:
-            for j in range(0, len(items), slots):
-                results[j] = fn(arg, items[j])
-        except PamrError as e:
-            results[j] = e  # the items after it here cannot be earlier failures
-        finally:  # read every reply, so the pool stays in step
-            for w, conn in enumerate(used):
-                for j in range(w + 1, len(items), slots):
-                    results[j] = pool._io(conn.recv)
-        return _raise_first(results)
-
-
 def _serve(conn) -> None:
-    """A pool worker: load each call's model, then per step the parameters,
-    and back each pack into this copy alone; or run a call's jobs. Exits when
-    the parent's end closes, the parent's exit included."""
+    """A pool worker: per message, keep the `fn` and `arg` it brings, if any,
+    and reply fn(arg, item) for each of its items. Exits when the parent's
+    end closes, the parent's exit included."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; EOF ends this loop
     _set_blas_threads(1)  # each worker has a CPU of its own
     while True:
         try:
-            message = conn.recv()
+            job, items = conn.recv()
         except (EOFError, OSError):
             return
-        if message[0] == "model":
-            _, model, pack_loss, names = message
-            params = model.param_dict()
-            leaves = [params[name] for name in names]
-            continue
-        if message[0] == "jobs":
-            _, fn, arg, items = message
-            runs = [functools.partial(fn, arg, item) for item in items]
-        else:
-            _, arrays, jobs = message
-            for p, a in zip(leaves, arrays):
-                p.data = a
-            runs = [functools.partial(_back_in_copy, model, pack_loss, leaves, *job) for job in jobs]
-        for run in runs:
+        if job is not None:
+            fn, arg = job
+        for item in items:
             try:
-                reply = run()
+                reply = fn(arg, item)
             except PamrError as e:
                 reply = e
             try:
                 conn.send(reply)
             except OSError:  # the parent is gone
                 return
-
-
-def _back_in_copy(model, pack_loss, leaves: list, pack: list, share: float) -> tuple:
-    """One pack backed into this process's model copy alone: its loss value,
-    its hits and each leaf's gradient (None: no gradient reached it)."""
-    for p in leaves:
-        p.zero_grad()
-    value, hit = _back_pack(model, pack_loss, pack, share)
-    return value, hit, [p._grad for p in leaves]

@@ -6,10 +6,10 @@ so a rerun with the same config reproduces the loss series bitwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,47 +192,40 @@ def _fit(
     optimizer step follows and appends a MetricsRow, so the step number is
     `len(rows)`.
 
-    Pack 0 runs here; packs 1.. run in `_auto_workers` worker processes (see
-    `pamr.pool`), each backing its pack into its own copy of `model`. Their
-    losses, hits and leaf gradients are then added here in pack order by
-    backward()'s own rule. Every parameter takes one gradient per graph, so
-    each pack adds the same array either way, and every output is bitwise
-    the same at any worker count."""
-    workers = _auto_workers(size, -(-min(cfg.batch_size, n) // size))
-    if workers:
-        from .pool import pack_pool  # here: a run that starts no worker never loads the pool
-    with pack_pool(workers, model, pack_loss, list(opt.params)) if workers else nullcontext() as pool:
-        leaves = list(opt.params.values())
-        for epoch, order in enumerate(orders):
-            opt.lr = lr_at(epoch, cfg)
-            for lo in range(0, n, cfg.batch_size):
-                drawn = draw(order[lo : lo + cfg.batch_size])
-                opt.zero_grad()
-                packs = [drawn[p : p + size] for p in range(0, len(drawn), size)]
-                shares = [len(pack) / len(drawn) for pack in packs]
-                sent = pool.send(workers, [p.data for p in leaves], packs[1:], shares[1:]) if pool else []
-                results = []  # (loss value, hits) per pack, in pack order
-                try:
-                    for pack, share in zip(packs[: len(packs) - len(sent)], shares):
-                        results.append(_back_pack(model, pack_loss, pack, share))
-                except BaseException:
-                    if sent:
-                        pool.discard(sent)
-                    raise
-                for value, hit, grads in pool.gather(sent) if sent else []:
-                    for p, g in zip(leaves, grads):
-                        if g is not None:
-                            p.accumulate_grad(g)
-                    results.append((value, hit))
-                total = 0.0
-                for pack, (value, _) in zip(packs, results):
-                    total += value * len(pack)
-                opt.step()
-                hits = [hit for _, hit in results]
-                acc = None if hits[0] is None else float(np.mean(np.concatenate(hits)))
-                rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, total / len(drawn), acc))
-            if on_epoch_end is not None:
-                on_epoch_end(epoch)
+    The packs spread over the pool as jobs do (`_spreader`): the leading
+    packs are backed here, the others in workers (`_pack_gradient`), each
+    into its own copy of `model`, sent once per call. Their leaf gradients
+    are then added here in pack order by backward()'s own rule. Every
+    parameter takes one gradient per graph, so each pack adds the same array
+    either way, and every output is bitwise the same at any worker count."""
+    leaves = list(opt.params.values())
+    packs_per_batch = -(-min(cfg.batch_size, n) // size)
+    spread = _spreader(size, packs_per_batch, _pack_gradient, (model, pack_loss, leaves))
+
+    def here(item: tuple) -> tuple:
+        _, pack, share = item
+        return (*_back_pack(model, pack_loss, pack, share), None)
+
+    for epoch, order in enumerate(orders):
+        opt.lr = lr_at(epoch, cfg)
+        for lo in range(0, n, cfg.batch_size):
+            drawn = draw(order[lo : lo + cfg.batch_size])
+            opt.zero_grad()
+            arrays = [p.data for p in leaves]
+            packs = [drawn[p : p + size] for p in range(0, len(drawn), size)]
+            results = spread([(arrays, pack, len(pack) / len(drawn)) for pack in packs], here)
+            total = 0.0
+            for pack, (value, _, grads) in zip(packs, results):
+                for p, g in zip(leaves, grads or ()):  # None: backed here
+                    if g is not None:
+                        p.accumulate_grad(g)
+                total += value * len(pack)
+            opt.step()
+            hits = [hit for _, hit, _ in results]
+            acc = None if hits[0] is None else float(np.mean(np.concatenate(hits)))
+            rows.append(MetricsRow(len(rows) + 1, epoch, opt.lr, total / len(drawn), acc))
+        if on_epoch_end is not None:
+            on_epoch_end(epoch)
 
 
 def _back_pack(model, pack_loss, pack: list, share: float) -> tuple[float, np.ndarray | None]:
@@ -241,6 +234,19 @@ def _back_pack(model, pack_loss, pack: list, share: float) -> tuple[float, np.nd
     loss, hit = pack_loss(model, pack)
     T.mul(loss, share).backward()
     return loss.item(), hit
+
+
+def _pack_gradient(job: tuple, item: tuple) -> tuple:
+    """A worker's pack: set the caller's parameter arrays, back the pack into
+    this process's copy of the model alone, and return its loss value, its
+    hits and each leaf's gradient (None: no gradient reached it)."""
+    model, pack_loss, leaves = job
+    arrays, pack, share = item
+    for p, a in zip(leaves, arrays):
+        p.data = a
+        p.zero_grad()
+    value, hit = _back_pack(model, pack_loss, pack, share)
+    return value, hit, [p._grad for p in leaves]
 
 
 def _auto_workers(size: int, packs: int) -> int:
@@ -257,33 +263,45 @@ def _auto_workers(size: int, packs: int) -> int:
 
 
 # Starting the pool (a forkserver and a worker, and their exit) costs a
-# process about 0.16 s of wall time on a 2-vCPU host. `_spread` starts it
-# only once the process has run this much work it could have spread, unless
-# a training call already has: a one-shot desk command (under 0.2 s of such
-# work) never starts one, and no process loses more than a sixth of the
-# work it ran before the start.
+# process about 0.16 s of wall time on a 2-vCPU host. `_spreader` starts it,
+# between two jobs' or two training steps' runs, only once the process has
+# run this much work it could have spread: a one-shot desk command (under
+# 0.2 s of such work) never starts one, and no process loses more than a
+# sixth of the work it ran before the start.
 _SPREAD_AFTER_S = 1.0
-_unspread_s = 0.0  # the work this process ran in `_spread` instead of spreading it
+_unspread_s = 0.0  # the work this process ran in `_spreader` instead of spreading it
+
+
+def _spreader(size: int, n: int, fn, arg):
+    """A function `run(items, here)` that gives [here(item) for item in
+    items], for up to `n` items of up to `size` clouds at a time. `here(item)`
+    and the job `fn(arg, item)` give the same value, and `fn` is a
+    module-level function that reads nothing else, so once the pool runs or
+    the process's work has paid for its start, `run` spreads its items over
+    `_auto_workers(size, n)` workers of `pamr.pool` besides this process, with
+    the same results. Until then it runs them here and adds up their time."""
+    workers = _auto_workers(size, n) if n > 1 else 0
+    if not workers:
+        return lambda items, here: [here(item) for item in items]
+    from . import pool  # here: a run that starts no worker never loads the pool
+
+    session = pool.Session(workers, fn, arg)
+
+    def run(items: list, here) -> list:
+        global _unspread_s
+        if pool.started() or _unspread_s >= _SPREAD_AFTER_S:
+            return session.run(items, here)
+        start = time.perf_counter()
+        results = [here(item) for item in items]
+        _unspread_s += time.perf_counter() - start
+        return results
+
+    return run
 
 
 def _spread(size: int, fn, arg, items: list) -> list:
-    """[fn(arg, item) for item in items], in order: `fn` is a module-level
-    function of `arg` and one item, which reads nothing else, so the items
-    can run on `_auto_workers(size, len(items))` workers of `pamr.pool`
-    besides this process (`pool.run_jobs`) with the same results, once the
-    pool runs or the work has paid for its start."""
-    global _unspread_s
-    workers = _auto_workers(size, len(items)) if len(items) > 1 else 0
-    if workers:
-        from . import pool
-
-        if pool.started() or _unspread_s >= _SPREAD_AFTER_S:
-            return pool.run_jobs(workers, fn, arg, items)
-    start = time.perf_counter()
-    results = [fn(arg, item) for item in items]
-    if workers:
-        _unspread_s += time.perf_counter() - start
-    return results
+    """[fn(arg, item) for item in items], in order, spread as `_spreader` says."""
+    return _spreader(size, len(items), fn, arg)(items, functools.partial(fn, arg))
 
 
 # The jobs `_spread` hands out: module-level, so a call can send them by name.

@@ -20,6 +20,7 @@ from pamr.backbone import MaskedAutoencoder, pretrain_loss
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.embedding import LocalAttentionGate
+from pamr.errors import ConfigError
 from pamr.geometry import (
     build_scale_pyramid,
     chamfer_l2_batched,
@@ -156,12 +157,11 @@ def test_channel_gate_contract():
         wx, wy = gate.gates(x)
         total = wx.data + wy.data
         assert np.all(total > 0.0) and np.all(total < 2.0)
-        for avg_on, max_on in ((True, True), (True, False), (False, True), (False, False)):
+        for avg_on, max_on in ((True, True), (True, False), (False, True)):
             g = LocalAttentionGate(96, 5, 32, avg_branch=avg_on, max_branch=max_on)
-            y = g(x)
-            assert y.shape == x.shape
-            if not avg_on and not max_on:
-                assert np.all(y.data == 0.0)
+            assert g(x).shape == x.shape
+        with pytest.raises(ConfigError, match="^the gate needs its average or its max branch$"):
+            LocalAttentionGate(96, 5, 32, avg_branch=False, max_branch=False)
 
 
 # eight clean shapes, two per kind; the schedule front-loads a long warmup

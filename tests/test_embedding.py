@@ -62,8 +62,8 @@ class TestLocalAttentionGate:
         assert wx2 is None
         np.testing.assert_array_equal(max_only(x).data, x.data * wy2.data)
 
-        neither = LocalAttentionGate(8, 3, 4, avg_branch=False, max_branch=False)
-        np.testing.assert_array_equal(neither(x).data, np.zeros_like(x.data))
+        with pytest.raises(ConfigError, match="^the gate needs its average or its max branch$"):
+            LocalAttentionGate(8, 3, 4, avg_branch=False, max_branch=False)
 
     def test_branches_see_different_descriptors(self):
         rng = np.random.default_rng(4)

@@ -77,3 +77,21 @@ def test_importing_the_cli_leaves_multiprocessing_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def pamr_imports(path: Path) -> set[str]:
+    """Every `pamr` module an import in `path`, a module of the package, names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([f"pamr.{node.module}"] if node.module else (f"pamr.{a.name}" for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pamr":
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "pamr")
+    return names
+
+
+def test_the_pool_imports_no_pamr_module_but_errors():
+    """`pamr.pool` runs the jobs it is handed and knows nothing of what they compute."""
+    assert pamr_imports(ROOT / "src" / "pamr" / "pool.py") == {"pamr.errors"}

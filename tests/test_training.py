@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import multiprocessing
 import os
@@ -332,8 +333,14 @@ def step_events(protocol, monkeypatch, workers: int):
     monkeypatch.setattr(MaskedAutoencoder, "loss", logged("forward", MaskedAutoencoder.loss))
     monkeypatch.setattr(CloudClassifier, "logits", logged("forward", CloudClassifier.logits))
     monkeypatch.setattr(AdamW, "step", logged("step", AdamW.step))
-    pool = pamr.pool._POOL
-    monkeypatch.setattr(pool, "send", logged("send", pool.send))
+    send = pamr.pool._POOL.send
+
+    def send_spy(w, session, items):
+        if session.job[0] is pamr.training._pack_gradient:  # packs, not pyramid builds or encodes
+            events.append("send")
+        send(w, session, items)
+
+    monkeypatch.setattr(pamr.pool._POOL, "send", send_spy)
     with_workers(monkeypatch, workers)
     cfg = TrainConfig(
         epochs=2, batch_size=16, warmup_epochs=0, seed=3, augment=True, head_hidden=(16,),
@@ -874,7 +881,8 @@ def _fails_on_a_workers_second_pack(model, pack):
 
 def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> AdamW:
     """One step over `items` (pyramid, mask plan) pairs, in order, in desk
-    packs of eight, with packs 1.. on `workers` workers; returns the optimizer."""
+    packs of eight, spread over `workers` workers from the first step;
+    returns the optimizer."""
     rng = np.random.default_rng(0)
     model = MaskedAutoencoder(DESK, rng)
     opt = AdamW(model.param_dict(), 1e-3)
@@ -882,6 +890,7 @@ def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> Adam
     draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+        mp.setattr(pamr.training, "_SPREAD_AFTER_S", 0.0)
         pamr.training._fit(model, opt, len(items), cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
 
@@ -961,7 +970,8 @@ batch_size = 16
 warmup_epochs = 0
 """
 
-# `pamr pretrain ...` with every use of the pool on one worker, whatever the CPU count
+# `pamr pretrain ...` with every use of the pool on one worker, whatever the
+# CPU count, from the first step on
 CLI_ONE_WORKER = """
 import sys
 import pamr.training
@@ -969,6 +979,7 @@ from pamr.cli import main
 
 if __name__ == "__main__":
     pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
+    pamr.training._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -993,6 +1004,7 @@ def exits_in_a_worker(model, pack):
 if __name__ == "__main__":
     pamr.training._reconstruction_loss = exits_in_a_worker
     pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
+    pamr.training._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -1014,6 +1026,7 @@ cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0)
 HOLDS_A_WORKER = DESK_BATCH + """
 from pamr import pool
 tr._auto_workers = lambda size, packs: min(1, packs - 1)
+tr._SPREAD_AFTER_S = 0.0
 tr.pretrain_run(clouds, desk, cfg)
 print(*(p.pid for p in pool._POOL.procs), flush=True)
 time.sleep(300)
@@ -1127,7 +1140,13 @@ class TestPackPool:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_a_frozen_head_batch_is_one_pack_and_never_reaches_the_pool(self, monkeypatch):
-        monkeypatch.setattr(pamr.pool, "pack_pool", lambda *a: pytest.fail("the pool was loaded"))
+        send = pamr.pool._POOL.send
+
+        def no_pack(w, session, items):
+            assert session.job[0] is not pamr.training._pack_gradient, "a pack was sent to the pool"
+            send(w, session, items)
+
+        monkeypatch.setattr(pamr.pool._POOL, "send", no_pack)
         with_workers(monkeypatch, 1)
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, freeze_backbone=True, head_hidden=(16,))
         assert finetune_classify(desk_clouds(8), DESK, cfg).rows
@@ -1149,6 +1168,57 @@ class TestPackPool:
         clean = desk_items({})
         assert same_bits(fit_items(clean, workers=2), fit_items(clean, workers=0))
 
+    def test_three_packs_on_one_worker_give_the_in_process_bits(self, monkeypatch):
+        """Packs 0 and 1 are backed here, in place, and pack 2 on the worker,
+        whose gradients are added after them."""
+        forwards, loss = [], MaskedAutoencoder.loss
+        monkeypatch.setattr(MaskedAutoencoder, "loss", lambda *a: forwards.append(a[1]) or loss(*a))
+        items = desk_items({})
+        pooled = fit_items(items, workers=1)
+        assert len(forwards) == 2 and pamr.pool.started()  # the spy sees this process's forwards only
+        assert same_bits(pooled, fit_items(items, workers=0))
+
+    def test_a_short_training_call_starts_no_worker(self, monkeypatch):
+        """A one-shot desk pretraining run, one step of two packs, with the
+        pool down: its work stays short of `_SPREAD_AFTER_S`, so every pack
+        runs here."""
+        pamr.pool._POOL.close()
+        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
+        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
+        cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
+        assert len(pretrain_run(desk_clouds(4), DESK, cfg).rows) == 1
+        assert 0.0 < pamr.training._unspread_s < pamr.training._SPREAD_AFTER_S
+        assert not pamr.pool.started()
+
+    def test_a_call_that_crosses_the_threshold_starts_the_pool_between_two_steps(self, monkeypatch):
+        """Four desk steps of two packs, with only the packs spreadable: the
+        first step runs here, and its time crosses a tiny threshold, so the
+        pool starts before the second. The model goes to the worker once,
+        with the first pack it is sent, and the rows and parameters are
+        bitwise the in-process ones."""
+        pamr.pool._POOL.close()
+        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 1e-9)
+        sent, send = [], pamr.pool._POOL.send
+
+        def spy(w, session, items):
+            sent.append(pamr.pool._POOL.keys[w] != session.key)  # whether the model goes along
+            send(w, session, items)
+
+        monkeypatch.setattr(pamr.pool._POOL, "send", spy)
+        cfg = TrainConfig(epochs=2, batch_size=16, warmup_epochs=1, seed=3, augment=True)
+        runs = []
+        for workers in (1, 0):
+            # pyramid builds (no-grad packs of 12) stay here, so the first step meets the threshold
+            only_packs = lambda size, packs: min(workers, packs - 1) if size == 8 else 0  # noqa: E731
+            monkeypatch.setattr(pamr.training, "_auto_workers", only_packs)
+            res = pretrain_run(desk_clouds(8), DESK, cfg)
+            runs.append((format_metrics(res.rows), res.optimizer))
+        assert sent == [True, False, False]
+        (pool_rows, pool_opt), (rows, opt) = runs
+        assert len(rows.splitlines()) == 5 and pool_rows == rows
+        assert same_bits(pool_opt, opt)
+
     def test_a_worker_that_dies_is_a_worker_error_and_the_pool_restarts(self):
         items = desk_items({})
         with pytest.raises(WorkerError, match="^a pool worker exited before it returned its work$"):
@@ -1167,7 +1237,7 @@ class TestPackPool:
 
     @pytest.mark.parametrize("protocol", [pretrain_run, finetune_classify])
     def test_a_step_sends_its_packs_only_after_every_draw(self, protocol, monkeypatch):
-        """As in-process, but pack 2 goes to the pool before pack 1's forward here."""
+        """As in-process, but the second pack goes to the pool before the first one's forward here."""
         draws, events, epochs = step_events(protocol, monkeypatch, workers=1)
         assert events == (draws + ["send", "forward", "step"]) * epochs
 
@@ -1228,6 +1298,11 @@ class TestPackPool:
 
 
 # -- jobs on the pool ----------------------------------------------------------
+
+
+def on_the_pool(workers: int, fn, arg, items) -> list:
+    """[fn(arg, item) for item in items] in one session on `workers` workers, this process's share included."""
+    return pamr.pool.Session(workers, fn, arg).run(items, functools.partial(fn, arg))
 
 
 def _exits_in_a_worker_job(arg, item):
@@ -1352,15 +1427,12 @@ class TestJobPool:
 
     @pytest.mark.parametrize(
         "bad",
-        [
-            {4: "nan"}, {2: "small", 4: "small"}, {3: "nan", 5: "small"}, {1: "small", 3: "small"},
-            {0: "nan", 1: "small"},
-        ],
-        ids=["a worker's", "two workers'", "here before a worker's", "a worker's before here", "here first"],
+        [{4: "nan"}, {4: "small", 5: "small"}, {1: "nan", 3: "small"}, {0: "nan", 1: "small"}],
+        ids=["a worker's", "two workers'", "here before a worker's", "here first"],
     )
     def test_a_jobs_error_crosses_unchanged_and_the_earliest_item_wins(self, bad):
-        """Seven pyramid-build jobs on two workers and here (items 0, 3, 6
-        here, 1 and 4 on one worker, 2 and 5 on the other). A real error
+        """Seven pyramid-build jobs on two workers and here (items 0, 1 and 2
+        here, 3 and 5 on one worker, 4 and 6 on the other). A real error
         raised in any job is raised here as the same class with the same
         message, the earliest item's, after every reply is read; the next
         call gives the in-process bits."""
@@ -1368,24 +1440,24 @@ class TestJobPool:
         chunks = bad_chunks(bad)
         want = failure(lambda: [build(DESK, chunk) for chunk in chunks])
         assert want[0] is (ConfigError if min(bad.items())[1] == "small" else ShapeError)
-        assert failure(lambda: pamr.pool.run_jobs(2, build, DESK, chunks)) == want
+        assert failure(lambda: on_the_pool(2, build, DESK, chunks)) == want
         assert not any(conn.poll() for conn in pamr.pool._POOL.conns)  # no reply is left unread
         clean = bad_chunks({})
-        got = pamr.pool.run_jobs(2, build, DESK, clean)
+        got = on_the_pool(2, build, DESK, clean)
         assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
 
     def test_a_worker_that_dies_mid_job_is_a_worker_error_and_the_pool_restarts(self):
         with pytest.raises(WorkerError, match="^a pool worker exited before it returned its work$"):
-            pamr.pool.run_jobs(1, _exits_in_a_worker_job, None, [0, 1, 2, 3])
+            on_the_pool(1, _exits_in_a_worker_job, None, [0, 1, 2, 3])
         assert pamr.pool._POOL.procs == []
         build, clean = pamr.training._build_stack, bad_chunks({})
-        got = pamr.pool.run_jobs(1, build, DESK, clean)
+        got = on_the_pool(1, build, DESK, clean)
         assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
 
     def test_a_call_runs_every_job_here_while_another_holds_the_pool(self):
-        assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False, True, False, True]
+        assert on_the_pool(1, _in_a_worker, None, range(4)) == [False, False, True, True]
         with pamr.pool._POOL.lock:
-            assert pamr.pool.run_jobs(1, _in_a_worker, None, range(4)) == [False] * 4
+            assert on_the_pool(1, _in_a_worker, None, range(4)) == [False] * 4
 
     def test_jobs_run_here_until_their_time_pays_for_the_pool(self, monkeypatch):
         """While the pool is down, `_spread` runs its jobs here and adds up
@@ -1424,7 +1496,7 @@ class TestJobPool:
             return head, train, np.arange(12) % 2, test, np.arange(6) % 2, orders
 
         jobs = [job(), job()]
-        here, there = pamr.pool.run_jobs(1, _head_accuracy_and_pool_use, cfg, jobs)
-        assert here[1:] == ([0], len(pamr.pool._POOL.procs), False)
-        assert there[1:] == ([0], 0, True)
+        here, there = on_the_pool(1, _head_accuracy_and_pool_use, cfg, jobs)
+        assert here[1:] == ([], len(pamr.pool._POOL.procs), False)  # a one-pack batch asks for no worker
+        assert there[1:] == ([], 0, True)
         assert there[0] == pamr.training._head_accuracy(cfg, jobs[1])  # its head is still untrained here
