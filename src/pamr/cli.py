@@ -274,8 +274,7 @@ def _cmd_ablate(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:
                 rows.append(f"{str(avg).lower()},{str(mx).lower()},{loss!r}")
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out, "\n".join([header] + rows) + "\n")
     print(f"{args.axis}: {len(rows)} rows -> {out}")
     return 0

@@ -28,10 +28,11 @@ __all__ = [
 
 
 def fit_groups(channels: int, requested: int) -> int:
-    """Largest divisor of `channels` not exceeding the requested group count.
+    """The greatest common divisor of `channels` and the requested group count.
 
-    Layers narrower than the configured granularity reuse the global setting
-    by snapping to gcd, so one config value serves every width in the model.
+    A divisor of both, so every layer width reuses the one configured
+    setting; not always the largest divisor of `channels` within the request
+    (48 channels at 32 groups give 16, not 24).
     """
     return math.gcd(channels, requested)
 

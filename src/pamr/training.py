@@ -562,13 +562,12 @@ def few_shot_eval(
     each of n sampled classes (frozen backbone) and test on `test_per_class`
     held-out examples per class.
 
-    The trials run in waves of `_auto_workers` + 1. A wave first makes every
-    draw of its trials, trial by trial: the class choice, a shuffle of each
-    chosen class, the classifier init and the head fit's epoch orders. No
-    draw depends on a computed value, so these are the draws of one trial at
-    a time. It then builds and encodes its clouds, and fits each trial's
-    head as one job (`_spread`): its first trial here, the others in
-    `pamr.pool`'s workers.
+    The trials run in order. Each makes its draws (the class choice, a
+    shuffle of each chosen class, the classifier init and the head fit's
+    epoch orders), then builds and encodes its clouds, which draws nothing,
+    and keeps its head, features, labels and orders as one job, not its
+    encoder. The heads of all trials are then fit as one set of jobs
+    (`_spread`): the first here, the others in `pamr.pool`'s workers.
 
     Each drawn cloud's pyramid is built once per call. When `pretrained`
     covers every encoder parameter, each trial's encoder is the same, so
@@ -589,8 +588,10 @@ def few_shot_eval(
             f"need {n} classes with at least {need} clouds each, have {len(eligible)}"
         )
     rng = np.random.default_rng(train_cfg.seed)
-
-    def draw_trial() -> tuple:
+    jobs = []
+    feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
+    pyramids: dict[int, ScalePyramid] = {}  # cloud index -> its pyramid
+    for _ in range(train_cfg.trials):
         classes = rng.choice(np.array(sorted(eligible)), size=n, replace=False)
         train_set: list[int] = []
         test_set: list[int] = []
@@ -602,32 +603,18 @@ def few_shot_eval(
         # built every trial: its init draws from rng, and the draws after it depend on that
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
         n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
-        own = pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder
+        if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
+            feats = {}  # part of this trial's encoder is its own random init
         orders = list(_epoch_orders(rng, len(train_set), train_cfg.epochs))
+        new = sorted(set(train_set + test_set) - pyramids.keys())  # in dataset order
+        pyramids.update(zip(new, cloud_pyramids([clouds[i].points for i in new], model_cfg)))
+        todo = sorted(set(train_set + test_set) - feats.keys())
+        if todo:
+            feats.update(zip(todo, pooled_features(clf, [pyramids[i] for i in todo])))
         remap = {int(cls): j for j, cls in enumerate(classes)}
         labels = [np.array([remap[clouds[i].label] for i in s], dtype=np.int64) for s in (train_set, test_set)]
-        return train_set, test_set, labels, clf, own, orders
-
-    size = pack_size(model_cfg, NO_GRAD_BUDGET)
-    # a wave holds a whole classifier (encoder included) per trial, so a
-    # default-config run, whose no-grad pack is one cloud, keeps one at a time
-    wave = _auto_workers(size, train_cfg.trials) + 1
-    accs: list[float] = []
-    feats: dict[int, np.ndarray] = {}  # cloud index -> pooled feature row
-    pyramids: dict[int, ScalePyramid] = {}  # cloud index -> its pyramid
-    for lo in range(0, train_cfg.trials, wave):
-        trials = [draw_trial() for _ in range(min(wave, train_cfg.trials - lo))]
-        new = sorted({i for t in trials for i in t[0] + t[1]} - pyramids.keys())  # in dataset order
-        pyramids.update(zip(new, cloud_pyramids([clouds[i].points for i in new], model_cfg)))
-        jobs = []
-        for train_set, test_set, (tr_labels, te_labels), clf, own, orders in trials:
-            if own:
-                feats = {}  # part of this trial's encoder is its own random init
-            todo = sorted(set(train_set + test_set) - feats.keys())
-            if todo:
-                feats.update(zip(todo, pooled_features(clf, [pyramids[i] for i in todo])))
-            train_feats, test_feats = (np.stack([feats[i] for i in s]) for s in (train_set, test_set))
-            jobs.append((clf.head, train_feats, tr_labels, test_feats, te_labels, orders))
-        accs.extend(_spread(size, _head_accuracy, train_cfg, jobs))
+        train_feats, test_feats = (np.stack([feats[i] for i in s]) for s in (train_set, test_set))
+        jobs.append((clf.head, train_feats, labels[0], test_feats, labels[1], orders))
+    accs = _spread(pack_size(model_cfg, NO_GRAD_BUDGET), _head_accuracy, train_cfg, jobs)
     arr = np.array(accs)
     return FewShotResult(float(arr.mean()), float(arr.std()), accs)

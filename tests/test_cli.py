@@ -580,6 +580,17 @@ class TestAblateCommand:
         for ln in lines[1:]:
             assert np.isfinite(float(ln.split(",")[1]))
 
+    @pytest.mark.parametrize("out", ["bare.csv", "new/dirs/deep.csv"], ids=["bare name", "missing parents"])
+    def test_writes_to_a_bare_name_or_a_path_with_missing_parents(
+        self, out, tmp_path, quick_cfg, small_data, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["ablate", "--axis", "la-branches", "--config", quick_cfg,
+                   "--data", small_data, "--out", out])
+        capsys.readouterr()
+        assert rc == 0
+        assert (tmp_path / out).read_text().splitlines()[0] == "avg_branch,max_branch,final_loss"
+
     def test_la_grid_axis_rows(self, tmp_path, quick_cfg, small_data, capsys):
         out = tmp_path / "grid.csv"
         rc = main(["ablate", "--axis", "la-grid", "--config", quick_cfg,

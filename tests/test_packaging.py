@@ -95,3 +95,20 @@ def pamr_imports(path: Path) -> set[str]:
 def test_the_pool_imports_no_pamr_module_but_errors():
     """`pamr.pool` runs the jobs it is handed and knows nothing of what they compute."""
     assert pamr_imports(ROOT / "src" / "pamr" / "pool.py") == {"pamr.errors"}
+
+
+def callers(path: Path, name: str) -> list[str]:
+    """The top-level function of `path` around each call of `name`, once per call."""
+    found = []
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(fn, ast.FunctionDef):
+            found += [
+                fn.name for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            ]
+    return found
+
+
+def test_one_function_decides_the_worker_count():
+    """Every use of the pool takes its worker count from `_spreader`, the one caller of `_auto_workers`."""
+    assert set(callers(ROOT / "src" / "pamr" / "training.py", "_auto_workers")) == {"_spreader"}

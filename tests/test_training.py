@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import math
 import multiprocessing
 import os
@@ -765,9 +766,9 @@ class TestFewShot:
     def test_draws_come_in_the_order_of_one_trial_at_a_time(self, workers, few_shot_clouds, monkeypatch):
         """Per trial: the class choice, one shuffle per chosen class, the
         classifier init, then the head fit's epoch orders, and trial after
-        trial, as when each trial ran alone. A wave of `workers` + 1 trials
-        makes all its draws, then encodes each trial's clouds (no checkpoint:
-        every trial encodes its own), then fits its heads."""
+        trial, as when each trial ran alone. Each trial encodes its clouds
+        after its draws (no checkpoint: every trial encodes its own), and
+        the heads of all trials are fit after the last trial, in one call."""
         c = FEW_SHOT_CFG
         events = []
         with_workers(monkeypatch, workers)
@@ -787,8 +788,28 @@ class TestFewShot:
         log_draws(monkeypatch, events)
         few_shot_eval(few_shot_clouds, TINY, c)
         assert [e for e in events if e != "encode" and e[0] != "fits"] == draws * c.trials
-        wave = workers + 1
-        assert events == (draws * wave + ["encode"] * wave + [("fits", wave)]) * (c.trials // wave)
+        assert events == (draws + ["encode"]) * c.trials + [("fits", c.trials)]
+
+    def test_each_trial_drops_its_encoder_once_it_has_encoded(self, few_shot_clouds, monkeypatch):
+        """When a trial's classifier is built, no earlier trial's encoder is
+        alive but the previous one's, which the loop still names: the heads
+        wait for their one fit without the encoders, so memory does not grow
+        with the trial count."""
+        with_workers(monkeypatch, 1)
+        encoders, alive = [], []
+        build = pamr.training.CloudClassifier
+
+        def classifier_spy(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in encoders))
+            clf = build(*args)
+            encoders.append(weakref.ref(clf.encoder))
+            return clf
+
+        monkeypatch.setattr(pamr.training, "CloudClassifier", classifier_spy)
+        few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG)
+        assert len(alive) == FEW_SHOT_CFG.trials
+        assert max(alive) <= 1
 
     def test_a_frozen_head_fit_draws_its_epoch_orders_and_nothing_else(self, monkeypatch):
         """Frozen fine-tuning: the classifier init, the split's per-class
