@@ -21,8 +21,10 @@ participate in a loss read back as zeros.
 """
 from __future__ import annotations
 
+import contextvars
 import heapq
 import itertools
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -63,7 +65,12 @@ __all__ = [
     "ffn",
 ]
 
-_grad_enabled = True
+
+class _Tape(threading.local):
+    grad_enabled = True  # per thread: no_grad() in one thread leaves the others recording
+
+
+_tape = _Tape()
 _creation = itertools.count()
 
 # tanh-form gelu constants
@@ -75,14 +82,13 @@ _NORM_EPS = 1e-5
 
 @contextmanager
 def no_grad():
-    """Suspend graph recording inside the block. Purely a speed knob."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Suspend graph recording inside the block, on this thread only. Purely a speed knob."""
+    prev = _tape.grad_enabled
+    _tape.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _tape.grad_enabled = prev
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -206,7 +212,7 @@ def _make(
     out._grad = None
     out._seq = next(_creation)
     out._bwd = None
-    if _grad_enabled:
+    if _tape.grad_enabled:
         for p in parents:
             if p._bwd is _consumed:
                 raise PamrError(_CONSUMED)
@@ -662,7 +668,7 @@ def linear(x, weight, bias) -> Tensor:
     fan_in, fan_out = weight.shape
     if x.ndim < 1 or x.shape[-1] != fan_in:
         raise ShapeError(f"linear input {x.shape} does not end in {fan_in} features")
-    out = x.data @ weight.data + bias.data
+    out = _affine(x.data, weight.data, bias.data)
 
     def bwd(g):
         gx, gw, gb = _linear_grads(g, x.data, weight.data)
@@ -671,14 +677,36 @@ def linear(x, weight, bias) -> Tensor:
     return _make(out, (x, weight, bias), bwd, "linear output")
 
 
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight + bias over the last axis of `x`; a large one in row halves (`_halves`)."""
+    n, mnk = len(x) if x.ndim > 1 else 1, x.size * weight.shape[1]
+    if not _splits(n, mnk):
+        return x @ weight + bias
+    out = np.empty(x.shape[:-1] + weight.shape[1:])
+
+    def rows(s: slice) -> None:
+        o = out[s]
+        np.matmul(x[s], weight, out=o)
+        o += bias
+
+    _halves(rows, n)
+    return out
+
+
 def _linear_grads(g: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    """Gradients of linear's input, weight and bias given its output gradient `g`."""
+    """Gradients of linear's input, weight and bias given its output gradient
+    `g`; a large input gradient runs on the helper thread (`_pair`), into an
+    array made here, while the weight and bias gradients run here."""
     fan_in, fan_out = weight.shape
-    return (
-        g @ weight.T,
-        _row_sum_product(x.reshape(-1, fan_in), g.reshape(-1, fan_out)),
-        _unbroadcast(g, (fan_out,)),
-    )
+
+    def weight_and_bias_grads() -> tuple[np.ndarray, np.ndarray]:
+        return _row_sum_product(x.reshape(-1, fan_in), g.reshape(-1, fan_out)), _unbroadcast(g, (fan_out,))
+
+    if g.size * fan_in < _PAIR_MNK:
+        return (g @ weight.T, *weight_and_bias_grads())
+    gx = np.empty(g.shape[:-1] + (fan_in,))
+    _, (gw, gb) = _pair(lambda: np.matmul(g, weight.T, out=gx), weight_and_bias_grads)
+    return gx, gw, gb
 
 
 def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
@@ -686,7 +714,8 @@ def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
     x + linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2).
 
     The forward runs the chain's arithmetic in its order and checks every
-    value the chain checked, so its output and its errors are the chain's.
+    value the chain checked, so its output and its errors are the chain's;
+    a large one runs each stage between two checks in row halves (`_halves`).
     The graph keeps `x`, the standardized rows with their denominators and
     fc1's pre-activation; backward recomputes the layer-norm output, tanh and
     the gelu output. It hands `x` the residual gradient before the layer-norm
@@ -706,11 +735,20 @@ def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
     normed, denom = _standardize(x.data, "layer_norm")
     ln = normed * ln_scale.data + ln_shift.data
     _check_finite(ln, "layer_norm output")
-    pre = ln @ w1.data + b1.data
+    pre = _affine(ln, w1.data, b1.data)
     _check_finite(pre, "linear output")
-    _, act = _gelu_parts(pre)
+    rows, mnk = len(pre) if pre.ndim > 1 else 1, pre.size * c
+    if _splits(rows, mnk):
+        act = np.empty_like(pre)
+
+        def gelu_rows(s: slice) -> None:
+            act[s] = _gelu_parts(pre[s])[1]
+
+        _halves(gelu_rows, rows)
+    else:
+        _, act = _gelu_parts(pre)
     _check_finite(act, "gelu output")
-    y = act @ w2.data + b2.data
+    y = _affine(act, w2.data, b2.data)
     _check_finite(y, "linear output")
     out = x.data + y
 
@@ -737,16 +775,64 @@ def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
 # OpenBLAS runs a product of at most this many multiply-adds (M*N*K) on one thread
 _ONE_THREAD_MNK = 4 * 65536
 
+# A kernel of at least this many multiply-adds hands half its work to the
+# helper thread (`_pair`): the default config's big products, each worth
+# well over the cost of a hand-off. Every desk-scale kernel stays below it
+# (the largest, a few-shot head scoring 80 clouds, is about 2**20), so desk
+# runs never start the helper.
+_PAIR_MNK = 1 << 22
 
-def _one_thread_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+_helper = None  # the helper thread's ThreadPoolExecutor, started by the first `_pair`
+_helper_lock = threading.Lock()
+
+
+def _pair(f: Callable, g: Callable) -> tuple:
+    """(f(), g()), with f on the helper thread while g runs here.
+
+    f runs in a copy of this thread's context, which holds numpy's errstate,
+    so both halves of a kernel warn or stay silent alike. The helper runs
+    numpy kernels only: it makes no Tensor and checks nothing, so every
+    check and every error stays on the calling thread. An error of f is
+    raised here, after g has finished, ahead of any error of g."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            # here: importing concurrent.futures costs every process a few ms
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="pamr-helper")
+        done = _helper.submit(contextvars.copy_context().run, f)
+    try:
+        second = g()
+    finally:
+        first = done.result()
+    return first, second
+
+
+def _splits(n: int, mnk: int) -> bool:
+    """Whether a kernel of `mnk` multiply-adds over a leading axis of length
+    `n` runs in two halves (`_halves`); a smaller one runs whole, here."""
+    return n > 1 and mnk >= _PAIR_MNK
+
+
+def _halves(fn: Callable[[slice], object], n: int) -> None:
+    """fn over the two halves of a leading axis of length `n`, the first on
+    the helper thread. Each half writes its own part of arrays made by the
+    caller, by the arithmetic the whole kernel would use, so the bits do
+    not change."""
+    _pair(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
+
+
+def _one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked a @ b over contiguous (h, m, k) and (h, k, n), in row blocks
-    small enough that BLAS runs each on one thread."""
+    small enough that BLAS runs each on one thread; into `out` if given."""
     h, m, k = a.shape
     n = b.shape[2]
     rows = max(1, _ONE_THREAD_MNK // (n * k))
     if rows >= m:
-        return a @ b
-    out = np.empty((h, m, n))
+        return a @ b if out is None else np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((h, m, n))
     for lo in range(0, m, rows):
         np.matmul(a[:, lo : lo + rows], b, out=out[:, lo : lo + rows])
     return out
@@ -762,7 +848,9 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
     back to (N, C) in head order. Every stacked product runs on contiguous
     operands, in row blocks BLAS runs on one thread, so its bits do not
-    depend on the BLAS thread count.
+    depend on the BLAS thread count. A segment whose scores take at least
+    _PAIR_MNK multiply-adds runs half its heads on the helper thread, in
+    forward (before and after the scores check) and in backward.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -785,28 +873,74 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     def merge(t: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, C)
         return t.transpose(1, 0, 2).reshape(-1, c)
 
+    def heads_of(t: np.ndarray) -> np.ndarray:  # (n, C) rows -> (n, heads, dh) view
+        return t.reshape(-1, heads, dh)
+
+    segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+    def halved(lo: int, hi: int) -> bool:  # a segment big enough to split its heads
+        return _splits(heads, (hi - lo) * (hi - lo) * c)
+
     out = np.empty((n, c))
     weights = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in segments:
         qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
-        scores = _one_thread_matmul(qh, swap(kh)) * temp
-        _check_finite(scores, "attention scores")
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
-        out[lo:hi] = merge(_one_thread_matmul(w, vh))
+        if not halved(lo, hi):
+            scores = _one_thread_matmul(qh, swap(kh)) * temp
+            _check_finite(scores, "attention scores")
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w = e / e.sum(axis=-1, keepdims=True)
+            out[lo:hi] = merge(_one_thread_matmul(w, vh))
+            weights.append(w)
+            continue
+        w = np.empty((heads, hi - lo, hi - lo))  # the scores, then the weights in place
+
+        def score(s: slice) -> None:
+            ws = w[s]
+            _one_thread_matmul(qh[s], swap(kh[s]), out=ws)
+            ws *= temp
+
+        def attend(s: slice) -> None:
+            ws = w[s]
+            ws -= ws.max(axis=-1, keepdims=True)
+            np.exp(ws, out=ws)
+            ws /= ws.sum(axis=-1, keepdims=True)
+            heads_of(out[lo:hi])[:, s] = _one_thread_matmul(ws, vh[s]).transpose(1, 0, 2)
+
+        _halves(score, heads)
+        _check_finite(w, "attention scores")
+        _halves(attend, heads)
         weights.append(w)
 
     def bwd(g):
-        gq, gk, gv = np.empty_like(g), np.empty_like(g), np.empty_like(g)
-        for lo, hi, w in zip(bounds[:-1], bounds[1:], weights):
+        gq, gk, gv = np.empty((n, c)), np.empty((n, c)), np.empty((n, c))
+        for (lo, hi), w in zip(segments, weights):
             # the head splits again, not kept: they would double the pack's q, k and v
             qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
             gh = split(g[lo:hi])
-            gw = _one_thread_matmul(gh, swap(vh))
-            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
-            gq[lo:hi] = merge(_one_thread_matmul(gs, kh))
-            gk[lo:hi] = merge(_one_thread_matmul(swap(gs), qh))
-            gv[lo:hi] = merge(_one_thread_matmul(swap(w), gh))
+            if not halved(lo, hi):
+                gw = _one_thread_matmul(gh, swap(vh))
+                gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
+                gq[lo:hi] = merge(_one_thread_matmul(gs, kh))
+                gk[lo:hi] = merge(_one_thread_matmul(swap(gs), qh))
+                gv[lo:hi] = merge(_one_thread_matmul(swap(w), gh))
+                continue
+            # made here, so a half on the helper thread allocates no (heads, n, n) array
+            gw, scratch = np.empty_like(w), np.empty_like(w)
+
+            def back(s: slice) -> None:
+                ws, gs, t = w[s], gw[s], scratch[s]
+                _one_thread_matmul(gh[s], swap(vh[s]), out=gs)  # the weights' gradient, then the scores'
+                gs -= np.multiply(gs, ws, out=t).sum(axis=-1, keepdims=True)
+                np.multiply(ws, gs, out=gs)
+                gs *= temp
+                heads_of(gq[lo:hi])[:, s] = _one_thread_matmul(gs, kh[s]).transpose(1, 0, 2)
+                t[...] = gs.transpose(0, 2, 1)
+                heads_of(gk[lo:hi])[:, s] = _one_thread_matmul(t, qh[s]).transpose(1, 0, 2)
+                t[...] = ws.transpose(0, 2, 1)
+                heads_of(gv[lo:hi])[:, s] = _one_thread_matmul(t, gh[s]).transpose(1, 0, 2)
+
+            _halves(back, heads)
         return [(q, gq), (k, gk), (v, gv)]
 
     return _make(out, (q, k, v), bwd, "attention output")

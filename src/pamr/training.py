@@ -318,10 +318,15 @@ def _encode(clf: CloudClassifier, pyramids: list[ScalePyramid]) -> np.ndarray:
 
 def _head_accuracy(train_cfg: TrainConfig, job: tuple) -> float:
     """One few-shot trial's head, fit on its train features in its pre-drawn
-    epoch orders; its accuracy on its test features."""
+    epoch orders; its accuracy on its test features. The fitted head drops
+    its gradients: its job lives until the last head is fit."""
     head, train_feats, train_labels, test_feats, test_labels, orders = job
     _fit_frozen_head(head, train_feats, train_labels, train_cfg, orders, [])
-    return _accuracy(head, test_feats, test_labels)
+    acc = _accuracy(head, test_feats, test_labels)
+    for layer in head:
+        for p in layer.parameters():
+            p.zero_grad()
+    return acc
 
 
 def _scored(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:

@@ -374,6 +374,33 @@ class TestMaskedAutoencoder:
         for name, g in grads.items():
             np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
 
+    def test_every_kernel_split_in_halves_gives_the_unsplit_bits(self, monkeypatch):
+        # a desk pack's forward and backward with every linear, ffn and
+        # attention kernel over the threshold: the loss, the outputs and every
+        # parameter gradient are bitwise those of the unsplit run
+        cfg = ModelConfig(
+            n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2,
+            encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
+        )
+        rng = np.random.default_rng(60)
+        pyramids = build_scale_pyramid(rng.normal(size=(3, 128, 3)), cfg.sizes, cfg.ks)
+        pyr, plan = stack_pack(pyramids, [mask_and_backproject(p, 0.6, rng) for p in pyramids])
+
+        def run():
+            model = MaskedAutoencoder(cfg, np.random.default_rng(61))
+            rec = model.reconstruct(pyr, plan)
+            loss = pretrain_loss(rec.pred, pyr, plan)
+            loss.backward()
+            outputs = [t.data.tobytes() for t in (loss, rec.pred, rec.decoder, *rec.stage_outputs)]
+            return outputs, {n: p.grad.tobytes() for n, p in model.named_parameters()}
+
+        whole = run()
+        pairs, pair = [], T._pair
+        monkeypatch.setattr(T, "_PAIR_MNK", 0)
+        monkeypatch.setattr(T, "_pair", lambda f, g: pairs.append(f) or pair(f, g))
+        assert run() == whole
+        assert pairs
+
     def test_end_to_end_gradients_sampled(self):
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(53))

@@ -1,3 +1,6 @@
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -480,6 +483,85 @@ class TestFusedFfn:
                     [x, scale, shift, w1, b1, w2.T, b2], [x[:, :3], scale, shift, w1, b1, w2, b2]):
             with pytest.raises(ShapeError):
                 T.ffn(*[Tensor(a) for a in bad])
+
+
+class TestHelperThread:
+    """Kernels of at least `_PAIR_MNK` multiply-adds hand half their work to
+    one helper thread; with the threshold at 0 every kernel splits."""
+
+    @staticmethod
+    def outputs_and_grads(op, arrays, weight):
+        inputs = [T.param(a) for a in arrays]
+        out = op(*inputs)
+        T.tsum(T.mul(out, weight)).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+    def split_and_whole(self, monkeypatch, op, arrays, weight):
+        whole = self.outputs_and_grads(op, arrays, weight)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_PAIR_MNK", 0)
+            return self.outputs_and_grads(op, arrays, weight), whole
+
+    @pytest.mark.parametrize("heads", [2, 3])
+    def test_split_attention_is_bitwise_the_whole_over_several_segments(self, heads, monkeypatch):
+        rng = np.random.default_rng(220)
+        arrays = [rng.normal(size=(9, 6)) for _ in range(3)]
+
+        def op(q, k, v):
+            return T.attention(q, k, v, heads, (0, 2, 3, 9))
+
+        split, whole = self.split_and_whole(monkeypatch, op, arrays, rng.normal(size=(9, 6)))
+        assert split == whole
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 5)])
+    def test_split_linear_and_ffn_are_bitwise_the_whole(self, lead, monkeypatch):
+        rng = np.random.default_rng(221)
+        lin = [rng.normal(size=lead + (4,)), rng.normal(size=(4, 6)), rng.normal(size=6)]
+        ffn = TestFusedFfn.arrays(rng, lead, 4, 8)
+        for op, arrays, width in ((T.linear, lin, 6), (T.ffn, ffn, 4)):
+            weight = rng.normal(size=lead + (width,))
+            split, whole = self.split_and_whole(monkeypatch, op, arrays, weight)
+            assert split == whole, op.__name__
+
+    def test_an_overflow_on_the_helper_is_todays_error_on_the_caller(self, monkeypatch):
+        # fc1's output is finite but its cube, inside the helper's gelu half,
+        # overflows; fc2 then overflows. With the caller's errstate carried
+        # to the helper the gelu overflow is ignored and the caller raises at
+        # fc2, as the unsplit kernel does; without it, warnings as errors
+        # would raise the helper's RuntimeWarning instead.
+        c, hidden = 4, 8
+        x = np.tile(np.where(np.arange(c) % 2 == 0, 1.0, -1.0), (6, 1))
+        w1 = np.tile(np.where(np.arange(c) % 2 == 0, 1e120, -1e120)[:, None], (1, hidden))
+        arrays = [x, np.ones(c), np.zeros(c), w1, np.zeros(hidden), np.full((hidden, c), 1e200), np.zeros(c)]
+        errors = []
+        for threshold in (T._PAIR_MNK, 0):
+            monkeypatch.setattr(T, "_PAIR_MNK", threshold)
+            with warnings.catch_warnings(), np.errstate(over="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError) as err:
+                    T.ffn(*[T.param(a) for a in arrays])
+            errors.append(str(err.value))
+        assert errors == ["non-finite values in linear output"] * 2
+
+    def test_no_grad_in_one_thread_leaves_another_recording(self):
+        x, w = Tensor(np.ones(3)), T.param(np.ones(3))
+        stop = threading.Event()
+
+        def toggle():
+            while not stop.is_set():
+                with T.no_grad():
+                    time.sleep(0.0005)
+                time.sleep(0.0005)
+
+        other = threading.Thread(target=toggle)
+        other.start()
+        try:
+            unrecorded = sum(T.tsum(T.mul(T.add(x, w), 2.0))._bwd is None for _ in range(2000))
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert unrecorded == 0
 
 
 class TestGradientSuite:

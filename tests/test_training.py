@@ -8,6 +8,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from dataclasses import replace
@@ -27,6 +28,7 @@ from pamr.tensor import Tensor
 import _oracles
 import pamr.pool
 import pamr.training
+from pamr.checkpoint import encode_checkpoint
 from pamr.cli import _build_parser
 from pamr.training import (
     AdamW,
@@ -811,6 +813,17 @@ class TestFewShot:
         assert len(alive) == FEW_SHOT_CFG.trials
         assert max(alive) <= 1
 
+    def test_a_scored_head_holds_no_gradient(self):
+        """A trial's job keeps its head until every head is fit, so the head
+        gives back its gradient buffers once its accuracy is read."""
+        rng = np.random.default_rng(7)
+        clf = CloudClassifier(TINY, 2, (8,), rng)
+        cfg = TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, seed=0, head_hidden=(8,))
+        feats, labels = rng.normal(size=(6, 2 * TINY.dims[-1])), np.array([0, 1] * 3)
+        orders = [rng.permutation(6) for _ in range(cfg.epochs)]
+        pamr.training._head_accuracy(cfg, (clf.head, feats, labels, feats, labels, orders))
+        assert all(p._grad is None for layer in clf.head for p in layer.parameters())
+
     def test_a_frozen_head_fit_draws_its_epoch_orders_and_nothing_else(self, monkeypatch):
         """Frozen fine-tuning: the classifier init, the split's per-class
         shuffles, then one shuffle of the training items per epoch."""
@@ -855,6 +868,57 @@ class TestFewShot:
         feats = pooled_features(clf, [_oracles.pyramid_of(c.points, TINY) for c in clouds])
         assert feats.shape == (4, 2 * TINY.dims[-1])
         assert np.isfinite(feats).all()
+
+
+class TestThreads:
+    def test_desk_pretraining_beside_a_thread_of_frozen_encodes_gives_the_single_thread_bits(self, monkeypatch):
+        """One thread pretrains while another loops `pooled_features`, whose
+        encodes run under no_grad: the training graphs are still recorded
+        whole, so the rows and the checkpoint are those of the run alone."""
+        with_workers(monkeypatch, 0)
+        clouds = desk_clouds(4)
+        cfg = TrainConfig(epochs=2, batch_size=8, warmup_epochs=0, seed=3)
+
+        def run() -> tuple:
+            res = pretrain_run(clouds, DESK, cfg)
+            ckpt = encode_checkpoint(res.model.param_dict(), "desk", len(res.rows), res.optimizer.state_arrays())
+            return res.rows, ckpt
+
+        alone = run()
+        clf = CloudClassifier(DESK, 4, (8,), np.random.default_rng(0))
+        pyramids = cloud_pyramids([c.points for c in clouds], DESK)
+        stop = threading.Event()
+
+        def encode() -> None:
+            while not stop.is_set():
+                pooled_features(clf, pyramids)
+
+        other = threading.Thread(target=encode)
+        other.start()
+        try:
+            beside = run()
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert beside == alone
+
+    def test_desk_runs_never_start_the_helper_thread(self, monkeypatch):
+        """Every linear, ffn and attention kernel of desk pretraining and
+        desk few-shot, at the sizes of the `pretrain-desk` and `fewshot-desk`
+        workloads, stays below `_PAIR_MNK`, so the desk paths run on the
+        calling thread alone, as before."""
+        with_workers(monkeypatch, 0)
+        monkeypatch.setattr(T, "_helper", None)
+        clouds = desk_clouds(30)
+        pre = pretrain_run(desk_clouds(16), DESK, TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0))
+        weights = {name: p.data for name, p in pre.model.named_parameters()}
+        cfg = TrainConfig(
+            n_way=4, m_shot=10, test_per_class=20, trials=2, epochs=2, batch_size=64, base_lr=1e-3,
+            warmup_epochs=0, seed=0,
+        )
+        few_shot_eval(clouds, DESK, cfg, pretrained=weights)
+        assert T._helper is None
 
 
 class TestEntryPointsValidate:
