@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import warnings
@@ -542,6 +543,42 @@ class TestHelperThread:
                     T.ffn(*[T.param(a) for a in arrays])
             errors.append(str(err.value))
         assert errors == ["non-finite values in linear output"] * 2
+
+    def test_callers_on_several_threads_share_one_helper_and_keep_their_bits(self, monkeypatch):
+        # four callers split kernels at once, with thread switches forced
+        # often: each gets the unsplit bits, and they start one helper only
+        rng = np.random.default_rng(222)
+        arrays = [rng.normal(size=(9, 6)) for _ in range(3)]
+        weight = rng.normal(size=(9, 6))
+
+        def op(q, k, v):
+            return T.attention(T.linear(q, np.eye(6), np.zeros(6)), k, v, 2, (0, 4, 9))
+
+        whole = self.outputs_and_grads(op, arrays, weight)
+        monkeypatch.setattr(T, "_PAIR_MNK", 0)
+        monkeypatch.setattr(T, "_helper", None)
+        results, helpers = [], []
+
+        def caller():
+            for _ in range(50):
+                results.append(self.outputs_and_grads(op, arrays, weight))
+                helpers.append(T._helper)
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            if T._helper is not None:
+                T._helper.shutdown()
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 200 and all(r == whole for r in results)
+        assert len({id(h) for h in helpers}) == 1
 
     def test_no_grad_in_one_thread_leaves_another_recording(self):
         x, w = Tensor(np.ones(3)), T.param(np.ones(3))
