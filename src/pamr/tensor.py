@@ -480,10 +480,14 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), bwd, "sigmoid output")
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh(k0*(x + k1*x^3)) and the gelu 0.5*x*(1 + tanh(...)) of `x`."""
+def _gelu_parts(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """tanh(k0*(x + k1*x^3)) and the gelu 0.5*x*(1 + tanh(...)) of `x`, the
+    gelu into `out` if given. The product is taken in place: a large array
+    pays for each allocation."""
     t = np.tanh(_GELU_K0 * (x + _GELU_K1 * (x * x * x)))
-    return t, 0.5 * x * (1.0 + t)
+    act = np.multiply(0.5, x, out=out)
+    act *= 1.0 + t
+    return t, act
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -678,10 +682,7 @@ def linear(x, weight, bias) -> Tensor:
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weight + bias over the last axis of `x`; a large one in row halves (`_halves`)."""
-    n, mnk = len(x) if x.ndim > 1 else 1, x.size * weight.shape[1]
-    if not _splits(n, mnk):
-        return x @ weight + bias
+    """x @ weight + bias over the last axis of `x`, by rows (`_halves`)."""
     out = np.empty(x.shape[:-1] + weight.shape[1:])
 
     def rows(s: slice) -> None:
@@ -689,7 +690,7 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         np.matmul(x[s], weight, out=o)
         o += bias
 
-    _halves(rows, n)
+    _halves(rows, len(x) if x.ndim > 1 else 1, x.size * weight.shape[1])
     return out
 
 
@@ -737,16 +738,8 @@ def ffn(x, ln_scale, ln_shift, w1, b1, w2, b2) -> Tensor:
     _check_finite(ln, "layer_norm output")
     pre = _affine(ln, w1.data, b1.data)
     _check_finite(pre, "linear output")
-    rows, mnk = len(pre) if pre.ndim > 1 else 1, pre.size * c
-    if _splits(rows, mnk):
-        act = np.empty_like(pre)
-
-        def gelu_rows(s: slice) -> None:
-            act[s] = _gelu_parts(pre[s])[1]
-
-        _halves(gelu_rows, rows)
-    else:
-        _, act = _gelu_parts(pre)
+    act = np.empty_like(pre)
+    _halves(lambda s: _gelu_parts(pre[s], act[s]), len(pre) if pre.ndim > 1 else 1, pre.size * c)
     _check_finite(act, "gelu output")
     y = _affine(act, w2.data, b2.data)
     _check_finite(y, "linear output")
@@ -809,18 +802,16 @@ def _pair(f: Callable, g: Callable) -> tuple:
     return first, second
 
 
-def _splits(n: int, mnk: int) -> bool:
-    """Whether a kernel of `mnk` multiply-adds over a leading axis of length
-    `n` runs in two halves (`_halves`); a smaller one runs whole, here."""
-    return n > 1 and mnk >= _PAIR_MNK
-
-
-def _halves(fn: Callable[[slice], object], n: int) -> None:
-    """fn over the two halves of a leading axis of length `n`, the first on
-    the helper thread. Each half writes its own part of arrays made by the
-    caller, by the arithmetic the whole kernel would use, so the bits do
-    not change."""
-    _pair(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
+def _halves(fn: Callable[[slice], object], n: int, mnk: int) -> None:
+    """fn over a leading axis of length `n`, for a kernel of `mnk`
+    multiply-adds: whole, as fn(slice(None)) here, below _PAIR_MNK; at or
+    above it, over the axis's two halves, the first on the helper thread.
+    fn writes its part of arrays made by the caller, by the arithmetic of
+    the whole kernel, so the bits do not depend on the split."""
+    if n < 2 or mnk < _PAIR_MNK:
+        fn(slice(None))
+    else:
+        _pair(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
 
 
 def _one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -848,9 +839,12 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
     back to (N, C) in head order. Every stacked product runs on contiguous
     operands, in row blocks BLAS runs on one thread, so its bits do not
-    depend on the BLAS thread count. A segment whose scores take at least
-    _PAIR_MNK multiply-adds runs half its heads on the helper thread, in
-    forward (before and after the scores check) and in backward.
+    depend on the BLAS thread count. The scores, the softmax and the
+    backward each run as one `_halves` call that loops over the segments,
+    so the split is decided per op: when all segments' scores together take
+    at least _PAIR_MNK multiply-adds, half of every segment's heads run on
+    the helper thread. Every segment's scores are checked, here, before any
+    softmax.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -870,67 +864,52 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     def swap(t: np.ndarray) -> np.ndarray:  # contiguous transpose of the last two axes
         return np.ascontiguousarray(t.transpose(0, 2, 1))
 
-    def merge(t: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, C)
-        return t.transpose(1, 0, 2).reshape(-1, c)
-
     def heads_of(t: np.ndarray) -> np.ndarray:  # (n, C) rows -> (n, heads, dh) view
         return t.reshape(-1, heads, dh)
 
     segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-
-    def halved(lo: int, hi: int) -> bool:  # a segment big enough to split its heads
-        return _splits(heads, (hi - lo) * (hi - lo) * c)
-
+    mnk = sum((hi - lo) * (hi - lo) for lo, hi in segments) * c  # the scores' multiply-adds
+    qs = [split(q.data[lo:hi]) for lo, hi in segments]
+    kts = [swap(split(k.data[lo:hi])) for lo, hi in segments]
+    vs = [split(v.data[lo:hi]) for lo, hi in segments]
     out = np.empty((n, c))
-    weights = []
-    for lo, hi in segments:
-        qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
-        if not halved(lo, hi):
-            scores = _one_thread_matmul(qh, swap(kh)) * temp
-            _check_finite(scores, "attention scores")
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            w = e / e.sum(axis=-1, keepdims=True)
-            out[lo:hi] = merge(_one_thread_matmul(w, vh))
-            weights.append(w)
-            continue
-        w = np.empty((heads, hi - lo, hi - lo))  # the scores, then the weights in place
+    # each segment's scores, then its weights in place
+    weights = [np.empty((heads, hi - lo, hi - lo)) for lo, hi in segments]
 
-        def score(s: slice) -> None:
+    def score(s: slice) -> None:
+        for qh, kt, w in zip(qs, kts, weights):
             ws = w[s]
-            _one_thread_matmul(qh[s], swap(kh[s]), out=ws)
+            _one_thread_matmul(qh[s], kt[s], out=ws)
             ws *= temp
 
-        def attend(s: slice) -> None:
+    def attend(s: slice) -> None:
+        for (lo, hi), vh, w in zip(segments, vs, weights):
             ws = w[s]
             ws -= ws.max(axis=-1, keepdims=True)
             np.exp(ws, out=ws)
             ws /= ws.sum(axis=-1, keepdims=True)
             heads_of(out[lo:hi])[:, s] = _one_thread_matmul(ws, vh[s]).transpose(1, 0, 2)
 
-        _halves(score, heads)
+    _halves(score, heads, mnk)
+    for w in weights:
         _check_finite(w, "attention scores")
-        _halves(attend, heads)
-        weights.append(w)
+    _halves(attend, heads, mnk)
 
     def bwd(g):
         gq, gk, gv = np.empty((n, c)), np.empty((n, c)), np.empty((n, c))
-        for (lo, hi), w in zip(segments, weights):
-            # the head splits again, not kept: they would double the pack's q, k and v
-            qh, kh, vh = split(q.data[lo:hi]), split(k.data[lo:hi]), split(v.data[lo:hi])
-            gh = split(g[lo:hi])
-            if not halved(lo, hi):
-                gw = _one_thread_matmul(gh, swap(vh))
-                gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * temp
-                gq[lo:hi] = merge(_one_thread_matmul(gs, kh))
-                gk[lo:hi] = merge(_one_thread_matmul(swap(gs), qh))
-                gv[lo:hi] = merge(_one_thread_matmul(swap(w), gh))
-                continue
-            # made here, so a half on the helper thread allocates no (heads, n, n) array
-            gw, scratch = np.empty_like(w), np.empty_like(w)
+        # the head splits again, not kept: they would double the pack's q, k
+        # and v. Made here with every (heads, n, n) array, so the helper
+        # allocates none
+        parts = [
+            (lo, hi, w, np.empty_like(w), np.empty_like(w), split(q.data[lo:hi]), split(k.data[lo:hi]),
+             swap(split(v.data[lo:hi])), split(g[lo:hi]))
+            for (lo, hi), w in zip(segments, weights)
+        ]
 
-            def back(s: slice) -> None:
+        def back(s: slice) -> None:
+            for lo, hi, w, gw, scratch, qh, kh, vt, gh in parts:
                 ws, gs, t = w[s], gw[s], scratch[s]
-                _one_thread_matmul(gh[s], swap(vh[s]), out=gs)  # the weights' gradient, then the scores'
+                _one_thread_matmul(gh[s], vt[s], out=gs)  # the weights' gradient, then the scores'
                 gs -= np.multiply(gs, ws, out=t).sum(axis=-1, keepdims=True)
                 np.multiply(ws, gs, out=gs)
                 gs *= temp
@@ -940,7 +919,7 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
                 t[...] = ws.transpose(0, 2, 1)
                 heads_of(gv[lo:hi])[:, s] = _one_thread_matmul(t, gh[s]).transpose(1, 0, 2)
 
-            _halves(back, heads)
+        _halves(back, heads, mnk)
         return [(q, gq), (k, gk), (v, gv)]
 
     return _make(out, (q, k, v), bwd, "attention output")

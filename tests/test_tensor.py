@@ -497,22 +497,52 @@ class TestHelperThread:
         T.tsum(T.mul(out, weight)).backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
 
-    def split_and_whole(self, monkeypatch, op, arrays, weight):
+    def split_and_whole(self, monkeypatch, op, arrays, weight, threshold=0):
         whole = self.outputs_and_grads(op, arrays, weight)
         with monkeypatch.context() as m:
-            m.setattr(T, "_PAIR_MNK", 0)
+            m.setattr(T, "_PAIR_MNK", threshold)
             return self.outputs_and_grads(op, arrays, weight), whole
 
-    @pytest.mark.parametrize("heads", [2, 3])
-    def test_split_attention_is_bitwise_the_whole_over_several_segments(self, heads, monkeypatch):
+    # segments of 2, 1 and 6 rows of 6 channels: their scores take 24, 6 and
+    # 216 multiply-adds, 246 in all. At a threshold of 246 the op splits,
+    # though no segment alone would.
+    @pytest.mark.parametrize(
+        "heads, threshold",
+        [pytest.param(h, t, id=f"{h}{tag}") for tag, t in (("", 0), ("-per-op", 246)) for h in (2, 3)],
+    )
+    def test_split_attention_is_bitwise_the_whole_over_several_segments(self, heads, threshold, monkeypatch):
         rng = np.random.default_rng(220)
         arrays = [rng.normal(size=(9, 6)) for _ in range(3)]
+        caller, pair, on_helper = threading.current_thread(), T._pair, []
+
+        def spy(f, g):
+            def first_half():
+                on_helper.append(threading.current_thread() is not caller)
+                return f()
+
+            return pair(first_half, g)
 
         def op(q, k, v):
             return T.attention(q, k, v, heads, (0, 2, 3, 9))
 
-        split, whole = self.split_and_whole(monkeypatch, op, arrays, rng.normal(size=(9, 6)))
+        monkeypatch.setattr(T, "_pair", spy)
+        split, whole = self.split_and_whole(monkeypatch, op, arrays, rng.normal(size=(9, 6)), threshold)
         assert split == whole
+        # one hand-off each for the scores, the softmax and the backward
+        assert on_helper == [True] * 3
+
+    @pytest.mark.parametrize("threshold", [T._PAIR_MNK, 0])
+    def test_an_overflowing_score_in_a_later_segment_is_caught_on_the_caller(self, threshold, monkeypatch):
+        # head 0 of the second segment overflows; at threshold 0 that head
+        # runs on the helper, and the caller checks every segment's scores
+        rng = np.random.default_rng(223)
+        q, k, v = (rng.normal(size=(9, 4)) for _ in range(3))
+        q[5, :2] = k[6, :2] = 1e200
+        monkeypatch.setattr(T, "_PAIR_MNK", threshold)
+        with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^non-finite values in attention scores$"):
+                T.attention(T.param(q), T.param(k), T.param(v), 2, (0, 3, 9))
 
     @pytest.mark.parametrize("lead", [(), (5,), (3, 5)])
     def test_split_linear_and_ffn_are_bitwise_the_whole(self, lead, monkeypatch):

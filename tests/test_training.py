@@ -904,10 +904,10 @@ class TestThreads:
         assert beside == alone
 
     def test_desk_runs_never_start_the_helper_thread(self, monkeypatch):
-        """Every linear, ffn and attention kernel of desk pretraining and
-        desk few-shot, at the sizes of the `pretrain-desk` and `fewshot-desk`
-        workloads, stays below `_PAIR_MNK`, so the desk paths run on the
-        calling thread alone, as before."""
+        """Every linear and ffn kernel, and every attention op over all the
+        segments of its pack, of desk pretraining and desk few-shot, at the
+        sizes of the `pretrain-desk` and `fewshot-desk` workloads, stays
+        below `_PAIR_MNK`, so the desk paths run on the calling thread alone."""
         with_workers(monkeypatch, 0)
         monkeypatch.setattr(T, "_helper", None)
         clouds = desk_clouds(30)
