@@ -230,8 +230,6 @@ def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: b
 class ReconOutput:
     pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center, rows of plan.masked[2] in order
     pred_zero: Tensor | None
-    stage_outputs: list[Tensor]
-    decoder: Tensor
 
 
 class MaskedAutoencoder(Module):
@@ -258,7 +256,7 @@ class MaskedAutoencoder(Module):
         pred_zero = None
         if self.zero_head is not None:
             pred_zero = T.reshape(self.zero_head(hidden), (rows.size, self.cfg.ks[0], 3))
-        return ReconOutput(pred, pred_zero, stages, dec)
+        return ReconOutput(pred, pred_zero)
 
     def loss(self, pyr: ScalePyramid, plan: MaskPlan) -> Tensor:
         """The pack's mean pretraining loss over its clouds."""

@@ -814,37 +814,37 @@ def _halves(fn: Callable[[slice], object], n: int, mnk: int) -> None:
         _pair(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
 
 
-def _one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stacked a @ b over contiguous (h, m, k) and (h, k, n), in row blocks
-    small enough that BLAS runs each on one thread; into `out` if given."""
-    h, m, k = a.shape
+def _one_thread_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Stacked a @ b of (h, m, k) and (h, k, n) into `out`, in row blocks
+    small enough that BLAS runs each on one thread. Each may be a row slice
+    of a contiguous array, which BLAS reads as it would a copy."""
+    _, m, k = a.shape
     n = b.shape[2]
     rows = max(1, _ONE_THREAD_MNK // (n * k))
     if rows >= m:
-        return a @ b if out is None else np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty((h, m, n))
+        np.matmul(a, b, out=out)
+        return
     for lo in range(0, m, rows):
         np.matmul(a[:, lo : lo + rows], b, out=out[:, lo : lo + rows])
-    return out
 
 
 def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     """Multi-head scaled dot-product attention over (N, C) token rows.
 
-    `offsets` (0 first, N last, strictly increasing) cut the rows into
-    segments, one per cloud of a pack; a segment attends only to itself, by
-    the arithmetic it would get alone. One sequence is `(0, N)`.
+    `offsets` (integers, 0 first, N last, strictly increasing) cut the rows
+    into segments, one per cloud of a pack; a segment attends only to
+    itself, by the arithmetic it would get alone. One sequence is `(0, N)`.
     Each head takes its own C/heads channels of q, k and v and computes
     softmax(q k^T / sqrt(C/heads)) v; the head outputs are concatenated
-    back to (N, C) in head order. Every stacked product runs on contiguous
-    operands, in row blocks BLAS runs on one thread, so its bits do not
-    depend on the BLAS thread count. The scores, the softmax and the
-    backward each run as one `_halves` call that loops over the segments,
-    so the split is decided per op: when all segments' scores together take
-    at least _PAIR_MNK multiply-adds, half of every segment's heads run on
-    the helper thread. Every segment's scores are checked, here, before any
-    softmax.
+    back to (N, C) in head order. Every stacked product reads row slices of
+    one contiguous head split per operand, made once per pack (K and V are
+    transposed by copy, not by view, which keeps the bits), in row blocks
+    BLAS runs on one thread, so its bits do not depend on the BLAS thread
+    count. The scores, the softmax and the backward each run as one
+    `_halves` call that loops over the segments, so the split is decided
+    per op: when all segments' scores together take at least _PAIR_MNK
+    multiply-adds, half of every segment's heads run on the helper thread.
+    Every segment's scores are checked, here, before any softmax.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -852,43 +852,44 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     n, c = q.shape
     if heads < 1 or c % heads != 0:
         raise ShapeError(f"{heads} heads do not divide {c} channels")
-    bounds = np.asarray(offsets, dtype=np.int64)
-    if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n or np.any(np.diff(bounds) < 1):
-        raise ShapeError(f"segment offsets must rise strictly from 0 to {n}, got {bounds.tolist()}")
+    bounds = np.asarray(offsets)
+    if (
+        not np.issubdtype(bounds.dtype, np.integer) or bounds.ndim != 1 or bounds.size < 2
+        or bounds[0] != 0 or bounds[-1] != n or np.any(bounds[1:] <= bounds[:-1])
+    ):
+        raise ShapeError(f"segment offsets must rise strictly from 0 to {n} as integers, got {bounds.tolist()}")
     dh = c // heads
     temp = 1.0 / np.sqrt(dh)
 
     def split(t: np.ndarray) -> np.ndarray:  # (n, C) -> contiguous (heads, n, dh)
-        return np.ascontiguousarray(t.reshape(-1, heads, dh).transpose(1, 0, 2))
+        return np.ascontiguousarray(t.reshape(n, heads, dh).transpose(1, 0, 2))
 
     def swap(t: np.ndarray) -> np.ndarray:  # contiguous transpose of the last two axes
         return np.ascontiguousarray(t.transpose(0, 2, 1))
 
-    def heads_of(t: np.ndarray) -> np.ndarray:  # (n, C) rows -> (n, heads, dh) view
-        return t.reshape(-1, heads, dh)
+    def merge(t: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, C)
+        return t.transpose(1, 0, 2).reshape(n, c)
 
-    segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    mnk = sum((hi - lo) * (hi - lo) for lo, hi in segments) * c  # the scores' multiply-adds
-    qs = [split(q.data[lo:hi]) for lo, hi in segments]
-    kts = [swap(split(k.data[lo:hi])) for lo, hi in segments]
-    vs = [split(v.data[lo:hi]) for lo, hi in segments]
-    out = np.empty((n, c))
+    segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    mnk = sum((r.stop - r.start) ** 2 for r in segments) * c  # the scores' multiply-adds
+    qh, kt, vh = split(q.data), swap(split(k.data)), split(v.data)
+    out = np.empty((heads, n, dh))
     # each segment's scores, then its weights in place
-    weights = [np.empty((heads, hi - lo, hi - lo)) for lo, hi in segments]
+    weights = [np.empty((heads, r.stop - r.start, r.stop - r.start)) for r in segments]
 
     def score(s: slice) -> None:
-        for qh, kt, w in zip(qs, kts, weights):
+        for r, w in zip(segments, weights):
             ws = w[s]
-            _one_thread_matmul(qh[s], kt[s], out=ws)
+            _one_thread_matmul(qh[s, r], kt[s, :, r], ws)
             ws *= temp
 
     def attend(s: slice) -> None:
-        for (lo, hi), vh, w in zip(segments, vs, weights):
+        for r, w in zip(segments, weights):
             ws = w[s]
             ws -= ws.max(axis=-1, keepdims=True)
             np.exp(ws, out=ws)
             ws /= ws.sum(axis=-1, keepdims=True)
-            heads_of(out[lo:hi])[:, s] = _one_thread_matmul(ws, vh[s]).transpose(1, 0, 2)
+            _one_thread_matmul(ws, vh[s, r], out[s, r])
 
     _halves(score, heads, mnk)
     for w in weights:
@@ -896,30 +897,27 @@ def attention(q, k, v, heads: int, offsets: Sequence[int]) -> Tensor:
     _halves(attend, heads, mnk)
 
     def bwd(g):
-        gq, gk, gv = np.empty((n, c)), np.empty((n, c)), np.empty((n, c))
         # the head splits again, not kept: they would double the pack's q, k
         # and v. Made here with every (heads, n, n) array, so the helper
         # allocates none
-        parts = [
-            (lo, hi, w, np.empty_like(w), np.empty_like(w), split(q.data[lo:hi]), split(k.data[lo:hi]),
-             swap(split(v.data[lo:hi])), split(g[lo:hi]))
-            for (lo, hi), w in zip(segments, weights)
-        ]
+        qh, kh, vt, gh = split(q.data), split(k.data), swap(split(v.data)), split(g)
+        gq, gk, gv = np.empty((heads, n, dh)), np.empty((heads, n, dh)), np.empty((heads, n, dh))
+        parts = [(r, w, np.empty_like(w), np.empty_like(w)) for r, w in zip(segments, weights)]
 
         def back(s: slice) -> None:
-            for lo, hi, w, gw, scratch, qh, kh, vt, gh in parts:
+            for r, w, gw, scratch in parts:
                 ws, gs, t = w[s], gw[s], scratch[s]
-                _one_thread_matmul(gh[s], vt[s], out=gs)  # the weights' gradient, then the scores'
+                _one_thread_matmul(gh[s, r], vt[s, :, r], gs)  # the weights' gradient, then the scores'
                 gs -= np.multiply(gs, ws, out=t).sum(axis=-1, keepdims=True)
                 np.multiply(ws, gs, out=gs)
                 gs *= temp
-                heads_of(gq[lo:hi])[:, s] = _one_thread_matmul(gs, kh[s]).transpose(1, 0, 2)
+                _one_thread_matmul(gs, kh[s, r], gq[s, r])
                 t[...] = gs.transpose(0, 2, 1)
-                heads_of(gk[lo:hi])[:, s] = _one_thread_matmul(t, qh[s]).transpose(1, 0, 2)
+                _one_thread_matmul(t, qh[s, r], gk[s, r])
                 t[...] = ws.transpose(0, 2, 1)
-                heads_of(gv[lo:hi])[:, s] = _one_thread_matmul(t, gh[s]).transpose(1, 0, 2)
+                _one_thread_matmul(t, gh[s, r], gv[s, r])
 
         _halves(back, heads, mnk)
-        return [(q, gq), (k, gk), (v, gv)]
+        return [(q, merge(gq)), (k, merge(gk)), (v, merge(gv))]
 
-    return _make(out, (q, k, v), bwd, "attention output")
+    return _make(merge(out), (q, k, v), bwd, "attention output")

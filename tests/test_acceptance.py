@@ -406,12 +406,13 @@ def test_full_size_config_shape_contract():
         assert len(plan.masked[3]) == 38
         assert len(plan.visible[3]) == 26
         model = MaskedAutoencoder(mc, rng)
-        rec = model.reconstruct(pyr, plan)
-        stage_dims = [(s.shape[0], s.shape[1]) for s in rec.stage_outputs]
+        stages = model.encoder(pyr, plan)
+        stage_dims = [(s.shape[0], s.shape[1]) for s in stages]
         assert stage_dims[0] == (len(plan.visible[1]), 96)
         assert stage_dims[1] == (len(plan.visible[2]), 192)
         assert stage_dims[2] == (26, 384)
-        assert rec.decoder.shape == (256, 192)
+        assert model.decoder(stages, pyr, plan).shape == (256, 192)
+        rec = model.reconstruct(pyr, plan)
         assert rec.pred.shape == (len(plan.masked[2]), 8, 3)
         pretrain_loss(rec.pred, pyr, plan).backward()
         touched = [p for p in model.parameters() if p.grad is not None]

@@ -391,7 +391,8 @@ class TestMaskedAutoencoder:
             rec = model.reconstruct(pyr, plan)
             loss = pretrain_loss(rec.pred, pyr, plan)
             loss.backward()
-            outputs = [t.data.tobytes() for t in (loss, rec.pred, rec.decoder, *rec.stage_outputs)]
+            stages = model.encoder(pyr, plan)
+            outputs = [t.data.tobytes() for t in (loss, rec.pred, model.decoder(stages, pyr, plan), *stages)]
             return outputs, {n: p.grad.tobytes() for n, p in model.named_parameters()}
 
         whole = run()

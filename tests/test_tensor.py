@@ -374,7 +374,30 @@ class TestFusedOps:
         out = T.attention(q, k, Tensor(np.tile(row, (5, 1))), 2, (0, 5)).data
         np.testing.assert_allclose(out, np.tile(row, (5, 1)), rtol=1e-12)
 
-    @pytest.mark.parametrize("offsets", [(0, 2), (1, 3), (0, 2, 2, 3), (0, 3, 2, 3), ((0, 3),)])
+    @pytest.mark.parametrize("threshold", [T._PAIR_MNK, 0], ids=["whole", "split"])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_each_cloud_of_a_pack_attends_bitwise_as_it_would_alone(self, heads, threshold, monkeypatch):
+        # segments of 2, 1, 6 and 21 rows: the output and the q, k and v
+        # gradients of each are bitwise those of the segment run alone
+        rng = np.random.default_rng(17)
+        q, k, v, weight = (rng.normal(size=(30, 6)) for _ in range(4))
+        offsets = (0, 2, 3, 9, 30)
+        monkeypatch.setattr(T, "_PAIR_MNK", threshold)
+
+        def outputs_and_grads(lo, hi, cuts):
+            inputs = [T.param(a[lo:hi]) for a in (q, k, v)]
+            out = T.attention(*inputs, heads, cuts)
+            T.tsum(T.mul(out, weight[lo:hi])).backward()
+            arrays = [out.data] + [t.grad for t in inputs]
+            assert all(a.flags.c_contiguous for a in arrays)
+            return arrays
+
+        pack = outputs_and_grads(0, 30, offsets)
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            for whole, alone in zip(pack, outputs_and_grads(lo, hi, (0, hi - lo))):
+                assert whole[lo:hi].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("offsets", [(0, 2), (1, 3), (0, 2, 2, 3), (0, 3, 2, 3), ((0, 3),), (0, 1.5, 3)])
     def test_attention_offsets_must_rise_strictly_from_0_to_n(self, offsets):
         q = Tensor(np.ones((3, 4)))
         with pytest.raises(ShapeError, match="segment offsets must rise strictly from 0 to 3"):
