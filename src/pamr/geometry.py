@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, MaskConsistencyError, NonFiniteError, PamrError, ShapeError
+from .errors import ConfigError, MaskConsistencyError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
 __all__ = [
@@ -55,7 +55,7 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
     if not np.isfinite(radius):
         raise NonFiniteError("cannot normalize a cloud whose extent overflows float64")
     if radius == 0.0:
-        raise PamrError("cannot normalize a cloud whose points all coincide")
+        raise ShapeError("cannot normalize a cloud whose points all coincide")
     return centered / radius
 
 

@@ -4,9 +4,9 @@ A job is `fn(arg, item)` for one item of a list: a pyramid build, a no-grad
 encode, a few-shot head fit or a training pack's gradient. It reads nothing
 but `arg` and its item and returns its value, so it gives the same value on
 any process. A call's `Session` sends each worker `fn` and `arg` once, on that
-worker's first use, and then lists of items. The pool is imported only when
-a call could run on more than one process, and its workers start only when
-one first does.
+worker's first use, and then lists of items. `Session.run` decides where a
+run's items go: the pool's workers start only once this process has run
+`_SPREAD_AFTER_S` of work they could have taken.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import functools
 import itertools
 import os
 import threading
+import time
 
 from .errors import PamrError, WorkerError
 
@@ -142,6 +143,14 @@ class _Pool:
 _POOL = _Pool()  # one per process, so that repeated calls reuse its workers
 _KEYS = itertools.count()
 
+# Starting the pool (a forkserver and a worker, and their exit) costs about
+# 0.16 s of wall time on a 2-vCPU host, so `Session.run` starts it only once
+# the process has run this much work it could have spread: a one-shot desk
+# command (under 0.2 s of such work) never starts one, and no process loses
+# more than a sixth of the work it ran before the start.
+_SPREAD_AFTER_S = 1.0
+_unspread_s = 0.0  # the work `Session.run` ran here instead of spreading it; under `_POOL.lock`
+
 
 def _raise_first(replies: list) -> list:
     """`replies`, unless one is a PamrError: then the earliest of them is raised."""
@@ -160,23 +169,32 @@ class Session:
         self.workers, self.job, self.key = workers, (fn, arg), next(_KEYS)
 
     def run(self, items: list, here) -> list:
-        """[fn(arg, item) for item in items], where this process runs its
-        share, the first ceil(n / (w + 1)) items for the w workers used,
-        through `here(item)` instead; a worker runs fn(arg, item). The
-        replies are read in item order. A PamrError of any item is raised
-        after every reply is read, the earliest item's first. While another
-        thread's run holds the pool, or for one item, every item runs here.
-        Until the run ends, this process runs BLAS on one thread: the workers
-        fill the other CPUs, and its BLAS threads would only contend with them."""
-        if len(items) < 2 or not _POOL.lock.acquire(blocking=False):
+        """[fn(arg, item) for item in items], in item order: this process
+        runs its share, the first ceil(n / (w + 1)) items for the w workers
+        used, through `here(item)`, and a worker runs fn(arg, item). A
+        PamrError of any item is raised after every reply is read, the
+        earliest item's first. The one place that decides where items go:
+        all run here with no worker, for one item, while another thread's
+        run holds the pool, or while the pool is down and this process has
+        run less than `_SPREAD_AFTER_S` here that it could have spread. A
+        spread run pins this process's BLAS to one thread until it ends: the
+        workers fill the other CPUs, and its BLAS threads would contend."""
+        global _unspread_s
+        if self.workers < 1 or len(items) < 2 or not _POOL.lock.acquire(blocking=False):
             return [here(item) for item in items]
-        threads = _set_blas_threads(1)
+        threads = None
         try:
+            if not _POOL.conns and _unspread_s < _SPREAD_AFTER_S:
+                start = time.perf_counter()
+                results = [here(item) for item in items]
+                _unspread_s += time.perf_counter() - start
+                return results
+            threads = _set_blas_threads(1)
             return _POOL.run(self, items, here)
         finally:
-            _POOL.lock.release()
             if threads is not None:
                 _set_blas_threads(threads)
+            _POOL.lock.release()
 
 
 def started() -> bool:

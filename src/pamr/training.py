@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,7 +149,9 @@ def augment(pyramid: ScalePyramid, rng: np.random.Generator, cfg: TrainConfig) -
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over a (B, K) batch of logits."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ConfigError(f"labels must be integers, got dtype {labels.dtype}")
     b, k = logits.shape
     if labels.shape != (b,):
         raise ConfigError(f"expected {b} labels, got shape {labels.shape}")
@@ -192,15 +193,16 @@ def _fit(
     optimizer step follows and appends a MetricsRow, so the step number is
     `len(rows)`.
 
-    The packs spread over the pool as jobs do (`_spreader`): the leading
-    packs are backed here, the others in workers (`_pack_gradient`), each
-    into its own copy of `model`, sent once per call. Their leaf gradients
-    are then added here in pack order by backward()'s own rule. Every
-    parameter takes one gradient per graph, so each pack adds the same array
-    either way, and every output is bitwise the same at any worker count."""
+    A call's packs are the jobs of one `_session`, run once per batch: the
+    leading packs are backed here, the others, once the pool runs, in workers
+    (`_pack_gradient`), each into its own copy of `model`, sent once per call.
+    Their leaf gradients are then added here in pack order by backward()'s
+    own rule. Every parameter takes one gradient per graph, so each pack adds
+    the same array either way, and every output is bitwise the same at any
+    worker count."""
     leaves = list(opt.params.values())
     packs_per_batch = -(-min(cfg.batch_size, n) // size)
-    spread = _spreader(size, packs_per_batch, _pack_gradient, (model, pack_loss, leaves))
+    session = _session(size, packs_per_batch, _pack_gradient, (model, pack_loss, leaves))
 
     def here(item: tuple) -> tuple:
         _, pack, share = item
@@ -213,7 +215,7 @@ def _fit(
             opt.zero_grad()
             arrays = [p.data for p in leaves]
             packs = [drawn[p : p + size] for p in range(0, len(drawn), size)]
-            results = spread([(arrays, pack, len(pack) / len(drawn)) for pack in packs], here)
+            results = session.run([(arrays, pack, len(pack) / len(drawn)) for pack in packs], here)
             total = 0.0
             for pack, (value, _, grads) in zip(packs, results):
                 for p, g in zip(leaves, grads or ()):  # None: backed here
@@ -262,46 +264,20 @@ def _auto_workers(size: int, packs: int) -> int:
     return min(len(os.sched_getaffinity(0)) - 1, packs - 1)
 
 
-# Starting the pool (a forkserver and a worker, and their exit) costs a
-# process about 0.16 s of wall time on a 2-vCPU host. `_spreader` starts it,
-# between two jobs' or two training steps' runs, only once the process has
-# run this much work it could have spread: a one-shot desk command (under
-# 0.2 s of such work) never starts one, and no process loses more than a
-# sixth of the work it ran before the start.
-_SPREAD_AFTER_S = 1.0
-_unspread_s = 0.0  # the work this process ran in `_spreader` instead of spreading it
+def _session(size: int, n: int, fn, arg):
+    """The `pamr.pool` session of a call's jobs `fn(arg, item)`, up to `n` at
+    a time of up to `size` clouds each, on `_auto_workers(size, n)` workers.
+    `fn` is a module-level function that reads nothing else and gives what
+    the run's `here(item)` gives, so the results do not depend on where
+    `session.run(items, here)` puts the items."""
+    from . import pool  # here: `import pamr.cli` does not load the pool
 
-
-def _spreader(size: int, n: int, fn, arg):
-    """A function `run(items, here)` that gives [here(item) for item in
-    items], for up to `n` items of up to `size` clouds at a time. `here(item)`
-    and the job `fn(arg, item)` give the same value, and `fn` is a
-    module-level function that reads nothing else, so once the pool runs or
-    the process's work has paid for its start, `run` spreads its items over
-    `_auto_workers(size, n)` workers of `pamr.pool` besides this process, with
-    the same results. Until then it runs them here and adds up their time."""
-    workers = _auto_workers(size, n) if n > 1 else 0
-    if not workers:
-        return lambda items, here: [here(item) for item in items]
-    from . import pool  # here: a run that starts no worker never loads the pool
-
-    session = pool.Session(workers, fn, arg)
-
-    def run(items: list, here) -> list:
-        global _unspread_s
-        if pool.started() or _unspread_s >= _SPREAD_AFTER_S:
-            return session.run(items, here)
-        start = time.perf_counter()
-        results = [here(item) for item in items]
-        _unspread_s += time.perf_counter() - start
-        return results
-
-    return run
+    return pool.Session(_auto_workers(size, n), fn, arg)
 
 
 def _spread(size: int, fn, arg, items: list) -> list:
-    """[fn(arg, item) for item in items], in order, spread as `_spreader` says."""
-    return _spreader(size, len(items), fn, arg)(items, functools.partial(fn, arg))
+    """[fn(arg, item) for item in items], in order, as one run of a `_session`."""
+    return _session(size, len(items), fn, arg).run(items, functools.partial(fn, arg))
 
 
 # The jobs `_spread` hands out: module-level, so a call can send them by name.

@@ -15,7 +15,7 @@ from pamr import tensor as T
 from pamr.backbone import TokenPropagator
 from pamr.config import ModelConfig
 from pamr.data import SHAPE_KINDS, ShapeSpec, gen_shapes
-from pamr.errors import ConfigError, MaskConsistencyError, NonFiniteError, PamrError, ShapeError
+from pamr.errors import ConfigError, MaskConsistencyError, NonFiniteError, ShapeError
 from pamr.gradcheck import finite_diff_check
 from pamr.geometry import (
     PointCloud,
@@ -54,7 +54,7 @@ class TestPointCloud:
         np.testing.assert_allclose(radii.max(), 1.0, rtol=1e-12)
 
     def test_normalize_rejects_degenerate(self):
-        with pytest.raises(PamrError):
+        with pytest.raises(ShapeError, match="^cannot normalize a cloud whose points all coincide$"):
             normalize_points(np.zeros((5, 3)))
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])

@@ -110,5 +110,16 @@ def callers(path: Path, name: str) -> list[str]:
 
 
 def test_one_function_decides_the_worker_count():
-    """Every use of the pool takes its worker count from `_spreader`, the one caller of `_auto_workers`."""
-    assert set(callers(ROOT / "src" / "pamr" / "training.py", "_auto_workers")) == {"_spreader"}
+    """Every use of the pool takes its worker count from `_session`, the one caller of `_auto_workers`."""
+    assert callers(ROOT / "src" / "pamr" / "training.py", "_auto_workers") == ["_session"]
+
+
+def test_only_the_pool_keeps_the_rule_that_starts_it():
+    """`pamr.pool` alone defines and reads `_SPREAD_AFTER_S` and `_unspread_s`,
+    so `Session.run` alone decides whether a run's items go to workers."""
+    names, users = {"_SPREAD_AFTER_S", "_unspread_s"}, set()
+    for path in (ROOT / "src" / "pamr").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if getattr(node, "id", None) in names or getattr(node, "attr", None) in names:
+                users.add(path.stem)
+    assert users == {"pool"}

@@ -1,6 +1,7 @@
 import collections
 import functools
 import gc
+import itertools
 import math
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -87,7 +89,7 @@ def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
     encodes and few-shot head fits, the jobs from the first call on. Record
     each training call's optimizer in `opts`."""
     monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
-    monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 0.0)
+    monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
     if opts is not None:
         monkeypatch.setattr(pamr.training, "_fit", lambda model, opt, *a: opts.append(opt) or _FIT(model, opt, *a))
 
@@ -427,6 +429,9 @@ class TestCrossEntropy:
             cross_entropy(logits, np.array([0]))
         with pytest.raises(ConfigError):
             cross_entropy(logits, np.array([0, 3]))
+        for labels in ([0.7, 1.2], [0.0, 1.0], [True, False]):  # refused, not truncated or cast
+            with pytest.raises(ConfigError, match="^labels must be integers, got dtype "):
+                cross_entropy(logits, np.array(labels))
 
 
 class TestPretrain:
@@ -975,7 +980,7 @@ def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> Adam
     draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
-        mp.setattr(pamr.training, "_SPREAD_AFTER_S", 0.0)
+        mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
         pamr.training._fit(model, opt, len(items), cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
 
@@ -1059,12 +1064,13 @@ warmup_epochs = 0
 # CPU count, from the first step on
 CLI_ONE_WORKER = """
 import sys
+import pamr.pool
 import pamr.training
 from pamr.cli import main
 
 if __name__ == "__main__":
     pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
-    pamr.training._SPREAD_AFTER_S = 0.0
+    pamr.pool._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -1074,6 +1080,7 @@ CLI_WORKER_EXITS = """
 import multiprocessing
 import os
 import sys
+import pamr.pool
 import pamr.training
 from pamr.cli import main
 
@@ -1089,7 +1096,7 @@ def exits_in_a_worker(model, pack):
 if __name__ == "__main__":
     pamr.training._reconstruction_loss = exits_in_a_worker
     pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
-    pamr.training._SPREAD_AFTER_S = 0.0
+    pamr.pool._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -1111,7 +1118,7 @@ cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0)
 HOLDS_A_WORKER = DESK_BATCH + """
 from pamr import pool
 tr._auto_workers = lambda size, packs: min(1, packs - 1)
-tr._SPREAD_AFTER_S = 0.0
+pool._SPREAD_AFTER_S = 0.0
 tr.pretrain_run(clouds, desk, cfg)
 print(*(p.pid for p in pool._POOL.procs), flush=True)
 time.sleep(300)
@@ -1120,7 +1127,8 @@ time.sleep(300)
 # the batch with the worker count left to the CPU affinity, cut to one CPU
 ON_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + DESK_BATCH + """
 tr.pretrain_run(clouds, desk, cfg)
-print("pamr.pool" in sys.modules, "multiprocessing" in sys.modules)
+from pamr import pool
+print(pool.started(), "multiprocessing" in sys.modules)
 """
 
 # desk pretraining in batches of 32 (four packs), then few-shot over five
@@ -1140,7 +1148,7 @@ cfg = TrainConfig(epochs=2, batch_size=32, warmup_epochs=1, seed=4, augment=True
 few = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, seed=4, head_hidden=(16,), n_way=2, m_shot=3,
                   test_per_class=5, trials=5)
 runs = []
-tr._SPREAD_AFTER_S = 0.0
+pool._SPREAD_AFTER_S = 0.0
 for workers in (0, len(os.sched_getaffinity(0)) + 1):
     tr._auto_workers = lambda size, packs: min(workers, packs - 1)
     res = tr.pretrain_run(clouds, desk, cfg)
@@ -1269,10 +1277,10 @@ class TestPackPool:
         runs here."""
         pamr.pool._POOL.close()
         monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
-        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
         assert len(pretrain_run(desk_clouds(4), DESK, cfg).rows) == 1
-        assert 0.0 < pamr.training._unspread_s < pamr.training._SPREAD_AFTER_S
+        assert 0.0 < pamr.pool._unspread_s < pamr.pool._SPREAD_AFTER_S
         assert not pamr.pool.started()
 
     def test_a_call_that_crosses_the_threshold_starts_the_pool_between_two_steps(self, monkeypatch):
@@ -1282,8 +1290,8 @@ class TestPackPool:
         with the first pack it is sent, and the rows and parameters are
         bitwise the in-process ones."""
         pamr.pool._POOL.close()
-        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 1e-9)
+        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 1e-9)
         sent, send = [], pamr.pool._POOL.send
 
         def spy(w, session, items):
@@ -1386,8 +1394,11 @@ class TestPackPool:
 
 
 def on_the_pool(workers: int, fn, arg, items) -> list:
-    """[fn(arg, item) for item in items] in one session on `workers` workers, this process's share included."""
-    return pamr.pool.Session(workers, fn, arg).run(items, functools.partial(fn, arg))
+    """[fn(arg, item) for item in items] in one session on `workers` workers,
+    this process's share included, with the pool started at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+        return pamr.pool.Session(workers, fn, arg).run(items, functools.partial(fn, arg))
 
 
 def _exits_in_a_worker_job(arg, item):
@@ -1406,6 +1417,11 @@ def _in_a_worker_after(seconds, item) -> bool:
     """A job that sleeps `seconds`, then says whether it ran in a worker process."""
     time.sleep(seconds)
     return multiprocessing.parent_process() is not None
+
+
+def _blas_threads(arg, item) -> tuple[int, bool]:
+    """A job that reads this process's OpenBLAS thread count and says whether it ran in a worker."""
+    return pamr.pool._openblas()[0](), multiprocessing.parent_process() is not None
 
 
 def _head_accuracy_and_pool_use(train_cfg, job):
@@ -1545,32 +1561,79 @@ class TestJobPool:
             assert on_the_pool(1, _in_a_worker, None, range(4)) == [False] * 4
 
     def test_jobs_run_here_until_their_time_pays_for_the_pool(self, monkeypatch):
-        """While the pool is down, `_spread` runs its jobs here and adds up
-        their time; once that reaches `_SPREAD_AFTER_S` it starts the pool.
+        """While the pool is down, `Session.run` runs `_spread`'s jobs here and
+        adds up their time; once that reaches `_SPREAD_AFTER_S` it starts the pool.
         A running pool is used at once. Work that could not spread, one item
         or no worker, adds nothing."""
         spread = pamr.training._spread
         pamr.pool._POOL.close()
-        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", 0.05)
+        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.05)
         monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
         assert spread(2, _in_a_worker_after, 0.01, [0]) == [False]
-        assert pamr.training._unspread_s == 0.0
+        assert pamr.pool._unspread_s == 0.0
         assert spread(2, _in_a_worker_after, 0.03, range(2)) == [False, False]
-        assert pamr.training._unspread_s >= 0.05 and not pamr.pool.started()
+        assert pamr.pool._unspread_s >= 0.05 and not pamr.pool.started()
         assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
         assert pamr.pool.started()
-        monkeypatch.setattr(pamr.training, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.training, "_SPREAD_AFTER_S", float("inf"))
+        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
         assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
         monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(0))
         pamr.pool._POOL.close()
         assert spread(2, _in_a_worker_after, 0.01, range(2)) == [False, False]
-        assert pamr.training._unspread_s == 0.0 and not pamr.pool.started()
+        assert pamr.pool._unspread_s == 0.0 and not pamr.pool.started()
+
+    def test_a_spread_run_pins_blas_to_one_thread_and_then_restores_it(self):
+        """While a run is spread, this process and its workers run OpenBLAS
+        on one thread each, so spare BLAS threads do not contend with the
+        workers; afterwards the caller has its own count again."""
+        if pamr.pool._openblas() is None:
+            pytest.skip("no OpenBLAS found in this process")
+        get, put = pamr.pool._openblas()
+        old = get()
+        put(2)
+        try:
+            assert get() == 2
+            assert on_the_pool(1, _blas_threads, None, [0, 1]) == [(1, False), (1, True)]
+            assert get() == 2
+        finally:
+            put(old)
+
+    def test_threads_that_run_here_add_every_runs_time_under_the_lock(self, monkeypatch):
+        """Four threads run sessions at once with the pool down and its
+        threshold out of reach, a thread switch forced every microsecond. A
+        run that takes the lock reads the clock twice, one tick apart, and
+        adds that tick; a run that finds the lock taken reads and adds
+        nothing. A lost update of `_unspread_s` would leave it short."""
+        pamr.pool._POOL.close()
+        ticks = itertools.count()
+        monkeypatch.setattr(pamr.pool, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(pamr.pool, "_unspread_s", 0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
+        results = []
+
+        def caller():
+            session = pamr.pool.Session(1, _in_a_worker, None)
+            results.extend(session.run([0, 1], lambda item: item) for _ in range(2000))
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 8000 and all(r == [0, 1] for r in results)
+        assert 0 < 2 * pamr.pool._unspread_s == next(ticks) and not pamr.pool.started()
 
     def test_a_head_fit_in_a_worker_starts_no_pool_of_its_own(self):
         """Two head jobs, each fit over three batches an epoch: the second
-        runs in a worker, which asks for no worker of its own and starts none."""
+        runs in a worker, which is given no worker of its own and starts none."""
         rng = np.random.default_rng(2)
         cfg = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, head_hidden=(16,))
 
@@ -1582,6 +1645,6 @@ class TestJobPool:
 
         jobs = [job(), job()]
         here, there = on_the_pool(1, _head_accuracy_and_pool_use, cfg, jobs)
-        assert here[1:] == ([], len(pamr.pool._POOL.procs), False)  # a one-pack batch asks for no worker
-        assert there[1:] == ([], 0, True)
+        assert here[1:] == ([0], len(pamr.pool._POOL.procs), False)  # a one-pack batch gets no worker
+        assert there[1:] == ([0], 0, True)
         assert there[0] == pamr.training._head_accuracy(cfg, jobs[1])  # its head is still untrained here
