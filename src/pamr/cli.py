@@ -305,8 +305,8 @@ def main(argv=None) -> int:
         # the Tensor finiteness check turns an overflow or 0/0 into a NonFiniteError
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args, model_cfg, train_cfg)
-    except (PamrError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PamrError, OSError, MemoryError) as e:
+        print(f"error: {e or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .nn import Linear, Module
 from .tensor import Tensor
 
@@ -86,7 +86,7 @@ class LocalAttentionGate(Module):
     def gates(self, x: Tensor) -> tuple[Tensor | None, Tensor | None]:
         """The per-branch gate maps, None for a disabled branch."""
         if x.ndim < 2 or x.shape[-2] != self.channels:
-            raise ConfigError(f"expected (..., {self.channels}, L) input, got {x.shape}")
+            raise ShapeError(f"expected (..., {self.channels}, L) input, got {x.shape}")
         wx = self._gate(x, "avg") if self.avg_branch else None
         wy = self._gate(x, "max") if self.max_branch else None
         return wx, wy
@@ -132,7 +132,7 @@ class PatchTokenizer(Module):
     def forward(self, patches) -> Tensor:
         x = T.as_tensor(patches)
         if x.ndim != 3 or x.shape[2] != 3:
-            raise ConfigError(f"patches must have shape (N, k, 3), got {x.shape}")
+            raise ShapeError(f"patches must have shape (N, k, 3), got {x.shape}")
         h = self.conv_a(x)  # (N, k, half)
         h = T.transpose(h, (0, 2, 1))  # channels to axis -2 for the gate
         if self.la_enabled:
@@ -155,7 +155,7 @@ class TokenMerger(Module):
         """`rows` holds positions into `tokens` with shape (n_coarse, k)."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2:
-            raise ConfigError(f"gather rows must be 2-d, got shape {rows.shape}")
+            raise ShapeError(f"gather rows must be 2-d, got shape {rows.shape}")
         g = T.index_select(tokens, rows)  # (n_coarse, k, dim_in)
         h = self.mix(T.gelu(self.lift(g)))
         return T.amax(h, axis=1)
@@ -178,5 +178,5 @@ class PositionEmbedding(Module):
     def forward(self, coords) -> Tensor:
         x = T.as_tensor(coords)
         if x.ndim != 2 or x.shape[1] != 3:
-            raise ConfigError(f"coords must have shape (N, 3), got {x.shape}")
+            raise ShapeError(f"coords must have shape (N, 3), got {x.shape}")
         return self.mix(T.gelu(self.lift(x)))

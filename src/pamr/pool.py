@@ -4,9 +4,11 @@ A job is `fn(arg, item)` for one item of a list: a pyramid build, a no-grad
 encode, a few-shot head fit or a training pack's gradient. It reads nothing
 but `arg` and its item and returns its value, so it gives the same value on
 any process. A call's `Session` sends each worker `fn` and `arg` once, on that
-worker's first use, and then lists of items. `Session.run` decides where a
-run's items go: the pool's workers start only once this process has run
-`_SPREAD_AFTER_S` of work they could have taken.
+worker's first use, and then lists of items. The pool decides where a run's
+items go and on how many workers: one per CPU this process may run on besides
+its own, and one per item after the first, never from a config value or an
+input. The workers start only once this process has run `_SPREAD_AFTER_S` of
+work they could have taken.
 """
 from __future__ import annotations
 
@@ -102,8 +104,10 @@ class _Pool:
         self.keys[w] = session.key
 
     def run(self, session: Session, items: list, here) -> list:
-        """`session.run` on `used` workers (at least one): the first
-        ceil(n / (used + 1)) items here, the rest round-robin on the workers."""
+        """`session.run` on `used` workers (at least one): the session's,
+        but at most one per item after the first (the one cap by a run's
+        items), the first ceil(n / (used + 1)) items here, the rest
+        round-robin on the workers."""
         used = min(session.workers, len(items) - 1)
         self.grow(used)
         mine = -(-len(items) // (used + 1))
@@ -161,12 +165,15 @@ def _raise_first(replies: list) -> list:
 
 
 class Session:
-    """One call's jobs `fn(arg, item)` on up to `workers` workers. `fn` must
-    be a module-level function; each worker is sent `fn` and `arg` once, on
-    its first use by this session, however many runs follow."""
+    """One call's jobs `fn(arg, item)`: with `spread`, on up to one worker
+    per CPU this process may run on besides its own (`os.sched_getaffinity`,
+    one CPU where it is missing), and all here without it. `fn` must be a
+    module-level function; each worker is sent `fn` and `arg` once, on its
+    first use by this session, however many runs follow."""
 
-    def __init__(self, workers: int, fn, arg):
-        self.workers, self.job, self.key = workers, (fn, arg), next(_KEYS)
+    def __init__(self, fn, arg, spread: bool):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        self.workers, self.job, self.key = cpus - 1 if spread else 0, (fn, arg), next(_KEYS)
 
     def run(self, items: list, here) -> list:
         """[fn(arg, item) for item in items], in item order: this process

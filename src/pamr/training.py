@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,16 +192,16 @@ def _fit(
     optimizer step follows and appends a MetricsRow, so the step number is
     `len(rows)`.
 
-    A call's packs are the jobs of one `_session`, run once per batch: the
-    leading packs are backed here, the others, once the pool runs, in workers
-    (`_pack_gradient`), each into its own copy of `model`, sent once per call.
+    A call's packs are the jobs of one `_session`, run once per batch, which
+    the pool sizes per batch: the leading packs are backed here, the others,
+    once the pool runs, in workers (`_pack_gradient`), each into its own copy
+    of `model`, sent once per call.
     Their leaf gradients are then added here in pack order by backward()'s
     own rule. Every parameter takes one gradient per graph, so each pack adds
     the same array either way, and every output is bitwise the same at any
     worker count."""
     leaves = list(opt.params.values())
-    packs_per_batch = -(-min(cfg.batch_size, n) // size)
-    session = _session(size, packs_per_batch, _pack_gradient, (model, pack_loss, leaves))
+    session = _session(size, _pack_gradient, (model, pack_loss, leaves))
 
     def here(item: tuple) -> tuple:
         _, pack, share = item
@@ -251,33 +250,23 @@ def _pack_gradient(job: tuple, item: tuple) -> tuple:
     return value, hit, [p._grad for p in leaves]
 
 
-def _auto_workers(size: int, packs: int) -> int:
-    """Worker processes for `packs` packs (or jobs) of up to `size` clouds:
-    one per CPU this process may run on, besides its own, and one per pack
-    after the first. Never from a config value or an input. Every use of the
-    pool takes its count from here."""
-    # A default-config cloud (pack_size 1) stays in-process: its staged
-    # gradient is about 112 MiB, and receiving it from a worker would break
-    # pretrain-full's 10% peak-RSS bound (each worker also holds a model copy).
-    if size < 2 or not hasattr(os, "sched_getaffinity"):
-        return 0
-    return min(len(os.sched_getaffinity(0)) - 1, packs - 1)
-
-
-def _session(size: int, n: int, fn, arg):
-    """The `pamr.pool` session of a call's jobs `fn(arg, item)`, up to `n` at
-    a time of up to `size` clouds each, on `_auto_workers(size, n)` workers.
-    `fn` is a module-level function that reads nothing else and gives what
-    the run's `here(item)` gives, so the results do not depend on where
+def _session(size: int, fn, arg):
+    """The `pamr.pool` session of a call's jobs `fn(arg, item)` of up to
+    `size` clouds each; the pool sizes each of its runs. `fn` is a
+    module-level function that reads nothing else and gives what the run's
+    `here(item)` gives, so the results do not depend on where
     `session.run(items, here)` puts the items."""
     from . import pool  # here: `import pamr.cli` does not load the pool
 
-    return pool.Session(_auto_workers(size, n), fn, arg)
+    # A default-config cloud (pack_size 1) stays in-process: its staged
+    # gradient is about 112 MiB, and receiving it from a worker would break
+    # pretrain-full's 10% peak-RSS bound (each worker also holds a model copy).
+    return pool.Session(fn, arg, spread=size >= 2)
 
 
 def _spread(size: int, fn, arg, items: list) -> list:
     """[fn(arg, item) for item in items], in order, as one run of a `_session`."""
-    return _session(size, len(items), fn, arg).run(items, functools.partial(fn, arg))
+    return _session(size, fn, arg).run(items, functools.partial(fn, arg))
 
 
 # The jobs `_spread` hands out: module-level, so a call can send them by name.

@@ -1,5 +1,7 @@
+import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from _oracles import SENTINEL, with_sentinel_as
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.checkpoint import (
+    _RETIRED,
     apply_params,
     decode_checkpoint,
     encode_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
+from pamr.cli import main
 from pamr.config import ModelConfig, TrainConfig, model_fingerprint
 from pamr.data import ShapeSpec, gen_shapes
 from pamr.errors import CheckpointCompatibilityError, CheckpointFormatError
@@ -353,3 +357,58 @@ class TestRetiredEntries:
         assert name in data.params and name in data.opt_m and name in data.opt_v
         with pytest.raises(CheckpointCompatibilityError, match="extra"):
             apply_params(model, data.params)
+
+
+QUICK_CFG = """
+n_points = 64
+sizes = 16,8
+ks = 4,4
+dims = 8,16
+heads = 2
+encoder_blocks = 1
+decoder_blocks = 1
+la_window = 3
+la_groups = 4
+epochs = 2
+batch_size = 4
+warmup_epochs = 0
+"""
+
+
+class TestV1BytesOfTheOldWriter:
+    """`tests/data/v1-quick.ckpt` holds bytes the v1 writer wrote before the
+    untrainable parameters were deleted: the tree of commit 4edbb25 ran
+    `pamr gen-data --per-class 2 --kinds sphere,cube` and `pamr pretrain` on
+    QUICK_CFG. Its 93 entries carry AdamW state; seven are retired names."""
+
+    PATH = Path(__file__).parent / "data" / "v1-quick.ckpt"
+    MODEL = ModelConfig(n_points=64, sizes=(16, 8), ks=(4, 4), dims=(8, 16), heads=2, encoder_blocks=1,
+                        decoder_blocks=1, la_window=3, la_groups=4)
+
+    def test_the_file_is_the_old_writers(self):
+        raw = self.PATH.read_bytes()
+        assert len(raw) == 221_711 and raw[:5] == b"PAMR1"
+        assert struct.unpack_from("<I", raw, 5 + 4 + 2 + 16 + 8) == (93,)  # entries, after the fingerprint and step
+        assert len(re.findall(rb"gate_[ab]\.(?:avg|max)_bias|attn\.wk\.bias", raw)) == 7
+
+    def test_it_loads_under_the_fingerprint_check_without_its_retired_names(self):
+        data = load_checkpoint(self.PATH, expect_fingerprint=model_fingerprint(self.MODEL))
+        assert (data.step, data.opt_t) == (2, 2)
+        for table in (data.params, data.opt_m, data.opt_v):
+            assert len(table) == 86 and not any(map(_RETIRED.search, table))
+        model = MaskedAutoencoder(self.MODEL, np.random.default_rng(0))
+        apply_params(model, data.params)
+        AdamW(model.param_dict(), lr=1e-3).load_state(data.opt_t, data.opt_m, data.opt_v)
+
+    def test_pamr_reconstruct_runs_on_it(self, tmp_path, capsys):
+        cfg, data, out = tmp_path / "quick.cfg", tmp_path / "data", tmp_path / "out"
+        cfg.write_text(QUICK_CFG)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--per-class", "1",
+                     "--kinds", "sphere,cube"]) == 0
+        inputs = sorted(str(p) for p in data.glob("*.xyz"))
+        assert main(["reconstruct", "--config", str(cfg), "--checkpoint", str(self.PATH), "--out", str(out),
+                     *inputs]) == 0
+        capsys.readouterr()
+        stems = [Path(p).stem for p in inputs]
+        want = {f"{s}.{kind}.xyz" for s in stems for kind in ("original", "masked", "reconstructed")}
+        assert len(inputs) == 2 and {p.name for p in out.iterdir()} == want

@@ -106,6 +106,15 @@ class TestUsage:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_a_failed_allocation_is_one_error_line(self, tmp_path, capsys):
+        """10^17 float64 points are 2.08 EiB, past any 64-bit address space:
+        the first array fails at once, allocating nothing."""
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), "--n-points", str(10**17), "--per-class", "1",
+                   "--kinds", "sphere"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
 
 class TestUnreadableFiles:
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from pamr.embedding import (
     TokenMerger,
     fit_groups,
 )
-from pamr.errors import ConfigError
+from pamr.errors import ConfigError, ShapeError
 from pamr.gradcheck import finite_diff_check
 from pamr.tensor import Tensor
 
@@ -83,7 +83,7 @@ class TestLocalAttentionGate:
         with pytest.raises(ConfigError):
             LocalAttentionGate(8, 3, 5)  # 5 does not divide 8
         gate = LocalAttentionGate(8, 3, 4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             gate(Tensor(np.ones((7, 4))))  # wrong channel count
 
     def test_gradients(self):
@@ -201,3 +201,19 @@ class TestPositionEmbedding:
         w = np.random.default_rng(44).normal(size=(5, 8))
         report = finite_diff_check(lambda: T.tsum(T.mul(pos(coords), w)), pos.param_dict())
         assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize(
+    "forward",
+    [
+        lambda rng: LocalAttentionGate(8, 3, 4).gates(Tensor(np.ones((7, 4)))),
+        lambda rng: PatchTokenizer(8, 3, 4, rng)(np.ones((5, 4, 2))),
+        lambda rng: TokenMerger(8, 12, rng)(Tensor(np.ones((20, 8))), np.zeros(6, dtype=np.int64)),
+        lambda rng: PositionEmbedding(8, rng)(np.ones((5, 2))),
+    ],
+    ids=["LocalAttentionGate.gates", "PatchTokenizer", "TokenMerger", "PositionEmbedding"],
+)
+def test_a_forwards_wrong_input_array_is_a_shape_error(forward):
+    """A constructor's bad value is a ConfigError; an input array of the wrong rank or width is a ShapeError."""
+    with pytest.raises(ShapeError):
+        forward(np.random.default_rng(0))

@@ -1,11 +1,11 @@
 """The golden digests of `tests/golden.json` against this tree (see `golden.py`)."""
 import json
+import os
 
 import pytest
 
 import golden
 import pamr.pool
-import pamr.training
 
 
 def check_golden(tmp_path):
@@ -27,6 +27,6 @@ def test_outputs_match_golden_digests_at_a_fixed_worker_count(workers, tmp_path,
     """Every use of the pool on `workers` worker processes, whatever the CPU
     count: packs 1.. of every multi-pack batch, pyramid builds, encodes and
     few-shot head fits, the jobs from the first call on."""
-    monkeypatch.setattr(pamr.training, "_auto_workers", lambda size, packs: min(workers, packs - 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers + 1)))
     monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
     check_golden(tmp_path)

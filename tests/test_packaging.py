@@ -97,21 +97,28 @@ def test_the_pool_imports_no_pamr_module_but_errors():
     assert pamr_imports(ROOT / "src" / "pamr" / "pool.py") == {"pamr.errors"}
 
 
-def callers(path: Path, name: str) -> list[str]:
-    """The top-level function of `path` around each call of `name`, once per call."""
+def callers(path: Path, name: str) -> list[str | None]:
+    """The top-level definition of `path` (None: module level) around each
+    call of `name`, bare or as an attribute, once per call."""
     found = []
-    for fn in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(fn, ast.FunctionDef):
-            found += [
-                fn.name for node in ast.walk(fn)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
-            ]
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        found += [
+            getattr(top, "name", None) for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
     return found
 
 
-def test_one_function_decides_the_worker_count():
-    """Every use of the pool takes its worker count from `_session`, the one caller of `_auto_workers`."""
-    assert callers(ROOT / "src" / "pamr" / "training.py", "_auto_workers") == ["_session"]
+def test_only_the_pool_reads_the_cpu_affinity():
+    """`pamr.pool` alone reads `os.sched_getaffinity`, so it alone sizes a
+    run, and `training._session` builds every `pool.Session`."""
+    readers = set()
+    for path in (ROOT / "src" / "pamr").glob("*.py"):
+        if any(getattr(node, "attr", None) == "sched_getaffinity" for node in ast.walk(ast.parse(path.read_text()))):
+            readers.add(path.stem)
+    assert readers == {"pool"}
+    builders = {p.stem: callers(p, "Session") for p in (ROOT / "src" / "pamr").glob("*.py")}
+    assert {stem: found for stem, found in builders.items() if found} == {"training": ["_session"]}
 
 
 def test_only_the_pool_keeps_the_rule_that_starts_it():

@@ -79,8 +79,8 @@ _FIT = pamr.training._fit
 
 
 def fixed_workers(workers: int):
-    """`_auto_workers` at a fixed count: `workers`, or one per pack or job after the first if fewer."""
-    return lambda size, packs: min(workers, packs - 1)
+    """A CPU affinity of `workers` CPUs besides this process's own, for `os.sched_getaffinity`."""
+    return lambda pid: set(range(workers + 1))
 
 
 def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
@@ -88,7 +88,7 @@ def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
     this process): packs 1.. of every training batch, pyramid builds,
     encodes and few-shot head fits, the jobs from the first call on. Record
     each training call's optimizer in `opts`."""
-    monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+    monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(workers))
     monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
     if opts is not None:
         monkeypatch.setattr(pamr.training, "_fit", lambda model, opt, *a: opts.append(opt) or _FIT(model, opt, *a))
@@ -979,7 +979,7 @@ def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> Adam
     cfg = TrainConfig(epochs=1, batch_size=len(items), warmup_epochs=0)
     draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pamr.training, "_auto_workers", fixed_workers(workers))
+        mp.setattr(os, "sched_getaffinity", fixed_workers(workers))
         mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
         pamr.training._fit(model, opt, len(items), cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
@@ -1063,13 +1063,13 @@ warmup_epochs = 0
 # `pamr pretrain ...` with every use of the pool on one worker, whatever the
 # CPU count, from the first step on
 CLI_ONE_WORKER = """
+import os
 import sys
 import pamr.pool
-import pamr.training
 from pamr.cli import main
 
 if __name__ == "__main__":
-    pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
+    os.sched_getaffinity = lambda pid: {0, 1}
     pamr.pool._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
@@ -1095,7 +1095,7 @@ def exits_in_a_worker(model, pack):
 
 if __name__ == "__main__":
     pamr.training._reconstruction_loss = exits_in_a_worker
-    pamr.training._auto_workers = lambda size, packs: min(1, packs - 1)
+    os.sched_getaffinity = lambda pid: {0, 1}
     pamr.pool._SPREAD_AFTER_S = 0.0
     sys.exit(main(sys.argv[1:]))
 """
@@ -1116,8 +1116,9 @@ cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0)
 
 # the batch on one worker, then the worker's pid, then a long wait
 HOLDS_A_WORKER = DESK_BATCH + """
+import os
 from pamr import pool
-tr._auto_workers = lambda size, packs: min(1, packs - 1)
+os.sched_getaffinity = lambda pid: {0, 1}
 pool._SPREAD_AFTER_S = 0.0
 tr.pretrain_run(clouds, desk, cfg)
 print(*(p.pid for p in pool._POOL.procs), flush=True)
@@ -1150,7 +1151,7 @@ few = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, seed=4, head_hidden=(
 runs = []
 pool._SPREAD_AFTER_S = 0.0
 for workers in (0, len(os.sched_getaffinity(0)) + 1):
-    tr._auto_workers = lambda size, packs: min(workers, packs - 1)
+    os.sched_getaffinity = lambda pid: set(range(workers + 1))
     res = tr.pretrain_run(clouds, desk, cfg)
     runs.append([res.losses, [p.data.tobytes() for p in res.model.parameters()], res.optimizer.t])
     runs[-1].append(tr.few_shot_eval(clouds, desk, few).per_trial)
@@ -1218,12 +1219,14 @@ class TestPackPool:
         assert proc.stdout.split() == [str(len(os.sched_getaffinity(0)) + 1), "True"]
 
     def test_the_worker_count_comes_from_cpu_affinity_and_packs_only(self, monkeypatch):
-        auto = pamr.training._auto_workers
+        """A call's session has one worker per further CPU, and none for
+        packs of one cloud; `_Pool.run` caps each run by its items."""
+        workers = lambda size: pamr.training._session(size, _in_a_worker, None).workers  # noqa: E731
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert [auto(8, packs) for packs in (1, 2, 3, 8)] == [0, 1, 2, 3]
-        assert auto(1, 4) == 0  # a default-config cloud goes alone and stays in-process
+        assert [workers(size) for size in (2, 8, 12)] == [3, 3, 3]
+        assert workers(1) == 0  # a default-config cloud goes alone and stays in-process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
-        assert auto(8, 8) == 0
+        assert workers(8) == 0
 
     def test_one_cpu_starts_no_process(self):
         proc = subprocess.run(
@@ -1276,7 +1279,7 @@ class TestPackPool:
         pool down: its work stays short of `_SPREAD_AFTER_S`, so every pack
         runs here."""
         pamr.pool._POOL.close()
-        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
+        monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
         monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
         assert len(pretrain_run(desk_clouds(4), DESK, cfg).rows) == 1
@@ -1299,12 +1302,13 @@ class TestPackPool:
             send(w, session, items)
 
         monkeypatch.setattr(pamr.pool._POOL, "send", spy)
+        # pyramid builds (no-grad packs of 12) stay here, so the first step meets the threshold
+        session = pamr.training._session
+        monkeypatch.setattr(pamr.training, "_session", lambda size, *a: session(size if size == 8 else 1, *a))
         cfg = TrainConfig(epochs=2, batch_size=16, warmup_epochs=1, seed=3, augment=True)
         runs = []
         for workers in (1, 0):
-            # pyramid builds (no-grad packs of 12) stay here, so the first step meets the threshold
-            only_packs = lambda size, packs: min(workers, packs - 1) if size == 8 else 0  # noqa: E731
-            monkeypatch.setattr(pamr.training, "_auto_workers", only_packs)
+            monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(workers))
             res = pretrain_run(desk_clouds(8), DESK, cfg)
             runs.append((format_metrics(res.rows), res.optimizer))
         assert sent == [True, False, False]
@@ -1397,8 +1401,9 @@ def on_the_pool(workers: int, fn, arg, items) -> list:
     """[fn(arg, item) for item in items] in one session on `workers` workers,
     this process's share included, with the pool started at once."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", fixed_workers(workers))
         mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
-        return pamr.pool.Session(workers, fn, arg).run(items, functools.partial(fn, arg))
+        return pamr.pool.Session(fn, arg, spread=True).run(items, functools.partial(fn, arg))
 
 
 def _exits_in_a_worker_job(arg, item):
@@ -1425,16 +1430,10 @@ def _blas_threads(arg, item) -> tuple[int, bool]:
 
 
 def _head_accuracy_and_pool_use(train_cfg, job):
-    """The few-shot head job, with every worker count this process asked
-    `_auto_workers` for while it ran, the workers it then had, and whether it
-    ran in a worker."""
-    asked, auto = [], pamr.training._auto_workers
-    pamr.training._auto_workers = lambda *a: asked.append(auto(*a)) or asked[-1]
-    try:
-        accuracy = pamr.training._head_accuracy(train_cfg, job)
-    finally:
-        pamr.training._auto_workers = auto
-    return accuracy, asked, len(pamr.pool._POOL.procs), multiprocessing.parent_process() is not None
+    """The few-shot head job, with the workers this process had after it ran
+    and whether it ran in a worker."""
+    accuracy = pamr.training._head_accuracy(train_cfg, job)
+    return accuracy, len(pamr.pool._POOL.procs), multiprocessing.parent_process() is not None
 
 
 def mixed_desk_points() -> list[np.ndarray]:
@@ -1555,6 +1554,28 @@ class TestJobPool:
         got = on_the_pool(1, build, DESK, clean)
         assert pyramid_bytes(sum(got, [])) == pyramid_bytes(sum((build(DESK, c) for c in clean), []))
 
+    def test_a_run_takes_a_worker_per_further_cpu_and_per_item_after_the_first(self, monkeypatch):
+        """A session's worker count comes from the CPU affinity and `spread`
+        alone, and each run uses at most one worker per item after the first.
+        With one CPU, or without `spread`, every item runs here and no
+        process starts."""
+        pamr.pool._POOL.close()
+        sent, send = [], pamr.pool._POOL.send
+        monkeypatch.setattr(pamr.pool._POOL, "send", lambda w, *a: sent.append(w) or send(w, *a))
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+        try:
+            for cpus, spread in (({0}, True), ({0, 1, 2, 3}, False)):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                assert pamr.pool.Session(_in_a_worker, None, spread).run(list(range(5)), lambda item: False) == [False] * 5
+            assert sent == [] and not pamr.pool.started()
+            session = pamr.pool.Session(_in_a_worker, None, spread=True)
+            assert session.run([0, 1], lambda item: False) == [False, True] and sent == [0]
+            sent.clear()
+            assert session.run(list(range(5)), lambda item: False) == [False, False, True, True, True]
+            assert sent == [0, 1, 2] and len(pamr.pool._POOL.procs) == 3
+        finally:
+            pamr.pool._POOL.close()
+
     def test_a_call_runs_every_job_here_while_another_holds_the_pool(self):
         assert on_the_pool(1, _in_a_worker, None, range(4)) == [False, False, True, True]
         with pamr.pool._POOL.lock:
@@ -1569,7 +1590,7 @@ class TestJobPool:
         pamr.pool._POOL.close()
         monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
         monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.05)
-        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(1))
+        monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
         assert spread(2, _in_a_worker_after, 0.01, [0]) == [False]
         assert pamr.pool._unspread_s == 0.0
         assert spread(2, _in_a_worker_after, 0.03, range(2)) == [False, False]
@@ -1579,7 +1600,7 @@ class TestJobPool:
         monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
         monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
         assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
-        monkeypatch.setattr(pamr.training, "_auto_workers", fixed_workers(0))
+        monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(0))
         pamr.pool._POOL.close()
         assert spread(2, _in_a_worker_after, 0.01, range(2)) == [False, False]
         assert pamr.pool._unspread_s == 0.0 and not pamr.pool.started()
@@ -1611,10 +1632,11 @@ class TestJobPool:
         monkeypatch.setattr(pamr.pool, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
         monkeypatch.setattr(pamr.pool, "_unspread_s", 0)
         monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
+        monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
         results = []
 
         def caller():
-            session = pamr.pool.Session(1, _in_a_worker, None)
+            session = pamr.pool.Session(_in_a_worker, None, spread=True)
             results.extend(session.run([0, 1], lambda item: item) for _ in range(2000))
 
         callers = [threading.Thread(target=caller) for _ in range(4)]
@@ -1645,6 +1667,6 @@ class TestJobPool:
 
         jobs = [job(), job()]
         here, there = on_the_pool(1, _head_accuracy_and_pool_use, cfg, jobs)
-        assert here[1:] == ([0], len(pamr.pool._POOL.procs), False)  # a one-pack batch gets no worker
-        assert there[1:] == ([0], 0, True)
+        assert here[1:] == (len(pamr.pool._POOL.procs), False)
+        assert there[1:] == (0, True)  # its one-pack batches started no worker there
         assert there[0] == pamr.training._head_accuracy(cfg, jobs[1])  # its head is still untrained here
