@@ -30,6 +30,7 @@ from .geometry import (
     gather_patches,
     knn,
     mask_and_backproject,
+    masked_rows,
     visible_positions,
 )
 from .nn import LayerNorm, Linear, Module
@@ -212,12 +213,12 @@ def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: b
     predicted and true center-relative patches of its masked scale-2 centers:
     each of cloud i's M_i rows weighs 1/(B * M_i).
 
-    `pred` holds the rows of `plan.masked[2]` in order. The target is each
-    center's scale-2 patch, or with `zero_scale` its raw-point neighborhood:
-    the scale-1 patch of the same point, which fps carried up from scale 1
-    unchanged.
+    `pred` holds the masked scale-2 rows (`masked_rows`) in order. The target
+    is each center's scale-2 patch, or with `zero_scale` its raw-point
+    neighborhood: the scale-1 patch of the same point, which fps carried up
+    from scale 1 unchanged.
     """
-    msk = plan.masked[2]
+    msk = masked_rows(pyr, plan, 2)
     scale, centers = (1, pyr.sample_idx[1][msk]) if zero_scale else (2, msk)
     truth = gather_patches(pyr, scale, centers)
     if pred.shape != truth.shape:
@@ -228,7 +229,7 @@ def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: b
 
 @dataclass
 class ReconOutput:
-    pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center, rows of plan.masked[2] in order
+    pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center, in row order
     pred_zero: Tensor | None
 
 
@@ -243,7 +244,7 @@ class MaskedAutoencoder(Module):
         )
 
     def reconstruct(self, pyr: ScalePyramid, plan: MaskPlan) -> ReconOutput:
-        rows = plan.masked[2]
+        rows = masked_rows(pyr, plan, 2)
         empty = np.flatnonzero(np.diff(np.searchsorted(rows, pyr.offsets[2])) == 0)
         if empty.size:
             raise ConfigError(

@@ -34,7 +34,7 @@ from .data import (
     write_xyz,
 )
 from .errors import ConfigError, PamrError
-from .geometry import PointCloud, gather_patches, mask_and_backproject
+from .geometry import PointCloud, gather_patches, mask_and_backproject, masked_rows
 from .gradcheck import op_gradient_suite, pipeline_gradient_check
 from .metrics import write_metrics
 from .training import cloud_pyramids, few_shot_eval, finetune_classify, pretrain_run
@@ -215,7 +215,7 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
         visible_fine = pyramid.points[1][plan.visible[1]]
         centers = pyramid.points[2]
         truth_vis = gather_patches(pyramid, 2, plan.visible[2]) + centers[plan.visible[2]][:, None, :]
-        pred_msk = rec.pred.data + centers[plan.masked[2]][:, None, :]
+        pred_msk = rec.pred.data + centers[masked_rows(pyramid, plan, 2)][:, None, :]
         rebuilt = np.concatenate(
             [truth_vis.reshape(-1, 3), pred_msk.reshape(-1, 3)], axis=0
         )

@@ -145,6 +145,8 @@ class ModelConfig(_FromMapping):
             raise ConfigError("block counts must be at least 1")
         if self.interp_k < 1:
             raise ConfigError(f"interp_k must be positive, got {self.interp_k}")
+        if s > 2 and self.interp_k > self.sizes[-1]:  # two scales propagate nothing
+            raise ConfigError(f"interp_k {self.interp_k} exceeds sizes[-1] = {self.sizes[-1]}")
         if self.la_window < 1 or self.la_window % 2 != 1:
             raise ConfigError(f"la_window must be odd, got {self.la_window}")
         if self.la_groups < 1:

@@ -153,6 +153,8 @@ class ShapeSpec:
             )
         if self.n_points < 64:
             raise ConfigError(f"need at least 64 points per shape, got {self.n_points}")
+        if self.n_points > np.iinfo(np.intp).max // 24:  # bytes of its (n, 3) float64 array
+            raise ConfigError(f"{self.n_points} points per shape are more than one numpy array can hold")
         if not np.isfinite(self.jitter) or self.jitter < 0:
             raise ConfigError(f"jitter must be finite and non-negative, got {self.jitter}")
 

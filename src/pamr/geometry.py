@@ -27,6 +27,7 @@ __all__ = [
     "build_scale_pyramid",
     "stack_pack",
     "mask_and_backproject",
+    "masked_rows",
     "gather_patches",
     "visible_positions",
     "chamfer_l2_batched",
@@ -264,21 +265,18 @@ def stack_pack(
     )
     if plans is None:
         return pyramid, None
-    visible = [None] + [stack([p.visible[i] for p in plans], i) for i in levels[1:]]
-    masked = [None] + [stack([p.masked[i] for p in plans], i) for i in levels[1:]]
-    return pyramid, MaskPlan(visible, masked)
+    return pyramid, MaskPlan([None] + [stack([p.visible[i] for p in plans], i) for i in levels[1:]])
 
 
 @dataclass
 class MaskPlan:
-    """Sorted visible/masked index sets for every token scale.
+    """Sorted visible index sets for every token scale.
 
-    Lists are indexed by scale; entry 0 is None because raw points are never
-    masked. At each scale the two arrays partition arange(N_i).
+    The list is indexed by scale; entry 0 is None because raw points are never
+    masked. The rest of each scale is masked (`masked_rows`).
     """
 
     visible: list
-    masked: list
 
 
 def mask_and_backproject(
@@ -295,24 +293,21 @@ def mask_and_backproject(
     s = pyramid.num_scales
     n_final = pyramid.size_at(s)
     n_masked = int(np.floor(mu * n_final))
-    visible: list = [None] * (s + 1)
-    masked: list = [None] * (s + 1)
     if n_masked == 0:
-        for i in range(1, s + 1):
-            visible[i] = np.arange(pyramid.size_at(i), dtype=np.int64)
-            masked[i] = np.empty(0, dtype=np.int64)
-        return MaskPlan(visible, masked)
+        return MaskPlan([None] + [np.arange(pyramid.size_at(i), dtype=np.int64) for i in range(1, s + 1)])
 
-    perm = rng.permutation(n_final)
-    masked[s] = np.sort(perm[:n_masked]).astype(np.int64)
-    visible[s] = np.sort(perm[n_masked:]).astype(np.int64)
+    visible: list = [None] * (s + 1)
+    visible[s] = np.sort(rng.permutation(n_final)[n_masked:]).astype(np.int64)
     for i in range(s - 1, 0, -1):
-        rows = pyramid.neighbors[i]  # patches of scale i+1, indexing scale i
-        vis = np.unique(rows[visible[i + 1]]).astype(np.int64)
-        visible[i] = vis
-        all_i = np.arange(pyramid.size_at(i), dtype=np.int64)
-        masked[i] = np.setdiff1d(all_i, vis, assume_unique=True)
-    return MaskPlan(visible, masked)
+        # the patches of the visible centers of scale i+1, indexing scale i
+        visible[i] = np.unique(pyramid.neighbors[i][visible[i + 1]]).astype(np.int64)
+    return MaskPlan(visible)
+
+
+def masked_rows(pyramid: ScalePyramid, plan: MaskPlan, scale: int) -> np.ndarray:
+    """The sorted rows of `scale` that `plan` masks: every row it leaves out
+    of its visible set."""
+    return np.setdiff1d(np.arange(pyramid.size_at(scale)), plan.visible[scale], assume_unique=True)
 
 
 def gather_patches(pyramid: ScalePyramid, scale: int, centers: np.ndarray) -> np.ndarray:

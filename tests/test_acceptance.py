@@ -27,6 +27,7 @@ from pamr.geometry import (
     fps,
     knn,
     mask_and_backproject,
+    masked_rows,
     normalize_points,
 )
 from pamr.gradcheck import op_gradient_suite, pipeline_gradient_check
@@ -104,9 +105,9 @@ def test_mask_partition_counts_and_nesting():
             pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
             plan = mask_and_backproject(pyr, mu, np.random.default_rng(trial))
             s = pyr.num_scales
-            assert len(plan.masked[s]) == int(np.floor(mu * pyr.size_at(s)))
+            assert len(masked_rows(pyr, plan, s)) == int(np.floor(mu * pyr.size_at(s)))
             for i in range(1, s + 1):
-                vis, msk = plan.visible[i], plan.masked[i]
+                vis, msk = plan.visible[i], masked_rows(pyr, plan, i)
                 joined = np.concatenate([vis, msk])
                 assert np.array_equal(np.sort(joined), np.arange(pyr.size_at(i)))
                 assert np.array_equal(vis, np.sort(vis))
@@ -403,7 +404,7 @@ def test_full_size_config_shape_contract():
         pyr = build_scale_pyramid(pts[None], mc.sizes, mc.ks)[0]
         assert pyr.sizes == (2048, 512, 256, 64)
         plan = mask_and_backproject(pyr, 0.6, rng)
-        assert len(plan.masked[3]) == 38
+        assert len(masked_rows(pyr, plan, 3)) == 38
         assert len(plan.visible[3]) == 26
         model = MaskedAutoencoder(mc, rng)
         stages = model.encoder(pyr, plan)
@@ -413,7 +414,7 @@ def test_full_size_config_shape_contract():
         assert stage_dims[2] == (26, 384)
         assert model.decoder(stages, pyr, plan).shape == (256, 192)
         rec = model.reconstruct(pyr, plan)
-        assert rec.pred.shape == (len(plan.masked[2]), 8, 3)
+        assert rec.pred.shape == (len(masked_rows(pyr, plan, 2)), 8, 3)
         pretrain_loss(rec.pred, pyr, plan).backward()
         touched = [p for p in model.parameters() if p.grad is not None]
         assert len(touched) > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import SENTINEL, with_sentinel_as
+from pamr import tensor as T
 from pamr.checkpoint import decode_checkpoint, encode_checkpoint
 from pamr.cli import main
 from pamr.data import load_dataset_dir, read_xyz, write_xyz
@@ -114,6 +115,17 @@ class TestUsage:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
+    def test_a_point_count_no_array_can_hold_is_one_error_line(self, tmp_path, capsys):
+        """10^18 float64 points need more bytes than a numpy array can
+        describe: the spec refuses them before anything is allocated."""
+        out = tmp_path / "d"
+        rc = main(["gen-data", "--out", str(out), "--n-points", str(10**18), "--per-class", "1",
+                   "--kinds", "sphere"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {10**18} points per shape are more than one numpy array can hold\n"
+        assert not out.exists()
 
 
 class TestUnreadableFiles:
@@ -556,6 +568,15 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "max rel err" in printed
         assert "gradient checks passed" in printed
+
+    def test_a_wrong_gradient_exits_one_and_names_its_op(self, capsys, monkeypatch):
+        right = T._gelu_grad
+        monkeypatch.setattr(T, "_gelu_grad", lambda *args: 1.01 * right(*args))
+        rc = main(["gradcheck"])
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert any(line.startswith("FAIL gelu: ") for line in printed)
+        assert "gradient checks passed" not in printed
 
 
 class TestAblateCommand:

@@ -142,6 +142,35 @@ class TestCheckedOnceAndFrozen:
             build()
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(sizes=(16,), ks=(4,), dims=(8,)), "need at least 2 scales, got sizes (16,)"),
+            (dict(ks=(4, 17)), "patch size 17 exceeds the 16 points below it"),
+            (dict(heads=1, dims=(7, 16)), "first dim must be even, got 7"),
+            (dict(encoder_blocks=0), "block counts must be at least 1"),
+            (dict(decoder_blocks=0), "block counts must be at least 1"),
+            (dict(interp_k=0), "interp_k must be positive, got 0"),
+            (dict(weight_decay=-0.1), "weight_decay must be nonnegative, got -0.1"),
+            (dict(checkpoint_every=-1), "checkpoint_every must be nonnegative, got -1"),
+            (dict(head_hidden=(256, 0)), "head_hidden must be positive widths, got (256, 0)"),
+        ],
+        ids=["one-scale", "patch-size", "odd-first-dim", "encoder-blocks", "decoder-blocks", "interp-k",
+             "weight-decay", "checkpoint-every", "head-hidden"],
+    )
+    def test_each_check_names_what_is_wrong(self, change, message):
+        cfg = TrainConfig() if next(iter(change)) in TrainConfig.field_names() else ModelConfig.tiny()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **change)
+
+    def test_interp_k_past_the_coarsest_scale_is_refused_where_the_decoder_propagates(self):
+        three = dict(n_points=64, sizes=(32, 16, 8), ks=(4, 4, 2), dims=(8, 16, 16), heads=2)
+        assert ModelConfig(**three, interp_k=8).interp_k == 8
+        with pytest.raises(ConfigError, match=r"^interp_k 9 exceeds sizes\[-1\] = 8$"):
+            ModelConfig(**three, interp_k=9)
+        # two scales: the decoder propagates no tokens, so the key is unused
+        assert dataclasses.replace(ModelConfig.tiny(), interp_k=100).interp_k == 100
+
+    @pytest.mark.parametrize(
         "cfg, name", [(ModelConfig.tiny(), "heads"), (TrainConfig(), "seed")], ids=["model", "train"]
     )
     def test_fields_cannot_be_assigned(self, cfg, name):

@@ -25,6 +25,7 @@ from pamr.geometry import (
     gather_patches,
     knn,
     mask_and_backproject,
+    masked_rows,
     normalize_points,
     stack_pack,
     visible_positions,
@@ -252,9 +253,9 @@ class TestMasking:
     @staticmethod
     def check_plan(pyr, plan, mu):
         s = pyr.num_scales
-        assert len(plan.masked[s]) == int(np.floor(mu * pyr.size_at(s)))
+        assert len(masked_rows(pyr, plan, s)) == int(np.floor(mu * pyr.size_at(s)))
         for i in range(1, s + 1):
-            vis, msk = plan.visible[i], plan.masked[i]
+            vis, msk = plan.visible[i], masked_rows(pyr, plan, i)
             assert np.all(np.diff(vis) > 0) and np.all(np.diff(msk) > 0)
             both = np.concatenate([vis, msk])
             np.testing.assert_array_equal(np.sort(both), np.arange(pyr.size_at(i)))
@@ -277,7 +278,7 @@ class TestMasking:
         plan = mask_and_backproject(pyr, 0.0, np.random.default_rng(0))
         for i in (1, 2):
             np.testing.assert_array_equal(plan.visible[i], np.arange(pyr.size_at(i)))
-            assert plan.masked[i].size == 0
+            assert masked_rows(pyr, plan, i).size == 0
 
     def test_same_seed_same_plan(self):
         pts = random_cloud(np.random.default_rng(42), 64)
@@ -286,7 +287,24 @@ class TestMasking:
         b = mask_and_backproject(pyr, 0.6, np.random.default_rng(7))
         for i in (1, 2):
             np.testing.assert_array_equal(a.visible[i], b.visible[i])
-            np.testing.assert_array_equal(a.masked[i], b.masked[i])
+            np.testing.assert_array_equal(masked_rows(pyr, a, i), masked_rows(pyr, b, i))
+
+    @pytest.mark.parametrize(
+        "mu, draws", [(0.6, [8]), (0.1, []), (0.0, [])], ids=["masks", "rounds-to-0", "zero"]
+    )
+    def test_one_permutation_per_plan_that_masks_and_no_other_draw(self, mu, draws):
+        pts = random_cloud(np.random.default_rng(44), 64)
+        pyr = build_scale_pyramid(pts[None], (16, 8), (4, 4))[0]
+        drawn, rng = [], np.random.default_rng(9)
+
+        class OnlyPermutations:  # any other draw is an AttributeError
+            def permutation(self, n):
+                drawn.append(n)
+                return rng.permutation(n)
+
+        plan = mask_and_backproject(pyr, mu, OnlyPermutations())
+        assert drawn == draws
+        assert len(masked_rows(pyr, plan, 2)) == int(np.floor(mu * 8))
 
     def test_mu_domain(self):
         pts = random_cloud(np.random.default_rng(43), 32)

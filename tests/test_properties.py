@@ -29,7 +29,15 @@ from pamr.checkpoint import MAGIC, VERSION, decode_checkpoint, encode_checkpoint
 from pamr.config import ModelConfig, TrainConfig, parse_config_text, split_mapping
 from pamr.data import parse_xyz
 from pamr.errors import PamrError
-from pamr.geometry import build_scale_pyramid, fps, gather_patches, knn, mask_and_backproject, stack_pack
+from pamr.geometry import (
+    build_scale_pyramid,
+    fps,
+    gather_patches,
+    knn,
+    mask_and_backproject,
+    masked_rows,
+    stack_pack,
+)
 from pamr.training import NO_GRAD_BUDGET, cloud_pyramids, pack_size, pooled_features
 
 # To report a failing example, Hypothesis imports `hypothesis.extra._patching`,
@@ -278,15 +286,14 @@ def test_stack_pack_keeps_each_cloud_in_its_own_rows(config, n_clouds, seed):
     for own, cut in zip(pyramids, cuts):
         same(levels(own), levels(cut))
     for scale in range(1, len(cfg.sizes) + 1):
-        for field in ("visible", "masked"):
-            want = [getattr(p, field)[scale] + lo for p, lo in zip(plans, pyr.offsets[scale])]
-            same([getattr(plan, field)[scale]], [np.concatenate(want)])
+        for rows in (lambda p, q: q.visible[scale], lambda p, q: masked_rows(p, q, scale)):
+            want = [rows(p, q) + lo for p, q, lo in zip(pyramids, plans, pyr.offsets[scale])]
+            same([rows(pyr, plan)], [np.concatenate(want)])
         own = [gather_patches(p, scale, np.arange(p.size_at(scale))) for p in pyramids]
         same([gather_patches(pyr, scale, np.arange(pyr.size_at(scale)))], [np.concatenate(own)])
 
     one, one_plan = stack_pack(pyramids[:1], plans[:1])
-    same(levels(one) + one_plan.visible[1:] + one_plan.masked[1:],
-         levels(pyramids[0]) + plans[0].visible[1:] + plans[0].masked[1:])
+    same(levels(one) + one_plan.visible[1:], levels(pyramids[0]) + plans[0].visible[1:])
 
 
 @settings(max_examples=24, derandomize=True, database=None, deadline=None)

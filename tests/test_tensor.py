@@ -9,8 +9,8 @@ import pytest
 from _oracles import COMPOSITES, ffn_chain_reference
 
 from pamr import tensor as T
-from pamr.errors import NonFiniteError, PamrError, ShapeError
-from pamr.gradcheck import op_gradient_suite
+from pamr.errors import GradCheckError, NonFiniteError, PamrError, ShapeError
+from pamr.gradcheck import finite_diff_check, op_gradient_suite
 from pamr.tensor import Tensor
 
 
@@ -667,3 +667,10 @@ class TestGradientSuite:
         not_ops = {"Tensor", "constant", "param", "no_grad", "as_tensor"}
         for op in sorted(set(T.__all__) - not_ops):
             assert any(n == op or n.startswith(op + "_") for n in names), op
+
+    def test_a_function_whose_value_moves_between_calls_is_refused(self):
+        w = T.param(np.ones(1))
+        calls = iter(range(1, 100))
+        message = "^function is not deterministic: 1.0 vs 2.0 on repeat evaluation$"
+        with pytest.raises(GradCheckError, match=message):
+            finite_diff_check(lambda: T.tsum(T.mul(w, float(next(calls)))), {"w": w})
