@@ -15,8 +15,6 @@ chamfer distance to the true patches is the pretraining loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -24,7 +22,6 @@ from .config import ModelConfig
 from .embedding import PatchTokenizer, PositionEmbedding, TokenMerger
 from .errors import ConfigError, ShapeError
 from .geometry import (
-    MaskPlan,
     ScalePyramid,
     chamfer_l2_batched,
     gather_patches,
@@ -105,30 +102,28 @@ class HierarchicalEncoder(Module):
             TokenMerger(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
         ]
 
-    def forward(self, pyr: ScalePyramid, plan: MaskPlan) -> list[Tensor]:
-        """Each stage's tokens: the rows of `plan.visible` at that scale, in
+    def forward(self, pyr: ScalePyramid, plan: list) -> list[Tensor]:
+        """Each stage's tokens: the visible rows `plan[scale]` of its scale, in
         order, so each cloud of a pack follows the one before it."""
         if pyr.num_scales != self.num_scales:
             raise ShapeError(f"pyramid has {pyr.num_scales} scales, model expects {self.num_scales}")
         # each scale's visible rows, cut into the pack's clouds
-        cuts = {s: np.searchsorted(plan.visible[s], pyr.offsets[s]) for s in range(1, self.num_scales + 1)}
+        cuts = {s: np.searchsorted(plan[s], pyr.offsets[s]) for s in range(1, self.num_scales + 1)}
         for scale, cut in cuts.items():
             empty = np.flatnonzero(np.diff(cut) == 0)
             if empty.size:
-                raise ConfigError(
-                    f"no visible centers at scale {scale} in cloud {empty[0]} of the pack; lower mask_ratio"
-                )
+                raise ConfigError(f"the mask plan has no visible rows at scale {scale} in cloud {empty[0]} of the pack")
         outs: list[Tensor] = []
-        x = self.tokenizer(gather_patches(pyr, 1, plan.visible[1]))
+        x = self.tokenizer(gather_patches(pyr, 1, plan[1]))
         for i in range(self.num_scales):
             scale = i + 1
             if i > 0:
                 # patch rows index the scale below; all of them are visible
                 # by the nesting invariant, or visible_positions raises
-                want = pyr.neighbors[i][plan.visible[scale]]
-                rows = visible_positions(plan.visible[scale - 1], want.ravel())
+                want = pyr.neighbors[i][plan[scale]]
+                rows = visible_positions(plan[scale - 1], want.ravel())
                 x = self.mergers[i - 1](x, rows.reshape(want.shape))
-            x = T.add(x, self.pos[i](pyr.points[scale][plan.visible[scale]]))
+            x = T.add(x, self.pos[i](pyr.points[scale][plan[scale]]))
             for block in self.stages[i]:
                 x = block(x, cuts[scale])
             x = self.norms[i](x)
@@ -190,14 +185,14 @@ class HierarchicalDecoder(Module):
         ]
         self.final_norm = LayerNorm(dims[1])
 
-    def forward(self, stage_outputs: list[Tensor], pyr: ScalePyramid, plan: MaskPlan) -> Tensor:
+    def forward(self, stage_outputs: list[Tensor], pyr: ScalePyramid, plan: list) -> Tensor:
         """Tokens for every scale-2 row of `pyr`, in row order."""
         s = self.scales[0]
         top = stage_outputs[-1]
         # the full coarsest sequence: visible slots gather their tokens, the
         # rest the mask row after all of them
         slot = np.full(pyr.size_at(s), top.shape[0])
-        slot[plan.visible[s]] = np.arange(top.shape[0])
+        slot[plan[s]] = np.arange(top.shape[0])
         x = T.index_select(T.concat([top, T.reshape(self.mask_token, (1, -1))]), slot)
         for j, sc in enumerate(self.scales):
             if j > 0:
@@ -208,7 +203,7 @@ class HierarchicalDecoder(Module):
         return self.final_norm(x)
 
 
-def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: bool = False) -> Tensor:
+def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: list, zero_scale: bool = False) -> Tensor:
     """Mean over the pack's B clouds of each cloud's mean chamfer between
     predicted and true center-relative patches of its masked scale-2 centers:
     each of cloud i's M_i rows weighs 1/(B * M_i).
@@ -227,12 +222,6 @@ def pretrain_loss(pred: Tensor, pyr: ScalePyramid, plan: MaskPlan, zero_scale: b
     return chamfer_l2_batched(pred, truth, 1.0 / (counts.size * np.repeat(counts, counts)))
 
 
-@dataclass
-class ReconOutput:
-    pred: Tensor  # (M, k_2, 3) relative to each masked scale-2 center, in row order
-    pred_zero: Tensor | None
-
-
 class MaskedAutoencoder(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -243,7 +232,10 @@ class MaskedAutoencoder(Module):
             Linear(cfg.dims[1], cfg.ks[0] * 3, rng) if cfg.zero_scale_head else None
         )
 
-    def reconstruct(self, pyr: ScalePyramid, plan: MaskPlan) -> ReconOutput:
+    def reconstruct(self, pyr: ScalePyramid, plan: list) -> tuple[Tensor, Tensor | None]:
+        """`(pred, pred_zero)`: (M, k_2, 3) patches relative to each masked
+        scale-2 center, in row order, and the zero-scale head's (M, k_1, 3),
+        None without that head."""
         rows = masked_rows(pyr, plan, 2)
         empty = np.flatnonzero(np.diff(np.searchsorted(rows, pyr.offsets[2])) == 0)
         if empty.size:
@@ -257,14 +249,14 @@ class MaskedAutoencoder(Module):
         pred_zero = None
         if self.zero_head is not None:
             pred_zero = T.reshape(self.zero_head(hidden), (rows.size, self.cfg.ks[0], 3))
-        return ReconOutput(pred, pred_zero)
+        return pred, pred_zero
 
-    def loss(self, pyr: ScalePyramid, plan: MaskPlan) -> Tensor:
+    def loss(self, pyr: ScalePyramid, plan: list) -> Tensor:
         """The pack's mean pretraining loss over its clouds."""
-        rec = self.reconstruct(pyr, plan)
-        total = pretrain_loss(rec.pred, pyr, plan)
-        if rec.pred_zero is not None:
-            total = T.add(total, pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True))
+        pred, pred_zero = self.reconstruct(pyr, plan)
+        total = pretrain_loss(pred, pyr, plan)
+        if pred_zero is not None:
+            total = T.add(total, pretrain_loss(pred_zero, pyr, plan, zero_scale=True))
         return total
 
 

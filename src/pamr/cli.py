@@ -34,7 +34,7 @@ from .data import (
     write_xyz,
 )
 from .errors import ConfigError, PamrError
-from .geometry import PointCloud, gather_patches, mask_and_backproject, masked_rows
+from .geometry import PointCloud, mask_and_backproject, masked_rows
 from .gradcheck import op_gradient_suite, pipeline_gradient_check
 from .metrics import write_metrics
 from .training import cloud_pyramids, few_shot_eval, finetune_classify, pretrain_run
@@ -211,14 +211,12 @@ def _cmd_reconstruct(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> in
     for stem, cloud, pyramid in zip(stems, clouds, pyramids):
         plan = mask_and_backproject(pyramid, train_cfg.mask_ratio, rng)
         with T.no_grad():
-            rec = model.reconstruct(pyramid, plan)
-        visible_fine = pyramid.points[1][plan.visible[1]]
-        centers = pyramid.points[2]
-        truth_vis = gather_patches(pyramid, 2, plan.visible[2]) + centers[plan.visible[2]][:, None, :]
-        pred_msk = rec.pred.data + centers[masked_rows(pyramid, plan, 2)][:, None, :]
-        rebuilt = np.concatenate(
-            [truth_vis.reshape(-1, 3), pred_msk.reshape(-1, 3)], axis=0
-        )
+            pred, _ = model.reconstruct(pyramid, plan)
+        visible_fine = pyramid.points[1][plan[1]]
+        # the visible centers' patches are the cloud's own scale-1 points
+        truth_vis = pyramid.points[1][pyramid.neighbors[1][plan[2]]]
+        pred_msk = pred.data + pyramid.points[2][masked_rows(pyramid, plan, 2)][:, None, :]
+        rebuilt = np.concatenate([truth_vis.reshape(-1, 3), pred_msk.reshape(-1, 3)])
         write_xyz(out / f"{stem}.original.xyz", PointCloud(pyramid.points[0], cloud.label))
         write_xyz(out / f"{stem}.masked.xyz", PointCloud(visible_fine, cloud.label))
         write_xyz(out / f"{stem}.reconstructed.xyz", PointCloud(rebuilt, cloud.label))

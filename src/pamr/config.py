@@ -56,9 +56,7 @@ def _coerce(raw: str, template, key: str):
             return float(raw.strip())
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if isinstance(template, tuple):
-        return _coerce_int_tuple(raw, key)
-    raise ConfigError(f"{key}: unsupported config field type {type(template).__name__}")
+    return _coerce_int_tuple(raw, key)  # the one other field type: a tuple of ints
 
 
 def _canon(value) -> str:

@@ -72,23 +72,20 @@ class LocalAttentionGate(Module):
         self.max_scale = T.param(np.ones(channels))
         self.max_shift = T.param(np.zeros(channels))
 
-    def _gate(self, x: Tensor, which: str) -> Tensor:
-        if which == "avg":
-            desc = T.tmean(x, axis=-1, keepdims=True)
-            kernel, scale, shift = self.avg_kernel, self.avg_scale, self.avg_shift
-        else:
-            desc = T.amax(x, axis=-1, keepdims=True)
-            kernel, scale, shift = self.max_kernel, self.max_scale, self.max_shift
+    def _gate(self, desc: Tensor, kernel: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+        """One branch's gate map from its pooled (..., C, 1) descriptor."""
         h = T.conv1d_channel(desc, kernel)
-        h = T.group_norm(h, self.groups, scale, shift)
-        return T.sigmoid(h)
+        return T.sigmoid(T.group_norm(h, self.groups, scale, shift))
 
     def gates(self, x: Tensor) -> tuple[Tensor | None, Tensor | None]:
         """The per-branch gate maps, None for a disabled branch."""
         if x.ndim < 2 or x.shape[-2] != self.channels:
             raise ShapeError(f"expected (..., {self.channels}, L) input, got {x.shape}")
-        wx = self._gate(x, "avg") if self.avg_branch else None
-        wy = self._gate(x, "max") if self.max_branch else None
+        wx = wy = None
+        if self.avg_branch:
+            wx = self._gate(T.tmean(x, axis=-1, keepdims=True), self.avg_kernel, self.avg_scale, self.avg_shift)
+        if self.max_branch:
+            wy = self._gate(T.amax(x, axis=-1, keepdims=True), self.max_kernel, self.max_scale, self.max_shift)
         return wx, wy
 
     def forward(self, x: Tensor) -> Tensor:

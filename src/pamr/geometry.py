@@ -20,7 +20,6 @@ from .tensor import Tensor
 __all__ = [
     "PointCloud",
     "ScalePyramid",
-    "MaskPlan",
     "normalize_points",
     "fps",
     "knn",
@@ -239,11 +238,9 @@ def build_scale_pyramid(
     ]
 
 
-def stack_pack(
-    pyramids: list[ScalePyramid], plans: list[MaskPlan] | None = None
-) -> tuple[ScalePyramid, MaskPlan | None]:
+def stack_pack(pyramids: list[ScalePyramid], plans: list | None = None) -> tuple[ScalePyramid, list | None]:
     """One pyramid holding the rows of the pack's single-cloud pyramids at
-    every level, cloud after cloud, and the matching stacked plan (None
+    every level, cloud after cloud, and the matching stacked mask plan (None
     without `plans`). Every index moves into its own cloud's rows, so code
     for one cloud runs on the whole pack."""
     counts = [p.num_scales for p in pyramids]
@@ -265,28 +262,18 @@ def stack_pack(
     )
     if plans is None:
         return pyramid, None
-    return pyramid, MaskPlan([None] + [stack([p.visible[i] for p in plans], i) for i in levels[1:]])
+    return pyramid, [None] + [stack([p[i] for p in plans], i) for i in levels[1:]]
 
 
-@dataclass
-class MaskPlan:
-    """Sorted visible index sets for every token scale.
-
-    The list is indexed by scale; entry 0 is None because raw points are never
-    masked. The rest of each scale is masked (`masked_rows`).
-    """
-
-    visible: list
-
-
-def mask_and_backproject(
-    pyramid: ScalePyramid, mu: float, rng: np.random.Generator
-) -> MaskPlan:
+def mask_and_backproject(pyramid: ScalePyramid, mu: float, rng: np.random.Generator) -> list:
     """Mask floor(mu * N_S) random coarsest centers and project the mask down.
 
-    A finer point stays visible exactly when it lies in the patch of at least
-    one visible center of the scale above. A ratio that rounds to zero masked
-    centers leaves every scale fully visible.
+    Returns the mask plan: a list indexed by scale holding each token scale's
+    sorted visible rows, None at scale 0, whose raw points are never masked;
+    the rest of each scale is masked (`masked_rows`). A finer point stays
+    visible exactly when it lies in the patch of at least one visible center
+    of the scale above, so every scale keeps a visible row. A ratio that
+    rounds to zero masked centers leaves every scale fully visible.
     """
     if not 0.0 <= mu < 1.0:
         raise ShapeError(f"mask ratio must lie in [0, 1), got {mu}")
@@ -294,20 +281,20 @@ def mask_and_backproject(
     n_final = pyramid.size_at(s)
     n_masked = int(np.floor(mu * n_final))
     if n_masked == 0:
-        return MaskPlan([None] + [np.arange(pyramid.size_at(i), dtype=np.int64) for i in range(1, s + 1)])
+        return [None] + [np.arange(pyramid.size_at(i), dtype=np.int64) for i in range(1, s + 1)]
 
     visible: list = [None] * (s + 1)
     visible[s] = np.sort(rng.permutation(n_final)[n_masked:]).astype(np.int64)
     for i in range(s - 1, 0, -1):
         # the patches of the visible centers of scale i+1, indexing scale i
         visible[i] = np.unique(pyramid.neighbors[i][visible[i + 1]]).astype(np.int64)
-    return MaskPlan(visible)
+    return visible
 
 
-def masked_rows(pyramid: ScalePyramid, plan: MaskPlan, scale: int) -> np.ndarray:
+def masked_rows(pyramid: ScalePyramid, plan: list, scale: int) -> np.ndarray:
     """The sorted rows of `scale` that `plan` masks: every row it leaves out
-    of its visible set."""
-    return np.setdiff1d(np.arange(pyramid.size_at(scale)), plan.visible[scale], assume_unique=True)
+    of its visible rows, `plan[scale]`."""
+    return np.setdiff1d(np.arange(pyramid.size_at(scale)), plan[scale], assume_unique=True)
 
 
 def gather_patches(pyramid: ScalePyramid, scale: int, centers: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ def pipeline_gradient_check(seed: int = 0, tol: float = 1e-3) -> GradCheckReport
     while len(plans) < 2:
         pyr = cloud_pyramids([rng.normal(size=(cfg.n_points, 3))], cfg)[0]
         plan = mask_and_backproject(pyr, _PIPELINE_MASK_RATIO, rng)
-        if not plans or plan.visible[1].size != plans[0].visible[1].size:
+        if not plans or plan[1].size != plans[0][1].size:
             pyramids.append(pyr)
             plans.append(plan)
     pyr, plan = stack_pack(pyramids, plans)

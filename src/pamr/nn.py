@@ -11,7 +11,6 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import Tensor
 
 __all__ = ["Module", "Linear", "LayerNorm"]
@@ -30,7 +29,7 @@ def _walk(value, name: str):
 
 class Module:
     def forward(self, *args, **kwargs):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no forward")
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -43,12 +42,7 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def param_dict(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, p in self.named_parameters():
-            if name in out:
-                raise ShapeError(f"duplicate parameter name {name!r}")
-            out[name] = p
-        return out
+        return dict(self.named_parameters())
 
 
 class Linear(Module):

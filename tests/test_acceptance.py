@@ -107,7 +107,7 @@ def test_mask_partition_counts_and_nesting():
             s = pyr.num_scales
             assert len(masked_rows(pyr, plan, s)) == int(np.floor(mu * pyr.size_at(s)))
             for i in range(1, s + 1):
-                vis, msk = plan.visible[i], masked_rows(pyr, plan, i)
+                vis, msk = plan[i], masked_rows(pyr, plan, i)
                 joined = np.concatenate([vis, msk])
                 assert np.array_equal(np.sort(joined), np.arange(pyr.size_at(i)))
                 assert np.array_equal(vis, np.sort(vis))
@@ -116,9 +116,9 @@ def test_mask_partition_counts_and_nesting():
             # center holds it in its patch
             for i in range(s - 1, 0, -1):
                 reachable = set()
-                for c in plan.visible[i + 1]:
+                for c in plan[i + 1]:
                     reachable.update(int(v) for v in pyr.neighbors[i][c])
-                assert reachable == set(int(v) for v in plan.visible[i])
+                assert reachable == set(int(v) for v in plan[i])
 
 
 def test_chamfer_distance_properties():
@@ -405,17 +405,17 @@ def test_full_size_config_shape_contract():
         assert pyr.sizes == (2048, 512, 256, 64)
         plan = mask_and_backproject(pyr, 0.6, rng)
         assert len(masked_rows(pyr, plan, 3)) == 38
-        assert len(plan.visible[3]) == 26
+        assert len(plan[3]) == 26
         model = MaskedAutoencoder(mc, rng)
         stages = model.encoder(pyr, plan)
         stage_dims = [(s.shape[0], s.shape[1]) for s in stages]
-        assert stage_dims[0] == (len(plan.visible[1]), 96)
-        assert stage_dims[1] == (len(plan.visible[2]), 192)
+        assert stage_dims[0] == (len(plan[1]), 96)
+        assert stage_dims[1] == (len(plan[2]), 192)
         assert stage_dims[2] == (26, 384)
         assert model.decoder(stages, pyr, plan).shape == (256, 192)
-        rec = model.reconstruct(pyr, plan)
-        assert rec.pred.shape == (len(masked_rows(pyr, plan, 2)), 8, 3)
-        pretrain_loss(rec.pred, pyr, plan).backward()
+        pred, _ = model.reconstruct(pyr, plan)
+        assert pred.shape == (len(masked_rows(pyr, plan, 2)), 8, 3)
+        pretrain_loss(pred, pyr, plan).backward()
         touched = [p for p in model.parameters() if p.grad is not None]
         assert len(touched) > 0
         assert all(np.all(np.isfinite(p.grad)) for p in touched)

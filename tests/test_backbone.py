@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from pamr.config import ModelConfig
 from pamr.errors import ConfigError, ShapeError
 from pamr.gradcheck import finite_diff_check, pipeline_gradient_check
 from pamr.geometry import (
-    MaskPlan,
     ScalePyramid,
     build_scale_pyramid,
+    chamfer_l2_batched,
     gather_patches,
+    knn,
     mask_and_backproject,
     masked_rows,
     stack_pack,
@@ -75,7 +77,7 @@ class TestEncoder:
         outs = enc(pyr, plan)
         assert len(outs) == 2
         for i, tokens in enumerate(outs):
-            assert tokens.shape == (plan.visible[i + 1].size, cfg.dims[i])
+            assert tokens.shape == (plan[i + 1].size, cfg.dims[i])
 
     def test_mu_zero_full_counts(self):
         cfg = ModelConfig.tiny()
@@ -106,7 +108,7 @@ class TestEncoder:
             msk = masked_rows(pyr, plan, scale)
             mutated.points[scale][msk] += rng.normal(size=(msk.size, 3))
         # and raw points no visible scale-1 patch touches
-        used = np.unique(pyr.neighbors[0][plan.visible[1]])
+        used = np.unique(pyr.neighbors[0][plan[1]])
         free = np.setdiff1d(np.arange(pyr.size_at(0)), used)
         mutated.points[0][free] += rng.normal(size=(free.size, 3))
 
@@ -118,12 +120,14 @@ class TestEncoder:
         cfg = ModelConfig.tiny()
         enc = HierarchicalEncoder(cfg, np.random.default_rng(15))
         pyr, _ = tiny_pyramid(seed=7)
-        empty = MaskPlan([None, np.arange(16), np.empty(0, dtype=np.int64)])
+        empty = [None, np.arange(16), np.empty(0, dtype=np.int64)]
         with pytest.raises(ConfigError):
             enc(pyr, empty)
         ok_pyr, ok_plan = tiny_pyramid(seed=8)
-        with pytest.raises(ConfigError, match="no visible centers at scale 2 in cloud 1 of the pack"):
+        with pytest.raises(ConfigError, match="no visible rows at scale 2 in cloud 1 of the pack") as err:
             enc(*stack_pack([ok_pyr, pyr], [ok_plan, empty]))
+        # mask_and_backproject always leaves a visible row, so no mask ratio is the remedy
+        assert "mask_ratio" not in str(err.value)
 
     def test_scale_count_mismatch(self):
         cfg = ModelConfig.tiny()
@@ -307,19 +311,19 @@ class TestMaskedAutoencoder:
         cfg = ModelConfig.tiny()
         model = MaskedAutoencoder(cfg, np.random.default_rng(51))
         pyr, plan = tiny_pyramid(seed=15)
-        rec = model.reconstruct(pyr, plan)
-        assert rec.pred.shape == (masked_rows(pyr, plan, 2).size, cfg.ks[1], 3)
-        assert rec.pred_zero is None
+        pred, pred_zero = model.reconstruct(pyr, plan)
+        assert pred.shape == (masked_rows(pyr, plan, 2).size, cfg.ks[1], 3)
+        assert pred_zero is None
 
     def test_zero_scale_head(self):
         cfg = ModelConfig.tiny()
         cfg = ModelConfig(**{**cfg.as_dict(), "zero_scale_head": True})
         model = MaskedAutoencoder(cfg, np.random.default_rng(52))
         pyr, plan = tiny_pyramid(seed=16)
-        rec = model.reconstruct(pyr, plan)
-        assert rec.pred_zero.shape == (masked_rows(pyr, plan, 2).size, cfg.ks[0], 3)
-        base = pretrain_loss(rec.pred, pyr, plan).item()
-        extra = pretrain_loss(rec.pred_zero, pyr, plan, zero_scale=True).item()
+        pred, pred_zero = model.reconstruct(pyr, plan)
+        assert pred_zero.shape == (masked_rows(pyr, plan, 2).size, cfg.ks[0], 3)
+        base = pretrain_loss(pred, pyr, plan).item()
+        extra = pretrain_loss(pred_zero, pyr, plan, zero_scale=True).item()
         np.testing.assert_allclose(model.loss(pyr, plan).item(), base + extra, rtol=1e-12)
 
     def test_fused_ops_match_their_composite_chains(self, monkeypatch):
@@ -388,11 +392,11 @@ class TestMaskedAutoencoder:
 
         def run():
             model = MaskedAutoencoder(cfg, np.random.default_rng(61))
-            rec = model.reconstruct(pyr, plan)
-            loss = pretrain_loss(rec.pred, pyr, plan)
+            pred, _ = model.reconstruct(pyr, plan)
+            loss = pretrain_loss(pred, pyr, plan)
             loss.backward()
             stages = model.encoder(pyr, plan)
-            outputs = [t.data.tobytes() for t in (loss, rec.pred, model.decoder(stages, pyr, plan), *stages)]
+            outputs = [t.data.tobytes() for t in (loss, pred, model.decoder(stages, pyr, plan), *stages)]
             return outputs, {n: p.grad.tobytes() for n, p in model.named_parameters()}
 
         whole = run()
@@ -435,3 +439,71 @@ class TestCloudClassifier:
     def test_class_count_validated(self):
         with pytest.raises(ConfigError):
             CloudClassifier(ModelConfig.tiny(), 1, (8,), np.random.default_rng(61))
+
+
+DESK = ModelConfig(
+    n_points=128, sizes=(32, 16), ks=(8, 8), dims=(16, 32), heads=2,
+    encoder_blocks=1, decoder_blocks=1, la_window=3, la_groups=4,
+)
+NETS = {
+    "autoencoder": lambda cfg, rng: MaskedAutoencoder(cfg, rng),
+    "classifier": lambda cfg, rng: CloudClassifier(cfg, 4, (16,), rng),
+}
+
+
+@pytest.mark.parametrize("net", NETS)
+@pytest.mark.parametrize("cfg", [ModelConfig.tiny(), DESK, ModelConfig()], ids=["tiny", "desk", "default"])
+def test_parameter_names_are_unique(cfg, net):
+    """`param_dict` keys parameters by name, so checkpoints hold each once."""
+    model = NETS[net](cfg, np.random.default_rng(0))
+    names = [name for name, _ in model.named_parameters()]
+    assert len(set(names)) == len(names) == len(model.param_dict())
+
+
+@pytest.mark.parametrize("net", NETS)
+def test_calling_a_model_directly_is_not_implemented(net):
+    """Neither model defines `forward`: callers use `loss`, `reconstruct`, `features` or `logits`."""
+    model = NETS[net](ModelConfig.tiny(), np.random.default_rng(0))
+    pyr, plan = tiny_pyramid(seed=19)
+    name = type(model).__name__
+    with pytest.raises(NotImplementedError, match=f"^{name} has no forward$"):
+        model(pyr, plan)
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: T.concat([]), ShapeError, "concat needs at least one tensor"),
+        (lambda: T.index_select(_ones(3, 2), np.array([0.0])), ShapeError, "index_select needs integer indices"),
+        (lambda: T.amax(_ones(2, 3), axis=(0, 1)), ShapeError, "max/min reduction needs a single integer axis"),
+        (lambda: T.conv1d_channel(_ones(4), np.zeros(3)), ShapeError,
+         "conv1d_channel needs (..., C, L) input, got (4,)"),
+        (lambda: T.group_norm(_ones(4), 1, np.ones(4), np.zeros(4)), ShapeError,
+         "group_norm needs (..., C, L) input, got (4,)"),
+        (lambda: T.group_norm(_ones(4, 2), 2, np.ones(3), np.zeros(3)), ShapeError,
+         "affine params must have shape (4,)"),
+        (lambda: T.layer_norm(_ones(2, 4), np.ones(3), np.zeros(4)), ShapeError,
+         "affine params must have shape (4,)"),
+        (lambda: knn(np.zeros((2, 3, 3)), np.zeros((1, 5, 3)), 2), ShapeError,
+         "queries (2, 3, 3) and refs (1, 5, 3) must stack the same clouds"),
+        (lambda: build_scale_pyramid(np.zeros((1, 8, 3)), (), ()), ConfigError, "a pyramid needs at least one scale"),
+        (lambda: gather_patches(tiny_pyramid()[0], 0, np.arange(4)), ShapeError, "scale 0 outside 1..2"),
+        (lambda: chamfer_l2_batched(np.zeros((2, 3, 3)), np.zeros((1, 3, 3))), ShapeError,
+         "batch sizes disagree: 2 vs 1"),
+        (lambda: chamfer_l2_batched(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)), np.ones(3)), ShapeError,
+         "need one weight per pair, 2, got shape (3,)"),
+        (lambda: TokenPropagator(4, 2, np.random.default_rng(0))(
+            _ones(3, 4), two_levels(np.zeros((5, 3)), np.zeros((4, 3))), 0, 2), ShapeError,
+         "3 tokens for 4 coarse positions"),
+    ],
+    ids=["concat", "index_select", "amax", "conv1d_channel", "group_norm-rank", "group_norm-affine",
+         "layer_norm-affine", "knn-stacks", "pyramid-scales", "gather_patches-scale", "chamfer-batch",
+         "chamfer-weights", "TokenPropagator-tokens"],
+)
+def test_shape_checks_name_the_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,4 @@
+import io
 import re
 import struct
 from dataclasses import replace
@@ -11,6 +12,7 @@ from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder
 from pamr.checkpoint import (
     _RETIRED,
+    _read_checkpoint,
     apply_params,
     decode_checkpoint,
     encode_checkpoint,
@@ -131,6 +133,37 @@ class TestValidation:
         payload = self.with_dims((0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
         with pytest.raises(CheckpointFormatError, match="impossible shape"):
             decode_checkpoint(payload)
+
+    def test_stream_shorter_than_its_stated_size(self):
+        # a file that shrinks after its size was read: cut inside the magic,
+        # and inside the one array's payload (8 floats, then the opt flag)
+        payload = encode_checkpoint({"w": np.ones(8)}, FP, step=0)
+        for cut in (3, len(payload) - 1 - 8):
+            with pytest.raises(CheckpointFormatError, match="^<cut>: truncated checkpoint$"):
+                _read_checkpoint(io.BytesIO(payload[:cut]), len(payload), "<cut>")
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [("p1", "duplicate entry 'p1'"), ("p0", "entries not in canonical order")],
+        ids=["duplicate", "unsorted"],
+    )
+    def test_entries_are_unique_and_sorted(self, second, message):
+        payload = encode_checkpoint({"p1": np.zeros(2), "p2": np.zeros(2)}, FP, step=0)
+        name = struct.pack("<H", 2) + b"p2"
+        assert payload.count(name) == 1
+        crafted = payload.replace(name, struct.pack("<H", 2) + second.encode())
+        with pytest.raises(CheckpointFormatError, match=f"^<bytes>: {message}$"):
+            decode_checkpoint(crafted)
+
+    def test_writer_refuses_a_name_past_a_u16_length(self):
+        with pytest.raises(CheckpointFormatError, match="^name too long: 65536 bytes$"):
+            encode_checkpoint({"w" * 65536: np.zeros(1)}, FP, step=0)
+
+    def test_writer_refuses_optimizer_names_that_differ(self):
+        params = tiny_params()
+        moments = {**params, "extra": np.zeros(1)}
+        with pytest.raises(CheckpointFormatError, match="^optimizer state names do not match parameters$"):
+            encode_checkpoint(params, FP, 0, (1, moments, params))
 
     def test_trailing_garbage_rejected(self):
         payload = encode_checkpoint(tiny_params(), FP, 0) + b"\x00"

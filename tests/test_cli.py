@@ -445,6 +445,29 @@ class TestFinetuneCommand:
         assert rc == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_one_class_exits_1(self, tmp_path, cfg_file, capsys):
+        d = tmp_path / "spheres"
+        assert main(["gen-data", "--config", cfg_file, "--out", str(d), "--kinds", "sphere", "--per-class", "4",
+                     "--n-points", "64"]) == 0
+        capsys.readouterr()
+        rc = main(["finetune", "--config", cfg_file, "--data", str(d), "--out", str(tmp_path / "ft")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fine-tuning needs at least two classes present\n"
+
+    def test_allow_mismatch_with_other_dims_exits_1(self, tmp_path, cfg_file, dataset, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(pre)]) == 0
+        wider = tmp_path / "wider.cfg"
+        wider.write_text(TINY_CFG.replace("dims = 8,16", "dims = 16,32"))
+        capsys.readouterr()
+        rc = main(["finetune", "--config", str(wider), "--data", dataset, "--out", str(tmp_path / "ft"),
+                   "--checkpoint", str(pre / "model.ckpt"), "--allow-mismatch"])
+        assert rc == 1
+        # names sort encoder.mergers.0.lift.bias first: (16,) in the checkpoint, (32,) here
+        assert capsys.readouterr().err == (
+            "error: shape mismatch for 'encoder.mergers.0.lift.bias': (32,) vs (16,)\n"
+        )
+
 
 class TestFewshotCommand:
     def test_prints_mean_and_std(self, tmp_path, cfg_file, capsys):
@@ -469,6 +492,15 @@ class TestFewshotCommand:
         assert len(lines) == 3
 
 
+    def test_an_unlabeled_cloud_exits_1(self, tmp_path, cfg_file, dataset, capsys):
+        first = sorted(Path(dataset).glob("*.xyz"))[0]
+        write_xyz(first, PointCloud(read_xyz(first).points))
+        capsys.readouterr()
+        rc = main(["fewshot", "--config", cfg_file, "--data", dataset])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: few-shot needs a label on every cloud\n"
+
+
 class TestReconstructCommand:
     def test_three_files_per_input(self, tmp_path, cfg_file, dataset, capsys):
         pre = tmp_path / "pre"
@@ -489,6 +521,23 @@ class TestReconstructCommand:
         original = read_xyz(out / f"{clouds[0].stem}.original.xyz")
         assert masked.points.shape[0] < 16
         assert original.points.shape[0] == 64
+
+    def test_visible_patches_are_the_clouds_own_points(self, tmp_path, cfg_file, dataset, capsys):
+        # TINY_CFG: sizes 16,8, ks 4,4, mask_ratio 0.6, so 8 - floor(0.6 * 8) = 4
+        # visible scale-2 centers lead the rebuilt cloud with 4 * 4 patch rows
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--config", cfg_file, "--data", dataset, "--out", str(pre)]) == 0
+        clouds = sorted(Path(dataset).glob("*.xyz"))
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", "--config", cfg_file, "--checkpoint", str(pre / "model.ckpt"),
+                   "--out", str(out), *map(str, clouds)])
+        capsys.readouterr()
+        assert rc == 0
+        for cloud in clouds:
+            rebuilt = read_xyz(out / f"{cloud.stem}.reconstructed.xyz").points
+            masked = read_xyz(out / f"{cloud.stem}.masked.xyz").points
+            assert rebuilt.shape[0] == 16 + 4 * 4
+            assert {row.tobytes() for row in rebuilt[:16]} <= {row.tobytes() for row in masked}
 
 
     def test_checks_every_input_before_writing_any_output(self, tmp_path, cfg_file, dataset, capsys):

@@ -125,6 +125,16 @@ def test_non_finite_float_rejected(key, value):
         split_mapping({key: value})
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+def test_every_field_default_is_a_type_coerce_reads(cls):
+    """`_coerce` reads a bool, an int or a float, and any other field as a tuple of ints."""
+    for f in dataclasses.fields(cls):
+        value = f.default
+        assert isinstance(value, (bool, int, float)) or (
+            isinstance(value, tuple) and all(type(v) is int for v in value)
+        ), f.name
+
+
 class TestCheckedOnceAndFrozen:
     """Every config is checked when it is built, however it is built."""
 

@@ -145,6 +145,11 @@ class TestAdamW:
         with pytest.raises(ConfigError):
             opt.load_state(1, {"q": np.zeros(1)}, {"q": np.zeros(1)})
 
+    def test_load_state_validates_shapes(self):
+        opt = AdamW({"p": T.param(np.array([1.0]))}, lr=0.1)
+        with pytest.raises(ConfigError, match="^optimizer state shape mismatch for 'p'$"):
+            opt.load_state(1, {"p": np.zeros(1)}, {"p": np.zeros(2)})
+
 
 class TestSchedule:
     CFG = TrainConfig(epochs=20, warmup_epochs=4, base_lr=1e-3, min_lr=1e-5)
