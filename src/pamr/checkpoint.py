@@ -24,6 +24,10 @@ writes each array's own buffer into the temp file of an atomic write, and
 writable array. `encode_checkpoint` and `decode_checkpoint` run the same
 writer and reader over an in-memory buffer, so the byte layout is the same
 either way.
+
+`apply_params` (a whole model) and `load_encoder_weights` (a classifier's
+encoder) are the one path from checkpoint arrays into a model: both copy
+through `_copy_checked`, and every misfit is a `CheckpointCompatibilityError`.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ from .errors import CheckpointCompatibilityError, CheckpointFormatError
 from .nn import Module
 from .tensor import Tensor
 
-__all__ = ["CheckpointData", "save_checkpoint", "load_checkpoint", "apply_params"]
+__all__ = ["CheckpointData", "save_checkpoint", "load_checkpoint", "apply_params", "load_encoder_weights"]
 
 MAGIC = b"PAMR1"
 VERSION = 1
@@ -223,27 +227,31 @@ def decode_checkpoint(payload: bytes, origin: str = "<bytes>") -> CheckpointData
     return _read_checkpoint(io.BytesIO(payload), len(payload), origin)
 
 
-def load_checkpoint(
-    path: str | Path,
-    expect_fingerprint: str | None = None,
-    allow_mismatch: bool = False,
-) -> CheckpointData:
-    """Read `path` entry by entry, straight into the decoded arrays."""
+def load_checkpoint(path: str | Path, expect_fingerprint: str | None = None) -> CheckpointData:
+    """Read `path` entry by entry, straight into the decoded arrays. With
+    `expect_fingerprint`, a checkpoint of another model config is refused."""
     try:
         with open(path, "rb") as fh:
             data = _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, str(path))
     except OSError as e:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {e}") from None
-    if (
-        expect_fingerprint is not None
-        and data.fingerprint != expect_fingerprint
-        and not allow_mismatch
-    ):
+    if expect_fingerprint is not None and data.fingerprint != expect_fingerprint:
         raise CheckpointCompatibilityError(
             f"{path}: checkpoint fingerprint {data.fingerprint} does not match "
             f"the configured model ({expect_fingerprint}); pass the override to force"
         )
     return data
+
+
+def _copy_checked(own: dict[str, Tensor], params: dict[str, np.ndarray], names) -> None:
+    """Copy each of `names` from `params` into `own`, in sorted order; the
+    first shape that does not fit raises."""
+    for name in sorted(names):
+        if own[name].shape != params[name].shape:
+            raise CheckpointCompatibilityError(
+                f"shape mismatch for {name!r}: model {own[name].shape}, checkpoint {params[name].shape}"
+            )
+        own[name].data = np.array(params[name], dtype=np.float64)
 
 
 def apply_params(module: Module, params: dict[str, np.ndarray]) -> None:
@@ -255,9 +263,16 @@ def apply_params(module: Module, params: dict[str, np.ndarray]) -> None:
         raise CheckpointCompatibilityError(
             f"parameter names differ from the model's: missing {missing[:3]}, extra {extra[:3]}"
         )
-    for name, p in own.items():
-        if p.shape != params[name].shape:
-            raise CheckpointCompatibilityError(
-                f"shape mismatch for {name!r}: model {p.shape}, checkpoint {params[name].shape}"
-            )
-        p.data = np.array(params[name], dtype=np.float64)
+    _copy_checked(own, params, params)
+
+
+def load_encoder_weights(clf: Module, params: dict[str, np.ndarray]) -> bool:
+    """Copy every encoder entry of `params` whose name `clf` has; shapes must
+    match. True when that filled every encoder parameter of `clf`."""
+    own = clf.param_dict()
+    mine = [name for name in own if name.startswith("encoder.")]
+    names = [name for name in mine if name in params]
+    if not names:
+        raise CheckpointCompatibilityError("checkpoint holds no matching encoder parameters")
+    _copy_checked(own, params, names)
+    return len(names) == len(mine)

@@ -109,12 +109,8 @@ def _load_pretrained(args, model_cfg: ModelConfig):
     """The parameter arrays of `--checkpoint`, or None without one."""
     if args.checkpoint is None:
         return None
-    data = load_checkpoint(
-        args.checkpoint,
-        expect_fingerprint=model_fingerprint(model_cfg),
-        allow_mismatch=args.allow_mismatch,
-    )
-    return data.params
+    expect = None if args.allow_mismatch else model_fingerprint(model_cfg)
+    return load_checkpoint(args.checkpoint, expect).params
 
 
 def _cmd_gen_data(args, model_cfg: ModelConfig, train_cfg: TrainConfig) -> int:

@@ -37,8 +37,10 @@ def _coerce_bool(raw: str, key: str) -> bool:
 
 
 def _coerce_int_tuple(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+    if not raw.strip():
+        return ()  # an empty value, as in `head_hidden =`
+    try:  # an empty item (`8,,8`, `,8`, `8,`) fails int()
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from None
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import CloudClassifier, MaskedAutoencoder, head_logits
+from .checkpoint import load_encoder_weights
 from .config import ModelConfig, TrainConfig
 from .errors import ConfigError, NonFiniteError, PamrError
 from .geometry import PointCloud, ScalePyramid, build_scale_pyramid
@@ -179,11 +180,11 @@ def _epoch_orders(rng, n: int, epochs: int):
 
 
 def _fit(
-    model, opt: AdamW, n: int, cfg: TrainConfig, orders, draw, pack_loss, size: int, rows: list,
+    model, opt: AdamW, cfg: TrainConfig, orders, draw, pack_loss, size: int, rows: list,
     on_epoch_end=None,
 ) -> None:
-    """The one training step, over items 0..n-1. Per epoch: the scheduled lr
-    and the next of `orders`, the epoch's shuffle (`_epoch_orders`: a lazy
+    """The one training step. Per epoch: the scheduled lr and the next of
+    `orders`, the epoch's shuffle of its items (`_epoch_orders`: a lazy
     one draws as each epoch starts, a list was drawn before). Per batch:
     `drawn = draw(batch)` makes every random draw of the step, in batch
     order. `pack_loss(model, drawn[p : p + size])` then gives a pack's mean
@@ -209,7 +210,7 @@ def _fit(
 
     for epoch, order in enumerate(orders):
         opt.lr = lr_at(epoch, cfg)
-        for lo in range(0, n, cfg.batch_size):
+        for lo in range(0, len(order), cfg.batch_size):
             drawn = draw(order[lo : lo + cfg.batch_size])
             opt.zero_grad()
             arrays = [p.data for p in leaves]
@@ -383,7 +384,7 @@ def pretrain_run(
     orders = _epoch_orders(rng, len(clouds), train_cfg.epochs)
     try:
         _fit(
-            model, opt, len(clouds), train_cfg, orders, draw, _reconstruction_loss, pack_size(model_cfg),
+            model, opt, train_cfg, orders, draw, _reconstruction_loss, pack_size(model_cfg),
             result.rows, on_epoch_end,
         )
     except PamrError:
@@ -442,7 +443,7 @@ def _fit_frozen_head(
     def pack_loss(head: list, batch: np.ndarray):
         return _scored(head_logits(head, T.constant(feats[batch])), labels[batch])
 
-    _fit(head, opt, labels.size, train_cfg, orders, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
+    _fit(head, opt, train_cfg, orders, lambda batch: batch, pack_loss, train_cfg.batch_size, rows)
 
 
 def _accuracy(head: list, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -490,29 +491,12 @@ def finetune_classify(
             return [(augment(train_pyrs[i], rng, train_cfg), train_labels[i]) for i in batch]
 
         opt = AdamW(clf.param_dict(), train_cfg.base_lr, train_cfg.weight_decay)
-        _fit(clf, opt, train_idx.size, train_cfg, orders, draw, _classification_loss, pack_size(model_cfg), rows)
+        _fit(clf, opt, train_cfg, orders, draw, _classification_loss, pack_size(model_cfg), rows)
         feats = pooled_features(clf, pyramids)
 
     train_acc = _accuracy(clf.head, feats[train_idx], train_labels)
     hold_acc = _accuracy(clf.head, feats[hold_idx], labels[hold_idx]) if hold_idx.size else float("nan")
     return FinetuneResult(clf, train_acc, hold_acc, rows, train_idx, hold_idx)
-
-
-def load_encoder_weights(clf: CloudClassifier, params: dict[str, np.ndarray]) -> int:
-    """Copy every encoder.* entry whose name and shape match; returns count."""
-    own = clf.param_dict()
-    copied = 0
-    for name, value in params.items():
-        if not name.startswith("encoder."):
-            continue
-        if name in own:
-            if own[name].shape != value.shape:
-                raise ConfigError(f"shape mismatch for {name!r}: {own[name].shape} vs {value.shape}")
-            own[name].data = np.array(value, dtype=np.float64)
-            copied += 1
-    if copied == 0:
-        raise ConfigError("checkpoint holds no matching encoder parameters")
-    return copied
 
 
 @dataclass
@@ -572,8 +556,7 @@ def few_shot_eval(
             test_set.extend(members[m:need].tolist())
         # built every trial: its init draws from rng, and the draws after it depend on that
         clf = CloudClassifier(model_cfg, n, train_cfg.head_hidden, rng)
-        n_encoder = sum(name.startswith("encoder.") for name in clf.param_dict())
-        if pretrained is None or load_encoder_weights(clf, pretrained) < n_encoder:
+        if pretrained is None or not load_encoder_weights(clf, pretrained):
             feats = {}  # part of this trial's encoder is its own random init
         orders = list(_epoch_orders(rng, len(train_set), train_cfg.epochs))
         new = sorted(set(train_set + test_set) - pyramids.keys())  # in dataset order

@@ -42,9 +42,10 @@ import numpy as np
 
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier
+from pamr.checkpoint import load_encoder_weights
 from pamr.errors import ShapeError
 from pamr.geometry import ScalePyramid, _check_points, build_scale_pyramid, normalize_points
-from pamr.training import _accuracy, _fit_frozen_head, load_encoder_weights, pooled_features
+from pamr.training import _accuracy, _fit_frozen_head, pooled_features
 
 SENTINEL = 1234.5678
 

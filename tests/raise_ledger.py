@@ -9,7 +9,8 @@ loads it in every process that has `src` on its path, so test subprocesses
 and pool workers are traced too. Each process appends the lines it runs to a
 ledger of its own, one file per pid: a shared file would keep only what its
 last writer saw. The union of the ledgers is set against every `raise` that
-`ast` finds in `src/pamr`, and each one never reached prints as `file:line`.
+`ast` finds in `src/pamr`, and each one never reached prints as `file:line`;
+the script then exits 1, so CI fails on an untested error path.
 If the union of a full run misses the line where a pool worker runs its
 job, the workers went untraced and the list is wrong: the script says so
 and exits 2.
@@ -120,7 +121,7 @@ def main(pytest_args: list[str]) -> int:
     print(f"{len(unreached)} of {sum(map(len, spans.values()))} raise statements in src/pamr never ran")
     if tier1 != 0:
         print(f"error: Tier-1 exited {tier1}, so the ledger may miss lines", file=sys.stderr)
-    return tier1
+    return tier1 or int(bool(unreached))
 
 
 if __name__ == "__main__":

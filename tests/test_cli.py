@@ -465,7 +465,7 @@ class TestFinetuneCommand:
         assert rc == 1
         # names sort encoder.mergers.0.lift.bias first: (16,) in the checkpoint, (32,) here
         assert capsys.readouterr().err == (
-            "error: shape mismatch for 'encoder.mergers.0.lift.bias': (32,) vs (16,)\n"
+            "error: shape mismatch for 'encoder.mergers.0.lift.bias': model (32,), checkpoint (16,)\n"
         )
 
 
@@ -567,6 +567,32 @@ class TestReconstructCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: inputs {first} and {second} would both write x.*.xyz\n"
         assert not out.exists()
+
+
+# both loads walk names in sorted order; only the whole-model load of
+# reconstruct reads the decoder.* names, which sort first
+@pytest.mark.parametrize("command, name", [
+    ("finetune", "encoder.mergers.0.lift.bias"),
+    ("fewshot", "encoder.mergers.0.lift.bias"),
+    ("reconstruct", "decoder.final_norm.scale"),
+])
+def test_allow_mismatch_loads_no_other_shape(tmp_path, dataset, capsys, command, name):
+    """Without the fingerprint check, a checkpoint of other `dims` is one
+    `error:` line naming the entry and both shapes, and exit 1."""
+    cfg = TestCorruptCheckpoint.FS_CFG
+    (tmp_path / "fs.cfg").write_text(cfg)
+    (tmp_path / "wider.cfg").write_text(cfg.replace("dims = 8,16", "dims = 16,32"))
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", str(tmp_path / "fs.cfg"), "--data", dataset, "--out", str(pre)]) == 0
+    args = [command, "--config", str(tmp_path / "wider.cfg"), "--checkpoint", str(pre / "model.ckpt"),
+            "--allow-mismatch"]
+    if command == "reconstruct":
+        args += ["--out", str(tmp_path / "rec"), str(sorted(Path(dataset).glob("*.xyz"))[0])]
+    else:
+        args += ["--data", dataset, "--out", str(tmp_path / command)]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: shape mismatch for {name!r}: model (32,), checkpoint (16,)\n"
 
 
 class TestCorruptCheckpoint:

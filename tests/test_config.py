@@ -125,6 +125,19 @@ def test_non_finite_float_rejected(key, value):
         split_mapping({key: value})
 
 
+@pytest.mark.parametrize("raw", ["512,,256,64", ",8", "8,8,", " , "])
+def test_empty_tuple_item_rejected(raw):
+    """An empty item is an error, not dropped: `512,,256,64` is not (512, 256, 64)."""
+    with pytest.raises(ConfigError) as err:
+        split_mapping({"sizes": raw})
+    assert str(err.value) == f"sizes: expected comma-separated integers, got {raw!r}"
+
+
+@pytest.mark.parametrize("raw", ["", "  "])
+def test_empty_tuple_value_is_empty(raw):
+    assert split_mapping({"head_hidden": raw})[1].head_hidden == ()
+
+
 @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
 def test_every_field_default_is_a_type_coerce_reads(cls):
     """`_coerce` reads a bool, an int or a float, and any other field as a tuple of ints."""

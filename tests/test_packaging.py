@@ -130,3 +130,14 @@ def test_only_the_pool_keeps_the_rule_that_starts_it():
             if getattr(node, "id", None) in names or getattr(node, "attr", None) in names:
                 users.add(path.stem)
     assert users == {"pool"}
+
+
+def test_only_the_checkpoint_knows_the_encoder_prefix():
+    """`pamr.checkpoint` alone holds the string constant `"encoder."`, so
+    `load_encoder_weights` alone knows how a checkpoint names the encoder."""
+    holders = set()
+    for path in (ROOT / "src" / "pamr").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value == "encoder.":
+                holders.add(path.stem)
+    assert holders == {"checkpoint"}

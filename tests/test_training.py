@@ -23,14 +23,14 @@ from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder, head_logits
 from pamr.config import ModelConfig, TrainConfig
 from pamr.data import ShapeSpec, gen_shapes
-from pamr.errors import ConfigError, NonFiniteError, PamrError, ShapeError, WorkerError
+from pamr.errors import CheckpointCompatibilityError, ConfigError, NonFiniteError, PamrError, ShapeError, WorkerError
 from pamr.geometry import PointCloud, ScalePyramid, mask_and_backproject, normalize_points
 from pamr.metrics import format_metrics
 from pamr.tensor import Tensor
 import _oracles
 import pamr.pool
 import pamr.training
-from pamr.checkpoint import encode_checkpoint
+from pamr.checkpoint import encode_checkpoint, load_encoder_weights
 from pamr.cli import _build_parser
 from pamr.training import (
     AdamW,
@@ -40,7 +40,6 @@ from pamr.training import (
     cross_entropy,
     few_shot_eval,
     finetune_classify,
-    load_encoder_weights,
     lr_at,
     pack_size,
     pooled_features,
@@ -585,12 +584,12 @@ class TestFinetune:
         with_workers(monkeypatch, 0)  # the spies see the packs of this process only
         fit, logits, step = pamr.training._fit, CloudClassifier.logits, AdamW.step
 
-        def fit_spy(model, opt, n, cfg, orders, draw, *rest):
+        def fit_spy(model, opt, cfg, orders, draw, *rest):
             def draw_spy(batch):
                 batches.append(batch)
                 return draw(batch)
 
-            return fit(model, opt, n, cfg, orders, draw_spy, *rest)
+            return fit(model, opt, cfg, orders, draw_spy, *rest)
 
         def logits_spy(clf, pyramid):
             packs.append(pyramid.offsets[0].size - 1)
@@ -662,7 +661,7 @@ class TestFinetune:
         from pamr.backbone import CloudClassifier
 
         clf = CloudClassifier(TINY, 2, (8,), np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="no matching encoder"):
+        with pytest.raises(CheckpointCompatibilityError, match="no matching encoder"):
             load_encoder_weights(clf, {"head.0.weight": np.zeros((2, 2))})
 
 
@@ -986,7 +985,7 @@ def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> Adam
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", fixed_workers(workers))
         mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
-        pamr.training._fit(model, opt, len(items), cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
+        pamr.training._fit(model, opt, cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
 
 
