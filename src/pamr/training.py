@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "cloud_pyramids",
     "PACK_BUDGET",
     "NO_GRAD_BUDGET",
+    "PYRAMID_MEMO_BUDGET",
     "pack_size",
     "cross_entropy",
     "MetricsRow",
@@ -116,24 +119,47 @@ def _check_point_counts(clouds: list[np.ndarray], model_cfg: ModelConfig, names=
 
 def cloud_pyramids(clouds: list[np.ndarray], model_cfg: ModelConfig, names=None) -> list[ScalePyramid]:
     """The model input for each raw cloud, in the order given: the
-    ScalePyramid of its normalized points. Clouds of one point count are
-    stacked and built in lock-step, a no-grad pack at a time (spread over
-    the pool, see `_spread`); each gets the pyramid it would get alone. A
-    cloud with fewer points than the first scale size is a ConfigError,
-    before any pyramid is built, that names it by `names[i]` or else by its
-    position."""
+    ScalePyramid of its normalized points, shared and read-only. Each
+    distinct cloud (its float64 shape and bytes) is built once per process
+    and `(sizes, ks)` while its pyramid stays in a memo of at most
+    `PYRAMID_MEMO_BUDGET` bytes, least recently used out first. The others
+    are stacked by point count and built in lock-step, a no-grad pack at a
+    time (spread over the pool, see `_spread`); each gets the pyramid it
+    would get alone, so a hit is bitwise a fresh build. A cloud with fewer
+    points than the first scale size is a ConfigError, before any pyramid
+    is built, that names it by `names[i]` or else by its position."""
     _check_point_counts(clouds, model_cfg, names)
-    groups: dict[int, list[int]] = {}  # point count -> positions
-    for i, points in enumerate(clouds):
-        groups.setdefault(len(points), []).append(i)
+    raw = (np.asarray(points, dtype=np.float64) for points in clouds)  # a key holds all a build reads
+    keys = [(model_cfg.sizes, model_cfg.ks, a.shape, a.tobytes()) for a in raw]
+    with _MEMO_LOCK:
+        found = {key: _MEMO[key][0] for key in keys if key in _MEMO}
+        for key in found:
+            _MEMO.move_to_end(key)
+    todo = {key: points for key, points in zip(keys, clouds) if key not in found}
+    groups: dict[int, list] = {}  # point count -> keys
+    for key, points in todo.items():
+        groups.setdefault(len(points), []).append(key)
     size = pack_size(model_cfg, NO_GRAD_BUDGET)
     chunks = [members[lo : lo + size] for members in groups.values() for lo in range(0, len(members), size)]
-    built = _spread(size, _build_stack, model_cfg, [[clouds[i] for i in chunk] for chunk in chunks])
-    pyramids: list = [None] * len(clouds)
-    for chunk, pyrs in zip(chunks, built):
-        for i, pyr in zip(chunk, pyrs):
-            pyramids[i] = pyr
-    return pyramids
+    built = _spread(size, _build_stack, model_cfg, [[todo[key] for key in chunk] for chunk in chunks])
+    new = {key: _frozen(pyr) for chunk, pyrs in zip(chunks, built) for key, pyr in zip(chunk, pyrs)}
+    with _MEMO_LOCK:  # an entry's bytes: its key's and its arrays', which it alone keeps alive
+        for key, pyr in new.items():
+            _MEMO[key] = pyr, len(key[-1]) + sum(a.nbytes for arrays in vars(pyr).values() for a in arrays)
+        held = sum(nbytes for _, nbytes in _MEMO.values())
+        while held > PYRAMID_MEMO_BUDGET:
+            held -= _MEMO.popitem(last=False)[1][1]
+    found.update(new)
+    return [found[key] for key in keys]
+
+
+def _frozen(pyr: ScalePyramid) -> ScalePyramid:
+    """A read-only copy that keeps only its own arrays alive: an in-process
+    stack's pyramids are views of the whole stack."""
+    fields = [[np.array(a) for a in arrays] for arrays in vars(pyr).values()]
+    for a in (a for arrays in fields for a in arrays):
+        a.flags.writeable = False
+    return ScalePyramid(*fields)
 
 
 def augment(pyramid: ScalePyramid, rng: np.random.Generator, cfg: TrainConfig) -> ScalePyramid:
@@ -329,6 +355,12 @@ PACK_BUDGET = 8192
 # clouds or one default-config cloud.
 NO_GRAD_BUDGET = 12288
 
+# Bytes of the pyramids, arrays and keys, that `cloud_pyramids` keeps across
+# calls: some 1,500 desk clouds (11 KB each) or 78 default ones (210 KB).
+PYRAMID_MEMO_BUDGET = 16 << 20
+_MEMO: OrderedDict = OrderedDict()  # key -> (pyramid, bytes), least recently used first
+_MEMO_LOCK = threading.Lock()
+
 
 def pack_size(cfg: ModelConfig, budget: int = PACK_BUDGET) -> int:
     """Clouds per pack under `budget`, at least one; depends on the
@@ -523,11 +555,13 @@ def few_shot_eval(
     encoder. The heads of all trials are then fit as one set of jobs
     (`_spread`): the first here, the others in `pamr.pool`'s workers.
 
-    Each drawn cloud's pyramid is built once per call. When `pretrained`
-    covers every encoder parameter, each trial's encoder is the same, so
-    each cloud is encoded at most once per call and its features are reused
-    by later trials. Otherwise the encoder keeps some of its per-trial random
-    init and every trial encodes its own clouds."""
+    Each drawn cloud's pyramid is taken from `cloud_pyramids` once per
+    call: built at most once, and not at all when this process built it
+    before (its memo). When `pretrained` covers every encoder parameter,
+    each trial's encoder is the same, so each cloud is encoded at most once
+    per call and its features are reused by later trials. Otherwise the
+    encoder keeps some of its per-trial random init and every trial encodes
+    its own clouds."""
     n, m = train_cfg.n_way, train_cfg.m_shot
     per_class: dict[int, list[int]] = {}
     for i, c in enumerate(clouds):

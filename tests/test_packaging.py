@@ -141,3 +141,18 @@ def test_only_the_checkpoint_knows_the_encoder_prefix():
             if isinstance(node, ast.Constant) and node.value == "encoder.":
                 holders.add(path.stem)
     assert holders == {"checkpoint"}
+
+
+
+def test_only_training_calls_the_pyramid_builder():
+    """`training._build_stack` alone calls `build_scale_pyramid`, and only
+    `cloud_pyramids` hands it clouds, so every model input in the package
+    goes through the pyramid memo."""
+    builders = {p.stem: callers(p, "build_scale_pyramid") for p in (ROOT / "src" / "pamr").glob("*.py")}
+    assert {stem: found for stem, found in builders.items() if found} == {"training": ["_build_stack"]}
+    training = ast.parse((ROOT / "src" / "pamr" / "training.py").read_text())
+    users = [
+        getattr(top, "name", None) for top in training.body
+        for node in ast.walk(top) if getattr(node, "id", None) == "_build_stack"
+    ]
+    assert users == ["cloud_pyramids"]

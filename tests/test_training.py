@@ -405,7 +405,7 @@ class TestPackPlanner:
         )
         commands = next(a for a in _build_parser()._actions if a.choices).choices
         for name, sub in commands.items():
-            assert not [flag for flag in sub._option_string_actions if "pack" in flag], name
+            assert not [flag for flag in sub._option_string_actions if "pack" in flag or "memo" in flag], name
 
 
 class TestCrossEntropy:
@@ -877,6 +877,132 @@ class TestFewShot:
         feats = pooled_features(clf, [_oracles.pyramid_of(c.points, TINY) for c in clouds])
         assert feats.shape == (4, 2 * TINY.dims[-1])
         assert np.isfinite(feats).all()
+
+
+def spy_pyramid_builds(monkeypatch) -> list:
+    """Run every pool job in this process; the list of the shapes of the
+    stacks of raw clouds that pyramid builds get, in call order."""
+    with_workers(monkeypatch, 0)
+    stacks, build = [], pamr.training.build_scale_pyramid
+    spy = lambda pts, *a: stacks.append(pts.shape) or build(pts, *a)
+    monkeypatch.setattr(pamr.training, "build_scale_pyramid", spy)
+    return stacks
+
+
+class TestPyramidMemo:
+    """`cloud_pyramids` builds each distinct cloud once per process and
+    `(sizes, ks)`, within its byte budget, and shares read-only pyramids."""
+
+    def test_a_hit_is_bitwise_a_fresh_build_and_builds_nothing(self, monkeypatch):
+        points = [c.points for c in desk_clouds(2)]
+        stacks = spy_pyramid_builds(monkeypatch)
+        first = cloud_pyramids(points, DESK)
+        again = cloud_pyramids([p.copy() for p in points[::-1]], DESK)  # equal bytes, other arrays
+        assert stacks == [(8, 128, 3)]
+        assert [id(p) for p in again] == [id(p) for p in first[::-1]]
+        for pts, pyr in zip(points, first):
+            alone = _oracles.pyramid_of(pts, DESK)
+            assert pyramid_bytes([pyr]) == pyramid_bytes([alone])
+
+    def test_a_call_builds_each_distinct_cloud_once(self, monkeypatch):
+        a, b = (c.points for c in desk_clouds(1)[:2])
+        stacks = spy_pyramid_builds(monkeypatch)
+        pyrs = cloud_pyramids([a, b, a.copy(), a.tolist()], DESK)
+        assert stacks == [(2, 128, 3)]
+        assert pyrs[0] is pyrs[2] is pyrs[3] and pyrs[1] is not pyrs[0]
+
+    def test_stored_arrays_are_read_only(self):
+        pyr = cloud_pyramids([desk_clouds(1)[0].points], DESK)[0]
+        arrays = [a for f in ("points", "sample_idx", "neighbors", "offsets") for a in getattr(pyr, f)]
+        assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            pyr.points[0][0, 0] = 1.0
+        # a copy owns its bytes: the stack it was built in is not kept alive
+        assert all(a.base is None for a in arrays)
+
+    @pytest.mark.parametrize("other", [dict(sizes=(32, 8)), dict(ks=(8, 4))], ids=["sizes", "ks"])
+    def test_other_sizes_or_ks_miss(self, other, monkeypatch):
+        points = [desk_clouds(1)[0].points]
+        stacks = spy_pyramid_builds(monkeypatch)
+        desk_pyr = cloud_pyramids(points, DESK)[0]
+        cfg = replace(DESK, **other)
+        pyr = cloud_pyramids(points, cfg)[0]
+        assert stacks == [(1, 128, 3), (1, 128, 3)]
+        assert pyramid_bytes([pyr]) == pyramid_bytes([_oracles.pyramid_of(points[0], cfg)])
+        assert cloud_pyramids(points, DESK)[0] is desk_pyr and len(stacks) == 2
+
+    def test_eviction_keeps_the_budget_least_recently_used_first(self, monkeypatch):
+        a, b, c, d, e = (p.points for p in desk_clouds(2)[:5])
+        memo = pamr.training._MEMO
+        pyr = cloud_pyramids([a], DESK)[0]
+        entry = memo[DESK.sizes, DESK.ks, a.shape, a.tobytes()][1]
+        arrays = pyr.points + pyr.sample_idx + pyr.neighbors + pyr.offsets
+        assert entry == a.nbytes + sum(x.nbytes for x in arrays)
+        monkeypatch.setattr(pamr.training, "PYRAMID_MEMO_BUDGET", 3 * entry)
+        cloud_pyramids([b, c], DESK)
+        cloud_pyramids([a], DESK)  # a hit makes `a` the most recently used
+        cloud_pyramids([d], DESK)  # so `b` goes
+        held = lambda: [next(i for i, p in enumerate((a, b, c, d, e)) if key[-1] == p.tobytes()) for key in memo]
+        assert held() == [2, 0, 3]
+        stacks = spy_pyramid_builds(monkeypatch)
+        cloud_pyramids([c, a, d], DESK)
+        assert stacks == []
+        # a call of more clouds than the budget holds gets each one's pyramid;
+        # its hits move up before its new pyramids go in
+        pyrs = cloud_pyramids([b, e, c, d], DESK)
+        assert stacks == [(2, 128, 3)]
+        assert held() == [3, 1, 4]
+        assert sum(nbytes for _, nbytes in memo.values()) <= pamr.training.PYRAMID_MEMO_BUDGET
+        assert pyramid_bytes(pyrs) == pyramid_bytes([_oracles.pyramid_of(p, DESK) for p in (b, e, c, d)])
+
+    def test_threads_sharing_the_memo_get_fresh_build_bits_within_the_budget(self, monkeypatch):
+        points = [c.points for c in desk_clouds(2)]
+        want = {i: pyramid_bytes([_oracles.pyramid_of(p, DESK)]) for i, p in enumerate(points)}
+        cloud_pyramids(points[:1], DESK)
+        entry = next(iter(pamr.training._MEMO.values()))[1]
+        monkeypatch.setattr(pamr.training, "PYRAMID_MEMO_BUDGET", 3 * entry)
+        with_workers(monkeypatch, 0)
+        wrong = []
+
+        def hammer(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for _ in range(15):
+                picks = rng.choice(len(points), size=3, replace=False).tolist()
+                got = cloud_pyramids([points[i] for i in picks], DESK)
+                wrong.extend(i for i, pyr in zip(picks, got) if pyramid_bytes([pyr]) != want[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        memo = pamr.training._MEMO
+        assert len(memo) == 3 and sum(nbytes for _, nbytes in memo.values()) == 3 * entry
+
+    def test_a_second_pretrain_or_few_shot_call_builds_nothing_and_gives_the_same_bytes(
+        self, few_shot_clouds, monkeypatch
+    ):
+        stacks = spy_pyramid_builds(monkeypatch)
+        runs, shots = [], []
+        for _ in range(2):
+            built = len(stacks)
+            runs.append(pretrain_run(few_shot_clouds, TINY, TestPretrain.CFG))
+            assert (len(stacks) > built) == (len(runs) == 1)
+        pamr.training._MEMO.clear()
+        for _ in range(2):
+            built = len(stacks)
+            shots.append(few_shot_eval(few_shot_clouds, TINY, FEW_SHOT_CFG))
+            assert (len(stacks) > built) == (len(shots) == 1)
+        assert format_metrics(runs[1].rows) == format_metrics(runs[0].rows)
+        assert [a.hex() for a in shots[1].per_trial] == [a.hex() for a in shots[0].per_trial]
+        assert shots[1] == shots[0]
 
 
 class TestThreads:
@@ -1487,6 +1613,7 @@ class TestJobPool:
         runs = []
         for workers in (0, 1, many_workers):
             with_workers(monkeypatch, workers)
+            pamr.training._MEMO.clear()  # so each worker count builds
             runs.append(pyramid_bytes(cloud_pyramids(points, DESK)))
         assert len(pamr.pool._POOL.procs) == min(many_workers, 4)  # five packs: one here, the others on workers
         assert runs[1] == runs[0] and runs[2] == runs[0]
