@@ -7,8 +7,7 @@ any process. A call's `Session` sends each worker `fn` and `arg` once, on that
 worker's first use, and then lists of items. The pool decides where a run's
 items go and on how many workers: one per CPU this process may run on besides
 its own, and one per item after the first, never from a config value or an
-input. The workers start only once this process has run `_SPREAD_AFTER_S` of
-work they could have taken.
+input. The workers start once `_SPREAD_AFTER` spreadable items ran here.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ import functools
 import itertools
 import os
 import threading
-import time
 
 from .errors import PamrError, WorkerError
 
@@ -147,13 +145,14 @@ class _Pool:
 _POOL = _Pool()  # one per process, so that repeated calls reuse its workers
 _KEYS = itertools.count()
 
-# Starting the pool (a forkserver and a worker, and their exit) costs about
-# 0.16 s of wall time on a 2-vCPU host, so `Session.run` starts it only once
-# the process has run this much work it could have spread: a one-shot desk
-# command (under 0.2 s of such work) never starts one, and no process loses
-# more than a sixth of the work it ran before the start.
-_SPREAD_AFTER_S = 1.0
-_unspread_s = 0.0  # the work `Session.run` ran here instead of spreading it; under `_POOL.lock`
+# A pool start (a forkserver and a worker, and their exit) costs about 0.16 s
+# on a 2-vCPU host, so `Session.run` starts one only after this many items
+# (packs or jobs) ran here that could have spread: more than one-shot desk
+# `pretrain`, `fewshot`, frozen `finetune` and `reconstruct` run (24, 24, 20,
+# 0) or a benchmark trace by its traced call's end (38), and fewer than a
+# desk caller runs in one second of such work (60 to 160).
+_SPREAD_AFTER = 64
+_unspread = 0  # the items `Session.run` ran here instead of spreading them; under `_POOL.lock`
 
 
 def _raise_first(replies: list) -> list:
@@ -183,19 +182,17 @@ class Session:
         earliest item's first. The one place that decides where items go:
         all run here with no worker, for one item, while another thread's
         run holds the pool, or while the pool is down and this process has
-        run less than `_SPREAD_AFTER_S` here that it could have spread. A
-        spread run pins this process's BLAS to one thread until it ends: the
-        workers fill the other CPUs, and its BLAS threads would contend."""
-        global _unspread_s
+        run fewer than `_SPREAD_AFTER` items here that it could have spread.
+        A spread run pins this process's BLAS to one thread until it ends:
+        the workers fill the other CPUs, and its BLAS threads would contend."""
+        global _unspread
         if self.workers < 1 or len(items) < 2 or not _POOL.lock.acquire(blocking=False):
             return [here(item) for item in items]
         threads = None
         try:
-            if not _POOL.conns and _unspread_s < _SPREAD_AFTER_S:
-                start = time.perf_counter()
-                results = [here(item) for item in items]
-                _unspread_s += time.perf_counter() - start
-                return results
+            if not _POOL.conns and _unspread < _SPREAD_AFTER:
+                _unspread += len(items)
+                return [here(item) for item in items]
             threads = _set_blas_threads(1)
             return _POOL.run(self, items, here)
         finally:

@@ -389,7 +389,7 @@ def pretrain_run(
 
     `on_checkpoint(model, optimizer, step, tag)` is invoked at the end, every
     `checkpoint_every` epochs, and with tag "aborted" before re-raising any
-    PamrError that surfaces mid-training.
+    PamrError that surfaces mid-training, with a failed save as its cause.
     """
     if not clouds:
         raise ConfigError("pretraining needs a non-empty dataset")
@@ -419,10 +419,13 @@ def pretrain_run(
             model, opt, train_cfg, orders, draw, _reconstruction_loss, pack_size(model_cfg),
             result.rows, on_epoch_end,
         )
-    except PamrError:
+    except PamrError as err:
         # parameters still hold the last completed step
         if on_checkpoint is not None:
-            on_checkpoint(model, opt, len(result.rows), "aborted")
+            try:
+                on_checkpoint(model, opt, len(result.rows), "aborted")
+            except (PamrError, OSError) as save_err:
+                raise err from save_err  # the save's failure must not hide the run's
         raise
     if on_checkpoint is not None:
         on_checkpoint(model, opt, len(result.rows), "final")

@@ -315,6 +315,21 @@ class TestPretrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: non-finite")
         assert decode_checkpoint((out / "model_aborted.ckpt").read_bytes()).step == 1
 
+    def test_a_failed_aborted_save_reports_the_error_that_stopped_training(self, tmp_path, capsys):
+        # step 1 overflows the parameters: step 2's forward fails, and so does
+        # the aborted save of those parameters, whose error must not replace it
+        text = with_setting(with_setting(TINY_CFG, "base_lr", "1e10"), "warmup_epochs", "0")
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(with_setting(text, "weight_decay", "1e300"))
+        data, out = tmp_path / "data", tmp_path / "pre"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--kinds", "sphere,cube",
+                     "--per-class", "2", "--n-points", "64"]) == 0
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: non-finite values in linear output"]
+        assert list(out.iterdir()) == []
+
     def test_mid_run_error_writes_aborted_checkpoint(self, tmp_path, capsys):
         # a 3-scale config whose mask plans can leave no scale-2 center masked;
         # under seed 13 the first such plan comes in step 2

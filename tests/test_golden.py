@@ -28,5 +28,5 @@ def test_outputs_match_golden_digests_at_a_fixed_worker_count(workers, tmp_path,
     count: packs 1.. of every multi-pack batch, pyramid builds, encodes and
     few-shot head fits, the jobs from the first call on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers + 1)))
-    monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+    monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", 0)
     check_golden(tmp_path)

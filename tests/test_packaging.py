@@ -122,14 +122,18 @@ def test_only_the_pool_reads_the_cpu_affinity():
 
 
 def test_only_the_pool_keeps_the_rule_that_starts_it():
-    """`pamr.pool` alone defines and reads `_SPREAD_AFTER_S` and `_unspread_s`,
-    so `Session.run` alone decides whether a run's items go to workers."""
-    names, users = {"_SPREAD_AFTER_S", "_unspread_s"}, set()
+    """`pamr.pool` alone defines and reads `_SPREAD_AFTER` and `_unspread`,
+    so `Session.run` alone decides whether a run's items go to workers, and
+    no module imports `time`, so where the items go never depends on a clock."""
+    names, users, clocks = {"_SPREAD_AFTER", "_unspread"}, set(), set()
     for path in (ROOT / "src" / "pamr").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if getattr(node, "id", None) in names or getattr(node, "attr", None) in names:
                 users.add(path.stem)
-    assert users == {"pool"}
+            imported = [a.name for a in node.names] if isinstance(node, ast.Import) else [getattr(node, "module", None)]
+            if "time" in imported:
+                clocks.add(path.stem)
+    assert users == {"pool"} and clocks == set()
 
 
 def test_only_the_checkpoint_knows_the_encoder_prefix():

@@ -1,7 +1,6 @@
 import collections
 import functools
 import gc
-import itertools
 import math
 import multiprocessing
 import os
@@ -11,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -22,16 +20,16 @@ import pytest
 from pamr import tensor as T
 from pamr.backbone import CloudClassifier, MaskedAutoencoder, head_logits
 from pamr.config import ModelConfig, TrainConfig
-from pamr.data import ShapeSpec, gen_shapes
-from pamr.errors import CheckpointCompatibilityError, ConfigError, NonFiniteError, PamrError, ShapeError, WorkerError
+from pamr.data import ShapeSpec, gen_shapes, save_dataset_dir
+from pamr.errors import CheckpointCompatibilityError, CheckpointFormatError, ConfigError, NonFiniteError, PamrError, ShapeError, WorkerError
 from pamr.geometry import PointCloud, ScalePyramid, mask_and_backproject, normalize_points
 from pamr.metrics import format_metrics
 from pamr.tensor import Tensor
 import _oracles
 import pamr.pool
 import pamr.training
-from pamr.checkpoint import encode_checkpoint, load_encoder_weights
-from pamr.cli import _build_parser
+from pamr.checkpoint import encode_checkpoint, load_encoder_weights, save_checkpoint
+from pamr.cli import _build_parser, main
 from pamr.training import (
     AdamW,
     NO_GRAD_BUDGET,
@@ -88,7 +86,7 @@ def with_workers(monkeypatch, workers: int, opts: list | None = None) -> None:
     encodes and few-shot head fits, the jobs from the first call on. Record
     each training call's optimizer in `opts`."""
     monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(workers))
-    monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+    monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", 0)
     if opts is not None:
         monkeypatch.setattr(pamr.training, "_fit", lambda model, opt, *a: opts.append(opt) or _FIT(model, opt, *a))
 
@@ -496,6 +494,24 @@ class TestPretrain:
             with pytest.raises(NonFiniteError):
                 pretrain_run(small_dataset(per_class=1), TINY, cfg, on_checkpoint=hook)
         assert seen == [("aborted", 1)]
+
+    def test_a_failed_aborted_save_does_not_hide_the_error_that_stopped_training(self, tmp_path):
+        """Step 1 overflows the parameters, so step 2's forward raises
+        NonFiniteError and the aborted save of those parameters fails as
+        well: the training error is raised, with the save's as its cause,
+        and no `model_aborted.ckpt` is left."""
+        clouds = gen_shapes([ShapeSpec(k, 64, 0.02, seed=s, label=i) for i, k in enumerate(("sphere", "cube")) for s in range(2)])
+        cfg = TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, base_lr=1e10, weight_decay=1e300)
+
+        def save(model, opt, step, tag):
+            save_checkpoint(tmp_path / f"model_{tag}.ckpt", model.param_dict(), "fp", step, opt.state_arrays())
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite values in linear output") as info:
+                pretrain_run(clouds, TINY, cfg, on_checkpoint=save)
+        assert isinstance(info.value.__cause__, CheckpointFormatError)
+        assert "holds non-finite values" in str(info.value.__cause__)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
@@ -1110,7 +1126,7 @@ def fit_items(items: list, workers: int, pack_loss=_RECONSTRUCTION_LOSS) -> Adam
     draw = lambda batch: [items[i] for i in sorted(batch)]  # noqa: E731
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", fixed_workers(workers))
-        mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+        mp.setattr(pamr.pool, "_SPREAD_AFTER", 0)
         pamr.training._fit(model, opt, cfg, [np.arange(len(items))], draw, pack_loss, 8, [])
     return opt
 
@@ -1200,7 +1216,7 @@ from pamr.cli import main
 
 if __name__ == "__main__":
     os.sched_getaffinity = lambda pid: {0, 1}
-    pamr.pool._SPREAD_AFTER_S = 0.0
+    pamr.pool._SPREAD_AFTER = 0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -1226,7 +1242,7 @@ def exits_in_a_worker(model, pack):
 if __name__ == "__main__":
     pamr.training._reconstruction_loss = exits_in_a_worker
     os.sched_getaffinity = lambda pid: {0, 1}
-    pamr.pool._SPREAD_AFTER_S = 0.0
+    pamr.pool._SPREAD_AFTER = 0
     sys.exit(main(sys.argv[1:]))
 """
 
@@ -1249,7 +1265,7 @@ HOLDS_A_WORKER = DESK_BATCH + """
 import os
 from pamr import pool
 os.sched_getaffinity = lambda pid: {0, 1}
-pool._SPREAD_AFTER_S = 0.0
+pool._SPREAD_AFTER = 0
 tr.pretrain_run(clouds, desk, cfg)
 print(*(p.pid for p in pool._POOL.procs), flush=True)
 time.sleep(300)
@@ -1279,7 +1295,7 @@ cfg = TrainConfig(epochs=2, batch_size=32, warmup_epochs=1, seed=4, augment=True
 few = TrainConfig(epochs=3, batch_size=4, warmup_epochs=0, seed=4, head_hidden=(16,), n_way=2, m_shot=3,
                   test_per_class=5, trials=5)
 runs = []
-pool._SPREAD_AFTER_S = 0.0
+pool._SPREAD_AFTER = 0
 for workers in (0, len(os.sched_getaffinity(0)) + 1):
     os.sched_getaffinity = lambda pid: set(range(workers + 1))
     res = tr.pretrain_run(clouds, desk, cfg)
@@ -1405,26 +1421,26 @@ class TestPackPool:
         assert same_bits(pooled, fit_items(items, workers=0))
 
     def test_a_short_training_call_starts_no_worker(self, monkeypatch):
-        """A one-shot desk pretraining run, one step of two packs, with the
-        pool down: its work stays short of `_SPREAD_AFTER_S`, so every pack
-        runs here."""
+        """A one-shot desk pretraining run with the pool down: two pyramid
+        builds (12 clouds and 4) and one step of two packs, four items that
+        stay short of `_SPREAD_AFTER`, so every pack runs here."""
         pamr.pool._POOL.close()
         monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
-        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
+        monkeypatch.setattr(pamr.pool, "_unspread", 0)
         cfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=0)
         assert len(pretrain_run(desk_clouds(4), DESK, cfg).rows) == 1
-        assert 0.0 < pamr.pool._unspread_s < pamr.pool._SPREAD_AFTER_S
+        assert pamr.pool._unspread == 4
         assert not pamr.pool.started()
 
     def test_a_call_that_crosses_the_threshold_starts_the_pool_between_two_steps(self, monkeypatch):
         """Four desk steps of two packs, with only the packs spreadable: the
-        first step runs here, and its time crosses a tiny threshold, so the
-        pool starts before the second. The model goes to the worker once,
+        first step runs here, and its two packs reach a threshold of one, so
+        the pool starts before the second. The model goes to the worker once,
         with the first pack it is sent, and the rows and parameters are
         bitwise the in-process ones."""
         pamr.pool._POOL.close()
-        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 1e-9)
+        monkeypatch.setattr(pamr.pool, "_unspread", 0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", 1)
         sent, send = [], pamr.pool._POOL.send
 
         def spy(w, session, items):
@@ -1473,8 +1489,6 @@ class TestPackPool:
         script = tmp_path / "run.py"
         cfg.write_text(DESK_CFG)
         script.write_text(CLI_WORKER_EXITS)
-        from pamr.cli import main
-
         assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--per-class", "8"]) == 0
         proc = subprocess.run(
             [sys.executable, str(script), "pretrain", "--config", cfg, "--data", data, "--out", out],
@@ -1488,8 +1502,6 @@ class TestPackPool:
     def test_pamr_pretrain_leaves_no_process_behind(self, tmp_path):
         data, cfg = tmp_path / "data", tmp_path / "desk.cfg"
         cfg.write_text(DESK_CFG)
-        from pamr.cli import main
-
         assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--per-class", "8"]) == 0
         argv = ["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "out")]
         proc = subprocess.Popen(
@@ -1532,7 +1544,7 @@ def on_the_pool(workers: int, fn, arg, items) -> list:
     this process's share included, with the pool started at once."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", fixed_workers(workers))
-        mp.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+        mp.setattr(pamr.pool, "_SPREAD_AFTER", 0)
         return pamr.pool.Session(fn, arg, spread=True).run(items, functools.partial(fn, arg))
 
 
@@ -1545,12 +1557,6 @@ def _exits_in_a_worker_job(arg, item):
 
 def _in_a_worker(arg, item) -> bool:
     """A job that says whether it ran in a worker process."""
-    return multiprocessing.parent_process() is not None
-
-
-def _in_a_worker_after(seconds, item) -> bool:
-    """A job that sleeps `seconds`, then says whether it ran in a worker process."""
-    time.sleep(seconds)
     return multiprocessing.parent_process() is not None
 
 
@@ -1693,7 +1699,7 @@ class TestJobPool:
         pamr.pool._POOL.close()
         sent, send = [], pamr.pool._POOL.send
         monkeypatch.setattr(pamr.pool._POOL, "send", lambda w, *a: sent.append(w) or send(w, *a))
-        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", 0)
         try:
             for cpus, spread in (({0}, True), ({0, 1, 2, 3}, False)):
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -1712,29 +1718,67 @@ class TestJobPool:
         with pamr.pool._POOL.lock:
             assert on_the_pool(1, _in_a_worker, None, range(4)) == [False] * 4
 
-    def test_jobs_run_here_until_their_time_pays_for_the_pool(self, monkeypatch):
+    def test_jobs_run_here_until_their_count_pays_for_the_pool(self, monkeypatch):
         """While the pool is down, `Session.run` runs `_spread`'s jobs here and
-        adds up their time; once that reaches `_SPREAD_AFTER_S` it starts the pool.
-        A running pool is used at once. Work that could not spread, one item
-        or no worker, adds nothing."""
+        counts them; a run that finds the count at `_SPREAD_AFTER` starts the
+        pool. A running pool is used at once. Work that could not spread, one
+        item or no worker, counts nothing."""
         spread = pamr.training._spread
         pamr.pool._POOL.close()
-        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", 0.05)
+        monkeypatch.setattr(pamr.pool, "_unspread", 0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", 5)
         monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
-        assert spread(2, _in_a_worker_after, 0.01, [0]) == [False]
-        assert pamr.pool._unspread_s == 0.0
-        assert spread(2, _in_a_worker_after, 0.03, range(2)) == [False, False]
-        assert pamr.pool._unspread_s >= 0.05 and not pamr.pool.started()
-        assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
-        assert pamr.pool.started()
-        monkeypatch.setattr(pamr.pool, "_unspread_s", 0.0)
-        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
-        assert spread(2, _in_a_worker_after, 0.0, range(2)) == [False, True]
+        assert spread(2, _in_a_worker, None, [0]) == [False]
+        assert pamr.pool._unspread == 0
+        assert spread(2, _in_a_worker, None, range(2)) == [False, False]
+        assert spread(2, _in_a_worker, None, range(3)) == [False] * 3
+        assert pamr.pool._unspread == 5 and not pamr.pool.started()
+        assert spread(2, _in_a_worker, None, range(2)) == [False, True]
+        assert pamr.pool._unspread == 5 and pamr.pool.started()
+        monkeypatch.setattr(pamr.pool, "_unspread", 0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", float("inf"))
+        assert spread(2, _in_a_worker, None, range(2)) == [False, True]
         monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(0))
         pamr.pool._POOL.close()
-        assert spread(2, _in_a_worker_after, 0.01, range(2)) == [False, False]
-        assert pamr.pool._unspread_s == 0.0 and not pamr.pool.started()
+        assert spread(2, _in_a_worker, None, range(2)) == [False, False]
+        assert pamr.pool._unspread == 0 and not pamr.pool.started()
+
+    def test_one_shot_desk_commands_stay_short_of_the_pool(self, tmp_path, monkeypatch, capsys):
+        """The reference one-shot desk commands, each as a fresh process
+        would run it (the pool down, no pyramid memo, a worker to spare), on
+        120 desk clouds and their 1-epoch checkpoint: `pretrain`, `fewshot`
+        over 4 trials, frozen `finetune` and `reconstruct` of three clouds
+        run 24, 24, 20 and 0 items they could have spread, all short of
+        `_SPREAD_AFTER`, so none starts a pool, whatever the host's load."""
+        pamr.pool._POOL.close()
+        monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
+        data, pre = tmp_path / "data", tmp_path / "pre"
+        save_dataset_dir(data, desk_clouds(30))
+        few = "n_way = 4\nm_shot = 10\ntest_per_class = 20\ntrials = 4\nepochs = 15\nbatch_size = 64\n"
+        configs = {
+            "pretrain": DESK_CFG,
+            "fewshot": DESK_CFG.replace("epochs = 1\nbatch_size = 16\n", few),
+            "finetune": DESK_CFG + "freeze_backbone = true\n",
+        }
+        for name, text in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        ckpt = ["--checkpoint", str(pre / "model.ckpt")]
+        commands = [
+            ["pretrain", "--config", str(tmp_path / "pretrain.cfg"), "--data", str(data), "--out", str(pre)],
+            ["fewshot", "--config", str(tmp_path / "fewshot.cfg"), "--data", str(data), *ckpt],
+            ["finetune", "--config", str(tmp_path / "finetune.cfg"), "--data", str(data), "--out", str(tmp_path / "ft"), *ckpt],
+            ["reconstruct", "--config", str(tmp_path / "pretrain.cfg"), "--out", str(tmp_path / "rec"), *ckpt,
+             *(str(data / f"cloud_{i:04d}.xyz") for i in (0, 40, 80))],
+        ]
+        counts = []
+        for argv in commands:
+            pamr.training._MEMO.clear()
+            monkeypatch.setattr(pamr.pool, "_unspread", 0)
+            assert main(argv) == 0
+            counts.append(pamr.pool._unspread)
+        capsys.readouterr()
+        assert counts == [24, 24, 20, 0] and max(counts) < pamr.pool._SPREAD_AFTER
+        assert not pamr.pool.started()
 
     def test_a_spread_run_pins_blas_to_one_thread_and_then_restores_it(self):
         """While a run is spread, this process and its workers run OpenBLAS
@@ -1752,17 +1796,31 @@ class TestJobPool:
         finally:
             put(old)
 
-    def test_threads_that_run_here_add_every_runs_time_under_the_lock(self, monkeypatch):
-        """Four threads run sessions at once with the pool down and its
-        threshold out of reach, a thread switch forced every microsecond. A
-        run that takes the lock reads the clock twice, one tick apart, and
-        adds that tick; a run that finds the lock taken reads and adds
-        nothing. A lost update of `_unspread_s` would leave it short."""
+    def test_threads_that_run_here_add_every_runs_items_under_the_lock(self, monkeypatch):
+        """Four threads run sessions of two items at once with the pool down
+        and its threshold out of reach, a thread switch forced every
+        microsecond. A run that takes the lock adds its two items; a run that
+        finds the lock taken adds nothing. A lost update of `_unspread` would
+        leave it short of twice the lock's successful acquires."""
+
+        class CountedLock:
+            def __init__(self, lock):
+                self.lock, self.taken = lock, 0
+
+            def acquire(self, blocking=True):
+                got = self.lock.acquire(blocking)
+                if got:  # counted under the lock, so no count is lost
+                    self.taken += 1
+                return got
+
+            def release(self):
+                self.lock.release()
+
         pamr.pool._POOL.close()
-        ticks = itertools.count()
-        monkeypatch.setattr(pamr.pool, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-        monkeypatch.setattr(pamr.pool, "_unspread_s", 0)
-        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER_S", float("inf"))
+        lock = CountedLock(pamr.pool._POOL.lock)
+        monkeypatch.setattr(pamr.pool._POOL, "lock", lock)
+        monkeypatch.setattr(pamr.pool, "_unspread", 0)
+        monkeypatch.setattr(pamr.pool, "_SPREAD_AFTER", float("inf"))
         monkeypatch.setattr(os, "sched_getaffinity", fixed_workers(1))
         results = []
 
@@ -1782,7 +1840,7 @@ class TestJobPool:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert len(results) == 8000 and all(r == [0, 1] for r in results)
-        assert 0 < 2 * pamr.pool._unspread_s == next(ticks) and not pamr.pool.started()
+        assert 0 < pamr.pool._unspread == 2 * lock.taken and not pamr.pool.started()
 
     def test_a_head_fit_in_a_worker_starts_no_pool_of_its_own(self):
         """Two head jobs, each fit over three batches an epoch: the second
